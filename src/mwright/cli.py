@@ -248,13 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="accuracy target (default 1e-10)")
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, fn, tol=None):
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol,
+                           help="accuracy target (default %(default)g)")
         p.add_argument("--out", default=None, help="output path ('-' stdout)")
         p.add_argument("--config", default=None,
                        help="JSON config file; flags override its entries")
+        p.set_defaults(fn=fn, subparser=p)
 
     p = sub.add_parser("eval", help="evaluate one function value")
     p.add_argument("--function", required=True,
@@ -263,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("lam", "mu", "nu", "x", "s", "delta", "alpha", "beta", "t"):
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--K", type=float, default=1.0)
-    common(p)
-    p.set_defaults(fn=cmd_eval)
+    common(p, cmd_eval, tol=1e-10)
 
     p = sub.add_parser("tabulate", help="write a CSV table of a function")
     p.add_argument("--function", required=True,
@@ -279,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--K", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
-    common(p)
-    p.set_defaults(fn=cmd_tabulate)
+    common(p, cmd_tabulate, tol=1e-10)
 
     p = sub.add_parser("green", help="Green-function profile CSV")
     p.add_argument("--alpha", type=float, required=True)
@@ -290,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=float, default=-5.0)
     p.add_argument("--xmax", type=float, default=5.0)
     p.add_argument("--step", type=float, default=0.01)
-    common(p)
-    p.set_defaults(fn=cmd_green)
+    common(p, cmd_green)
 
     p = sub.add_parser("solve", help="Volterra time-stepping from a Gaussian")
     p.add_argument("--alpha", type=float, required=True)
@@ -302,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=401)
     p.add_argument("--halfwidth", type=float, default=8.0)
     p.add_argument("--u0-std", type=float, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_solve)
+    common(p, cmd_solve)
 
     p = sub.add_parser("simulate", help="sample a ggBm ensemble")
     p.add_argument("--alpha", type=float, required=True)
@@ -313,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times-n", type=int, default=64)
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--n-paths", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
+    p.add_argument("--seed", type=int, default=0)
+    common(p, cmd_simulate)
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--suite", default="all",
@@ -322,30 +319,29 @@ def build_parser() -> argparse.ArgumentParser:
                         "(comma-separated)")
     p.add_argument("--paths", type=int, default=100_000,
                    help="ggbm suite ensemble size")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    common(p, cmd_verify, tol=1e-6)
     return ap
 
 
-def _apply_config(args) -> None:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
-                setattr(args, attr, val)
-    if getattr(args, "tol", None) is None:
-        args.tol = 1e-6 if args.command == "verify" else 1e-10
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
+def _read_config(args) -> dict:
+    """Entries of the --config file that name a flag of the subcommand."""
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise DomainError(f"config {args.config!r} must hold a JSON object")
+    flags = set(vars(args)) - {"command", "config", "fn", "subparser"}
+    return {k.replace("-", "_"): v for k, v in cfg.items()
+            if k.replace("-", "_") in flags}
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            # config entries become the subcommand's defaults; flags win
+            args.subparser.set_defaults(**_read_config(args))
+            args = ap.parse_args(argv)
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,15 +65,6 @@ class NonConvergence(ArithmeticError):
     """Series stopping rule not met within the term budget."""
 
 
-class AsymptoticGap(ArithmeticError):
-    """Requested tolerance unreachable in the series/asymptotics crossover band.
-
-    Evaluators do not raise this; they return the best available estimate
-    with an honest error bound. The class is kept for callers that want to
-    flag such results themselves.
-    """
-
-
 class QuadratureFailure(ArithmeticError):
     """Adaptive quadrature exceeded its subdivision budget."""
 

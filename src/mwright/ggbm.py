@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma, rgamma as _rgamma
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtrc as _chdtrc, gamma as _gamma, rgamma as _rgamma
 
 from . import quadrature, specfun
 from .errors import (
@@ -49,8 +48,10 @@ class CovSpec:
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or len(times) == 0:
             raise InvalidArgument("times must be a non-empty 1-d array")
-        if times[0] <= 0.0 or np.any(np.diff(times) <= 0.0):
-            raise InvalidArgument("times must be strictly increasing and > 0")
+        if not (np.isfinite(times).all() and times[0] > 0.0
+                and (np.diff(times) > 0.0).all()):
+            raise InvalidArgument(
+                "times must be finite, strictly increasing and > 0")
 
 
 @dataclass
@@ -111,16 +112,26 @@ def covariance_matrix(spec: CovSpec) -> np.ndarray:
     Symmetric positive definite for distinct positive times; the diagonal
     is 2 t_i^alpha / Gamma(1+beta).
     """
+    gam = _raw_covariance(spec) * _rgamma(1.0 + spec.beta)
+    _cholesky(gam)
+    return gam
+
+
+def _raw_covariance(spec: CovSpec) -> np.ndarray:
+    """t_i^a + t_j^a - |t_i - t_j|^a (no Gamma normalization)."""
     t = spec.times
     ta = t ** spec.alpha
-    gam = ta[:, None] + ta[None, :] - np.abs(t[:, None] - t[None, :]) ** spec.alpha
-    gam *= _rgamma(1.0 + spec.beta)
+    return (ta[:, None] + ta[None, :]
+            - np.abs(t[:, None] - t[None, :]) ** spec.alpha)
+
+
+def _cholesky(c: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor; NotPositiveDefinite when there is none."""
     try:
-        np.linalg.cholesky(gam)
+        return np.linalg.cholesky(c)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             "covariance factorization failed; degenerate times?") from exc
-    return gam
 
 
 def pdf_marginal(alpha: float, beta: float, x: float, t: float) -> float:
@@ -151,8 +162,7 @@ def pdf_npoint(q: NPointQuery) -> float:
     spec = q.spec
     n = len(spec.times)
     beta = spec.beta
-    gam = covariance_matrix(spec)
-    chol = np.linalg.cholesky(gam)
+    chol = _cholesky(_raw_covariance(spec) * _rgamma(1.0 + beta))
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     y = np.linalg.solve(chol, q.xs)
     quad_form = float(y @ y)  # x' gamma^(-1) x
@@ -225,14 +235,6 @@ def sample_mixing_lambda(beta: float, rng: np.random.Generator, size=None):
     return s ** (-beta)
 
 
-def _raw_covariance(spec: CovSpec) -> np.ndarray:
-    """t_i^a + t_j^a - |t_i - t_j|^a (no Gamma normalization)."""
-    t = spec.times
-    ta = t ** spec.alpha
-    return (ta[:, None] + ta[None, :]
-            - np.abs(t[:, None] - t[None, :]) ** spec.alpha)
-
-
 def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
     """Sample an ensemble of trajectories.
 
@@ -248,12 +250,7 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
     """
     if n_paths < 1:
         raise InvalidArgument("need n_paths >= 1")
-    c = _raw_covariance(spec)
-    try:
-        chol = np.linalg.cholesky(c)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            "covariance factorization failed; degenerate times?") from exc
+    chol = _cholesky(_raw_covariance(spec))
     ntimes = len(spec.times)
     n_batches = (n_paths + _BATCH - 1) // _BATCH
     children = np.random.SeedSequence(seed).spawn(n_batches)
@@ -261,10 +258,7 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
     lambdas = np.empty(n_paths)
     for b in range(n_batches):
         rng = np.random.Generator(np.random.PCG64(children[b]))
-        if spec.beta == 1.0:
-            lam = np.ones(_BATCH)
-        else:
-            lam = sample_mixing_lambda(spec.beta, rng, _BATCH)
+        lam = sample_mixing_lambda(spec.beta, rng, _BATCH)
         z = rng.standard_normal((_BATCH, ntimes))
         g = z @ chol.T
         block = np.sqrt(lam)[:, None] * g
@@ -384,7 +378,7 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
         ([-np.inf], edges, [np.inf])))[0]
     expected = n / cells
     stat = float(((counts - expected) ** 2 / expected).sum())
-    pval = float(_chi2.sf(stat, cells - 1))
+    pval = float(_chdtrc(cells - 1, stat))
 
     return StatsReport(e.spec.times.copy(), mean, mean_se, var, var_se,
                        corr, corr_se, stat, pval, cells, n)

@@ -1,11 +1,17 @@
-"""Scalar evaluation of the Wright function family on the real line.
+"""Evaluation of the Wright function family on the real line.
 
 Covers the general Wright series W_{lam,mu}(z), the auxiliary functions
 M_nu and F_nu (Wright functions of the second kind that drive
 time-fractional diffusion), and the one-parameter Mittag-Leffler function
 E_nu(-s) on the negative real axis.
 
-Evaluation strategy for M_nu:
+Every power series (W_{lam,mu}, the M_nu series, the Taylor series of
+E_nu(-s)) runs through one engine: `_series_terms` builds the terms for
+a block of arguments, one row each, and `_apply_stopping_rule` stops
+every row and attaches its truncation and rounding estimates.
+
+Evaluation strategy for M_nu (m_wright is the one-point case of
+m_wright_values, so both share validation and dispatch):
 
 * power series in the reflection-formula form (coefficients 1/Gamma(1-nu*n),
   an entire function of the index, so no Gamma poles are ever evaluated)
@@ -19,14 +25,15 @@ Evaluation strategy for M_nu:
 
 The crossover radius is tabulated on a 0.01 grid in nu at first use: the
 series is abandoned at the smallest radius where its estimated rounding
-floor (machine eps times the largest term) exceeds min(1e-10, 1e-6 times
-the function value).
+floor (2 eps times the sum of |term|) exceeds min(1e-10, 1e-6 times the
+function value).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma, gammaln as _gammaln, rgamma as _rgamma
@@ -44,6 +51,7 @@ from .errors import (
 
 _EPS = float(np.finfo(float).eps)
 _TERM_BUDGET = 400
+_N = np.arange(_TERM_BUDGET)
 NU_MAX = 0.99  # evaluation cap; the peak near r=1 defeats doubles beyond this
 
 METHOD_SERIES = "series"
@@ -100,76 +108,98 @@ def _as_nu(nu) -> float:
 def _log_abs_rgamma(x: np.ndarray) -> np.ndarray:
     """log|1/Gamma(x)| for real x, valid on both axes."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x > 0
-    out[pos] = -_gammaln(x[pos])
-    xn = x[~pos]
-    with np.errstate(divide="ignore"):
-        out[~pos] = (np.log(np.abs(np.sin(np.pi * xn)) / np.pi)
-                     + _gammaln(1.0 - xn))
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0, -_gammaln(x),
+                        np.log(np.abs(np.sin(np.pi * x)) / np.pi)
+                        + _gammaln(1.0 - x))
 
 
-def _series_terms(lam: float, mu: float, z: float, nmax: int) -> np.ndarray:
-    """Terms z^n / (n! Gamma(lam*n + mu)) for n = 0..nmax-1.
+@lru_cache(maxsize=256)
+def _coefficients(lam: float, mu: float) -> np.ndarray:
+    """1/Gamma(lam*n + mu) for n < 400, read-only and cached per index."""
+    rg = _rgamma(lam * _N + mu)
+    rg.flags.writeable = False
+    return rg
 
-    Uses the reciprocal Gamma (entire, zero at the poles) so no Gamma is
-    ever evaluated at a non-positive argument. Entries where the power
-    factor underflows while 1/Gamma overflows are resolved in log space.
+
+def _series_terms(lam: float, mu: float, z, factorial: bool = True,
+                  rebuild: bool = False) -> np.ndarray:
+    """Terms z^n / (n! Gamma(lam*n + mu)), n < 400, one row per entry of z.
+
+    Without the n! the rows hold the Mittag-Leffler terms
+    z^n / Gamma(lam*n + mu). Uses the reciprocal Gamma (entire, zero at
+    the poles) so no Gamma is ever evaluated at a non-positive argument.
+    Entries that are not finite (an overflowing 1/Gamma or power factor)
+    become +inf, which the stopping rule cannot pass. With rebuild=True
+    they are instead resolved in log space where the power factor
+    underflowed while 1/Gamma overflowed, and set to zero elsewhere.
     """
-    n = np.arange(nmax)
-    rg = _rgamma(lam * n + mu)
-    zp = np.empty(nmax)
-    zp[0] = 1.0
-    if nmax > 1:
-        np.cumprod(z / n[1:], out=zp[1:])
-    with np.errstate(invalid="ignore", over="ignore"):
-        t = zp * rg
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    rg = _coefficients(lam, mu)
+    ratio = np.ones((z.size, _TERM_BUDGET))
+    ratio[:, 1:] = z[:, None] / (_N[1:] if factorial else 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.cumprod(ratio, axis=1) * rg
     bad = ~np.isfinite(t)
-    if bad.any():
-        nb = n[bad]
-        with np.errstate(divide="ignore"):
-            lt = (nb * np.log(np.abs(z)) - _gammaln(nb + 1.0)
-                  + _log_abs_rgamma(lam * nb + mu)) if z != 0 else np.full(
-                      nb.shape, -np.inf)
-        if np.any(lt > -700.0):
-            # genuinely representable magnitude lost to overflow splitting:
-            # reconstruct from logs (slightly lower per-term accuracy)
-            sgn = np.sign(rg[bad])
-            sgn[sgn == 0] = 0.0
-            zsgn = np.where(nb % 2 == 0, 1.0, np.sign(z))
-            t[bad] = sgn * zsgn * np.exp(np.minimum(lt, 700.0))
-        else:
-            t[bad] = 0.0
+    if not rebuild:
+        t[bad] = np.inf
+        return t
+    rows, nb = np.nonzero(bad)
+    zb = z[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lt = (nb * np.log(np.abs(zb))
+              - (_gammaln(nb + 1.0) if factorial else 0.0)
+              + _log_abs_rgamma(lam * nb + mu))
+    # genuinely representable magnitude lost to overflow splitting:
+    # reconstruct from logs (slightly lower per-term accuracy)
+    representable = np.zeros(z.size, dtype=bool)
+    representable[rows[lt > -700.0]] = True
+    zsgn = np.where(nb % 2 == 0, 1.0, np.sign(zb))
+    t[rows, nb] = np.where(representable[rows], np.sign(rg[nb]) * zsgn
+                           * np.exp(np.minimum(lt, 700.0)), 0.0)
     return t
 
 
 def _apply_stopping_rule(terms: np.ndarray, tol: float):
-    """Stopping rule: three consecutive terms below tol*|partial sum|.
+    """Stopping rule per row: three consecutive terms below tol*|partial sum|.
 
-    Returns (value, trunc_err, cancel_err, n_used) or None when the rule is
-    not met within the supplied terms.
+    Returns arrays (value, trunc_err, cancel_err), NaN in every row where
+    the rule is not met within the supplied terms or only after a term
+    overflowed.
     """
-    s = np.cumsum(terms)
+    s = np.cumsum(terms, axis=1)
     absterms = np.abs(terms)
-    with np.errstate(invalid="ignore"):
-        small = absterms < tol * np.abs(s)
-    ok = small
-    if len(terms) >= 3:
-        run3 = ok[2:] & ok[1:-1] & ok[:-2]
-        hits = np.nonzero(run3)[0]
-    else:
-        hits = np.array([], dtype=int)
-    if hits.size == 0:
-        return None
-    k = int(hits[0]) + 2  # index of the third small term
-    value = float(s[k])
-    trunc = float(absterms[k - 2] + absterms[k - 1] + absterms[k])
+    small = absterms < tol * np.abs(s)
+    run3 = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+    k = run3.argmax(axis=1) + 2  # index of the third small term
+    value = s[np.arange(len(terms)), k]
+    trunc = np.take_along_axis(absterms, k[:, None] - [2, 1, 0], 1).sum(1)
     # rounding floor: every term carries a few-ulp error, and for slowly
     # decaying alternating tables these accumulate with like signs
-    head = absterms[: k + 1]
-    cancel = 2.0 * _EPS * float(head[np.isfinite(head)].sum())
-    return value, trunc, cancel, k + 1
+    absterms[_N > k[:, None]] = 0.0
+    cancel = 2.0 * _EPS * absterms.sum(axis=1)
+    miss = ~(run3.any(axis=1) & np.isfinite(value))
+    if miss.any():
+        for a in (value, trunc, cancel):
+            a[miss] = np.nan
+    return value, trunc, cancel
+
+
+def _sum_series(lam: float, mu: float, z, tol: float):
+    """Stopped Wright series at every z: arrays (value, trunc_err, cancel_err).
+
+    Rows that miss the stopping rule because a term overflowed are
+    rebuilt in log space and stopped again; rows that still miss are NaN.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    out = _apply_stopping_rule(_series_terms(lam, mu, z), tol)
+    miss = np.isnan(out[0])
+    if miss.any():
+        redo = _apply_stopping_rule(
+            _series_terms(lam, mu, z[miss], rebuild=True), tol)
+        for a, b in zip(out, redo):
+            a[miss] = b
+    return out
 
 
 def wright_series(idx: WrightIndex, z: float, tol: float = 1e-12) -> EvalResult:
@@ -196,25 +226,14 @@ def wright_series(idx: WrightIndex, z: float, tol: float = 1e-12) -> EvalResult:
         idx = WrightIndex(*idx)
     if not tol > 0.0:
         raise InvalidArgument("tol must be positive")
-    terms = _series_terms(idx.lam, idx.mu, float(z), _TERM_BUDGET)
-    hit = _apply_stopping_rule(terms, tol)
-    if hit is None:
+    if math.isnan(z):
+        raise InvalidArgument("wright_series argument is NaN")
+    (value,), (trunc,), (cancel,) = _sum_series(idx.lam, idx.mu, z, tol)
+    if np.isnan(value):
         raise NonConvergence(
             f"series for W_({idx.lam},{idx.mu}) at z={z} did not meet the "
             f"stopping rule within {_TERM_BUDGET} terms")
-    value, trunc, cancel, _ = hit
-    return EvalResult(value, trunc + cancel, METHOD_SERIES)
-
-
-def _m_series_raw(nu: float, z: float, tol: float):
-    """M_nu series value via terms 1/Gamma(1 - nu*(n+1)); also max |term|."""
-    terms = _series_terms(-nu, 1.0 - nu, -z, _TERM_BUDGET)
-    hit = _apply_stopping_rule(terms, tol)
-    maxt = float(np.abs(terms).max())
-    if hit is None:
-        return None, None, maxt
-    value, trunc, cancel, _ = hit
-    return value, trunc + cancel, maxt
+    return EvalResult(float(value), float(trunc + cancel), METHOD_SERIES)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +268,7 @@ def m_wright_envelope(nu, safety: float = 10.0):
     nu = _as_nu(nu)
     if nu == 0.0:
         return lambda r: math.exp(-min(r, 745.0))
-    def env(r):
-        return safety * m_wright_asymptotic(nu, r)
-    return env
+    return lambda r: safety * m_wright_asymptotic(nu, r)
 
 
 def asymptotic_radius(nu, eps: float) -> float:
@@ -280,18 +297,13 @@ def _kanter_log_a(nu: float, phi: np.ndarray) -> np.ndarray:
             - np.log(np.sin(phi))) / (1.0 - nu)
 
 
-def _kanter_a0(nu: float) -> float:
-    """A(0+): minimum of the stable kernel."""
-    return nu ** (nu / (1.0 - nu)) * (1.0 - nu)
-
-
 def _m_bridge(nu: float, w: float, tol: float):
     """M_nu(w) from the exact stable-density integral (large-w route).
 
     M_nu(w) = w^{nu/(1-nu)}/(1-nu) * int_0^1 A(pi u) exp(-w^{1/(1-nu)} A(pi u)) du.
     """
     c = w ** (1.0 / (1.0 - nu))
-    a0 = _kanter_a0(nu)
+    a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)  # A(0+), the kernel's minimum
     if c * a0 > 745.0 + 50.0:  # value below the double underflow threshold
         return 0.0, 1e-300
     logscale = (nu / (1.0 - nu)) * math.log(w) - math.log1p(-nu)
@@ -318,33 +330,26 @@ def _m_bridge(nu: float, w: float, tol: float):
 # crossover table
 # ---------------------------------------------------------------------------
 
-_CROSSOVER_GRID = None  # (nus, radii), built lazily, immutable afterwards
-
-
 def _scan_crossover(nu: float) -> float:
-    """Smallest radius where the series rounding floor crosses its cap."""
-    r = 0.5
-    r_prev = 0.5
-    while r <= 80.0:
-        terms = _series_terms(-nu, 1.0 - nu, -r, _TERM_BUDGET)
-        hit = _apply_stopping_rule(terms, 1e-14)
-        if hit is None:
-            return r_prev
-        value, _, cancel, _ = hit
-        if cancel > min(1e-10, 1e-6 * abs(value)):
-            return r_prev
-        r_prev = r
-        r *= 1.12
-    return r_prev
+    """Smallest radius where the series rounding floor crosses its cap.
+
+    All radii 0.5 * 1.12^k up to 80 are summed in one block; the scan
+    returns the radius before the first one that fails.
+    """
+    rs = [0.5]
+    while rs[-1] * 1.12 <= 80.0:
+        rs.append(rs[-1] * 1.12)
+    value, _, cancel = _sum_series(-nu, 1.0 - nu, -np.array(rs), 1e-14)
+    fail = np.isnan(value) | (cancel > np.minimum(1e-10, 1e-6 * abs(value)))
+    first = int(fail.argmax()) if fail.any() else len(rs)
+    return rs[max(first - 1, 0)]
 
 
+@lru_cache(maxsize=None)
 def _crossover_table():
-    global _CROSSOVER_GRID
-    if _CROSSOVER_GRID is None:
-        nus = np.round(np.arange(0.01, NU_MAX + 1e-9, 0.01), 2)
-        radii = np.array([_scan_crossover(float(v)) for v in nus])
-        _CROSSOVER_GRID = (nus, radii)
-    return _CROSSOVER_GRID
+    """(nus, radii) on the 0.01 order grid, built once at first use."""
+    nus = np.round(np.arange(0.01, NU_MAX + 1e-9, 0.01), 2)
+    return nus, np.array([_scan_crossover(float(v)) for v in nus])
 
 
 def crossover_radius(nu) -> float:
@@ -360,12 +365,48 @@ def crossover_radius(nu) -> float:
 # public evaluators
 # ---------------------------------------------------------------------------
 
+def _m_wright_array(nu, rs, tol: float):
+    """Validation and dispatch shared by m_wright and m_wright_values.
+
+    Returns value, abs_err_estimate and method arrays over rs, flattened.
+    """
+    nu = _as_nu(nu)
+    rs = np.asarray(rs, dtype=float).ravel()
+    if not 0.0 <= nu < 1.0:
+        raise InvalidOrder(f"M_nu needs an order 0 <= nu < 1, got {nu}")
+    if nu > NU_MAX:
+        raise NearSingularOrder(
+            f"nu={nu} too close to the delta limit (cap {NU_MAX})")
+    if not (rs >= 0.0).all():
+        if np.isnan(rs).any():
+            raise InvalidArgument("M_nu argument is NaN")
+        raise NegativeArgument("M_nu arguments must be >= 0")
+    if not tol > 0.0:
+        raise InvalidArgument("tol must be positive")
+    if nu == 0.0:
+        v = np.exp(-rs)
+        return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_LIMIT_CASE)
+    if nu == 0.5:
+        v = np.exp(-0.25 * rs * rs) / math.sqrt(math.pi)
+        return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_CLOSED_FORM)
+    value, err = np.full((2, rs.size), np.nan)
+    near = rs <= crossover_radius(nu)
+    if near.any():
+        v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -rs[near], tol)
+        value[near], err[near] = v, trunc + cancel
+    series = ~np.isnan(value)
+    for i in np.flatnonzero(~series):
+        value[i], err[i] = _m_bridge(nu, float(rs[i]), tol)
+    return value, err, np.where(series, METHOD_SERIES, METHOD_ASYMPTOTIC)
+
+
 def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
     """Evaluate the M-Wright function M_nu(r) for r >= 0.
 
     Dispatches between the exact limit/closed forms (nu = 0, 1/2), the
     power series below the crossover radius, and the stable-integral
-    large-argument route above it.
+    large-argument route above it. The one-point case of
+    m_wright_values, so both return the same bits.
 
     Parameters
     ----------
@@ -373,34 +414,13 @@ def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
         Order, 0 <= nu < 1 for this entry point (orders above 0.99 are
         rejected: the near-delta peak is not resolvable in doubles).
     r : float
-        Non-negative argument.
+        Non-negative argument; +inf gives the limit 0, NaN is rejected.
     tol : float
         Accuracy request; the returned estimate is honest even when the
         request is not attainable.
     """
-    nu = _as_nu(nu)
-    r = float(r)
-    if nu < 0.0 or nu >= 1.0:
-        raise InvalidOrder(f"m_wright needs 0 <= nu < 1, got {nu}")
-    if nu > NU_MAX:
-        raise NearSingularOrder(
-            f"nu={nu} too close to the delta limit (cap {NU_MAX})")
-    if r < 0.0:
-        raise NegativeArgument("m_wright argument must be >= 0")
-    if not tol > 0.0:
-        raise InvalidArgument("tol must be positive")
-    if nu == 0.0:
-        v = math.exp(-r)
-        return EvalResult(v, 4.0 * _EPS * v, METHOD_LIMIT_CASE)
-    if nu == 0.5:
-        v = math.exp(-0.25 * r * r) / math.sqrt(math.pi)
-        return EvalResult(v, 4.0 * _EPS * max(v, 0.0), METHOD_CLOSED_FORM)
-    if r <= crossover_radius(nu):
-        value, err, _ = _m_series_raw(nu, r, tol)
-        if value is not None:
-            return EvalResult(value, err, METHOD_SERIES)
-    value, err = _m_bridge(nu, r, tol)
-    return EvalResult(value, err, METHOD_ASYMPTOTIC)
+    (value,), (err,), (method,) = _m_wright_array(nu, float(r), tol)
+    return EvalResult(float(value), float(err), str(method))
 
 
 def m_wright_values(nu, rs, tol: float = 1e-12) -> np.ndarray:
@@ -409,67 +429,19 @@ def m_wright_values(nu, rs, tol: float = 1e-12) -> np.ndarray:
     Bulk counterpart of m_wright (values only), used by the quadrature
     oracles and the tabulation front end.
     """
-    nu = _as_nu(nu)
     rs = np.asarray(rs, dtype=float)
-    if rs.ndim == 0:
-        return np.array(m_wright(nu, float(rs), tol).value)
-    if np.any(rs < 0.0):
-        raise NegativeArgument("arguments must be >= 0")
-    if nu == 0.0:
-        return np.exp(-rs)
-    if nu == 0.5:
-        return np.exp(-0.25 * rs * rs) / math.sqrt(math.pi)
-    if nu < 0.0 or nu >= 1.0:
-        raise InvalidOrder(f"need 0 <= nu < 1, got {nu}")
-    if nu > NU_MAX:
-        raise NearSingularOrder(f"nu={nu} beyond the {NU_MAX} cap")
-    out = np.empty_like(rs)
-    rstar = crossover_radius(nu)
-    near = rs <= rstar
-    if near.any():
-        out[near] = _m_series_block(nu, rs[near], tol)
-    for i in np.nonzero(~near)[0]:
-        out[i] = _m_bridge(nu, float(rs[i]), tol)[0]
-    return out
-
-
-def _m_series_block(nu: float, rs: np.ndarray, tol: float) -> np.ndarray:
-    """Series values for a block of radii sharing one order.
-
-    Coefficients use the same floating-point expression as the scalar
-    path so both routes produce bit-identical sums.
-    """
-    n = np.arange(_TERM_BUDGET)
-    mu = 1.0 - nu
-    rg = _rgamma(-nu * n + mu)
-    ratio = np.ones((len(rs), _TERM_BUDGET))
-    ratio[:, 1:] = (-rs[:, None]) / n[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        zp = np.cumprod(ratio, axis=1)
-        t = zp * rg
-    t[~np.isfinite(t)] = np.inf  # only past any admissible stopping index
-    s = np.cumsum(t, axis=1)
-    small = np.abs(t) < tol * np.abs(s)
-    run3 = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-    out = np.empty(len(rs))
-    for i in range(len(rs)):
-        hits = np.nonzero(run3[i])[0]
-        if hits.size:
-            out[i] = s[i, hits[0] + 2]
-        else:  # fall back to the scalar path (handles budget edge honestly)
-            out[i] = m_wright(nu, float(rs[i]), tol).value
-    return out
+    return _m_wright_array(nu, rs, tol)[0].reshape(rs.shape)
 
 
 def f_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
     """F-Wright function F_nu(r) = nu * r * M_nu(r), r >= 0, 0 < nu < 1."""
     nu = _as_nu(nu)
-    if nu <= 0.0 or nu >= 1.0:
+    if not 0.0 < nu < 1.0:
         raise InvalidOrder(f"f_wright needs 0 < nu < 1, got {nu}")
     r = float(r)
     if r < 0.0:
         raise NegativeArgument("f_wright argument must be >= 0")
-    if r == 0.0:
+    if r == 0.0 or r == math.inf:
         return EvalResult(0.0, 0.0, METHOD_CLOSED_FORM)
     base = m_wright(nu, r, tol)
     scale = nu * r
@@ -487,23 +459,18 @@ def m_wright_symmetric(nu, x: float, tol: float = 1e-12) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 def _ml_taylor(nu: float, s: float, tol: float):
-    """sum (-s)^n / Gamma(nu n + 1) with a cancellation-aware estimate."""
-    n = np.arange(_TERM_BUDGET)
-    rg = _rgamma(nu * n + 1.0)
-    zp = np.empty(_TERM_BUDGET)
-    zp[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(np.full(_TERM_BUDGET - 1, -s), out=zp[1:])
-        t = zp * rg
-    # overflowing powers only occur past the stopping index; drop them
-    t[~np.isfinite(t)] = np.inf
-    hit = _apply_stopping_rule(t, min(tol, 1e-13))
-    if hit is None:
-        hit = _apply_stopping_rule(t, tol)
-    if hit is None:
-        return None, None
-    value, trunc, cancel, _ = hit
-    return value, trunc + cancel
+    """sum (-s)^n / Gamma(nu n + 1) with a cancellation-aware estimate.
+
+    The terms are built once and stopped at min(tol, 1e-13), else at tol.
+    Callers keep s^(1/nu) < 60, so overflowing powers only occur past
+    the stopping index and the terms need no log-space rebuild.
+    """
+    terms = _series_terms(nu, 1.0, -s, factorial=False)
+    for t in (min(tol, 1e-13), tol):
+        (value,), (trunc,), (cancel,) = _apply_stopping_rule(terms, t)
+        if not np.isnan(value):
+            return float(value), float(trunc + cancel)
+    return None
 
 
 def _ml_asymptotic(nu: float, s: float):
@@ -511,13 +478,14 @@ def _ml_asymptotic(nu: float, s: float):
 
     The reciprocal-Gamma coefficients do not alternate strictly, so the
     classical first-omitted-term remainder bound needs headroom; measured
-    worst-case remainders run a few times that term.
+    worst-case remainders run a few times that term. The rounding floor
+    2 eps sum|term| is added, as for the series.
     """
     total = 0.0
+    absum = 0.0
     prev = math.inf
-    m = 1
     best_err = math.inf
-    while m <= 200:
+    for m in range(1, 201):
         rg = float(_rgamma(1.0 - nu * m))
         term = (-1.0) ** (m - 1) * rg * s ** (-m)
         if term != 0.0:
@@ -526,10 +494,10 @@ def _ml_asymptotic(nu: float, s: float):
                 break
             prev = abs(term)
         total += term
-        m += 1
+        absum += abs(term)
     else:
         best_err = prev
-    return total, 5.0 * best_err
+    return total, 5.0 * best_err + 2.0 * _EPS * absum
 
 
 def mittag_leffler_neg(nu: float, s: float, tol: float = 1e-12) -> EvalResult:
@@ -538,16 +506,18 @@ def mittag_leffler_neg(nu: float, s: float, tol: float = 1e-12) -> EvalResult:
     Taylor series for moderate arguments and the inverse-power expansion
     with optimal truncation for large ones; in the crossover band the
     branch with the smaller internal error estimate is returned with an
-    honest abs_err_estimate rather than failing (the documented
-    AsymptoticGap contract).
+    honest abs_err_estimate rather than failing.
 
     nu = 0 requires s < 1 and returns 1/(1+s); nu = 1 returns exp(-s).
     Orders nu >= 1 are served by the Taylor branch only.
     """
     nu = float(nu)
     s = float(s)
-    if nu < 0.0:
-        raise InvalidOrder(f"mittag_leffler_neg needs nu >= 0, got {nu}")
+    if not 0.0 <= nu < math.inf:
+        raise InvalidOrder(
+            f"mittag_leffler_neg needs a finite nu >= 0, got {nu}")
+    if math.isnan(s):
+        raise InvalidArgument("mittag_leffler_neg argument is NaN")
     if s < 0.0:
         raise NegativeArgument("evaluates E_nu(-s) for s >= 0")
     if not tol > 0.0:
@@ -564,23 +534,19 @@ def mittag_leffler_neg(nu: float, s: float, tol: float = 1e-12) -> EvalResult:
         return EvalResult(v, 4.0 * _EPS * v, METHOD_CLOSED_FORM)
 
     # skip the Taylor branch when its largest term is beyond hope
-    taylor = None
-    if s ** (1.0 / nu) < 60.0:
-        taylor = _ml_taylor(nu, s, tol)
-        if taylor[0] is not None and taylor[1] <= tol:
-            return EvalResult(taylor[0], taylor[1], METHOD_SERIES)
+    taylor = _ml_taylor(nu, s, tol) if s ** (1.0 / nu) < 60.0 else None
+    if taylor is not None and taylor[1] <= tol:
+        return EvalResult(*taylor, METHOD_SERIES)
     if nu < 1.0:
         asym, aerr = _ml_asymptotic(nu, s)
-        if aerr <= tol:
-            return EvalResult(asym, aerr, METHOD_ASYMPTOTIC)
-        if taylor is not None and taylor[0] is not None and taylor[1] < aerr:
-            return EvalResult(taylor[0], taylor[1], METHOD_SERIES)
+        if taylor is not None and aerr > tol and taylor[1] < aerr:
+            return EvalResult(*taylor, METHOD_SERIES)
         return EvalResult(asym, aerr, METHOD_ASYMPTOTIC)
-    if taylor is None or taylor[0] is None:
+    if taylor is None:
         raise NonConvergence(
             f"E_{nu}(-{s}): Taylor series unusable and the inverse-power "
             f"expansion only applies for nu < 1")
-    return EvalResult(taylor[0], taylor[1], METHOD_SERIES)
+    return EvalResult(*taylor, METHOD_SERIES)
 
 
 # ---------------------------------------------------------------------------
@@ -620,21 +586,19 @@ def _airy_series(x: float, tol: float = 1e-16):
     c1 = float(_rgamma(2.0 / 3.0))
     c2 = float(_rgamma(1.0 / 3.0))
     x3 = x ** 3
-    # first series: term_0 = 1; ratio (1/3+m) x^3 / ((3m+1)(3m+2)(3m+3))
-    s1 = t = 1.0
-    m = 0
-    while abs(t) > tol * max(abs(s1), 1.0) and m < 300:
-        t *= (1.0 / 3.0 + m) * x3 / ((3 * m + 1) * (3 * m + 2) * (3 * m + 3))
-        s1 += t
-        m += 1
-    # second series: term_0 = x; ratio (2/3+m) x^3 / ((3m+2)(3m+3)(3m+4))
-    s2 = t = x
-    m = 0
-    while abs(t) > tol * max(abs(s2), 1.0) and m < 300:
-        t *= (2.0 / 3.0 + m) * x3 / ((3 * m + 2) * (3 * m + 3) * (3 * m + 4))
-        s2 += t
-        m += 1
-    return c1 * s1 - c2 * s2
+
+    def part(j):
+        # term_0 = x^j; ratio ((j+1)/3+m) x^3 / ((3m+j+1)(3m+j+2)(3m+j+3))
+        total = t = x ** j
+        m = 0
+        while abs(t) > tol * max(abs(total), 1.0) and m < 300:
+            k = 3 * m + j
+            t *= ((j + 1) / 3.0 + m) * x3 / ((k + 1) * (k + 2) * (k + 3))
+            total += t
+            m += 1
+        return total
+
+    return c1 * part(0) - c2 * part(1)
 
 
 def m_wright_special(q: int, z: float) -> EvalResult:
@@ -652,11 +616,10 @@ def m_wright_special(q: int, z: float) -> EvalResult:
 
 def _m_any(q: int, z: float) -> float:
     """M_{1/q}(z) for any real z through the generic series (self-test use)."""
-    terms = _series_terms(-1.0 / q, 1.0 - 1.0 / q, -z, _TERM_BUDGET)
-    hit = _apply_stopping_rule(terms, 1e-14)
-    if hit is None:
+    (value,), _, _ = _sum_series(-1.0 / q, 1.0 - 1.0 / q, -z, 1e-14)
+    if np.isnan(value):
         raise NonConvergence(f"series for M_(1/{q}) at z={z}")
-    return hit[0]
+    return float(value)
 
 
 def m_wright_ode_residual(q: int, z: float, h: float) -> float:

@@ -185,6 +185,39 @@ class TestGreenSolveSimulate:
         assert v_flag == pytest.approx(0.56418958354775628695)
 
 
+class TestFlagsAndConfig:
+    def test_config_overrides_flag_defaults(self, tmp_path):
+        # nt and nx have non-None defaults; the config must still win
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nt": 16, "nx": 21}))
+        base = ["solve", "--alpha", "1", "--beta", "0.8", "--t-end", "0.1",
+                "--halfwidth", "6"]
+        assert run(base + ["--config", str(cfg),
+                           "--out", str(tmp_path / "cfg.csv")]) == 0
+        assert run(base + ["--nt", "16", "--nx", "21",
+                           "--out", str(tmp_path / "flags.csv")]) == 0
+        assert (tmp_path / "cfg.csv").read_bytes() \
+            == (tmp_path / "flags.csv").read_bytes()
+
+    def test_per_subcommand_tol_defaults(self):
+        ap = cli.build_parser()
+        assert ap.parse_args(["verify"]).tol == 1e-6
+        assert ap.parse_args(["eval", "--function", "mwright"]).tol == 1e-10
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--function", "mwright", "--nu", "0.5", "--x", "1",
+         "--seed", "3"],
+        ["verify", "--suite", "fraccalc", "--seed", "3"],
+        ["solve", "--alpha", "1", "--beta", "1", "--t-end", "0.1",
+         "--tol", "1e-8"],
+        ["green", "--alpha", "1", "--beta", "1", "--t", "1", "--tol", "1e-8"],
+    ])
+    def test_unused_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
 class TestVerifyCommand:
     def test_subset_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

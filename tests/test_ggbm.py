@@ -28,6 +28,12 @@ class TestCovariance:
         with pytest.raises(InvalidArgument):
             ggbm.CovSpec(1.0, 1.0, np.array([1.0, 1.0]))
 
+    def test_nan_times_rejected(self):
+        with pytest.raises(InvalidArgument):
+            ggbm.CovSpec(1.0, 0.5, np.array([0.5, math.nan, 1.0]))
+        with pytest.raises(InvalidArgument):
+            ggbm.CovSpec(1.0, 0.5, np.array([math.nan]))
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidArgument):
             ggbm.CovSpec(2.0, 1.0, np.array([1.0]))

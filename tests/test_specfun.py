@@ -74,6 +74,20 @@ class TestWrightSeries:
         assert_allclose(mine, wright_bessel(lam, mu, z), rtol=5e-14)
 
 
+class TestSeriesEngine:
+    @pytest.mark.parametrize("nu", [0.3, 0.9, 0.98])
+    def test_block_rows_match_single_arguments(self, nu):
+        # a block sums every argument independently: the same bits as the
+        # argument alone, also on rows rebuilt in log space (nu = 0.98 at
+        # large r overflows 1/Gamma before the rule is met)
+        zs = -np.linspace(0.0, 12.0, 49)
+        block = specfun._sum_series(-nu, 1.0 - nu, zs, 1e-12)
+        for i, z in enumerate(zs):
+            single = specfun._sum_series(-nu, 1.0 - nu, z, 1e-12)
+            for b, one in zip(block, single):
+                np.testing.assert_array_equal(b[i], one[0])
+
+
 class TestMWright:
     def test_gaussian_point(self):
         assert_allclose(specfun.m_wright(0.5, 0.0).value, INV_SQRT_PI,
@@ -124,12 +138,71 @@ class TestMWright:
         vals = specfun.m_wright_values(nu, np.linspace(0.0, 8.0, 81))
         assert np.all(vals >= 0.0)
 
-    def test_values_matches_scalar(self):
-        rs = np.array([0.0, 0.5, 2.0, 9.0, 14.0])
-        vals = specfun.m_wright_values(0.3, rs)
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.45, 0.75, 0.9, 0.99])
+    def test_values_matches_scalar(self, nu):
+        # m_wright is the one-point case of m_wright_values: same bits on
+        # both sides of the crossover radius
+        rstar = specfun.crossover_radius(nu)
+        rs = np.array([0.0, 0.5 * rstar, 0.999 * rstar,
+                       np.nextafter(rstar, 0.0), rstar,
+                       np.nextafter(rstar, np.inf), 1.001 * rstar,
+                       2.0 * rstar])
+        vals = specfun.m_wright_values(nu, rs)
         for r, v in zip(rs, vals):
-            assert_allclose(v, specfun.m_wright(0.3, float(r)).value,
-                            rtol=1e-12, atol=1e-300)
+            assert v == specfun.m_wright(nu, float(r)).value
+
+
+class TestInputContract:
+    def test_nan_argument_rejected(self):
+        with pytest.raises(InvalidArgument):
+            specfun.m_wright(0.25, math.nan)
+        with pytest.raises(InvalidArgument):
+            specfun.m_wright_values(0.25, [1.0, math.nan])
+
+    def test_nan_order_message_names_the_order(self):
+        with pytest.raises(InvalidOrder, match="order") as exc:
+            specfun.m_wright(math.nan, 1.0)
+        assert "crossover" not in str(exc.value)
+
+    def test_wright_series_nan_argument_rejected(self):
+        # the overflow rebuild used to zero every NaN term and return 1.0
+        with pytest.raises(InvalidArgument):
+            specfun.wright_series(WrightIndex(0.5, 1.0), math.nan)
+
+    def test_mittag_leffler_nan_argument_rejected(self):
+        with pytest.raises(InvalidArgument):
+            specfun.mittag_leffler_neg(0.5, math.nan)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75])
+    def test_infinite_argument_gives_the_zero_limit(self, nu):
+        assert specfun.m_wright(nu, math.inf).value == 0.0
+        assert specfun.m_wright_values(nu, [0.0, math.inf])[1] == 0.0
+
+    def test_f_wright_infinite_argument_gives_zero(self):
+        assert specfun.f_wright(0.25, math.inf).value == 0.0
+
+
+class TestEstimates:
+    @pytest.mark.parametrize("nu,r", [
+        (0.0, 1.0), (0.5, 1.0), (0.25, 1.0), (0.25, 12.0), (0.9, 3.0),
+    ])
+    def test_m_wright_fields_are_python_floats(self, nu, r):
+        res = specfun.m_wright(nu, r)
+        assert type(res.value) is float
+        assert type(res.abs_err_estimate) is float
+
+    @pytest.mark.parametrize("nu,s", [(0.5, 1.0), (0.1, 10.0), (1.3, 2.0)])
+    def test_mittag_leffler_fields_are_python_floats(self, nu, s):
+        res = specfun.mittag_leffler_neg(nu, s)
+        assert type(res.value) is float
+        assert type(res.abs_err_estimate) is float
+
+    def test_mittag_leffler_asymptotic_has_rounding_floor(self):
+        # the inverse-power sum carries the same 2 eps sum|term| floor as
+        # the series; it used to report about 1e-183 for a value of 0.086
+        res = specfun.mittag_leffler_neg(0.1, 10.0)
+        assert res.method == "asymptotic"
+        assert res.abs_err_estimate >= 2.0 * np.finfo(float).eps * res.value
 
 
 class TestFWright:
@@ -327,6 +400,6 @@ class TestAsymptotics:
         # series and refined large-argument branch agree at the switch
         for nu in (0.15, 0.35, 0.65, 0.85):
             rstar = specfun.crossover_radius(nu)
-            s, _, _ = specfun._m_series_raw(nu, rstar, 1e-13)
+            (s,), _, _ = specfun._sum_series(-nu, 1.0 - nu, -rstar, 1e-13)
             b, _ = specfun._m_bridge(nu, rstar, 1e-13)
             assert abs(s - b) / b < 1e-5
