@@ -109,11 +109,18 @@ def _need(args, *names):
             raise DomainError(f"function {args.function!r} requires --{n}")
 
 
+def _grid(args) -> np.ndarray:
+    """The x grid xmin, xmin + step, ..., up to xmax."""
+    if not args.step > 0.0:
+        raise DomainError(f"--step must be positive, got {args.step}")
+    return np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
+
+
 def cmd_tabulate(args) -> int:
     params = _parse_floats(args.params)
     if not params:
         raise DomainError("empty parameter list")
-    xs = np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
+    xs = _grid(args)
     if len(xs) == 0:
         raise DomainError("empty x grid")
     cols = {"x": xs}
@@ -138,9 +145,8 @@ def cmd_tabulate(args) -> int:
             spec = greens.GreenSpec(args.alpha, p, args.K)
             cols[key] = greens.green_density_values(spec, xs, args.t)
         elif fn == "drift":
-            spec = greens.DriftSpec(p)
-            cols[key] = np.array(
-                [greens.drift_green(spec, x, args.t) for x in xs])
+            cols[key] = greens.drift_green_values(greens.DriftSpec(p), xs,
+                                                  args.t)
         else:
             raise DomainError(f"unknown function {fn!r}")
     meta = (f"tabulate function={fn} params={args.params} "
@@ -155,7 +161,7 @@ def cmd_tabulate(args) -> int:
 
 def cmd_green(args) -> int:
     spec = greens.GreenSpec(args.alpha, args.beta, args.K)
-    xs = np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
+    xs = _grid(args)
     ys = greens.green_density_values(spec, xs, args.t)
     gf = GridFunction(xs, ys,
                       f"alpha={args.alpha} beta={args.beta} K={args.K} "
@@ -343,7 +349,7 @@ def main(argv=None) -> int:
             args.subparser.set_defaults(**_read_config(args))
             args = ap.parse_args(argv)
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

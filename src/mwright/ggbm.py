@@ -360,7 +360,11 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
     sd = x.std(axis=0, ddof=1)
     mean_se = sd / math.sqrt(n)
     var = sd * sd
-    m4 = ((x - mean) ** 4).mean(axis=0)
+    dev4 = x - mean
+    dev4 *= dev4  # two squarings: ** 4 would go through pow
+    dev4 *= dev4
+    m4 = dev4.mean(axis=0)
+    del dev4  # free it before the increment arrays below
     var_se = np.sqrt(np.maximum(m4 - var * var, 0.0) / n)
 
     d = np.diff(x, axis=1)

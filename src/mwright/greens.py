@@ -118,22 +118,30 @@ def green_fourier(spec: GreenSpec, kappa: float, t: float) -> float:
                                       kappa * kappa * t ** spec.beta).value
 
 
-def drift_green(spec: DriftSpec, x: float, t: float) -> float:
+def drift_green_values(spec: DriftSpec, xs, t: float) -> np.ndarray:
     """One-sided drift Green function t^(-beta) M_beta(x t^(-beta)), x > 0.
 
     Vanishes for x < 0; normalized on the positive axis with mean
     t^beta / Gamma(beta + 1). The beta -> 1 limit is a pure right-running
     pulse delta(x - t), not representable here (NearSingularOrder).
+    Vectorized over the positions xs.
     """
     if not t > 0.0:
         raise InvalidTime("need t > 0")
     if spec.beta > DRIFT_BETA_CAP:
         raise NearSingularOrder(
             f"beta={spec.beta}: too close to the delta-pulse limit")
-    if x < 0.0:
-        return 0.0
+    xs = np.asarray(xs, dtype=float)
     scale = t ** (-spec.beta)
-    return scale * specfun.m_wright(spec.beta, x * scale).value
+    out = np.zeros(xs.shape)
+    ahead = ~(xs < 0.0)  # NaN positions reach m_wright_values and raise
+    out[ahead] = scale * specfun.m_wright_values(spec.beta, xs[ahead] * scale)
+    return out
+
+
+def drift_green(spec: DriftSpec, x: float, t: float) -> float:
+    """One-sided drift Green function at x: drift_green_values at one point."""
+    return float(drift_green_values(spec, float(x), t))
 
 
 def drift_green_stable_form(spec: DriftSpec, x: float, t: float) -> float:

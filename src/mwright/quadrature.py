@@ -1,9 +1,11 @@
-"""Adaptive Gauss-Kronrod quadrature used by the verification oracles.
+"""Adaptive Gauss-Kronrod quadrature.
 
 A 7/15-point Gauss-Kronrod rule on bisected panels, with the QUADPACK-style
 scaled error model so that error estimates stay meaningful for integrands of
-any magnitude. Improper integrals over [a, inf) are truncated where a
-supplied (or probed) tail bound drops below tol/10.
+any magnitude. `adaptive` refines one integral, worst panel first, and
+serves the verification oracles; `adaptive_rows` refines many integrals at
+once and serves the M_nu tail. Improper integrals over [a, inf) are
+truncated where a supplied (or probed) tail bound drops below tol/10.
 """
 
 from __future__ import annotations
@@ -50,6 +52,30 @@ _W15 = np.concatenate((_WGK[:7], [_WGK[7]], _WGK[6::-1]))
 _w7 = np.zeros(15)
 _w7[1:14:2] = np.concatenate((_WG[:3], [_WG[3]], _WG[2::-1]))
 _W7 = _w7
+_EPS = float(np.finfo(float).eps)
+_ROW_BLOCK = 256  # rows per adaptive_rows pass
+
+
+def _gk15(y, h):
+    """G7/K15 values and error estimates of panels with half-widths h.
+
+    y holds the integrand at the 15 Kronrod nodes of each panel, one panel
+    per row. Every weighted sum is a per-row reduction, so a panel's
+    result does not depend on the other rows.
+    """
+    yw = y * _W15
+    k15 = h * yw.sum(axis=-1)
+    g7 = h * (y * _W7).sum(axis=-1)
+    # scale-aware error model (QUADPACK): resasc measures the variation of f
+    mean = k15 / (2.0 * h)
+    resasc = h * (np.abs(y - mean[..., None]) * _W15).sum(axis=-1)
+    diff = np.abs(k15 - g7)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        err = np.where(resasc > 0.0, resasc * np.minimum(
+            200.0 * diff / resasc, 1.0) ** 1.5, diff)
+    # round-off floor
+    resabs = h * np.abs(yw).sum(axis=-1)
+    return k15, np.maximum(err, 50.0 * _EPS * resabs)
 
 
 def kronrod_panel(f, a, b):
@@ -58,22 +84,9 @@ def kronrod_panel(f, a, b):
     Returns (value, error_estimate). f must accept an ndarray of abscissae.
     """
     h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    y = np.asarray(f(c + h * _NODES), dtype=float)
-    k15 = h * float(np.dot(_W15, y))
-    g7 = h * float(np.dot(_W7, y))
-    # scale-aware error model (QUADPACK): resasc measures the variation of f
-    mean = k15 / (b - a)
-    resasc = h * float(np.dot(_W15, np.abs(y - mean)))
-    diff = abs(k15 - g7)
-    if resasc != 0.0 and diff != 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
-    # round-off floor
-    resabs = h * float(np.dot(_W15, np.abs(y)))
-    err = max(err, 50.0 * np.finfo(float).eps * resabs)
-    return k15, err
+    y = np.asarray(f(0.5 * (a + b) + h * _NODES), dtype=float)
+    k15, err = _gk15(y, h)
+    return float(k15), float(err)
 
 
 def adaptive(f, a, b, tol=1e-10, rtol=0.0, limit=4000, points=None,
@@ -139,6 +152,100 @@ def adaptive(f, a, b, tol=1e-10, rtol=0.0, limit=4000, points=None,
         heapq.heappush(heap, (-e1, next(counter), lo, mid, v1))
         heapq.heappush(heap, (-e2, next(counter), mid, hi, v2))
     return total, toterr
+
+
+def adaptive_rows(f, a, b, points, tol=1e-10, rtol=0.0, limit=4000):
+    """Adaptive G7/K15 quadrature of many integrands over [a, b] at once.
+
+    Parameters
+    ----------
+    f : callable
+        f(x, rows) returns integrand rows[i] at the abscissae x[i], for an
+        (n, 15) array x; every entry must depend only on its own row and
+        abscissa.
+    points : (n_rows, m) array
+        Interior breakpoints of each row's initial subdivision; points
+        outside (a, b) and repeated points add no panel.
+    tol, rtol, limit : as for adaptive, per row; rtol may hold one
+        entry per row.
+
+    Rows are integrated in blocks of _ROW_BLOCK, which bounds the working
+    memory; every panel of every unfinished row of a block is evaluated
+    in one call of f. A row stops when its summed panel error is below
+    max(tol, rtol*|value|); a row that misses it bisects each panel whose
+    error exceeds its even share of that target, so the panels refined
+    differ from the one-at-a-time choice of adaptive. Results depend only
+    on the row itself, not on the block it shares.
+
+    Returns
+    -------
+    (values, error_estimates) arrays, one entry per row.
+    """
+    points = np.sort(np.clip(np.asarray(points, dtype=float), a, b), axis=1)
+    edges = np.empty((len(points), points.shape[1] + 2))
+    edges[:, 0], edges[:, 1:-1], edges[:, -1] = a, points, b
+    rtol = np.broadcast_to(rtol, len(edges))
+    value = np.empty(len(edges))
+    error = np.empty(len(edges))
+    for start in range(0, len(edges), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        value[rows], error[rows] = _bisect_rows(
+            f, edges[rows], start, tol, rtol[rows], limit)
+    return value, error
+
+
+def _rule_on(f, lo, hi, row, offset):
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
+    return _gk15(np.asarray(f(x, row + offset), dtype=float), h)
+
+
+def _bisect_rows(f, edges, offset, tol, rtol, limit):
+    """adaptive_rows on one block; rows are numbered from offset in f."""
+    n = len(edges)
+    row, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    lo, hi = edges[row, col], edges[row, col + 1]
+    # one column per panel: lower end, upper end, value, error
+    p = np.array((lo, hi, *_rule_on(f, lo, hi, row, offset)))
+    value = np.zeros(n)
+    error = np.zeros(n)
+    while True:
+        # bincount adds each row's panels in their stored order
+        count = np.bincount(row, minlength=n)
+        total = np.bincount(row, p[2], n)
+        toterr = np.bincount(row, p[3], n)
+        target = np.maximum(tol, rtol * np.abs(total))
+        miss = toterr > target
+        done = (count > 0) & ~miss
+        value[done], error[done] = total[done], toterr[done]
+        if not miss.any():
+            return value, error
+        keep = miss[row]
+        p, row = p[:, keep], row[keep]
+        split = np.flatnonzero(p[3] > (target / np.maximum(count, 1))[row])
+        lo, hi = p[0, split], p[1, split]
+        mid = 0.5 * (lo + hi)
+        flat = (mid <= lo) | (mid >= hi)
+        if flat.any():
+            # panels at round-off resolution: accept their estimate
+            p[3, split[flat]] = 0.0
+            split, lo, hi, mid = (a[~flat] for a in (split, lo, hi, mid))
+        grown = count + np.bincount(row[split], minlength=n)
+        if (grown > limit).any():
+            i = int((grown > limit).argmax())
+            raise QuadratureFailure(
+                f"panel budget {limit} exhausted (err={toterr[i]:.3e}, "
+                f"target={target[i]:.3e})")
+        if split.size:
+            # each split panel becomes its left half; right halves append
+            srow = row[split]
+            val, err = _rule_on(f, np.concatenate((lo, mid)),
+                                np.concatenate((mid, hi)),
+                                np.concatenate((srow, srow)), offset)
+            k = split.size
+            p[1:, split] = mid, val[:k], err[:k]
+            p = np.concatenate((p, (mid, hi, val[k:], err[k:])), axis=1)
+            row = np.concatenate((row, srow))
 
 
 def truncation_radius(tail_bound, a, tol, r0=1.0, r_max=1e12):

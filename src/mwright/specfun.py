@@ -13,20 +13,16 @@ every row and attaches its truncation and rounding estimates.
 Evaluation strategy for M_nu (m_wright is the one-point case of
 m_wright_values, so both share validation and dispatch):
 
+* closed forms for nu = 0 (exp) and nu = 1/2 (Gaussian);
 * power series in the reflection-formula form (coefficients 1/Gamma(1-nu*n),
-  an entire function of the index, so no Gamma poles are ever evaluated)
-  below a per-order crossover radius;
-* beyond the crossover, the large-argument regime: the leading-order
-  exponential form is kept for envelopes and consistency checks, while
-  values are computed from the exact one-sided stable-density integral
-  (a positive smooth integrand on (0, 1), free of cancellation) so the
-  switch loses no accuracy;
-* closed forms for nu = 0 (exp) and nu = 1/2 (Gaussian).
-
-The crossover radius is tabulated on a 0.01 grid in nu at first use: the
-series is abandoned at the smallest radius where its estimated rounding
-floor (2 eps times the sum of |term|) exceeds min(1e-10, 1e-6 times the
-function value).
+  entire in the index, so no Gamma pole is evaluated) up to the crossover
+  radius r*(nu), tabulated on a 0.01 grid in nu at first use: the smallest
+  radius where the series rounding floor (2 eps sum|term|) exceeds
+  min(1e-10, 1e-6 times the value);
+* beyond r*, the exact one-sided stable-density integral (a positive
+  smooth integrand on (0, 1), free of cancellation), taken for all radii
+  at once by `quadrature.adaptive_rows`; the leading-order exponential
+  form only serves envelopes and consistency checks.
 """
 
 from __future__ import annotations
@@ -256,8 +252,7 @@ def m_wright_asymptotic(nu, x: float) -> float:
     if y <= 0.0:
         raise NegativeArgument("asymptotic form needs x > 0")
     a = 1.0 / math.sqrt(2.0 * math.pi * (1.0 - nu))
-    b = (1.0 - nu) / nu
-    expo = -b * y ** (1.0 / (1.0 - nu))
+    expo = (nu - 1.0) / nu * y ** (1.0 / (1.0 - nu))
     if expo < -745.0:
         return 0.0
     return a * y ** ((nu - 0.5) / (1.0 - nu)) * math.exp(expo)
@@ -297,33 +292,39 @@ def _kanter_log_a(nu: float, phi: np.ndarray) -> np.ndarray:
             - np.log(np.sin(phi))) / (1.0 - nu)
 
 
-def _m_bridge(nu: float, w: float, tol: float):
-    """M_nu(w) from the exact stable-density integral (large-w route).
+def _m_tail(nu: float, w: np.ndarray, tol: float):
+    """M_nu at every radius w from the exact stable-density integral.
 
-    M_nu(w) = w^{nu/(1-nu)}/(1-nu) * int_0^1 A(pi u) exp(-w^{1/(1-nu)} A(pi u)) du.
+    M_nu(w) = w^{nu/(1-nu)}/(1-nu) * int_0^1 A(pi u) exp(-w^{1/(1-nu)} A(pi u)) du,
+    integrated for all radii together. Returns (value, abs_err_estimate).
     """
-    c = w ** (1.0 / (1.0 - nu))
+    with np.errstate(over="ignore"):  # c = inf is past the underflow cut
+        c = w ** (1.0 / (1.0 - nu))
     a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)  # A(0+), the kernel's minimum
-    if c * a0 > 745.0 + 50.0:  # value below the double underflow threshold
-        return 0.0, 1e-300
-    logscale = (nu / (1.0 - nu)) * math.log(w) - math.log1p(-nu)
+    value, err = np.zeros(w.size), np.full(w.size, 1e-300)
+    live = c * a0 <= 745.0 + 50.0  # else below the double underflow threshold
+    if not live.any():
+        return value, err
+    c = c[live]
+    logscale = (nu / (1.0 - nu)) * np.log(w[live]) - math.log1p(-nu)
 
-    def f(u):
-        la = _kanter_log_a(nu, np.pi * np.asarray(u))
-        with np.errstate(over="ignore", invalid="ignore"):
+    def f(u, rows):
+        la = _kanter_log_a(nu, np.pi * u)
+        with np.errstate(over="ignore"):
             a = np.exp(np.minimum(la, 700.0))
-            arg = la - c * a + logscale
-            out = np.where(arg > -745.0, np.exp(np.maximum(arg, -745.0)), 0.0)
+            out = np.exp(la - c[rows, None] * a + logscale[rows, None])
         out[la > 700.0] = 0.0
         return out
 
     # breakpoints resolving the boundary layer near u = 0 when c*A is large
-    width = 1.0 / math.sqrt(1.0 + c * a0)
-    pts = [min(1.0 - 1e-9, width * 2.0 ** k) for k in range(-3, 6)]
-    val, err = quadrature.adaptive(
-        f, 0.0, 1.0, tol=max(1e-300, 0.01 * tol), rtol=1e-13,
-        points=pts, limit=600)
-    return val, err + abs(val) * 1e-14
+    width = 1.0 / np.sqrt(1.0 + c * a0)
+    pts = np.minimum(1.0 - 1e-9, width[:, None] * 2.0 ** np.arange(-3, 6))
+    # relative rounding of the samples: log A carries 1/(1-nu), c*A scales it
+    noise = 8.0 * _EPS * (1.0 + c * a0) / (1.0 - nu)
+    v, e = quadrature.adaptive_rows(f, 0.0, 1.0, pts, max(1e-300, 0.01 * tol),
+                                    np.maximum(1e-13, noise), limit=600)
+    value[live], err[live] = v, np.maximum(e + noise * v, 1e-300)
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +395,9 @@ def _m_wright_array(nu, rs, tol: float):
     if near.any():
         v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -rs[near], tol)
         value[near], err[near] = v, trunc + cancel
-    series = ~np.isnan(value)
-    for i in np.flatnonzero(~series):
-        value[i], err[i] = _m_bridge(nu, float(rs[i]), tol)
-    return value, err, np.where(series, METHOD_SERIES, METHOD_ASYMPTOTIC)
+    tail = np.isnan(value)
+    value[tail], err[tail] = _m_tail(nu, rs[tail], tol)
+    return value, err, np.where(tail, METHOD_ASYMPTOTIC, METHOD_SERIES)
 
 
 def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
@@ -529,7 +529,7 @@ def mittag_leffler_neg(nu: float, s: float, tol: float = 1e-12) -> EvalResult:
             raise InvalidArgument("nu = 0 needs s < 1 (geometric series)")
         v = 1.0 / (1.0 + s)
         return EvalResult(v, 4.0 * _EPS * v, METHOD_LIMIT_CASE)
-    if nu == 1.0:
+    if nu == 1.0 or (s == math.inf and nu < 1.0):  # exact limit 0 at s = inf
         v = math.exp(-s)
         return EvalResult(v, 4.0 * _EPS * v, METHOD_CLOSED_FORM)
 

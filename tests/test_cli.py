@@ -128,6 +128,39 @@ class TestTabulate:
                     "--xmin", "0", "--xmax", "1", "--step", "0.5"]) == 2
         assert "fwright order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["0", "-0.5"])
+    def test_non_positive_step_names_flag(self, capsys, step):
+        assert run(["tabulate", "--function", "mwright", "--params", "0.5",
+                    "--xmin", "0", "--xmax", "1", "--step", step]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--step" in err
+
+    def test_green_non_positive_step_names_flag(self, capsys):
+        assert run(["green", "--alpha", "1", "--beta", "0.5", "--t", "1",
+                    "--step", "0"]) == 2
+        assert "--step" in capsys.readouterr().err
+
+
+class TestIOErrors:
+    def test_missing_config_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        assert run(["eval", "--function", "mwright", "--nu", "0.5",
+                    "--x", "1", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "missing.json" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--function", "mwright", "--nu", "0.5", "--x", "1"],
+        ["tabulate", "--function", "mwright", "--params", "0.5",
+         "--xmin", "0", "--xmax", "1", "--step", "0.5"],
+    ])
+    def test_out_path_in_missing_directory(self, capsys, tmp_path, argv):
+        out = tmp_path / "no_such_dir" / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestGreenSolveSimulate:
     def test_green_profile_header(self, tmp_path):

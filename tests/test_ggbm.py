@@ -262,3 +262,13 @@ class TestEnsembleStats:
         p = kstest(ens.paths[:, 0],
                    lambda v: ggbm.marginal_cdf(1.0, 0.5, v, 1.0)).pvalue
         assert p > 0.01
+
+    def test_variance_se_matches_fourth_power_form(self):
+        times = np.arange(1, 17) / 16.0
+        ens = ggbm.sample_paths(ggbm.CovSpec(0.8, 0.6, times), 5_000, 8)
+        rep = ggbm.ensemble_stats(ens)
+        x = ens.paths
+        m4 = ((x - x.mean(axis=0)) ** 4).mean(axis=0)
+        var = x.std(axis=0, ddof=1) ** 2
+        want = np.sqrt(np.maximum(m4 - var * var, 0.0) / ens.n_paths)
+        np.testing.assert_array_max_ulp(rep.variance_se, want, maxulp=4)

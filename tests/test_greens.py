@@ -145,6 +145,27 @@ class TestDrift:
         with pytest.raises(NearSingularOrder):
             greens.drift_green(greens.DriftSpec(1.0), 1.0, 1.0)
 
+    @pytest.mark.parametrize("beta,t", [(0.3, 1.0), (0.75, 2.0), (0.9, 0.5)])
+    def test_values_match_scalar(self, beta, t):
+        # the grid crosses x = 0 and the crossover radius of M_beta
+        spec = greens.DriftSpec(beta)
+        edge = 2.0 * specfun.crossover_radius(beta) * t ** beta
+        xs = np.linspace(-0.25 * edge, edge, 57)
+        vals = greens.drift_green_values(spec, xs, t)
+        assert vals.shape == xs.shape
+        for x, v in zip(xs, vals):
+            assert v == greens.drift_green(spec, float(x), t)
+        assert np.all(vals[xs < 0.0] == 0.0)
+
+    def test_values_validate_like_scalar(self):
+        with pytest.raises(NearSingularOrder):
+            greens.drift_green_values(greens.DriftSpec(1.0), [1.0], 1.0)
+        with pytest.raises(InvalidTime):
+            greens.drift_green_values(greens.DriftSpec(0.5), [1.0], 0.0)
+        with pytest.raises(InvalidArgument):
+            greens.drift_green_values(greens.DriftSpec(0.5), [1.0, np.nan],
+                                      1.0)
+
     @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("x,t", [(1.0, 1.0), (4.0, 1.0), (0.5, 2.0)])
     def test_stable_form_equivalence(self, beta, x, t):

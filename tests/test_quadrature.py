@@ -83,3 +83,29 @@ def test_integrate_to_inf_probes_tail_when_unspecified():
     val, _ = quadrature.integrate_to_inf(
         lambda x: np.exp(-2.0 * np.asarray(x)), 0.0, tol=1e-10)
     assert_allclose(val, 0.5, atol=1e-9)
+
+
+class TestAdaptiveRows:
+    rates = np.array([0.5, 1.0, 3.0, 40.0, 300.0])
+
+    def f(self, x, rows):
+        return np.exp(-self.rates[rows, None] * x)
+
+    def test_rows_match_exact_within_estimate(self):
+        pts = np.outer(1.0 / self.rates, [0.5, 1.0, 4.0])
+        vals, errs = quadrature.adaptive_rows(self.f, 0.0, 10.0, pts,
+                                              tol=1e-13, rtol=1e-12)
+        exact = -np.expm1(-10.0 * self.rates) / self.rates
+        assert np.all(np.abs(vals - exact) <= errs)
+        assert np.all(errs <= np.maximum(1e-13, 1e-12 * exact))
+
+    def test_row_result_independent_of_its_neighbours(self):
+        pts = np.full((len(self.rates), 1), 0.1)
+        together = quadrature.adaptive_rows(self.f, 0.0, 10.0, pts,
+                                            tol=1e-12)
+        for i in range(len(self.rates)):
+            alone = quadrature.adaptive_rows(
+                lambda x, rows: self.f(x, rows + i), 0.0, 10.0, pts[i:i + 1],
+                tol=1e-12)
+            assert alone[0][0] == together[0][i]
+            assert alone[1][0] == together[1][i]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mwright import specfun
+from mwright import quadrature, specfun
 from mwright.errors import (
     InvalidArgument,
     InvalidMomentOrder,
@@ -18,6 +18,7 @@ from mwright.errors import (
     NearSingularOrder,
     NegativeArgument,
     NonConvergence,
+    QuadratureFailure,
     UnsupportedQ,
 )
 from mwright.specfun import AuxIndex, WrightIndex
@@ -263,6 +264,12 @@ class TestMittagLeffler:
         with pytest.raises(InvalidArgument):
             specfun.mittag_leffler_neg(0.0, 1.5)
 
+    @pytest.mark.parametrize("nu", [0.1, 0.5, 0.9])
+    def test_infinite_argument_is_exact_limit(self, nu):
+        res = specfun.mittag_leffler_neg(nu, math.inf)
+        assert (res.value, res.abs_err_estimate) == (0.0, 0.0)
+        assert res.method == "closed_form"
+
     def test_branch_switch(self):
         small = specfun.mittag_leffler_neg(0.5, 0.5)
         large = specfun.mittag_leffler_neg(0.5, 50.0)
@@ -401,5 +408,71 @@ class TestAsymptotics:
         for nu in (0.15, 0.35, 0.65, 0.85):
             rstar = specfun.crossover_radius(nu)
             (s,), _, _ = specfun._sum_series(-nu, 1.0 - nu, -rstar, 1e-13)
-            b, _ = specfun._m_bridge(nu, rstar, 1e-13)
+            (b,), _ = specfun._m_tail(nu, np.array([rstar]), 1e-13)
             assert abs(s - b) / b < 1e-5
+
+
+def _tail_reference(nu, w):
+    """M_nu(w) from the stable-density integral with the kernel evaluated
+    in extended precision, integrated at a tighter tolerance."""
+    ld = np.longdouble
+    nu_, w_ = ld(nu), ld(w)
+    c = w_ ** (1 / (1 - nu_))
+    logscale = nu_ / (1 - nu_) * np.log(w_) - np.log1p(-nu_)
+    pi = ld("3.14159265358979323846264338327950288")
+
+    def f(u):
+        phi = pi * np.asarray(u, dtype=ld)
+        la = (nu_ * np.log(np.sin(nu_ * phi))
+              + (1 - nu_) * np.log(np.sin((1 - nu_) * phi))
+              - np.log(np.sin(phi))) / (1 - nu_)
+        with np.errstate(over="ignore", under="ignore"):
+            arg = la - c * np.exp(np.minimum(la, ld(700))) + logscale
+            return np.exp(np.maximum(arg, ld(-800))).astype(float)
+
+    a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+    width = 1.0 / math.sqrt(1.0 + float(c) * a0)
+    return quadrature.adaptive(f, 0.0, 1.0, tol=1e-320, rtol=3e-14,
+                               points=[width * 2.0 ** k for k in range(-6, 6)],
+                               limit=40000)[0]
+
+
+class TestStableTail:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-300])
+    @pytest.mark.parametrize("nu", [0.01, 0.1, 0.25, 0.4, 0.6, 0.75, 0.9,
+                                    0.99])
+    def test_within_estimate_of_tight_reference(self, nu, tol):
+        # radii from the crossover to the underflow edge c*A(0+) = 795
+        a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+        rs = np.geomspace(np.nextafter(specfun.crossover_radius(nu), np.inf),
+                          (795.0 / a0) ** (1.0 - nu), 9)
+        for r in rs:
+            res = specfun.m_wright(nu, float(r), tol)
+            assert res.method == "asymptotic"
+            ref = _tail_reference(nu, float(r))
+            assert abs(res.value - ref) <= res.abs_err_estimate, r
+
+    @pytest.mark.parametrize("nu", [0.3, 0.9])
+    def test_values_match_scalar_loop_across_blocks(self, nu):
+        rstar = specfun.crossover_radius(nu)
+        rs = np.random.default_rng(7).permutation(
+            np.linspace(0.0, 3.0 * rstar, 700))
+        assert np.count_nonzero(rs > rstar) > quadrature._ROW_BLOCK
+        vals = specfun.m_wright_values(nu, rs)
+        for r, v in zip(rs, vals):
+            assert v == specfun.m_wright(nu, float(r)).value
+
+    def test_huge_radius_is_zero(self):
+        # the exponent w^(1/(1-nu)) overflows; the value is the limit 0
+        res = specfun.m_wright(0.3, 1e300)
+        assert (res.value, res.method) == (0.0, "asymptotic")
+
+    def test_impossible_request_raises(self):
+        def f(u, rows):
+            return 1.0 / np.sqrt(np.abs(u - 0.37) + 1e-300)
+
+        pts = np.full((3, 1), 0.5)
+        with pytest.raises(QuadratureFailure):
+            quadrature.adaptive_rows(f, 0.0, 1.0, pts, tol=0.0, rtol=0.0)
+        with pytest.raises(QuadratureFailure):
+            quadrature.adaptive_rows(f, 0.0, 1.0, pts, tol=1e-14, limit=8)
