@@ -192,6 +192,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.out in (None, "-"):
+        raise DomainError("simulate requires --out PREFIX")
     if args.times:
         times = np.array(_parse_floats(args.times))
     else:
@@ -199,8 +201,6 @@ def cmd_simulate(args) -> int:
     spec = ggbm.CovSpec(args.alpha, args.beta, times)
     ens = ggbm.sample_paths(spec, args.n_paths, args.seed)
     rep = ggbm.ensemble_stats(ens) if ens.n_paths >= 100 else None
-    if args.out in (None, "-"):
-        raise DomainError("simulate requires --out PREFIX")
     csv_path, json_path = ens.save(args.out)
     msg = {"paths_csv": csv_path, "sidecar": json_path}
     if rep is not None:

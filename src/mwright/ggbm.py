@@ -29,6 +29,7 @@ from .errors import (
 )
 
 _BATCH = 4096  # fixed sampling batch; keeps path i independent of n_paths
+_SAVE_ROWS = 1024  # rows formatted per write in PathEnsemble.save
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,12 @@ class PathEnsemble:
             fh.write("# ggbm ensemble; columns are sampling times\n")
             fh.write("# " + ",".join(f"{t:.17g}" for t in self.spec.times)
                      + "\n")
-            for row in self.paths:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            # one %-format per block of rows: same text as a per-value
+            # f"{v:.17g}", without a whole-file string in memory
+            line = ",".join(["%.17g"] * self.paths.shape[1]) + "\n"
+            for start in range(0, self.n_paths, _SAVE_ROWS):
+                block = self.paths[start:start + _SAVE_ROWS]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
         with open(json_path, "w") as fh:
             json.dump(self.sidecar(), fh, indent=1, sort_keys=True)
             fh.write("\n")

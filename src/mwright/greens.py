@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import rgamma as _rgamma
 
 from . import specfun
@@ -26,6 +26,7 @@ from .fraccalc import _prod_trap_pieces
 from .gridfn import GridFunction
 
 DRIFT_BETA_CAP = 0.99
+HISTORY_BLOCK = 32  # time steps per history GEMM in solve_volterra
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,14 @@ def drift_mean(spec: DriftSpec, t: float) -> float:
 # Volterra time stepping
 # ---------------------------------------------------------------------------
 
+def _d2_into(u, out, dx2):
+    """Second difference of interior values u (zero edges) written to out."""
+    np.multiply(u, -2.0, out=out)
+    out[1:] += u[:-1]
+    out[:-1] += u[1:]
+    out /= dx2
+
+
 def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
                    nt: int, bc_halfwidth: float) -> GridFunction:
     """March the equivalent Volterra integral equation to t_end.
@@ -189,9 +198,11 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
     marches on a uniform sigma grid with product-trapezoidal quadrature
     (exact moments of the singular kernel against piecewise-linear u_xx)
     and second-order central differences in x. The current-step weight is
-    treated implicitly (one banded Cholesky, reused), so no step-size
-    restriction applies; a growth guard still raises CFLViolation if the
-    update ever amplifies the profile.
+    treated implicitly (one tridiagonal LDL^T factorization, reused), so
+    no step-size restriction applies; a growth guard still raises
+    CFLViolation if the update ever amplifies the profile. The history
+    sum runs in blocks of HISTORY_BLOCK steps: the part before a block is
+    one matrix product, and each step adds only the block's earlier rows.
 
     Parameters
     ----------
@@ -231,34 +242,43 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
     v0[0] = v0[-1] = 0.0
     sup0 = float(np.max(np.abs(v0))) + 1e-300
 
-    # banded SPD matrix I + coef*w_diag*(-D2) on interior nodes
+    # SPD tridiagonal I + coef*w_diag*(-D2) on interior nodes, factored
+    # once as L D L^T (the wrapper wants one off-diagonal entry at m = 1)
     c = coef * w_diag / (dx * dx)
     m = nx - 2
-    ab = np.zeros((2, m))
-    ab[0, 1:] = -c
-    ab[1, :] = 1.0 + 2.0 * c
-    chol = cholesky_banded(ab, lower=False)
+    diag, off, info = dpttrf(np.full(m, 1.0 + 2.0 * c),
+                             np.full(max(m - 1, 1), -c))
+    if info != 0:
+        raise CFLViolation(f"implicit step matrix not positive definite "
+                           f"(dpttrf info={info})")
 
-    def d2(u_inner):
-        full = np.zeros(nx)
-        full[inner] = u_inner
-        return (full[:-2] - 2.0 * full[1:-1] + full[2:]) / (dx * dx)
-
+    # history weights W[n, 0] = ap[n] and W[n, j] = ap[n-j] + p1[n-j+1]
+    # for j >= 1, the latter stored reversed as wr[nt - n + j], so that a
+    # step's weights for the rows done in its block are one contiguous slice
+    wr = np.zeros(nt + 1)
+    wr[1:nt] = (ap[1:nt] + p1[2:])[::-1]
+    dx2 = dx * dx
     hist = np.empty((nt + 1, m))
-    u = v0[inner].copy()
-    hist[0] = d2(u)
     base = v0[inner]
-    for n in range(1, nt + 1):
-        w_row = np.empty(n)
-        w_row[0] = ap[n]
-        if n > 1:
-            w_row[1:] = ap[n - 1:0:-1] + p1[n:1:-1]
-        rhs = base + coef * (w_row @ hist[:n])
-        u = cho_solve_banded((chol, False), rhs)
-        hist[n] = d2(u)
-        if np.max(np.abs(u)) > 5.0 * sup0:
-            raise CFLViolation(
-                f"update grew beyond the stability guard at step {n}")
+    _d2_into(base, hist[0], dx2)
+    for s in range(1, nt + 1, HISTORY_BLOCK):
+        e = min(s + HISTORY_BLOCK, nt + 1)
+        # history before the block: one GEMM over a Toeplitz slab of wr
+        slab = wr[(nt - np.arange(s, e))[:, None] + np.arange(s)]
+        slab[:, 0] = ap[s:e]
+        acc = slab @ hist[:s]
+        for n in range(s, e):
+            row = acc[n - s]
+            if n > s:  # rows already done in this block
+                row += wr[nt - n + s:nt] @ hist[s:n]
+            u, info = dpttrs(diag, off, base + coef * row)
+            if info != 0:
+                raise CFLViolation(f"implicit solve failed at step {n} "
+                                   f"(dpttrs info={info})")
+            _d2_into(u, hist[n], dx2)
+            if np.abs(u).max() > 5.0 * sup0:
+                raise CFLViolation(
+                    f"update grew beyond the stability guard at step {n}")
     out = np.zeros(nx)
     out[inner] = u
     meta = (f"alpha={spec.alpha} beta={spec.beta} K={spec.k} t={t_end} "

@@ -509,7 +509,9 @@ def mittag_leffler_neg(nu: float, s: float, tol: float = 1e-12) -> EvalResult:
     honest abs_err_estimate rather than failing.
 
     nu = 0 requires s < 1 and returns 1/(1+s); nu = 1 returns exp(-s).
-    Orders nu >= 1 are served by the Taylor branch only.
+    Orders nu >= 1 are served by the Taylor branch only. At s = inf the
+    exact limit 0 is returned for nu < 2; for nu >= 2, where E_nu(-s) has
+    no limit, NonConvergence is raised.
     """
     nu = float(nu)
     s = float(s)
@@ -529,9 +531,13 @@ def mittag_leffler_neg(nu: float, s: float, tol: float = 1e-12) -> EvalResult:
             raise InvalidArgument("nu = 0 needs s < 1 (geometric series)")
         v = 1.0 / (1.0 + s)
         return EvalResult(v, 4.0 * _EPS * v, METHOD_LIMIT_CASE)
-    if nu == 1.0 or (s == math.inf and nu < 1.0):  # exact limit 0 at s = inf
+    if nu == 1.0 or (s == math.inf and nu < 2.0):  # exact limit 0 at s = inf
         v = math.exp(-s)
         return EvalResult(v, 4.0 * _EPS * v, METHOD_CLOSED_FORM)
+    if s == math.inf:
+        raise NonConvergence(
+            f"E_{nu}(-s) has no limit as s -> inf for nu >= 2: it oscillates "
+            f"(E_2(-s) = cos(sqrt(s))) and grows for nu > 2")
 
     # skip the Taylor branch when its largest term is beyond hope
     taylor = _ml_taylor(nu, s, tol) if s ** (1.0 / nu) < 60.0 else None

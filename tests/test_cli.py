@@ -161,6 +161,20 @@ class TestIOErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("out", [None, "-"])
+    def test_simulate_without_out_fails_before_sampling(self, capsys,
+                                                        monkeypatch, out):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking --out")
+
+        monkeypatch.setattr(cli.ggbm, "sample_paths", no_sampling)
+        argv = ["simulate", "--alpha", "1", "--beta", "0.5",
+                "--n-paths", "200000"]
+        assert run(argv + ([] if out is None else ["--out", out])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--out" in err
+
 
 class TestGreenSolveSimulate:
     def test_green_profile_header(self, tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy.special import erf, rgamma
 from scipy.stats import kstest
@@ -237,6 +239,57 @@ class TestSamplePaths:
         assert len(rows) == 5
         got = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert np.array_equal(got, ens.paths)  # 17-digit round trip
+
+
+def _per_value_csv(ens) -> str:
+    """The CSV text of PathEnsemble.save, one f-string per value."""
+    lines = ["# ggbm ensemble; columns are sampling times\n",
+             "# " + ",".join(f"{t:.17g}" for t in ens.spec.times) + "\n"]
+    lines += [",".join(f"{v:.17g}" for v in row) + "\n" for row in ens.paths]
+    return "".join(lines)
+
+
+def _ensemble(paths):
+    ncols = paths.shape[1]
+    spec = ggbm.CovSpec(1.0, 0.5, np.arange(1.0, ncols + 1.0))
+    return ggbm.PathEnsemble(spec, paths, 5, np.ones(len(paths)))
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                -1e-310, 1e300, -1e300, 1.7976931348623157e308]
+
+
+class TestSaveFormat:
+    @given(data=st.data(), rows=st.integers(0, 40), cols=st.integers(1, 6),
+           chunk=st.integers(1, 9))
+    def test_bytes_match_per_value_writer(self, tmp_path_factory, data,
+                                          rows, cols, chunk):
+        values = st.one_of(st.sampled_from(_EDGE_VALUES),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        paths = data.draw(hnp.arrays(np.float64, (rows, cols),
+                                     elements=values))
+        ens = _ensemble(paths)
+        prefix = str(tmp_path_factory.mktemp("save") / "ens")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ggbm, "_SAVE_ROWS", chunk)
+            csv_path, _ = ens.save(prefix)
+        text = open(csv_path).read()
+        assert text == _per_value_csv(ens)
+        got = np.array([[float(v) for v in line.split(",")]
+                        for line in text.splitlines()[2:]]).reshape(rows,
+                                                                    cols)
+        assert got.tobytes() == paths.tobytes()  # bits, so -0.0 too
+
+    def test_partial_last_block(self, tmp_path):
+        rows = 2 * ggbm._SAVE_ROWS + 37
+        rng = np.random.default_rng(11)
+        paths = rng.standard_normal((rows, 7)) * 10.0 ** rng.integers(
+            -300, 300, (rows, 7))
+        paths[5, :len(_EDGE_VALUES[:7])] = _EDGE_VALUES[:7]
+        paths[-1, :] = _EDGE_VALUES[-7:]
+        ens = _ensemble(paths)
+        csv_path, _ = ens.save(str(tmp_path / "ens"))
+        assert open(csv_path).read() == _per_value_csv(ens)
 
 
 class TestEnsembleStats:

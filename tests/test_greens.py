@@ -7,13 +7,56 @@ import pytest
 from numpy.testing import assert_allclose
 from mwright import greens, oracles, specfun
 from mwright.errors import (
+    CFLViolation,
     InvalidArgument,
     InvalidTime,
     NearSingularOrder,
     SpecMismatch,
 )
+from mwright.fraccalc import _prod_trap_pieces
 from mwright.gridfn import GridFunction
 from mwright.verification import _convolve_green
+from scipy.linalg import cho_solve_banded, cholesky_banded
+
+
+def _per_step_volterra(u0, spec, t_end, nt):
+    """Reference march: one product with the whole history and one banded
+    Cholesky solve per step, the textbook form of solve_volterra's loop."""
+    dsig = t_end ** (spec.alpha / spec.beta) / nt
+    p0, p1 = _prod_trap_pieces(spec.beta, nt)
+    ap = p0 - p1
+    coef = spec.k * dsig ** spec.beta / math.gamma(spec.beta)
+    dx = u0.spacing
+    nx = len(u0)
+    inner = slice(1, nx - 1)
+    v0 = u0.ys.copy()
+    v0[0] = v0[-1] = 0.0
+    c = coef * p1[1] / (dx * dx)
+    m = nx - 2
+    ab = np.zeros((2, m))
+    ab[0, 1:] = -c
+    ab[1, :] = 1.0 + 2.0 * c
+    chol = cholesky_banded(ab, lower=False)
+
+    def d2(u_inner):
+        full = np.zeros(nx)
+        full[inner] = u_inner
+        return (full[:-2] - 2.0 * full[1:-1] + full[2:]) / (dx * dx)
+
+    hist = np.empty((nt + 1, m))
+    u = v0[inner].copy()
+    hist[0] = d2(u)
+    for n in range(1, nt + 1):
+        w_row = np.empty(n)
+        w_row[0] = ap[n]
+        if n > 1:
+            w_row[1:] = ap[n - 1:0:-1] + p1[n:1:-1]
+        u = cho_solve_banded((chol, False),
+                             v0[inner] + coef * (w_row @ hist[:n]))
+        hist[n] = d2(u)
+    out = np.zeros(nx)
+    out[inner] = u
+    return out
 
 
 class TestGreenDensity:
@@ -252,6 +295,32 @@ class TestVolterra:
             errs.append(np.trapezoid(np.abs(got.ys - exact), xs))
         assert errs[1] < 0.5 * errs[0]
         assert errs[1] < 1e-3
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.8, 0.4),
+                                            (1.5, 0.35)])
+    @pytest.mark.parametrize("nt", [16, 33, 100])
+    @pytest.mark.parametrize("nx", [3, 201])
+    def test_blocked_history_matches_per_step_loop(self, alpha, beta, nt,
+                                                   nx):
+        # 33 and 100 end in a partial block of greens.HISTORY_BLOCK = 32
+        # steps; nx = 3 leaves a single interior node
+        spec = greens.GreenSpec(alpha, beta, 1.0)
+        xs = np.linspace(-4.0, 4.0, nx)
+        u0 = GridFunction(xs, np.exp(-0.5 * (xs / 0.4) ** 2))
+        got = greens.solve_volterra(u0, spec, 0.7, nt, 4.0)
+        want = _per_step_volterra(u0, spec, 0.7, nt)
+        assert np.max(np.abs(got.ys - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got.ys[0] == got.ys[-1] == 0.0
+
+    def test_growth_guard_still_raises(self, monkeypatch):
+        # a solve that returns ten times its right-hand side must trip the
+        # guard on the first step
+        real = greens.dpttrs
+        monkeypatch.setattr(greens, "dpttrs",
+                            lambda d, e, b: (10.0 * real(d, e, b)[0], 0))
+        spec = greens.GreenSpec(1.0, 1.0, 1.0)
+        with pytest.raises(CFLViolation, match="step 1"):
+            greens.solve_volterra(self.gaussian(0.5), spec, 1e-300, 16, 7.0)
 
     def test_domain_validation(self):
         spec = greens.GreenSpec(1.0, 1.0, 1.0)

@@ -264,11 +264,17 @@ class TestMittagLeffler:
         with pytest.raises(InvalidArgument):
             specfun.mittag_leffler_neg(0.0, 1.5)
 
-    @pytest.mark.parametrize("nu", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("nu", [0.1, 0.5, 0.9, 1.0, 1.5, 1.9])
     def test_infinite_argument_is_exact_limit(self, nu):
         res = specfun.mittag_leffler_neg(nu, math.inf)
         assert (res.value, res.abs_err_estimate) == (0.0, 0.0)
         assert res.method == "closed_form"
+
+    @pytest.mark.parametrize("nu", [2.0, 2.5])
+    def test_infinite_argument_without_limit(self, nu):
+        # E_2(-s) = cos(sqrt(s)) oscillates forever
+        with pytest.raises(NonConvergence, match="no limit"):
+            specfun.mittag_leffler_neg(nu, math.inf)
 
     def test_branch_switch(self):
         small = specfun.mittag_leffler_neg(0.5, 0.5)
