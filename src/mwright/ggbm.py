@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import chdtrc as _chdtrc, gamma as _gamma, rgamma as _rgamma
 
-from . import quadrature, specfun
+from . import greens, quadrature, specfun
 from .errors import (
     InsufficientPaths,
     InvalidArgument,
@@ -142,18 +142,10 @@ def _cholesky(c: np.ndarray) -> np.ndarray:
 def pdf_marginal(alpha: float, beta: float, x: float, t: float) -> float:
     """One-point density (1/2) t^(-alpha/2) M_(beta/2)(|x| t^(-alpha/2)).
 
-    Identical to the diffusion Green function with unit coefficient.
+    The diffusion Green function with unit coefficient, and evaluated as
+    one, so orders outside 0 < alpha <= 2, 0 < beta <= 1 are rejected.
     """
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
-    scale = t ** (0.5 * alpha)
-    return 0.5 / scale * specfun.m_wright(0.5 * beta, abs(x) / scale).value
-
-
-def _pdf_marginal_values(alpha, beta, xs, t):
-    scale = t ** (0.5 * alpha)
-    return 0.5 / scale * specfun.m_wright_values(
-        0.5 * beta, np.abs(np.asarray(xs, dtype=float)) / scale)
+    return greens.green_density(greens.GreenSpec(alpha, beta, 1.0), x, t)
 
 
 def pdf_npoint(q: NPointQuery) -> float:

@@ -78,13 +78,9 @@ def green_density(spec: GreenSpec, x: float, t: float) -> float:
 
     (1/2) (k^(1/2) t^(alpha/2))^(-1) M_(beta/2)(|x| / (k^(1/2) t^(alpha/2))),
     symmetric in x and integrating to 1 over the line. Reduces to the
-    Gaussian kernel when beta = 1.
+    Gaussian kernel when beta = 1. green_density_values at one point.
     """
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
-    scale = math.sqrt(spec.k) * t ** (0.5 * spec.alpha)
-    return 0.5 / scale * specfun.m_wright(0.5 * spec.beta,
-                                          abs(float(x)) / scale).value
+    return float(green_density_values(spec, float(x), t))
 
 
 def green_density_values(spec: GreenSpec, xs, t: float) -> np.ndarray:
@@ -222,6 +218,8 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
         raise InvalidTime("need t_end > 0")
     if nt < 16:
         raise InvalidArgument("need nt >= 16")
+    if len(u0) < 3:
+        raise InvalidArgument("grid needs at least one interior node")
     dx = u0.spacing
     if u0.xs[0] > -bc_halfwidth + 1e-12 or u0.xs[-1] < bc_halfwidth - 1e-12:
         raise InvalidArgument(

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.special import erf, rgamma
 from scipy.stats import kstest
 
-from mwright import ggbm
+from mwright import ggbm, greens
 from mwright.errors import InsufficientPaths, InvalidArgument, InvalidOrder
 
 
@@ -57,6 +57,18 @@ class TestMarginal:
         want = 0.5 * 2.0 ** (-0.7) * 0.5652591609506913631
         assert_allclose(ggbm.pdf_marginal(1.4, 0.8, 0.7, 2.0), want,
                         rtol=1e-12)
+
+    def test_is_the_unit_coefficient_green_function(self):
+        spec = greens.GreenSpec(1.4, 0.8, 1.0)
+        assert ggbm.pdf_marginal(1.4, 0.8, 0.7, 2.0) \
+            == greens.green_density(spec, 0.7, 2.0) \
+            == float(greens.green_density_values(spec, [0.7], 2.0)[0])
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.5), (-1.0, 0.5),
+                                            (3.0, 0.5), (1.0, 0.0)])
+    def test_out_of_domain_orders_rejected(self, alpha, beta):
+        with pytest.raises(InvalidArgument):
+            ggbm.pdf_marginal(alpha, beta, 0.3, 1.0)
 
     def test_cdf_quantile_roundtrip(self):
         for p in (0.05, 0.3, 0.5, 0.9):

@@ -330,3 +330,12 @@ class TestVolterra:
             greens.solve_volterra(self.gaussian(0.5), spec, 0.5, 8, 7.0)
         with pytest.raises(InvalidTime):
             greens.solve_volterra(self.gaussian(0.5), spec, -1.0, 64, 7.0)
+
+    def test_grid_without_interior_node(self, monkeypatch):
+        # rejected before any work: the product-quadrature weights are
+        # never built
+        monkeypatch.setattr(greens, "_prod_trap_pieces", None)
+        spec = greens.GreenSpec(1.0, 1.0, 1.0)
+        with pytest.raises(InvalidArgument, match="interior"):
+            greens.solve_volterra(GridFunction([-1.0, 1.0], [0.0, 0.0]),
+                                  spec, 0.5, 16, 1.0)

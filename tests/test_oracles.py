@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mwright import oracles, specfun
-from mwright.errors import InvalidPair
+from mwright.errors import InvalidArgument, InvalidPair
 
 M_ENV_HALF = specfun.m_wright_envelope(0.5)
 
@@ -51,6 +51,24 @@ class TestFourierCosine:
             tail_bound=specfun.m_wright_envelope(0.25))
         want = specfun.mittag_leffler_neg(0.5, 4.0).value
         assert_allclose(got, want, atol=1e-6)
+
+
+class TestTransformVariables:
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_mellin_needs_finite_positive_s(self, s):
+        with pytest.raises(InvalidArgument):
+            oracles.mellin_numeric(lambda r: np.exp(-np.asarray(r)), s)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_cosine_needs_finite_kappa(self, kappa):
+        with pytest.raises(InvalidArgument):
+            oracles.fourier_cosine_numeric(m_half, kappa,
+                                           tail_bound=M_ENV_HALF)
+
+    @pytest.mark.parametrize("s", [0.0, -2.0, math.nan])
+    def test_laplace_needs_positive_s(self, s):
+        with pytest.raises(InvalidArgument):
+            oracles.laplace_numeric(m_half, s, tail_bound=M_ENV_HALF)
 
 
 class TestMellin:
@@ -124,14 +142,16 @@ def test_pair_matrix(pair_id):
     assert rep.max_abs_residual < 1e-6
 
 
+def _residual(pair_id, point):
+    return oracles.verify_pair(pair_id, points=[point],
+                               tol=1e-8).max_abs_residual
+
+
 def test_pair_single_point_values():
     # spot values behind the grid: exp(-sqrt(s)) for the stable pair
-    res = oracles._pair_residual("L_4_1", {"nu": 0.5, "s": 1.0}, 1e-8)
-    assert res < 1e-7
+    assert _residual("L_4_1", {"nu": 0.5, "s": 1.0}) < 1e-7
     # trivial kappa=0 case of the symmetric-density Fourier pair
-    res = oracles._pair_residual("F_4_17", {"nu": 0.3, "kappa": 0.0,
-                                            "t": 1.7}, 1e-8)
-    assert res < 1e-7
+    assert _residual("F_4_17", {"nu": 0.3, "kappa": 0.0, "t": 1.7}) < 1e-7
 
 
 def test_unknown_pair_rejected():
@@ -143,8 +163,46 @@ def test_selfsimilar_rescaling_of_pair_residuals():
     # residuals of the t-Laplace pair stay at noise level under the
     # joint rescaling t -> c t, x -> c^nu x, s -> s/c
     nu, c = 0.5, 2.0
-    base = oracles._pair_residual("L_4_15", {"nu": nu, "s": 1.0, "x": 1.0},
-                                  1e-8)
-    scaled = oracles._pair_residual(
-        "L_4_15", {"nu": nu, "s": 1.0 / c, "x": c ** nu * 1.0}, 1e-8)
+    base = _residual("L_4_15", {"nu": nu, "s": 1.0, "x": 1.0})
+    scaled = _residual("L_4_15", {"nu": nu, "s": 1.0 / c, "x": c ** nu * 1.0})
     assert base < 1e-7 and scaled < 1e-7
+
+
+def test_nan_residual_is_reported(monkeypatch):
+    # one NaN closed form must not vanish behind max() over the grid
+    monkeypatch.setattr(specfun, "mittag_leffler_neg",
+                        lambda nu, s, tol: specfun.EvalResult(
+                            math.nan, math.nan, "closed_form"))
+    points = [{"nu": 0.5, "s": 1.0}, {"nu": 0.5, "s": 2.0}]
+    assert math.isnan(oracles.verify_pair("L_4_7", points=points,
+                                          tol=1e-6).max_abs_residual)
+
+
+@pytest.mark.parametrize("pair_id", oracles.PAIR_IDS)
+def test_empty_grid_is_not_a_pass(pair_id):
+    with pytest.raises(InvalidArgument):
+        oracles.verify_pair(pair_id, points=[])
+
+
+@pytest.mark.parametrize("pair_id,point,missing", [
+    ("L_4_1", {"nu": 0.5}, "s"),
+    ("F_4_11", {"s": 1.0}, "nu"),
+    ("L_4_16", {"nu": 0.5, "s": 1.0}, "t"),
+    ("SUB_4_18", {"lambda": 0.5, "mu": 0.5, "x": 1.0}, "t"),
+])
+def test_malformed_point_names_missing_parameter(pair_id, point, missing,
+                                                 monkeypatch):
+    # checked before any quadrature: the good first point is not run
+    monkeypatch.setattr(oracles.quadrature, "integrate_to_inf", None)
+    good = oracles._PAIRS[pair_id].grid[0]
+    with pytest.raises(InvalidArgument, match=repr(missing)):
+        oracles.verify_pair(pair_id, points=[good, point])
+
+
+def test_default_grids_and_order():
+    assert oracles.PAIR_IDS == ("L_4_1", "L_4_2", "L_4_7", "F_4_11",
+                                "M_4_13", "L_4_15", "L_4_16", "F_4_17",
+                                "SUB_4_18")
+    for pid in oracles.PAIR_IDS:
+        grid = oracles._PAIRS[pid].grid
+        assert len(grid) == 9 and len({tuple(p.items()) for p in grid}) == 9
