@@ -22,6 +22,7 @@ from .specfun import (
     m_wright_values,
     mellin_m_wright,
     mittag_leffler_neg,
+    mittag_leffler_values,
     wright_series,
 )
 from .gridfn import GridFunction
@@ -75,8 +76,9 @@ __all__ = [
     "errors",
     "AuxIndex", "EvalResult", "WrightIndex",
     "wright_series", "m_wright", "m_wright_values", "m_wright_symmetric",
-    "f_wright", "mittag_leffler_neg", "m_wright_moment", "mellin_m_wright",
-    "m_wright_special", "m_wright_ode_residual", "m_wright_asymptotic",
+    "f_wright", "mittag_leffler_neg", "mittag_leffler_values",
+    "m_wright_moment", "mellin_m_wright", "m_wright_special",
+    "m_wright_ode_residual", "m_wright_asymptotic",
     "GridFunction",
     "PairReport", "laplace_numeric", "fourier_cosine_numeric",
     "mellin_numeric", "m2", "subordination_check", "verify_pair",

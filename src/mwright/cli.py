@@ -134,13 +134,8 @@ def cmd_tabulate(args) -> int:
                 raise DomainError(f"fwright order must be in (0,1), got {p}")
             cols[key] = (p * np.abs(xs)
                          * specfun.m_wright_values(p, np.abs(xs), args.tol))
-        elif fn == "mlf":
-            if np.any(xs < 0):
-                raise DomainError("mlf grid must be non-negative (plots "
-                                  "E_nu(-s) on s >= 0)")
-            cols[key] = np.array(
-                [specfun.mittag_leffler_neg(p, s, args.tol).value
-                 for s in xs])
+        elif fn == "mlf":  # plots E_nu(-s) on s >= 0; raises for s < 0
+            cols[key] = specfun.mittag_leffler_values(p, xs, args.tol)
         elif fn == "green":
             spec = greens.GreenSpec(args.alpha, p, args.K)
             cols[key] = greens.green_density_values(spec, xs, args.t)

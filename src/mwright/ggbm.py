@@ -285,7 +285,7 @@ def marginal_cdf(alpha: float, beta: float, x, t: float):
     """Distribution function of the one-point law at time t (vectorized)."""
     if not t > 0.0:
         raise InvalidTime("need t > 0")
-    nu = 0.5 * beta
+    nu = 0.5 * greens.GreenSpec(alpha, beta, 1.0).beta
     scale = t ** (0.5 * alpha)
     rs, half = _half_cdf_grid(nu)
     x = np.asarray(x, dtype=float)
@@ -301,7 +301,7 @@ def marginal_quantile(alpha: float, beta: float, p, t: float):
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise InvalidArgument("quantile levels must lie strictly in (0, 1)")
-    nu = 0.5 * beta
+    nu = 0.5 * greens.GreenSpec(alpha, beta, 1.0).beta
     scale = t ** (0.5 * alpha)
     rs, half = _half_cdf_grid(nu)
     tail = np.abs(2.0 * p - 1.0) / 2.0  # half-line mass above/below center

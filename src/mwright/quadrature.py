@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import InvalidArgument, QuadratureFailure
 
 # 15-point Kronrod nodes and weights with the embedded 7-point Gauss rule
 # (weights from QUADPACK dqk15).
@@ -272,6 +272,8 @@ def integrate_to_inf(f, a, tol=1e-10, rtol=0.0, tail_bound=None,
     omitted, |f| itself is probed at doubling radii (adequate for the
     exponential-or-better decay assumed throughout).
     """
+    if not 0.0 < tol < math.inf:  # no tail bound falls below a cut of 0
+        raise InvalidArgument(f"tol must be finite and positive, got {tol}")
     if tail_bound is None:
         def tail_bound(r):  # probe the integrand itself
             return float(np.max(np.abs(f(np.array([r, 1.5 * r, 2.0 * r])))))

@@ -5,10 +5,13 @@ M_nu and F_nu (Wright functions of the second kind that drive
 time-fractional diffusion), and the one-parameter Mittag-Leffler function
 E_nu(-s) on the negative real axis.
 
-Every power series (W_{lam,mu}, the M_nu series, the Taylor series of
-E_nu(-s)) runs through one engine: `_series_terms` builds the terms for
-a block of arguments, one row each, and `_apply_stopping_rule` stops
-every row and attaches its truncation and rounding estimates.
+Two engines serve them all. Every power series (W_{lam,mu}, M_nu, the
+Taylor series of E_nu(-s)) goes through `_series_terms`, which builds the
+terms of a block of arguments, a row each, and `_apply_stopping_rule`,
+which stops every row with its truncation and rounding estimates. Every
+integral (the stable density for M_nu, the spectral integral for E_nu(-s))
+has a positive integrand on (0, 1), taken for all rows at once by
+`quadrature.adaptive_rows`.
 
 Evaluation strategy for M_nu (m_wright is the one-point case of
 m_wright_values, so both share validation and dispatch):
@@ -19,10 +22,8 @@ m_wright_values, so both share validation and dispatch):
   radius r*(nu), tabulated on a 0.01 grid in nu at first use: the smallest
   radius where the series rounding floor (2 eps sum|term|) exceeds
   min(1e-10, 1e-6 times the value);
-* beyond r*, the exact one-sided stable-density integral (a positive
-  smooth integrand on (0, 1), free of cancellation), taken for all radii
-  at once by `quadrature.adaptive_rows`; the leading-order exponential
-  form only serves envelopes and consistency checks.
+* beyond r*, the exact one-sided stable-density integral; the
+  leading-order exponential form only serves envelopes and checks.
 """
 
 from __future__ import annotations
@@ -366,24 +367,27 @@ def crossover_radius(nu) -> float:
 # public evaluators
 # ---------------------------------------------------------------------------
 
-def _m_wright_array(nu, rs, tol: float):
-    """Validation and dispatch shared by m_wright and m_wright_values.
+def _arguments(x, tol: float, name: str) -> np.ndarray:
+    """x as a flat float array; NaN or negative entries and tol <= 0 raise."""
+    x = np.asarray(x, dtype=float).ravel()
+    if not (x >= 0.0).all():
+        if np.isnan(x).any():
+            raise InvalidArgument(f"{name} argument is NaN")
+        raise NegativeArgument(f"{name} arguments must be >= 0")
+    if not tol > 0.0:
+        raise InvalidArgument("tol must be positive")
+    return x
 
-    Returns value, abs_err_estimate and method arrays over rs, flattened.
-    """
+
+def _m_wright_array(nu, rs, tol: float):
+    """Validation and dispatch of M_nu: value, estimate, method arrays."""
     nu = _as_nu(nu)
-    rs = np.asarray(rs, dtype=float).ravel()
     if not 0.0 <= nu < 1.0:
         raise InvalidOrder(f"M_nu needs an order 0 <= nu < 1, got {nu}")
     if nu > NU_MAX:
         raise NearSingularOrder(
             f"nu={nu} too close to the delta limit (cap {NU_MAX})")
-    if not (rs >= 0.0).all():
-        if np.isnan(rs).any():
-            raise InvalidArgument("M_nu argument is NaN")
-        raise NegativeArgument("M_nu arguments must be >= 0")
-    if not tol > 0.0:
-        raise InvalidArgument("tol must be positive")
+    rs = _arguments(rs, tol, "M_nu")
     if nu == 0.0:
         v = np.exp(-rs)
         return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_LIMIT_CASE)
@@ -429,8 +433,7 @@ def m_wright_values(nu, rs, tol: float = 1e-12) -> np.ndarray:
     Bulk counterpart of m_wright (values only), used by the quadrature
     oracles and the tabulation front end.
     """
-    rs = np.asarray(rs, dtype=float)
-    return _m_wright_array(nu, rs, tol)[0].reshape(rs.shape)
+    return _m_wright_array(nu, rs, tol)[0].reshape(np.shape(rs))
 
 
 def f_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
@@ -458,101 +461,105 @@ def m_wright_symmetric(nu, x: float, tol: float = 1e-12) -> EvalResult:
 # Mittag-Leffler on the negative axis
 # ---------------------------------------------------------------------------
 
-def _ml_taylor(nu: float, s: float, tol: float):
-    """sum (-s)^n / Gamma(nu n + 1) with a cancellation-aware estimate.
+def _ml_spectral(nu: float, s: np.ndarray, tol: float):
+    """E_nu(-s) = sin(nu pi)/(nu pi) int_0^inf exp(-(s u)^(1/nu)) du / ((u
+    + cos(nu pi))^2 + sin(nu pi)^2), 0 < nu < 1, with the sample rounding
+    8 eps |value| in its estimate. The integrand sums u = u0 + z and, for
+    z < u0/2, u = u0 - z and u = z, on t = z/(1+z): the denominator's peak
+    (width sin(nu pi) at u0 = max(0, -cos(nu pi))) and the decay near u = 0
+    both sit at t -> 0, where doubles resolve them."""
+    nup = math.pi * min(nu, 1.0 - nu)  # keeps sin(nu pi) accurate near nu = 1
+    sn, c = math.sin(nup), math.cos(nup) * (1.0 if nu <= 0.5 else -1.0)
+    u0, cp = max(0.0, -c), max(0.0, c)
 
-    The terms are built once and stopped at min(tol, 1e-13), else at tol.
-    Callers keep s^(1/nu) < 60, so overflowing powers only occur past
-    the stopping index and the terms need no log-space rebuild.
-    """
-    terms = _series_terms(nu, 1.0, -s, factorial=False)
-    for t in (min(tol, 1e-13), tol):
-        (value,), (trunc,), (cancel,) = _apply_stopping_rule(terms, t)
-        if not np.isnan(value):
-            return float(value), float(trunc + cancel)
-    return None
+    def f(t, rows):
+        sr, q, p, g0 = s[rows, None], 1.0 - t, 1.0 / nu, 0.0
+        d = (sn * q) ** 2
+        with np.errstate(over="ignore", divide="ignore"):
+            z = t / q
+            g = np.exp(-(sr * (u0 + z)) ** p)
+            if u0 > 0.0:
+                near, zn = z < 0.5 * u0, np.minimum(z, 0.5 * u0)
+                g += near * np.exp(-(sr * (u0 - zn)) ** p)
+                g0 = near * np.exp(-(sr * zn) ** p) / ((t + c * q) ** 2 + d)
+        return g / ((t + cp * q) ** 2 + d) + g0
+
+    # u = 2^k / s, k = -3..6, spans the decay of exp(-(s u)^(1/nu)); for
+    # s < 1/8 it goes on down to u = 1, or the panel below would hide that
+    # decay next to t = 1; rows that need fewer repeat the k = -3 point
+    k = np.arange(min(-3, math.floor(math.log2(s.min()))), 7)
+    with np.errstate(over="ignore", divide="ignore"):
+        u = np.ldexp(1.0 / s[:, None], k)
+        u[:, :-10] = np.where(u[:, :-10] < 1.0, u[:, -10:-9], u[:, :-10])
+        z = np.where(u < 0.5 * u0, u, np.abs(u - u0))
+        if u0 > 0.0:  # the jump at z = u0/2 and the peak's scales sn 4^j
+            peak = sn * 4.0 ** np.arange(-1.0, 2.0 - math.log(sn, 4.0))
+            z = np.hstack((z, np.broadcast_to(np.append(peak, 0.5 * u0),
+                                              (s.size, peak.size + 1))))
+        pts = 1.0 / (1.0 + 1.0 / z)
+    v, e = quadrature.adaptive_rows(f, 0.0, 1.0, pts, max(1e-300, 0.01 * tol),
+                                    1e-13, limit=600)
+    scale = sn / (nu * math.pi)
+    return scale * v, np.maximum(scale * (e + 8.0 * _EPS * v), 1e-300)
 
 
-def _ml_asymptotic(nu: float, s: float):
-    """Inverse-power expansion with optimal truncation (s large, nu < 1).
-
-    The reciprocal-Gamma coefficients do not alternate strictly, so the
-    classical first-omitted-term remainder bound needs headroom; measured
-    worst-case remainders run a few times that term. The rounding floor
-    2 eps sum|term| is added, as for the series.
-    """
-    total = 0.0
-    absum = 0.0
-    prev = math.inf
-    best_err = math.inf
-    for m in range(1, 201):
-        rg = float(_rgamma(1.0 - nu * m))
-        term = (-1.0) ** (m - 1) * rg * s ** (-m)
-        if term != 0.0:
-            if abs(term) >= prev:
-                best_err = abs(term)
-                break
-            prev = abs(term)
-        total += term
-        absum += abs(term)
-    else:
-        best_err = prev
-    return total, 5.0 * best_err + 2.0 * _EPS * absum
+def _ml_array(nu, s, tol: float):
+    """Validation and dispatch of E_nu(-s): value, estimate, method arrays."""
+    nu = float(nu)
+    if not 0.0 <= nu < math.inf:
+        raise InvalidOrder(f"E_nu(-s) needs a finite order >= 0, got {nu}")
+    s = _arguments(s, tol, "E_nu(-s)")
+    if nu == 0.0 and (s >= 1.0).any():
+        raise InvalidArgument("nu = 0 needs s < 1 (geometric series)")
+    if nu >= 2.0 and (s == math.inf).any():
+        raise NonConvergence(f"E_{nu}(-s) has no limit as s -> inf for nu >= "
+                             f"2: it oscillates (E_2(-s) = cos(sqrt(s))) and "
+                             f"grows for nu > 2")
+    value, err = np.ones(s.size), np.zeros(s.size)  # E_nu(0) = 1 exactly
+    method = np.full(s.size, METHOD_CLOSED_FORM)
+    exact = (s > 0.0) & (nu in (0.0, 1.0) or s == math.inf)  # limit 0 at inf
+    value[exact] = (1.0 / (1.0 + s[exact]) if nu == 0.0
+                    else [math.exp(-x) for x in s[exact]])
+    err[exact] = 4.0 * _EPS * value[exact]
+    method[exact] = METHOD_LIMIT_CASE if nu == 0.0 else METHOD_CLOSED_FORM
+    # Taylor rows, stopped at min(tol, 1e-13), else at tol, else NaN
+    rows = np.flatnonzero((s > 0.0) & ~exact)
+    terms = _series_terms(nu, 1.0, -s[rows], factorial=False)
+    v, trunc, cancel = _apply_stopping_rule(terms, min(tol, 1e-13))
+    if (miss := np.isnan(v)).any():
+        v[miss], trunc[miss], cancel[miss] = _apply_stopping_rule(
+            terms[miss], tol)
+    if nu < 1.0:
+        # 1/Gamma at the rounded argument x = nu n + 1 moves a term by up to
+        # x |psi(x)| eps, beyond the series floor (56 ulps at nu = 0.9)
+        x = nu * _N + 1.0
+        with np.errstate(over="ignore"):
+            cancel = _EPS * (np.abs(terms) * (x * np.log(x) + 0.5 * _N
+                                              + 5.0)).sum(axis=1)
+    value[rows], err[rows], method[rows] = v, trunc + cancel, METHOD_SERIES
+    # nu > 1 has no other route; past s^(1/nu) = 60 cancellation wins
+    if nu > 1.0 and (np.isnan(v) | ~(s[rows] ** (1.0 / nu) < 60.0)).any():
+        raise NonConvergence(f"E_{nu}(-s): Taylor series unusable and the "
+                             f"spectral integral only applies for nu < 1")
+    if nu < 1.0 and (rows := rows[~(err[rows] <= tol)]).size:
+        value[rows], err[rows] = _ml_spectral(nu, s[rows], tol)
+        method[rows] = METHOD_ASYMPTOTIC
+    return value, err, method
 
 
 def mittag_leffler_neg(nu: float, s: float, tol: float = 1e-12) -> EvalResult:
-    """Mittag-Leffler function on the negative real axis, E_nu(-s), s >= 0.
+    """E_nu(-s), s >= 0, the one-point case of mittag_leffler_values: the
+    Taylor series where it meets tol; for 0 < nu < 1 the spectral integral
+    elsewhere (method "asymptotic"). nu = 0 needs s < 1 (1/(1+s)), nu = 1
+    is exp(-s), nu > 1 has the Taylor series only, up to s^(1/nu) = 60. At
+    s = inf the limit 0 holds for nu < 2; else NonConvergence is raised."""
+    (value,), (err,), (method,) = _ml_array(nu, float(s), tol)
+    return EvalResult(float(value), float(err), str(method))
 
-    Taylor series for moderate arguments and the inverse-power expansion
-    with optimal truncation for large ones; in the crossover band the
-    branch with the smaller internal error estimate is returned with an
-    honest abs_err_estimate rather than failing.
 
-    nu = 0 requires s < 1 and returns 1/(1+s); nu = 1 returns exp(-s).
-    Orders nu >= 1 are served by the Taylor branch only. At s = inf the
-    exact limit 0 is returned for nu < 2; for nu >= 2, where E_nu(-s) has
-    no limit, NonConvergence is raised.
-    """
-    nu = float(nu)
-    s = float(s)
-    if not 0.0 <= nu < math.inf:
-        raise InvalidOrder(
-            f"mittag_leffler_neg needs a finite nu >= 0, got {nu}")
-    if math.isnan(s):
-        raise InvalidArgument("mittag_leffler_neg argument is NaN")
-    if s < 0.0:
-        raise NegativeArgument("evaluates E_nu(-s) for s >= 0")
-    if not tol > 0.0:
-        raise InvalidArgument("tol must be positive")
-    if s == 0.0:
-        return EvalResult(1.0, 0.0, METHOD_CLOSED_FORM)
-    if nu == 0.0:
-        if s >= 1.0:
-            raise InvalidArgument("nu = 0 needs s < 1 (geometric series)")
-        v = 1.0 / (1.0 + s)
-        return EvalResult(v, 4.0 * _EPS * v, METHOD_LIMIT_CASE)
-    if nu == 1.0 or (s == math.inf and nu < 2.0):  # exact limit 0 at s = inf
-        v = math.exp(-s)
-        return EvalResult(v, 4.0 * _EPS * v, METHOD_CLOSED_FORM)
-    if s == math.inf:
-        raise NonConvergence(
-            f"E_{nu}(-s) has no limit as s -> inf for nu >= 2: it oscillates "
-            f"(E_2(-s) = cos(sqrt(s))) and grows for nu > 2")
-
-    # skip the Taylor branch when its largest term is beyond hope
-    taylor = _ml_taylor(nu, s, tol) if s ** (1.0 / nu) < 60.0 else None
-    if taylor is not None and taylor[1] <= tol:
-        return EvalResult(*taylor, METHOD_SERIES)
-    if nu < 1.0:
-        asym, aerr = _ml_asymptotic(nu, s)
-        if taylor is not None and aerr > tol and taylor[1] < aerr:
-            return EvalResult(*taylor, METHOD_SERIES)
-        return EvalResult(asym, aerr, METHOD_ASYMPTOTIC)
-    if taylor is None:
-        raise NonConvergence(
-            f"E_{nu}(-{s}): Taylor series unusable and the inverse-power "
-            f"expansion only applies for nu < 1")
-    return EvalResult(*taylor, METHOD_SERIES)
+def mittag_leffler_values(nu, s, tol: float = 1e-12) -> np.ndarray:
+    """Vectorized E_nu(-s) (values only), the spectral rows in one pass."""
+    return _ml_array(nu, s, tol)[0].reshape(np.shape(s))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,10 @@ class TestMarginal:
     def test_out_of_domain_orders_rejected(self, alpha, beta):
         with pytest.raises(InvalidArgument):
             ggbm.pdf_marginal(alpha, beta, 0.3, 1.0)
+        with pytest.raises(InvalidArgument):
+            ggbm.marginal_cdf(alpha, beta, 0.3, 2.0)
+        with pytest.raises(InvalidArgument):
+            ggbm.marginal_quantile(alpha, beta, 0.3, 2.0)
 
     def test_cdf_quantile_roundtrip(self):
         for p in (0.05, 0.3, 0.5, 0.9):

@@ -70,6 +70,14 @@ class TestTransformVariables:
         with pytest.raises(InvalidArgument):
             oracles.laplace_numeric(m_half, s, tail_bound=M_ENV_HALF)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvalidArgument, match="tol"):
+            oracles.laplace_numeric(m_half, 1.0, tol=tol)
+        with pytest.raises(InvalidArgument, match="tol"):
+            oracles.verify_pair("L_4_7", points=[{"nu": 0.5, "s": 1.0}],
+                                tol=tol)
+
 
 class TestMellin:
     def test_gamma_by_definition(self):

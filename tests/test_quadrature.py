@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mwright import quadrature
-from mwright.errors import QuadratureFailure
+from mwright.errors import InvalidArgument, QuadratureFailure
 
 
 def test_polynomial_exact():
@@ -83,6 +83,15 @@ def test_integrate_to_inf_probes_tail_when_unspecified():
     val, _ = quadrature.integrate_to_inf(
         lambda x: np.exp(-2.0 * np.asarray(x)), 0.0, tol=1e-10)
     assert_allclose(val, 0.5, atol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_integrate_to_inf_rejects_bad_tol(tol):
+    # no tail bound falls below a cut of 0.1 * tol <= 0; name the argument
+    # instead of failing to find a truncation radius
+    with pytest.raises(InvalidArgument, match="tol"):
+        quadrature.integrate_to_inf(lambda x: np.exp(-np.asarray(x)), 0.0,
+                                    tol=tol)
 
 
 class TestAdaptiveRows:

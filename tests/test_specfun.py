@@ -5,9 +5,11 @@ closed-form Gamma/erfc arithmetic; tags in comments name the oracle used.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from mwright import quadrature, specfun
@@ -306,6 +308,91 @@ class TestMittagLeffler:
         res = specfun.mittag_leffler_neg(nu, s, tol=1e-12)
         assert abs(res.value - ref) <= max(2.0 * res.abs_err_estimate, 1e-13)
         assert abs(res.value - ref) / ref < 1e-5
+
+
+def _ml_refs():
+    """{nu: (s, value)} from the committed 40-digit table (make_ml_refs.py)."""
+    table = np.loadtxt(Path(__file__).parent / "data" / "ml_refs.csv",
+                       delimiter=",", skiprows=2, dtype=str)
+    out = {}
+    for nu, s, value in table:
+        out.setdefault(float(nu), []).append((float(s), float(value)))
+    return {nu: tuple(map(np.array, zip(*rows))) for nu, rows in out.items()}
+
+
+class TestMittagLefflerRoutes:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-300])
+    def test_within_estimate_of_40_digit_references(self, tol):
+        # 50 odd-hundredth orders, s from 1e-8 to 1e6, both routes
+        refs = _ml_refs()
+        assert len(refs) == 50
+        for nu, (s, ref) in refs.items():
+            value, err, method = specfun._ml_array(nu, s, tol)
+            bound = err + 4.0 * np.spacing(np.abs(ref))
+            bad = np.abs(value - ref) > bound
+            assert not bad.any(), (nu, s[bad], value[bad], ref[bad], err[bad])
+            assert set(method) <= {"series", "asymptotic"}
+
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 0.9, 0.95, 1.3])
+    def test_values_match_scalar_loop_across_blocks(self, nu):
+        s = np.linspace(0.0, 20.0, 401)
+        if nu < 1.0:
+            s = np.concatenate((s, [1e-8, 1e-3, 1e2, 1e4, 1e6]))
+        s = np.random.default_rng(11).permutation(s)
+        results = [specfun.mittag_leffler_neg(nu, float(x)) for x in s]
+        if nu < 1.0:
+            spectral = sum(r.method == "asymptotic" for r in results)
+            assert spectral > quadrature._ROW_BLOCK
+            assert spectral < len(s)
+        vals = specfun.mittag_leffler_values(nu, s.reshape(-1, 1))
+        assert vals.shape == (len(s), 1)
+        for r, v in zip(results, vals[:, 0]):
+            assert v == r.value
+
+    @pytest.mark.parametrize("nu", [1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
+    def test_orders_next_to_one_approach_the_exponential(self, nu):
+        # the denominator's peak has width sin(nu pi) ~ pi (1 - nu); on these
+        # s, |dE/dnu| < 1 at nu = 1, so E_nu(-s) = exp(-s) + O(1 - nu)
+        for s in (0.5, 5.0, 20.0, 1e6):
+            res = specfun.mittag_leffler_neg(nu, s)
+            assert abs(res.value - math.exp(-s)) \
+                <= (1.0 - nu) + res.abs_err_estimate
+
+    @pytest.mark.parametrize("nu", [0.3, 0.7, 0.99])
+    def test_huge_argument_follows_the_leading_power(self, nu):
+        # E_nu(-s) = 1/(s Gamma(1 - nu)) + O(s^-2); the mass of the integral
+        # lies at u < 1/s, far below the denominator's peak for nu > 1/2
+        res = specfun.mittag_leffler_neg(nu, 1e300)
+        assert res.value == pytest.approx(1e-300 / math.gamma(1.0 - nu),
+                                          rel=1e-13)
+
+    def test_values_validate_like_scalar(self):
+        with pytest.raises(InvalidArgument):
+            specfun.mittag_leffler_values(0.5, [1.0, math.nan])
+        with pytest.raises(NegativeArgument):
+            specfun.mittag_leffler_values(0.5, [1.0, -1.0])
+        with pytest.raises(NonConvergence):
+            specfun.mittag_leffler_values(1.5, [1.0, 1e4])
+
+    @given(nu=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+           start=st.floats(0.0, 40.0),
+           gaps=st.lists(st.floats(0.05, 8.0), min_size=4, max_size=4))
+    def test_completely_monotone(self, nu, start, gaps):
+        # (-1)^k f[s_0..s_k] >= 0 for k <= 4, within what the estimates
+        # allow: f[s_0..s_k] = sum_i f(s_i) / prod_(j != i) (s_i - s_j)
+        s = start + np.concatenate(([0.0], np.cumsum(gaps)))
+        res = [specfun.mittag_leffler_neg(nu, float(x)) for x in s]
+        f = np.array([r.value for r in res])
+        slack = np.array([r.abs_err_estimate for r in res]) \
+            + 4.0 * np.spacing(f)
+        assert np.all((f > 0.0) & (f <= 1.0))
+        for k in range(1, 5):
+            for lo in range(len(s) - k):
+                x = s[lo:lo + k + 1]
+                w = 1.0 / np.array([np.prod(np.delete(xi - x, i))
+                                    for i, xi in enumerate(x)])
+                dd = (-1) ** k * np.dot(w, f[lo:lo + k + 1])
+                assert dd >= -np.dot(np.abs(w), slack[lo:lo + k + 1]), (k, x)
 
 
 class TestMomentsAndMellin:
