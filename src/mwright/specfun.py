@@ -5,13 +5,13 @@ M_nu and F_nu (Wright functions of the second kind that drive
 time-fractional diffusion), and the one-parameter Mittag-Leffler function
 E_nu(-s) on the negative real axis.
 
-Two engines serve them all. Every power series (W_{lam,mu}, M_nu, the
-Taylor series of E_nu(-s)) goes through `_series_terms`, which builds the
-terms of a block of arguments, a row each, and `_apply_stopping_rule`,
-which stops every row with its truncation and rounding estimates. Every
-integral (the stable density for M_nu, the spectral integral for E_nu(-s))
-has a positive integrand on (0, 1), taken for all rows at once by
-`quadrature.adaptive_rows`.
+Two engines serve them all. Every power series (W_{lam,mu}, M_nu, its
+mass W_{-nu,1}(-r), the Taylor series of E_nu(-s)) goes through
+`_series_terms`, which builds the terms of a block of arguments, a row
+each, and `_apply_stopping_rule`, which stops every row with its
+truncation and rounding estimates. Every integral (the stable density for
+M_nu and its mass, the spectral integral for E_nu(-s)) has a positive
+integrand on (0, 1), taken for all rows at once by `quadrature.adaptive_rows`.
 
 Evaluation strategy for M_nu (m_wright is the one-point case of
 m_wright_values, so both share validation and dispatch):
@@ -120,11 +120,11 @@ def _coefficients(lam: float, mu: float) -> np.ndarray:
 
 
 def _series_terms(lam: float, mu: float, z, factorial: bool = True,
-                  rebuild: bool = False) -> np.ndarray:
-    """Terms z^n / (n! Gamma(lam*n + mu)), n < 400, one row per entry of z.
+                  rebuild: bool = False, n: int = _TERM_BUDGET) -> np.ndarray:
+    """Terms z^k / (k! Gamma(lam*k + mu)), k < n <= 400, a row per entry of z.
 
-    Without the n! the rows hold the Mittag-Leffler terms
-    z^n / Gamma(lam*n + mu). Uses the reciprocal Gamma (entire, zero at
+    Without the k! the rows hold the Mittag-Leffler terms
+    z^k / Gamma(lam*k + mu). Uses the reciprocal Gamma (entire, zero at
     the poles) so no Gamma is ever evaluated at a non-positive argument.
     Entries that are not finite (an overflowing 1/Gamma or power factor)
     become +inf, which the stopping rule cannot pass. With rebuild=True
@@ -132,9 +132,9 @@ def _series_terms(lam: float, mu: float, z, factorial: bool = True,
     underflowed while 1/Gamma overflowed, and set to zero elsewhere.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    rg = _coefficients(lam, mu)
-    ratio = np.ones((z.size, _TERM_BUDGET))
-    ratio[:, 1:] = z[:, None] / (_N[1:] if factorial else 1.0)
+    rg = _coefficients(lam, mu)[:n]
+    ratio = np.ones((z.size, n))
+    ratio[:, 1:] = z[:, None] / (_N[1:n] if factorial else 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.cumprod(ratio, axis=1) * rg
     bad = ~np.isfinite(t)
@@ -173,7 +173,7 @@ def _apply_stopping_rule(terms: np.ndarray, tol: float):
     trunc = np.take_along_axis(absterms, k[:, None] - [2, 1, 0], 1).sum(1)
     # rounding floor: every term carries a few-ulp error, and for slowly
     # decaying alternating tables these accumulate with like signs
-    absterms[_N > k[:, None]] = 0.0
+    absterms[_N[:terms.shape[1]] > k[:, None]] = 0.0
     cancel = 2.0 * _EPS * absterms.sum(axis=1)
     miss = ~(run3.any(axis=1) & np.isfinite(value))
     if miss.any():
@@ -185,17 +185,17 @@ def _apply_stopping_rule(terms: np.ndarray, tol: float):
 def _sum_series(lam: float, mu: float, z, tol: float):
     """Stopped Wright series at every z: arrays (value, trunc_err, cancel_err).
 
-    Rows that miss the stopping rule because a term overflowed are
-    rebuilt in log space and stopped again; rows that still miss are NaN.
+    Every row is first stopped on 64 terms; rows that miss get the 400-term
+    budget, then, where a term overflowed, a log-space rebuild, and rows
+    that still miss are NaN. The result is the full budget's, bit for bit.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = _apply_stopping_rule(_series_terms(lam, mu, z), tol)
-    miss = np.isnan(out[0])
-    if miss.any():
-        redo = _apply_stopping_rule(
-            _series_terms(lam, mu, z[miss], rebuild=True), tol)
-        for a, b in zip(out, redo):
-            a[miss] = b
+    out = _apply_stopping_rule(_series_terms(lam, mu, z, n=64), tol)
+    for rebuild in (False, True):
+        if (miss := np.isnan(out[0])).any():
+            terms = _series_terms(lam, mu, z[miss], rebuild=rebuild)
+            for a, b in zip(out, _apply_stopping_rule(terms, tol)):
+                a[miss] = b
     return out
 
 
@@ -293,11 +293,12 @@ def _kanter_log_a(nu: float, phi: np.ndarray) -> np.ndarray:
             - np.log(np.sin(phi))) / (1.0 - nu)
 
 
-def _m_tail(nu: float, w: np.ndarray, tol: float):
+def _m_tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
     """M_nu at every radius w from the exact stable-density integral.
 
     M_nu(w) = w^{nu/(1-nu)}/(1-nu) * int_0^1 A(pi u) exp(-w^{1/(1-nu)} A(pi u)) du,
     integrated for all radii together. Returns (value, abs_err_estimate).
+    power=0 drops A and the prefactor: Zolotarev's mass int_w^inf M_nu.
     """
     with np.errstate(over="ignore"):  # c = inf is past the underflow cut
         c = w ** (1.0 / (1.0 - nu))
@@ -307,13 +308,13 @@ def _m_tail(nu: float, w: np.ndarray, tol: float):
     if not live.any():
         return value, err
     c = c[live]
-    logscale = (nu / (1.0 - nu)) * np.log(w[live]) - math.log1p(-nu)
+    logscale = power * ((nu / (1.0 - nu)) * np.log(w[live]) - math.log1p(-nu))
 
     def f(u, rows):
         la = _kanter_log_a(nu, np.pi * u)
         with np.errstate(over="ignore"):
             a = np.exp(np.minimum(la, 700.0))
-            out = np.exp(la - c[rows, None] * a + logscale[rows, None])
+            out = np.exp(power * la - c[rows, None] * a + logscale[rows, None])
         out[la > 700.0] = 0.0
         return out
 
@@ -402,6 +403,20 @@ def _m_wright_array(nu, rs, tol: float):
     tail = np.isnan(value)
     value[tail], err[tail] = _m_tail(nu, rs[tail], tol)
     return value, err, np.where(tail, METHOD_ASYMPTOTIC, METHOD_SERIES)
+
+
+def _half_mass(nu: float, r: np.ndarray, tol: float):
+    """int_r^inf M_nu, 0 <= nu < 1, and its estimate: W_{-nu,1}(-r) up to
+    crossover_radius(nu) where its estimate is <= tol x value, else _m_tail."""
+    if nu == 0.0:  # M_0(r) = exp(-r)
+        return np.exp(-r), 4.0 * _EPS * np.exp(-r)
+    value, err = np.full((2, r.size), np.nan)
+    near = r <= crossover_radius(nu)
+    v, trunc, cancel = _sum_series(-nu, 1.0, -r[near], 0.01 * tol)
+    value[near], err[near] = v, trunc + cancel
+    far = ~(err <= tol * value)
+    value[far], err[far] = _m_tail(nu, r[far], 0.0, power=0)
+    return value, err
 
 
 def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
@@ -529,13 +544,13 @@ def _ml_array(nu, s, tol: float):
     if (miss := np.isnan(v)).any():
         v[miss], trunc[miss], cancel[miss] = _apply_stopping_rule(
             terms[miss], tol)
-    if nu < 1.0:
-        # 1/Gamma at the rounded argument x = nu n + 1 moves a term by up to
-        # x |psi(x)| eps, beyond the series floor (56 ulps at nu = 0.9)
-        x = nu * _N + 1.0
-        with np.errstate(over="ignore"):
-            cancel = _EPS * (np.abs(terms) * (x * np.log(x) + 0.5 * _N
-                                              + 5.0)).sum(axis=1)
+    # 1/Gamma at the rounded argument x = nu n + 1 moves a term by up to
+    # x |psi(x)| eps, beyond the series floor (56 ulps at nu = 0.9)
+    x = nu * _N + 1.0
+    with np.errstate(over="ignore"):
+        w = np.abs(terms) * (x * np.log(x) + 0.5 * _N + 5.0)
+    w[np.isinf(w) & (nu > 1.0)] = 0.0  # nu < 1: inf sends rows to the integral
+    cancel = _EPS * w.sum(axis=1)
     value[rows], err[rows], method[rows] = v, trunc + cancel, METHOD_SERIES
     # nu > 1 has no other route; past s^(1/nu) = 60 cancellation wins
     if nu > 1.0 and (np.isnan(v) | ~(s[rows] ** (1.0 / nu) < 60.0)).any():

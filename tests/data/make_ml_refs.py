@@ -1,16 +1,20 @@
-"""Regenerate ml_refs.csv, the 40-digit references of E_nu(-s), 0 < nu < 1.
+"""Regenerate ml_refs.csv, the 40-digit references of E_nu(-s), 0 < nu < 2.
 
-    python3 tests/data/make_ml_refs.py      # needs mpmath; about 15 min
+    python3 tests/data/make_ml_refs.py      # needs mpmath; about 20 min
 
 Grid: the 50 odd-hundredth orders nu = 0.01, 0.03, ..., 0.99 times
-s in {1e-8, 1e-3, 0.5, 1, ..., 20, 1e2, 1e4, 1e6} (s = 0 is exactly 1).
-Every value is computed by two independent methods at 50 digits, which
-must agree to 1e-32 relative:
+s in {1e-8, 1e-3, 0.5, 1, ..., 20, 1e2, 1e4, 1e6} (s = 0 is exactly 1),
+then nu in {1.1, 1.3, 1.5, 1.7, 1.9} times s = 0.5, 1, ..., 29.5 with
+s^(1/nu) < 60, where the Taylor series is the only route in double
+precision. Every value is computed by two independent methods at 50
+digits, which must agree to 1e-32 relative:
 
 * the spectral integral
   sin(nu pi)/(nu pi) int_0^inf exp(-(s u)^(1/nu)) / (u^2 + 2u cos(nu pi) + 1) du,
   with breakpoints where (s u)^(1/nu) crosses e^-12 .. e^8 and at the
   peak u = -cos(nu pi) +- sin(nu pi) of the denominator for nu > 1/2;
+  for 1 < nu < 2 it is completed by the two poles' oscillating term
+  (2/nu) exp(s^(1/nu) cos(pi/nu)) cos(s^(1/nu) sin(pi/nu));
 * the Taylor sum sum_n (-s)^n / Gamma(nu n + 1) where s^(1/nu) <= 400
   (at a precision that absorbs its cancellation), else the inverse-power
   series sum_{k>=1} (-1)^(k+1) s^-k / Gamma(1 - nu k), summed while its
@@ -30,6 +34,9 @@ import mpmath as mp
 OUT = Path(__file__).resolve().parent / "ml_refs.csv"
 ORDERS = [k / 100 for k in range(1, 100, 2)]
 ARGS = [1e-8, 1e-3] + [0.5 * k for k in range(1, 41)] + [1e2, 1e4, 1e6]
+GRID = [(nu, s) for nu in ORDERS for s in ARGS] + [
+    (nu, 0.5 * k) for nu in (1.1, 1.3, 1.5, 1.7, 1.9) for k in range(1, 60)
+    if (0.5 * k) ** (1.0 / nu) < 60.0]
 DPS = 50
 
 
@@ -42,6 +49,10 @@ def spectral(nu: float, s: float) -> mp.mpf:
     pts = sorted(p for p in pts if p >= 0) + [mp.inf]
     val = mp.quad(lambda u: mp.exp(-(s_m * u) ** (1 / nu_m))
                   / (u * u + 2 * u * c + 1), pts)
+    if nu > 1:
+        t = s_m ** (1 / nu_m)
+        val += 2 * mp.pi / sn * mp.exp(t * mp.cospi(1 / nu_m)) \
+            * mp.cos(t * mp.sinpi(1 / nu_m))
     return sn / (nu_m * mp.pi) * val
 
 
@@ -82,20 +93,21 @@ def main() -> int:
              "nu,s,value"]
     worst = 0.0
     with mp.workdps(DPS):
-        for nu in ORDERS:
-            for s in ARGS:
-                a = spectral(nu, s)
-                b = (taylor(nu, s) if math.log(s) / nu <= math.log(400.0)
-                     else inverse_power(nu, s))
-                if b is None:
-                    raise RuntimeError(f"no second method at {nu}, {s}")
-                gap = float(abs(a - b) / abs(a))
-                worst = max(worst, gap)
-                if gap > 1e-32:
-                    raise RuntimeError(f"methods disagree at {nu}, {s}: {gap}")
-                digits = mp.nstr(a, 40, min_fixed=1, max_fixed=0)
-                lines.append(f"{nu!r},{s!r},{digits}")
-            print(f"nu={nu} done, worst gap so far {worst:.1e}", flush=True)
+        for i, (nu, s) in enumerate(GRID):
+            a = spectral(nu, s)
+            b = (taylor(nu, s) if math.log(s) / nu <= math.log(400.0)
+                 else inverse_power(nu, s))
+            if b is None:
+                raise RuntimeError(f"no second method at {nu}, {s}")
+            gap = float(abs(a - b) / abs(a))
+            worst = max(worst, gap)
+            if gap > 1e-32:
+                raise RuntimeError(f"methods disagree at {nu}, {s}: {gap}")
+            digits = mp.nstr(a, 40, min_fixed=1, max_fixed=0)
+            lines.append(f"{nu!r},{s!r},{digits}")
+            if i + 1 == len(GRID) or GRID[i + 1][0] != nu:
+                print(f"nu={nu} done, worst gap so far {worst:.1e}",
+                      flush=True)
     OUT.write_text("\n".join(lines) + "\n")
     return 0
 

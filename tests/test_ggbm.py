@@ -8,11 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
-from scipy.special import erf, rgamma
+from pathlib import Path
+
+from scipy.special import erf, ndtr, ndtri, rgamma
 from scipy.stats import kstest
 
-from mwright import ggbm, greens
-from mwright.errors import InsufficientPaths, InvalidArgument, InvalidOrder
+from mwright import ggbm, greens, specfun
+from mwright.errors import (
+    InsufficientPaths,
+    InvalidArgument,
+    InvalidOrder,
+    NonConvergence,
+)
 
 
 class TestCovariance:
@@ -77,8 +84,109 @@ class TestMarginal:
     def test_cdf_quantile_roundtrip(self):
         for p in (0.05, 0.3, 0.5, 0.9):
             q = ggbm.marginal_quantile(1.0, 0.6, p, 2.0)
-            assert ggbm.marginal_cdf(1.0, 0.6, float(q), 2.0) \
-                == pytest.approx(p, abs=2e-4)
+            assert abs(ggbm.marginal_cdf(1.0, 0.6, float(q), 2.0) - p) \
+                <= 1e-12 * min(p, 1.0 - p) + 1e-15
+
+
+def _mass_refs():
+    """{beta: (r, int_r^inf M_(beta/2))} from the 40-digit table
+    (make_mass_refs.py)."""
+    table = np.loadtxt(Path(__file__).parent / "data" / "mass_refs.csv",
+                       delimiter=",", skiprows=2, dtype=str)
+    out = {}
+    for beta, r, value in table:
+        out.setdefault(float(beta), []).append((float(r), float(value)))
+    return {b: tuple(map(np.array, zip(*rows))) for b, rows in out.items()}
+
+
+_ORDERS = st.floats(0.0, 1.0, exclude_min=True)
+_ALPHAS = st.floats(0.0, 2.0, exclude_min=True)
+_TIMES = st.floats(1e-3, 1e3)
+
+
+class TestMarginalLaw:
+    def test_mass_within_estimate_of_40_digit_references(self):
+        # 20 orders beta = 0.05..1, radii from 0 to where the mass is 1e-300
+        refs = _mass_refs()
+        assert len(refs) == 20
+        for beta, (r, ref) in refs.items():
+            value, err = specfun._half_mass(0.5 * beta, r, 1e-13)
+            bad = np.abs(value - ref) > err + 4.0 * np.spacing(ref)
+            assert not bad.any(), (beta, r[bad], value[bad], ref[bad])
+            assert ref.min() < 1e-190  # the table reaches the far tail
+
+    def test_cdf_within_1e_12_of_references(self):
+        for beta, (r, ref) in _mass_refs().items():
+            for x, want in ((-r, 0.5 * ref), (r, 1.0 - 0.5 * ref)):
+                got = ggbm.marginal_cdf(1.3, beta, x * 2.0 ** 0.65, 2.0)
+                assert np.abs(got - want).max() <= 1e-12, beta
+
+    def test_gaussian_order_matches_ndtr(self):
+        # beta = 1: the normal law with variance 2 t^alpha
+        x = np.concatenate((-np.logspace(-3, 1.6, 60), [0.0],
+                            np.logspace(-3, 1.6, 60)))
+        sd = math.sqrt(2.0 * 0.7 ** 1.5)
+        got = ggbm.marginal_cdf(1.5, 1.0, x * sd, 0.7)
+        want = ndtr(x)
+        assert_allclose(got, want, rtol=1e-13, atol=1e-16)
+        p = np.concatenate((np.logspace(-12, -0.5, 40),
+                            1.0 - np.logspace(-12, -0.5, 40)))
+        assert_allclose(ggbm.marginal_quantile(1.5, 1.0, p, 0.7),
+                        sd * ndtri(p), rtol=1e-12)
+
+    def test_far_tail_quantile(self):
+        # root of int_r^inf M_(1/4) = 2e-12, by mpmath findroot on
+        # Zolotarev's integral at 30 digits
+        q = ggbm.marginal_quantile(1.0, 0.5, 1e-12, 1.0)
+        assert q == pytest.approx(-19.663931476964985570, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [math.nan, [0.3, math.nan]])
+    def test_nan_argument_rejected(self, x):
+        with pytest.raises(InvalidArgument):
+            ggbm.marginal_cdf(1.0, 0.5, x, 1.0)
+        with pytest.raises(InvalidArgument):
+            ggbm.marginal_quantile(1.0, 0.5, x, 1.0)
+
+    def test_scalar_levels_give_python_floats(self):
+        assert type(ggbm.marginal_quantile(1.0, 0.5, 0.3, 1.0)) is float
+        assert type(ggbm.marginal_cdf(1.0, 0.5, 0.3, 1.0)) is float
+        q = ggbm.marginal_quantile(1.0, 0.5, [[0.2, 0.5, 0.8]], 1.0)
+        assert q.shape == (1, 3) and q[0, 1] == 0.0
+
+    def test_infinite_arguments_are_exact(self):
+        got = ggbm.marginal_cdf(1.0, 0.5, [-math.inf, math.inf], 1.0)
+        assert got.tolist() == [0.0, 1.0]
+
+    def test_level_that_does_not_converge_raises(self, monkeypatch):
+        # a slope far too steep stalls Newton's method: the level must
+        # end in NonConvergence, never in an inf or NaN quantile
+        monkeypatch.setattr(specfun, "m_wright_values",
+                            lambda nu, r: np.full(np.shape(r), 1e300))
+        with pytest.raises(NonConvergence):
+            ggbm.marginal_quantile(1.0, 0.5, 0.1, 1.0)
+
+    @given(beta=_ORDERS, alpha=_ALPHAS, t=_TIMES,
+           x0=st.floats(-60.0, 60.0),
+           gaps=st.lists(st.floats(1e-6, 8.0), min_size=1, max_size=6))
+    def test_cdf_is_a_distribution_function(self, beta, alpha, t, x0, gaps):
+        x = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
+        f = ggbm.marginal_cdf(alpha, beta, x, t)
+        assert np.all((f >= 0.0) & (f <= 1.0))
+        assert np.all(np.diff(f) >= 0.0), (x, f)
+        assert np.all(np.abs(ggbm.marginal_cdf(alpha, beta, -x, t) + f - 1.0)
+                      <= 2.0 * np.spacing(1.0))
+
+    @given(beta=_ORDERS, alpha=_ALPHAS, t=_TIMES,
+           p=st.floats(1e-12, 1.0 - 1e-12))
+    def test_quantile_inverts_cdf(self, beta, alpha, t, p):
+        q = ggbm.marginal_quantile(alpha, beta, p, t)
+        assert abs(ggbm.marginal_cdf(alpha, beta, q, t) - p) \
+            <= 1e-12 * min(p, 1.0 - p) + 1e-15
+        scale = t ** (0.5 * alpha)
+        f = ggbm.marginal_cdf(alpha, beta, q + 0.5 * scale, t)
+        if 1e-12 <= f <= 1.0 - 1e-12:  # and back from the CDF side
+            back = ggbm.marginal_quantile(alpha, beta, f, t)
+            assert abs(back - (q + 0.5 * scale)) <= 1e-9 * (scale + abs(q))
 
 
 class TestNPoint:
@@ -185,18 +293,12 @@ class TestMixingLambda:
         assert p > 0.01
 
     def test_law_matches_generic_order_density(self):
-        # second order without a closed form: KS against the numerically
-        # integrated distribution of M_(0.3)
-        from mwright import specfun
-
+        # second order without a closed form: KS against the exact
+        # distribution 1 - int_v^inf M_(0.3) of the mixing variable
         rng = np.random.default_rng(7777)
         lam = ggbm.sample_mixing_lambda(0.3, rng, 10_000)
-        r_max = specfun.asymptotic_radius(0.3, 1e-14)
-        rs = np.linspace(0.0, r_max, 4001)
-        vals = specfun.m_wright_values(0.3, rs)
-        cdf = np.concatenate(([0.0], np.cumsum(
-            0.5 * (vals[1:] + vals[:-1]) * np.diff(rs))))
-        p = kstest(lam, lambda v: np.interp(v, rs, cdf / cdf[-1])).pvalue
+        p = kstest(lam, lambda v: 1.0 - specfun._half_mass(
+            0.3, np.asarray(v, dtype=float), 1e-13)[0]).pvalue
         assert p > 0.01
 
 

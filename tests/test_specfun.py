@@ -90,6 +90,27 @@ class TestSeriesEngine:
             for b, one in zip(block, single):
                 np.testing.assert_array_equal(b[i], one[0])
 
+    @pytest.mark.parametrize("mass", [False, True])
+    def test_short_first_block_matches_full_budget(self, mass):
+        # M_nu (mu = 1 - nu) and its mass W_{-nu,1} (mu = 1), past r* too:
+        # the 64-term block and the 400-term stop must agree bit for bit
+        rebuilt = 0
+        for nu in (0.05, 0.25, 0.5, 0.75, 0.9, 0.98):
+            z = -np.linspace(0.0, 1.5 * specfun.crossover_radius(nu), 200)
+            mu = 1.0 if mass else 1.0 - nu
+            for tol in (1e-10, 1e-14):
+                full = specfun._apply_stopping_rule(
+                    specfun._series_terms(-nu, mu, z), tol)
+                miss = np.isnan(full[0])
+                rebuilt += miss.sum()
+                redo = specfun._apply_stopping_rule(
+                    specfun._series_terms(-nu, mu, z[miss], rebuild=True), tol)
+                for a, b in zip(full, redo):
+                    a[miss] = b
+                for a, b in zip(specfun._sum_series(-nu, mu, z, tol), full):
+                    assert a.tobytes() == b.tobytes(), (nu, tol)
+        assert rebuilt > 0
+
 
 class TestMWright:
     def test_gaussian_point(self):
@@ -324,7 +345,7 @@ class TestMittagLefflerRoutes:
     @pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-300])
     def test_within_estimate_of_40_digit_references(self, tol):
         # 50 odd-hundredth orders, s from 1e-8 to 1e6, both routes
-        refs = _ml_refs()
+        refs = {nu: v for nu, v in _ml_refs().items() if nu < 1.0}
         assert len(refs) == 50
         for nu, (s, ref) in refs.items():
             value, err, method = specfun._ml_array(nu, s, tol)
@@ -332,6 +353,18 @@ class TestMittagLefflerRoutes:
             bad = np.abs(value - ref) > bound
             assert not bad.any(), (nu, s[bad], value[bad], ref[bad], err[bad])
             assert set(method) <= {"series", "asymptotic"}
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_taylor_estimates_cover_orders_above_one(self, tol):
+        # nu = 1.1..1.9, s = 0.5..29.5 with s^(1/nu) < 60: the Taylor series
+        # is the only route, and its cancellation reaches 1e-6 at (1.1, 29)
+        refs = {nu: v for nu, v in _ml_refs().items() if nu > 1.0}
+        assert sorted(refs) == [1.1, 1.3, 1.5, 1.7, 1.9]
+        for nu, (s, ref) in refs.items():
+            value, err, method = specfun._ml_array(nu, s, tol)
+            bad = np.abs(value - ref) > err + 4.0 * np.spacing(np.abs(ref))
+            assert not bad.any(), (nu, s[bad], value[bad], ref[bad], err[bad])
+            assert set(method) == {"series"} and np.isfinite(err).all()
 
     @pytest.mark.parametrize("nu", [0.25, 0.5, 0.9, 0.95, 1.3])
     def test_values_match_scalar_loop_across_blocks(self, nu):
