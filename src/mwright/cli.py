@@ -17,15 +17,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, ggbm, greens, specfun, verification
+from . import __version__, _csv, ggbm, greens, specfun, verification
 from .errors import DomainError
 from .gridfn import GridFunction
-
-_FMT = "{:.17g}"
-
-
-def _fmt(v: float) -> str:
-    return _FMT.format(float(v))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -37,22 +31,16 @@ def _parse_floats(text: str) -> list[float]:
 
 def _write_table(path, header_meta: str, columns: dict, log_columns: bool):
     names = list(columns)
-    rows = len(columns[names[0]])
+    table = [np.asarray(columns[n], dtype=float) for n in names]
+    if log_columns:
+        names += [f"log10|{n}|" for n in names[1:]]
+        table += [[math.log10(y) if y > 0 else -math.inf
+                   for y in np.abs(col).tolist()] for col in table[1:]]
     out = sys.stdout if path in (None, "-") else open(path, "w")
     try:
         out.write(f"# {header_meta}\n")
-        if log_columns:
-            names_out = names + [f"log10|{n}|" for n in names[1:]]
-        else:
-            names_out = names
-        out.write(",".join(names_out) + "\n")
-        for i in range(rows):
-            vals = [_fmt(columns[n][i]) for n in names]
-            if log_columns:
-                for n in names[1:]:
-                    y = abs(columns[n][i])
-                    vals.append(_fmt(math.log10(y)) if y > 0 else "-inf")
-            out.write(",".join(vals) + "\n")
+        out.write(",".join(names) + "\n")
+        _csv.write_rows(out, np.column_stack(table))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -75,3 +75,7 @@ class NotPositiveDefinite(ArithmeticError):
 
 class CFLViolation(ArithmeticError):
     """Time-stepping update grew beyond the stability guard."""
+
+
+class ResultOverflow(ArithmeticError):
+    """A result lies outside the double range."""

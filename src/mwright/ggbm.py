@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc as _chdtrc, gamma as _gamma, rgamma as _rgamma
 
-from . import greens, quadrature, specfun
+from . import _csv, greens, quadrature, specfun
 from .errors import (
     InsufficientPaths,
     InvalidArgument,
@@ -26,10 +26,11 @@ from .errors import (
     InvalidTime,
     NonConvergence,
     NotPositiveDefinite,
+    ResultOverflow,
 )
 
 _BATCH = 4096  # fixed sampling batch; keeps path i independent of n_paths
-_SAVE_ROWS = 1024  # rows formatted per write in PathEnsemble.save
+_SAVE_ROWS = 256  # rows encoded per write in PathEnsemble.save
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,10 @@ class PathEnsemble:
         """Write '<prefix>.csv' (one row per path) and '<prefix>.json'."""
         csv_path = f"{prefix}.csv"
         json_path = f"{prefix}.json"
-        with open(csv_path, "w") as fh:
-            fh.write("# ggbm ensemble; columns are sampling times\n")
-            fh.write("# " + ",".join(f"{t:.17g}" for t in self.spec.times)
-                     + "\n")
-            # one %-format per block of rows: same text as a per-value
-            # f"{v:.17g}", without a whole-file string in memory
-            line = ",".join(["%.17g"] * self.paths.shape[1]) + "\n"
-            for start in range(0, self.n_paths, _SAVE_ROWS):
-                block = self.paths[start:start + _SAVE_ROWS]
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        with open(csv_path, "wb") as fh:
+            fh.write(b"# ggbm ensemble; columns are sampling times\n# ")
+            fh.write(_csv.encode_rows(self.spec.times[None, :]))
+            _csv.write_rows(fh, self.paths, _SAVE_ROWS)
         with open(json_path, "w") as fh:
             json.dump(self.sidecar(), fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -288,7 +283,8 @@ def marginal_quantile(alpha: float, beta: float, p, t: float):
     """Quantiles of the one-point law (vectorized in p): Newton's method on
     F(x) = min(p, 1 - p) at t = 1 from x = 0, all levels at once; F is convex
     for x < 0, so the iterates fall to the root in about -ln min(p, 1 - p)
-    steps. |F(q) - p| <= 1e-12 min(p, 1 - p) + 1e-15, else NonConvergence."""
+    steps. |F(q) - p| <= 1e-12 min(p, 1 - p) + 1e-15, else NonConvergence;
+    ResultOverflow when a quantile scaled to time t is not finite."""
     if not t > 0.0:
         raise InvalidTime("need t > 0")
     p = np.asarray(p, dtype=float)
@@ -298,7 +294,12 @@ def marginal_quantile(alpha: float, beta: float, p, t: float):
     for _ in range(1000):
         gap = marginal_cdf(alpha, beta, x, 1.0) - low
         if (np.abs(gap) <= 0.25e-12 * low).all():
-            out = np.sign(0.5 - p) * x * t ** (0.5 * alpha)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.sign(0.5 - p) * x * t ** (0.5 * alpha)
+            if not np.isfinite(out).all():
+                bad = float(p[~np.isfinite(out)].flat[0])
+                raise ResultOverflow(f"the quantile at p={bad!r}, t={t!r} "
+                                     f"exceeds the double range")
             return float(out) if out.ndim == 0 else out
         x -= 2.0 * gap / specfun.m_wright_values(0.5 * beta, np.abs(x))
     raise NonConvergence("a quantile level missed in 1000 Newton steps")

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csv
 from .errors import NonUniformGrid
 
 
@@ -46,13 +47,13 @@ class GridFunction:
         return self.spacing
 
     def to_csv(self, path_or_buf) -> None:
-        """Two-column CSV with a '#' header line carrying the metadata."""
+        """Two-column CSV with a '#' header line carrying the metadata and
+        every value to 17 significant digits, as "%.17g" prints it."""
         own = isinstance(path_or_buf, (str, bytes))
         fh = open(path_or_buf, "w") if own else path_or_buf
         try:
             fh.write(f"# {self.meta}\n")
-            for x, y in zip(self.xs, self.ys):
-                fh.write(f"{x:.17g},{y:.17g}\n")
+            _csv.write_rows(fh, np.column_stack([self.xs, self.ys]))
         finally:
             if own:
                 fh.close()

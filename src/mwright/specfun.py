@@ -157,12 +157,13 @@ def _series_terms(lam: float, mu: float, z, factorial: bool = True,
     return t
 
 
-def _apply_stopping_rule(terms: np.ndarray, tol: float):
+def _apply_stopping_rule(terms: np.ndarray, tol: float, weight=None):
     """Stopping rule per row: three consecutive terms below tol*|partial sum|.
 
     Returns arrays (value, trunc_err, cancel_err), NaN in every row where
     the rule is not met within the supplied terms or only after a term
-    overflowed.
+    overflowed. cancel_err is 2 eps sum |term| over the terms up to the
+    stop, each times weight[n] when a per-term weight is given.
     """
     s = np.cumsum(terms, axis=1)
     absterms = np.abs(terms)
@@ -174,6 +175,8 @@ def _apply_stopping_rule(terms: np.ndarray, tol: float):
     # rounding floor: every term carries a few-ulp error, and for slowly
     # decaying alternating tables these accumulate with like signs
     absterms[_N[:terms.shape[1]] > k[:, None]] = 0.0
+    if weight is not None:
+        absterms *= weight[:terms.shape[1]]
     cancel = 2.0 * _EPS * absterms.sum(axis=1)
     miss = ~(run3.any(axis=1) & np.isfinite(value))
     if miss.any():
@@ -537,20 +540,18 @@ def _ml_array(nu, s, tol: float):
                     else [math.exp(-x) for x in s[exact]])
     err[exact] = 4.0 * _EPS * value[exact]
     method[exact] = METHOD_LIMIT_CASE if nu == 0.0 else METHOD_CLOSED_FORM
-    # Taylor rows, stopped at min(tol, 1e-13), else at tol, else NaN
+    # Taylor rows, stopped at min(tol, 1e-13), else at tol, else NaN. 1/Gamma
+    # at the rounded argument x = nu n + 1 moves a term by up to x |psi(x)|
+    # eps, beyond the series floor (56 ulps at nu = 0.9): the floor weighs
+    # each term used by half of x log x + n / 2 + 5
     rows = np.flatnonzero((s > 0.0) & ~exact)
     terms = _series_terms(nu, 1.0, -s[rows], factorial=False)
-    v, trunc, cancel = _apply_stopping_rule(terms, min(tol, 1e-13))
+    x = nu * _N + 1.0
+    weight = 0.5 * (x * np.log(x) + 0.5 * _N + 5.0)
+    v, trunc, cancel = _apply_stopping_rule(terms, min(tol, 1e-13), weight)
     if (miss := np.isnan(v)).any():
         v[miss], trunc[miss], cancel[miss] = _apply_stopping_rule(
-            terms[miss], tol)
-    # 1/Gamma at the rounded argument x = nu n + 1 moves a term by up to
-    # x |psi(x)| eps, beyond the series floor (56 ulps at nu = 0.9)
-    x = nu * _N + 1.0
-    with np.errstate(over="ignore"):
-        w = np.abs(terms) * (x * np.log(x) + 0.5 * _N + 5.0)
-    w[np.isinf(w) & (nu > 1.0)] = 0.0  # nu < 1: inf sends rows to the integral
-    cancel = _EPS * w.sum(axis=1)
+            terms[miss], tol, weight)
     value[rows], err[rows], method[rows] = v, trunc + cancel, METHOD_SERIES
     # nu > 1 has no other route; past s^(1/nu) = 60 cancellation wins
     if nu > 1.0 and (np.isnan(v) | ~(s[rows] ** (1.0 / nu) < 60.0)).any():

@@ -176,6 +176,22 @@ class TestIOErrors:
         assert "--out" in err
 
 
+    def test_result_overflow_is_one_error_line(self, capsys, tmp_path,
+                                               monkeypatch):
+        from mwright.errors import ResultOverflow
+
+        def overflow(alpha, beta, p, t):
+            raise ResultOverflow(f"the quantile at p=0.05, t={t!r} exceeds "
+                                 f"the double range")
+
+        monkeypatch.setattr(cli.ggbm, "marginal_quantile", overflow)
+        assert run(["simulate", "--alpha", "1", "--beta", "0.5",
+                    "--n-paths", "100", "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "p=0.05" in err
+
+
 class TestGreenSolveSimulate:
     def test_green_profile_header(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -280,3 +296,104 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+
+def _per_value(rows) -> str:
+    """The CSV body as a per-value "%.17g" writer prints it."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+
+def _parse(lines) -> np.ndarray:
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Every array a writer hands to the encoder, in call order."""
+    from mwright import _csv
+    seen = []
+    encode = _csv.write_rows
+
+    def spy(fh, values, rows=None):
+        seen.append(np.array(values, dtype=float))
+        encode(fh, values, rows)
+
+    monkeypatch.setattr(_csv, "write_rows", spy)
+    return seen
+
+
+class TestCsvRoundTrip:
+    """CLI CSVs parse back to the computed arrays, bit for bit, and equal
+    the per-value writer's text."""
+
+    @pytest.mark.parametrize("log10", [False, True])
+    def test_tabulate(self, tmp_path, written, log10):
+        from mwright import greens
+        out = tmp_path / "t.csv"
+        # drift is zero for x < 0, so the log panel holds -inf cells
+        assert run(["tabulate", "--function", "drift", "--params", "0.3,0.7",
+                    "--xmin", "-1", "--xmax", "7", "--step", "0.125",
+                    "--out", str(out)] + ["--log10"] * log10) == 0
+        (table,) = written
+        xs = np.arange(-1.0, 7.0 + 0.0625, 0.125)
+        linear = [xs] + [greens.drift_green_values(greens.DriftSpec(b), xs,
+                                                   1.0) for b in (0.3, 0.7)]
+        logs = [[math.log10(abs(y)) if abs(y) > 0 else -math.inf for y in c]
+                for c in linear[1:]] if log10 else []
+        want = np.column_stack(linear + logs)
+        assert table.tobytes() == want.tobytes()
+        assert np.isneginf(table).any() == log10
+        lines = out.read_text().splitlines()
+        assert lines[1].split(",")[3:] == (
+            ["log10|drift_0.3|", "log10|drift_0.7|"] if log10 else [])
+        assert "\n".join(lines[2:]) + "\n" == _per_value(want)
+        assert _parse(lines[2:]).tobytes() == want.tobytes()
+
+    def test_green(self, tmp_path, written):
+        from mwright import greens
+        out = tmp_path / "g.csv"
+        assert run(["green", "--alpha", "0.6", "--beta", "0.4", "--t", "0.5",
+                    "--xmin", "-3", "--xmax", "3", "--step", "0.05",
+                    "--out", str(out)]) == 0
+        (table,) = written
+        xs = np.arange(-3.0, 3.0 + 0.025, 0.05)
+        ys = greens.green_density_values(greens.GreenSpec(0.6, 0.4, 1.0),
+                                         xs, 0.5)
+        assert table.tobytes() == np.column_stack([xs, ys]).tobytes()
+        lines = out.read_text().splitlines()[1:]
+        assert "\n".join(lines) + "\n" == _per_value(table)
+        assert _parse(lines).tobytes() == table.tobytes()
+
+    def test_solve(self, tmp_path, written, monkeypatch):
+        from mwright import greens
+        solved = []
+        solve = greens.solve_volterra
+
+        def keep(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(cli.greens, "solve_volterra", keep)
+        out = tmp_path / "u.csv"
+        assert run(["solve", "--alpha", "1", "--beta", "0.6", "--t-end",
+                    "0.2", "--nt", "16", "--nx", "101", "--out",
+                    str(out)]) == 0
+        (table,) = written
+        want = np.column_stack([solved[0].xs, solved[0].ys])
+        assert table.tobytes() == want.tobytes()
+        lines = out.read_text().splitlines()[1:]
+        assert "\n".join(lines) + "\n" == _per_value(want)
+        assert _parse(lines).tobytes() == want.tobytes()
+
+    def test_simulate(self, tmp_path, written):
+        from mwright import ggbm
+        assert run(["simulate", "--alpha", "0.7", "--beta", "0.4",
+                    "--times", "0.001,0.5,1,1000", "--n-paths", "700",
+                    "--seed", "9", "--out", str(tmp_path / "e")]) == 0
+        spec = ggbm.CovSpec(0.7, 0.4, np.array([0.001, 0.5, 1.0, 1000.0]))
+        want = ggbm.sample_paths(spec, 700, 9).paths
+        assert np.concatenate(written).tobytes() == want.tobytes()
+        lines = (tmp_path / "e.csv").read_text().splitlines()
+        assert lines[1] == "# " + _per_value([spec.times]).rstrip("\n")
+        assert "\n".join(lines[2:]) + "\n" == _per_value(want)
+        assert _parse(lines[2:]).tobytes() == want.tobytes()

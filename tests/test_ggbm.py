@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mwright.errors import (
     InvalidArgument,
     InvalidOrder,
     NonConvergence,
+    ResultOverflow,
 )
 
 
@@ -164,6 +166,16 @@ class TestMarginalLaw:
                             lambda nu, r: np.full(np.shape(r), 1e300))
         with pytest.raises(NonConvergence):
             ggbm.marginal_quantile(1.0, 0.5, 0.1, 1.0)
+
+    @pytest.mark.parametrize("p", [1e-12, [0.5, 1e-12, 0.9]])
+    def test_quantile_beyond_double_range_raises(self, p):
+        # the t = 1 quantile is finite, scaled by t^(alpha/2) it is not:
+        # a named error, and no overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResultOverflow, match=r"p=1e-12, t=1e\+308"):
+                ggbm.marginal_quantile(2.0, 0.5, p, 1e308)
+        assert ggbm.marginal_quantile(2.0, 0.5, 0.5, 1e308) == 0.0
 
     @given(beta=_ORDERS, alpha=_ALPHAS, t=_TIMES,
            x0=st.floats(-60.0, 60.0),

@@ -366,6 +366,19 @@ class TestMittagLefflerRoutes:
             assert not bad.any(), (nu, s[bad], value[bad], ref[bad], err[bad])
             assert set(method) == {"series"} and np.isfinite(err).all()
 
+    @pytest.mark.parametrize("nu, s, tol", [(0.99, 6.0, 1e-10),
+                                            (0.95, 6.5, 1e-10),
+                                            (0.9, 6.0, 1e-8)])
+    def test_taylor_kept_where_terms_overflow_after_the_stop(self, nu, s,
+                                                             tol):
+        # terms past the stop overflow (s^n, n < 400); the rounding floor
+        # sums only the terms up to the stop, so the row stays on the
+        # series instead of costing a spectral pass
+        res = specfun.mittag_leffler_neg(nu, s, tol)
+        assert res.method == "series" and res.abs_err_estimate <= tol
+        (ref,), (ref_err,) = specfun._ml_spectral(nu, np.array([s]), 1e-14)
+        assert abs(res.value - ref) <= res.abs_err_estimate + ref_err
+
     @pytest.mark.parametrize("nu", [0.25, 0.5, 0.9, 0.95, 1.3])
     def test_values_match_scalar_loop_across_blocks(self, nu):
         s = np.linspace(0.0, 20.0, 401)
