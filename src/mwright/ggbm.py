@@ -31,11 +31,16 @@ from .errors import (
 
 _BATCH = 4096  # fixed sampling batch; keeps path i independent of n_paths
 _SAVE_ROWS = 256  # rows encoded per write in PathEnsemble.save
+_STATS_ROWS = 512  # rows per cache-resident block in ensemble_stats
 
 
 @dataclass(frozen=True)
 class CovSpec:
-    """Covariance parameters: exponents (alpha, beta) and sampling times."""
+    """Covariance parameters: exponents (alpha, beta) and sampling times.
+
+    ResultOverflow when the largest variance 2 t^alpha / Gamma(1+beta) is
+    not a finite double.
+    """
 
     alpha: float
     beta: float
@@ -54,6 +59,13 @@ class CovSpec:
                 and (np.diff(times) > 0.0).all()):
             raise InvalidArgument(
                 "times must be finite, strictly increasing and > 0")
+        with np.errstate(over="ignore"):
+            top = 2.0 * times[-1] ** self.alpha * _rgamma(1.0 + self.beta)
+        if not np.isfinite(top):
+            raise ResultOverflow(
+                f"the covariance 2 t^alpha / Gamma(1+beta) at "
+                f"t={float(times[-1])!r}, alpha={self.alpha!r} exceeds the "
+                f"double range")
 
 
 @dataclass
@@ -238,25 +250,31 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
 
     Paths are generated in fixed-size batches on spawned substreams, so
     path i is reproducible independently of n_paths; the same seed yields
-    a bit-identical ensemble.
+    a bit-identical ensemble. Each full batch is drawn into one reused
+    normal buffer and multiplied straight into its rows of the ensemble;
+    the result equals, bit for bit, sqrt(Lambda) * (Z @ chol.T) formed
+    batch by batch in fresh arrays.
     """
     if n_paths < 1:
         raise InvalidArgument("need n_paths >= 1")
-    chol = _cholesky(_raw_covariance(spec))
+    chol_t = _cholesky(_raw_covariance(spec)).T
     ntimes = len(spec.times)
     n_batches = (n_paths + _BATCH - 1) // _BATCH
     children = np.random.SeedSequence(seed).spawn(n_batches)
     paths = np.empty((n_paths, ntimes))
     lambdas = np.empty(n_paths)
+    z = np.empty((_BATCH, ntimes))
     for b in range(n_batches):
         rng = np.random.Generator(np.random.PCG64(children[b]))
         lam = sample_mixing_lambda(spec.beta, rng, _BATCH)
-        z = rng.standard_normal((_BATCH, ntimes))
-        g = z @ chol.T
-        block = np.sqrt(lam)[:, None] * g
+        rng.standard_normal(out=z)
         lo = b * _BATCH
         hi = min(lo + _BATCH, n_paths)
-        paths[lo:hi] = block[: hi - lo]
+        if hi - lo == _BATCH:
+            block = np.matmul(z, chol_t, out=paths[lo:hi])
+            block *= np.sqrt(lam)[:, None]
+        else:  # the same full-batch product as the other batches, cut
+            paths[lo:hi] = (np.sqrt(lam)[:, None] * (z @ chol_t))[: hi - lo]
         lambdas[lo:hi] = lam[: hi - lo]
     return PathEnsemble(spec, paths, int(seed), lambdas)
 
@@ -314,8 +332,8 @@ class StatsReport:
     mean_se: np.ndarray
     variance: np.ndarray
     variance_se: np.ndarray
-    lag1_increment_corr: float
-    lag1_increment_corr_se: float
+    lag1_increment_corr: float | None  # None with fewer than three times
+    lag1_increment_corr_se: float | None
     chi2_stat: float
     chi2_pvalue: float
     chi2_cells: int
@@ -343,30 +361,51 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
 
     Standard errors use empirical higher moments (no normality assumed);
     the chi-square test bins the final-time marginal on equal-probability
-    cells of the analytic law.
+    cells of the analytic law. The lag-1 increment correlation needs two
+    increments, so it and its SE are None for fewer than three times.
+
+    After the mean, one pass walks the paths in blocks of _STATS_ROWS
+    rows. Each block's central sums are carried into the next block's
+    first row, so they add rows in the order numpy's axis-0 reduction of
+    the whole array does, and every field equals the full-array formulas
+    (x.std(axis=0, ddof=1), (((x - mean) ** 2) ** 2).mean(axis=0),
+    (d * d).mean() over the increments d, ...) bit for bit.
     """
     n = e.n_paths
     if n < 100:
         raise InsufficientPaths(f"need at least 100 paths, got {n}")
     x = e.paths
+    ntimes = x.shape[1]
     mean = x.mean(axis=0)
-    sd = x.std(axis=0, ddof=1)
+    s2, s4 = np.zeros(ntimes), np.zeros(ntimes)
+    lag1 = ntimes >= 3
+    if lag1:
+        per_path, dd = np.empty(n), np.empty((n, ntimes - 1))
+    # a single column is reduced pairwise, not row by row: one block
+    step = _STATS_ROWS if ntimes > 1 else n
+    for lo in range(0, n, step):
+        blk = x[lo:lo + step]
+        dev = blk - mean
+        dev *= dev
+        dev4 = dev * dev  # two squarings: ** 4 would go through pow
+        for acc, terms in ((s2, dev), (s4, dev4)):
+            terms[0] += acc
+            np.add.reduce(terms, axis=0, out=acc)
+        if lag1:
+            d = np.subtract(blk[:, 1:], blk[:, :-1], out=dd[lo:lo + step])
+            np.mean(d[:, :-1] * d[:, 1:], axis=1, out=per_path[lo:lo + step])
+            d *= d
+    sd = np.sqrt(s2 / (n - 1))
     mean_se = sd / math.sqrt(n)
     var = sd * sd
-    dev4 = x - mean
-    dev4 *= dev4  # two squarings: ** 4 would go through pow
-    dev4 *= dev4
-    m4 = dev4.mean(axis=0)
-    del dev4  # free it before the increment arrays below
-    var_se = np.sqrt(np.maximum(m4 - var * var, 0.0) / n)
+    var_se = np.sqrt(np.maximum(s4 / n - var * var, 0.0) / n)
 
-    d = np.diff(x, axis=1)
-    prod = d[:, :-1] * d[:, 1:]
-    per_path = prod.mean(axis=1)
-    c01 = float(per_path.mean())
-    c00 = float((d * d).mean())
-    corr = c01 / c00
-    corr_se = float(per_path.std(ddof=1)) / math.sqrt(n) / c00
+    corr = corr_se = None
+    if lag1:
+        c01 = float(per_path.mean())
+        c00 = float(dd.mean())  # one pairwise mean over every increment
+        corr = c01 / c00
+        corr_se = float(per_path.std(ddof=1)) / math.sqrt(n) / c00
 
     t_final = float(e.spec.times[-1])
     edges = marginal_quantile(e.spec.alpha, e.spec.beta,

@@ -50,6 +50,9 @@ _EPS = float(np.finfo(float).eps)
 _TERM_BUDGET = 400
 _N = np.arange(_TERM_BUDGET)
 NU_MAX = 0.99  # evaluation cap; the peak near r=1 defeats doubles beyond this
+# Below the least normal double, nu phi underflows in the stable kernel;
+# such orders take the nu = 0 forms, which M_nu meets to about 1e-300.
+_NU_ZERO = float(np.finfo(float).tiny)
 
 METHOD_SERIES = "series"
 METHOD_ASYMPTOTIC = "asymptotic"
@@ -392,7 +395,7 @@ def _m_wright_array(nu, rs, tol: float):
         raise NearSingularOrder(
             f"nu={nu} too close to the delta limit (cap {NU_MAX})")
     rs = _arguments(rs, tol, "M_nu")
-    if nu == 0.0:
+    if nu < _NU_ZERO:
         v = np.exp(-rs)
         return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_LIMIT_CASE)
     if nu == 0.5:
@@ -411,7 +414,7 @@ def _m_wright_array(nu, rs, tol: float):
 def _half_mass(nu: float, r: np.ndarray, tol: float):
     """int_r^inf M_nu, 0 <= nu < 1, and its estimate: W_{-nu,1}(-r) up to
     crossover_radius(nu) where its estimate is <= tol x value, else _m_tail."""
-    if nu == 0.0:  # M_0(r) = exp(-r)
+    if nu < _NU_ZERO:  # M_0(r) = exp(-r)
         return np.exp(-r), 4.0 * _EPS * np.exp(-r)
     value, err = np.full((2, r.size), np.nan)
     near = r <= crossover_radius(nu)

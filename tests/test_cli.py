@@ -191,6 +191,16 @@ class TestIOErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "p=0.05" in err
 
+    def test_overflowing_covariance_is_one_error_line(self, capsys,
+                                                       tmp_path):
+        assert run(["simulate", "--alpha", "1.99", "--beta", "0.5",
+                    "--times", "1.7e308", "--n-paths", "200",
+                    "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "t=1.7e+308" in err and "alpha=1.99" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGreenSolveSimulate:
     def test_green_profile_header(self, tmp_path):
@@ -234,6 +244,23 @@ class TestGreenSolveSimulate:
         stats = json.loads((tmp_path / "a_stats.json").read_text())
         assert stats["n_paths"] == 300
 
+    @pytest.mark.parametrize("times", ["1", "0.5,1"])
+    def test_simulate_with_fewer_than_three_times(self, tmp_path, times):
+        # RuntimeWarnings are errors (pyproject.toml), so an empty mean or
+        # a 0/0 fails the run
+        assert run(["simulate", "--alpha", "1", "--beta", "0.5",
+                    "--times", times, "--n-paths", "200",
+                    "--out", str(tmp_path / "e")]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads((tmp_path / "e_stats.json").read_text(),
+                         parse_constant=no_constant)
+        assert doc["lag1_increment_corr"] is None
+        assert doc["lag1_increment_corr_se"] is None
+        assert len(doc["variance"]) == len(times.split(","))
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nu": 0.5, "x": 1.0}))
@@ -261,6 +288,26 @@ class TestFlagsAndConfig:
                            "--out", str(tmp_path / "flags.csv")]) == 0
         assert (tmp_path / "cfg.csv").read_bytes() \
             == (tmp_path / "flags.csv").read_bytes()
+
+    def test_config_defaults_stay_with_their_call(self, tmp_path,
+                                                   monkeypatch):
+        # the parser is built once per process; a --config call must not
+        # leave its defaults in it
+        seen = []
+
+        def record(u0, spec, t_end, nt, halfwidth):
+            seen.append(nt)
+            return u0
+
+        monkeypatch.setattr(cli.greens, "solve_volterra", record)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nt": 16}))
+        base = ["solve", "--alpha", "1", "--beta", "0.8", "--t-end", "0.1",
+                "--nx", "21", "--out", str(tmp_path / "u.csv")]
+        assert run(base + ["--config", str(cfg)]) == 0
+        assert run(base) == 0
+        assert run(base + ["--config", str(cfg)]) == 0
+        assert seen == [16, 256, 16]
 
     def test_per_subcommand_tol_defaults(self):
         ap = cli.build_parser()

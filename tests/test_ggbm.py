@@ -51,6 +51,20 @@ class TestCovariance:
         with pytest.raises(InvalidArgument):
             ggbm.CovSpec(1.0, 1.2, np.array([1.0]))
 
+    @pytest.mark.parametrize("alpha, beta, times", [
+        (1.99, 0.5, [1.7e308]),
+        (1.99, 1.0, [0.5, 1e300]),
+        (1.0, 0.5, [1e308]),  # t^alpha is finite, 2 t^alpha is not
+    ])
+    def test_overflowing_covariance_rejected(self, alpha, beta, times):
+        # RuntimeWarnings are errors here, so no overflow warning escapes
+        with pytest.raises(ResultOverflow, match=f"alpha={alpha!r}"):
+            ggbm.CovSpec(alpha, beta, np.array(times))
+
+    def test_largest_finite_covariance_accepted(self):
+        spec = ggbm.CovSpec(1.0, 1.0, np.array([1.0, 8e307]))
+        assert np.isfinite(ggbm.covariance_matrix(spec)).all()
+
 
 class TestMarginal:
     def test_gaussian_origin(self):
@@ -455,3 +469,100 @@ class TestEnsembleStats:
         var = x.std(axis=0, ddof=1) ** 2
         want = np.sqrt(np.maximum(m4 - var * var, 0.0) / ens.n_paths)
         np.testing.assert_array_max_ulp(rep.variance_se, want, maxulp=4)
+
+
+def _batch_loop_paths(spec, n_paths, seed):
+    """Reference sampler: the textbook batch loop, with fresh normal, product
+    and scaled arrays for every batch, cut to n_paths at the end."""
+    chol = np.linalg.cholesky(ggbm._raw_covariance(spec))
+    n_batches = (n_paths + ggbm._BATCH - 1) // ggbm._BATCH
+    paths, lambdas = [], []
+    for child in np.random.SeedSequence(seed).spawn(n_batches):
+        rng = np.random.Generator(np.random.PCG64(child))
+        lam = ggbm.sample_mixing_lambda(spec.beta, rng, ggbm._BATCH)
+        z = rng.standard_normal((ggbm._BATCH, len(spec.times)))
+        paths.append(np.sqrt(lam)[:, None] * (z @ chol.T))
+        lambdas.append(lam)
+    return (np.concatenate(paths)[:n_paths],
+            np.concatenate(lambdas)[:n_paths])
+
+
+def _full_array_stats(e, cells=20):
+    """Reference statistics: one pass over the whole (paths, times) array
+    per statistic, as the formulas read."""
+    x, n = e.paths, e.n_paths
+    mean = x.mean(axis=0)
+    sd = x.std(axis=0, ddof=1)
+    var = sd * sd
+    m4 = (((x - mean) ** 2) ** 2).mean(axis=0)
+    out = {"mean": mean, "mean_se": sd / math.sqrt(n), "variance": var,
+           "variance_se": np.sqrt(np.maximum(m4 - var * var, 0.0) / n)}
+    if x.shape[1] >= 3:
+        d = np.diff(x, axis=1)
+        per_path = (d[:, :-1] * d[:, 1:]).mean(axis=1)
+        c00 = float((d * d).mean())
+        out["lag1_increment_corr"] = float(per_path.mean()) / c00
+        out["lag1_increment_corr_se"] = (float(per_path.std(ddof=1))
+                                         / math.sqrt(n) / c00)
+    edges = ggbm.marginal_quantile(e.spec.alpha, e.spec.beta,
+                                   np.arange(1, cells) / cells,
+                                   float(e.spec.times[-1]))
+    counts = np.histogram(x[:, -1], bins=np.concatenate(
+        ([-np.inf], edges, [np.inf])))[0]
+    out["chi2_stat"] = float(((counts - n / cells) ** 2 / (n / cells)).sum())
+    return out
+
+
+_BLOCK = ggbm._STATS_ROWS
+
+
+class TestBlockedPassesMatchFullArrays:
+    """sample_paths and ensemble_stats against the full-array references:
+    the same bits in every field."""
+
+    @pytest.mark.parametrize("n, m, alpha, beta, seed", [
+        (100, 8, 1.0, 1.0, 1),
+        (_BLOCK - 1, 64, 1.2, 0.6, 2),
+        (_BLOCK, 64, 0.5, 0.5, 3),
+        (_BLOCK + 1, 16, 1.5, 1.0, 4),
+        (4097, 3, 1.3, 0.7, 5),
+        (8192, 32, 0.7, 0.4, 6),
+        (8192, 32, 1.0, 1.0, 7),
+        (100_000, 64, 1.2, 0.6, 8),
+    ])
+    def test_same_bits(self, n, m, alpha, beta, seed):
+        spec = ggbm.CovSpec(alpha, beta, np.arange(1, m + 1) / m)
+        ens = ggbm.sample_paths(spec, n, seed)
+        want_paths, want_lambdas = _batch_loop_paths(spec, n, seed)
+        assert np.array_equal(ens.paths, want_paths)
+        assert np.array_equal(ens.lambdas, want_lambdas)
+        rep = ggbm.ensemble_stats(ens)
+        for name, value in _full_array_stats(ens).items():
+            assert np.array_equal(getattr(rep, name), value), name
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fewer_than_three_times(self, m):
+        # one increment or none: no lag-1 correlation, and no empty means
+        spec = ggbm.CovSpec(1.0, 0.5, np.arange(1, m + 1) / m)
+        ens = ggbm.sample_paths(spec, 3 * _BLOCK + 7, 9)
+        rep = ggbm.ensemble_stats(ens)
+        for name, value in _full_array_stats(ens).items():
+            assert np.array_equal(getattr(rep, name), value), name
+        doc = json.loads(rep.to_json())
+        assert doc["lag1_increment_corr"] is None
+        assert doc["lag1_increment_corr_se"] is None
+
+    @pytest.mark.parametrize("shape", [(100, 2), (3 * _BLOCK + 7, 3),
+                                       (8192, 32), (100_000, 64)])
+    def test_row_order_carry_is_the_axis0_sum(self, shape):
+        # the assumption behind ensemble_stats: numpy's axis-0 reduction of
+        # a C-contiguous array with two or more columns adds whole rows in
+        # order, so a carried block-by-block sum has the same bits
+        rng = np.random.default_rng(shape)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        acc = np.zeros(shape[1])
+        for lo in range(0, shape[0], _BLOCK):
+            blk = x[lo:lo + _BLOCK].copy()
+            blk[0] += acc
+            np.add.reduce(blk, axis=0, out=acc)
+        assert np.array_equal(acc, x.sum(axis=0))

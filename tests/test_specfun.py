@@ -176,6 +176,27 @@ class TestMWright:
             assert v == specfun.m_wright(nu, float(r)).value
 
 
+    @pytest.mark.parametrize("nu", [5e-324, 1e-310])
+    def test_subnormal_order_is_the_zero_order_limit(self, nu):
+        # nu phi would underflow in the stable kernel of the tail route
+        rs = np.array([0.5, 1.01, 3.0]) * specfun.crossover_radius(nu)
+        assert np.array_equal(specfun.m_wright_values(nu, rs), np.exp(-rs))
+
+    @given(nu=st.floats(0.0, 0.99, exclude_min=True),
+           fracs=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12))
+    def test_values_match_scalar_on_both_sides(self, nu, fracs):
+        # bit-identical scalar and vector routes, and M_nu >= 0, over the
+        # order domain and radii up to 3 r*, next to r* included
+        rstar = specfun.crossover_radius(nu)
+        rs = np.array(fracs) * rstar
+        rs = np.concatenate((rs, [np.nextafter(rstar, 0.0), rstar,
+                                  np.nextafter(rstar, np.inf)]))
+        vals = specfun.m_wright_values(nu, rs)
+        assert np.all(vals >= 0.0)
+        for r, v in zip(rs.tolist(), vals.tolist()):
+            assert v == specfun.m_wright(nu, r).value
+
+
 class TestInputContract:
     def test_nan_argument_rejected(self):
         with pytest.raises(InvalidArgument):

@@ -1,0 +1,43 @@
+"""The verify suites' own bookkeeping (the identities themselves are
+covered by test_acceptance.py and the per-module tests)."""
+
+import math
+
+import numpy as np
+
+from mwright import specfun, verification
+
+
+def _closed_form_checks(checks):
+    return {c.params["q"]: c for c in checks
+            if c.name == "closed-form agreement"}
+
+
+def test_closed_form_sweep(monkeypatch):
+    # one series call per order gives the residual of the point-by-point
+    # sweep, bit for bit; a row that misses its stop (NaN) fails the check
+    checks = _closed_form_checks(verification.suite_specfun())
+    zs = np.arange(-5.0, 5.0 + 1e-12, 0.01)
+    for nu, q in ((0.5, 2), (1.0 / 3.0, 3)):
+        worst = 0.0
+        for z in zs:
+            series = specfun.wright_series(
+                specfun.WrightIndex(-nu, 1.0 - nu), -z, tol=1e-14)
+            closed = specfun.m_wright_special(q, float(z))
+            worst = max(worst, abs(series.value - closed.value))
+        assert checks[q].residual == worst
+        assert checks[q].passed
+
+    real = specfun._sum_series
+
+    def one_nan_row(lam, mu, z, tol):
+        out = real(lam, mu, z, tol)
+        if np.size(z) == len(zs):
+            out[0][len(zs) // 3] = math.nan
+        return out
+
+    monkeypatch.setattr(specfun, "_sum_series", one_nan_row)
+    checks = verification.suite_specfun()
+    for c in _closed_form_checks(checks).values():
+        assert not c.passed
+    assert all(c.passed for c in checks if c.name != "closed-form agreement")
