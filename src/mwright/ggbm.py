@@ -369,7 +369,9 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
     first row, so they add rows in the order numpy's axis-0 reduction of
     the whole array does, and every field equals the full-array formulas
     (x.std(axis=0, ddof=1), (((x - mean) ** 2) ** 2).mean(axis=0),
-    (d * d).mean() over the increments d, ...) bit for bit.
+    (d * d).mean() over the increments d, ...) bit for bit. Columns whose
+    fourth powers overflow, and an overflowing lag-1 correlation, are
+    summed again at an exact power-of-two scale.
     """
     n = e.n_paths
     if n < 100:
@@ -383,29 +385,55 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
         per_path, dd = np.empty(n), np.empty((n, ntimes - 1))
     # a single column is reduced pairwise, not row by row: one block
     step = _STATS_ROWS if ntimes > 1 else n
-    for lo in range(0, n, step):
-        blk = x[lo:lo + step]
-        dev = blk - mean
+    # the fourth powers (and near the double range the squares) overflow
+    # once the variance passes about 1e154; such columns are redone below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, step):
+            blk = x[lo:lo + step]
+            dev = blk - mean
+            dev *= dev
+            dev4 = dev * dev  # two squarings: ** 4 would go through pow
+            for acc, terms in ((s2, dev), (s4, dev4)):
+                terms[0] += acc
+                np.add.reduce(terms, axis=0, out=acc)
+            if lag1:
+                d = np.subtract(blk[:, 1:], blk[:, :-1], out=dd[lo:lo + step])
+                np.mean(d[:, :-1] * d[:, 1:], axis=1,
+                        out=per_path[lo:lo + step])
+                d *= d
+        sd = np.sqrt(s2 / (n - 1))
+        var = sd * sd
+        var_se = np.sqrt(np.maximum(s4 / n - var * var, 0.0) / n)
+        big = ~(np.isfinite(s4) & np.isfinite(var * var))
+    if big.any():
+        # the same sums of dev / 2**k, k the binary exponent of the column's
+        # largest |dev|: exact, and the (n, ntimes) shape keeps their order
+        dev = x - mean
+        k = np.frexp(np.abs(dev).max(axis=0))[1]
+        dev = np.ldexp(dev, -k)
         dev *= dev
-        dev4 = dev * dev  # two squarings: ** 4 would go through pow
-        for acc, terms in ((s2, dev), (s4, dev4)):
-            terms[0] += acc
-            np.add.reduce(terms, axis=0, out=acc)
-        if lag1:
-            d = np.subtract(blk[:, 1:], blk[:, :-1], out=dd[lo:lo + step])
-            np.mean(d[:, :-1] * d[:, 1:], axis=1, out=per_path[lo:lo + step])
-            d *= d
-    sd = np.sqrt(s2 / (n - 1))
+        sd_k = np.sqrt(dev.sum(axis=0) / (n - 1))
+        var_k = sd_k * sd_k
+        se_k = np.sqrt(np.maximum((dev * dev).sum(axis=0) / n
+                                  - var_k * var_k, 0.0) / n)
+        var_se[big] = np.ldexp(se_k, 2 * k)[big]
+        sd = np.where(np.isfinite(sd), sd, np.ldexp(sd_k, k))
+        var = sd * sd
     mean_se = sd / math.sqrt(n)
-    var = sd * sd
-    var_se = np.sqrt(np.maximum(s4 / n - var * var, 0.0) / n)
 
     corr = corr_se = None
     if lag1:
-        c01 = float(per_path.mean())
-        c00 = float(dd.mean())  # one pairwise mean over every increment
-        corr = c01 / c00
-        corr_se = float(per_path.std(ddof=1)) / math.sqrt(n) / c00
+        with np.errstate(over="ignore", invalid="ignore"):
+            c00 = float(dd.mean())  # one pairwise mean over every increment
+            sd01 = float(per_path.std(ddof=1))
+        if not math.isfinite(c00 + sd01):
+            # the same at x / 2**k, k the binary exponent of max |x|: the
+            # ratios below do not depend on the scale
+            d = np.diff(np.ldexp(x, -np.frexp(np.abs(x).max())[1]), axis=1)
+            per_path = (d[:, :-1] * d[:, 1:]).mean(axis=1)
+            c00, sd01 = float((d * d).mean()), float(per_path.std(ddof=1))
+        corr = float(per_path.mean()) / c00
+        corr_se = sd01 / math.sqrt(n) / c00
 
     t_final = float(e.spec.times[-1])
     edges = marginal_quantile(e.spec.alpha, e.spec.beta,

@@ -2,16 +2,16 @@
 
 A 7/15-point Gauss-Kronrod rule on bisected panels, with the QUADPACK-style
 scaled error model so that error estimates stay meaningful for integrands of
-any magnitude. `adaptive` refines one integral, worst panel first, and
-serves the verification oracles; `adaptive_rows` refines many integrals at
-once and serves the M_nu tail. Improper integrals over [a, inf) are
-truncated where a supplied (or probed) tail bound drops below tol/10.
+any magnitude. `adaptive_rows` refines many integrals at once, bisecting
+every panel of a row whose error exceeds its share of the row's target,
+and serves the M_nu tail and the Mittag-Leffler spectral integral;
+`adaptive` is its one-row case and serves the verification oracles.
+Improper integrals over [a, inf) are truncated where a supplied (or
+probed) tail bound drops below tol/10.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 
 import numpy as np
@@ -91,67 +91,26 @@ def kronrod_panel(f, a, b):
 
 def adaptive(f, a, b, tol=1e-10, rtol=0.0, limit=4000, points=None,
              max_panel_width=None):
-    """Adaptive bisection quadrature of f over the finite interval [a, b].
+    """Adaptive G7/K15 quadrature of f over the finite interval [a, b].
 
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand (maps ndarray -> ndarray).
-    tol, rtol : float
-        Stop when the summed panel error is below max(tol, rtol*|integral|).
-    limit : int
-        Panel budget; exceeding it raises QuadratureFailure.
-    points : sequence of float, optional
-        Interior breakpoints for the initial subdivision (e.g. known scales
-        or singular endpoints neighbourhoods).
-    max_panel_width : float, optional
-        Upper bound on panel width, used for oscillatory integrands.
-
-    Returns
-    -------
-    (value, error_estimate)
+    The one-row case of adaptive_rows. f maps an ndarray of abscissae to
+    integrand values. Refinement stops when the summed panel error is
+    below max(tol, rtol*|integral|); needing more than `limit` panels
+    raises QuadratureFailure. `points` are interior breakpoints of the
+    initial subdivision (known scales, neighbourhoods of singular
+    endpoints); `max_panel_width` bounds the initial panel width, for
+    oscillatory integrands. Returns (value, error_estimate).
     """
     if not b > a:
         raise ValueError("need b > a")
-    edges = [a, b]
-    if points is not None:
-        edges += [p for p in points if a < p < b]
+    edges = [] if points is None else list(points)
     if max_panel_width is not None and max_panel_width > 0:
         n = int(math.ceil((b - a) / max_panel_width))
         edges += list(np.linspace(a, b, min(n, limit // 2) + 1))
-    edges = sorted(set(edges))
-
-    counter = itertools.count()
-    heap = []
-    total = 0.0
-    toterr = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = kronrod_panel(f, lo, hi)
-        total += v
-        toterr += e
-        heapq.heappush(heap, (-e, next(counter), lo, hi, v))
-
-    while toterr > max(tol, rtol * abs(total)):
-        if len(heap) >= limit:
-            raise QuadratureFailure(
-                f"panel budget {limit} exhausted (err={toterr:.3e}, "
-                f"target={max(tol, rtol * abs(total)):.3e})")
-        negerr, _, lo, hi, v = heapq.heappop(heap)
-        e = -negerr
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at round-off resolution; accept its estimate
-            toterr -= e
-            total += 0.0
-            heapq.heappush(heap, (0.0, next(counter), lo, hi, v))
-            continue
-        v1, e1 = kronrod_panel(f, lo, mid)
-        v2, e2 = kronrod_panel(f, mid, hi)
-        total += (v1 + v2) - v
-        toterr += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, next(counter), lo, mid, v1))
-        heapq.heappush(heap, (-e2, next(counter), mid, hi, v2))
-    return total, toterr
+    value, error = adaptive_rows(
+        lambda x, rows: f(x.ravel()).reshape(x.shape), a, b, [edges],
+        tol, rtol, limit)
+    return float(value[0]), float(error[0])
 
 
 def adaptive_rows(f, a, b, points, tol=1e-10, rtol=0.0, limit=4000):
@@ -173,9 +132,8 @@ def adaptive_rows(f, a, b, points, tol=1e-10, rtol=0.0, limit=4000):
     memory; every panel of every unfinished row of a block is evaluated
     in one call of f. A row stops when its summed panel error is below
     max(tol, rtol*|value|); a row that misses it bisects each panel whose
-    error exceeds its even share of that target, so the panels refined
-    differ from the one-at-a-time choice of adaptive. Results depend only
-    on the row itself, not on the block it shares.
+    error exceeds its even share of that target. Results depend only on
+    the row itself, not on the block it shares.
 
     Returns
     -------

@@ -244,10 +244,11 @@ class TestGreenSolveSimulate:
         stats = json.loads((tmp_path / "a_stats.json").read_text())
         assert stats["n_paths"] == 300
 
-    @pytest.mark.parametrize("times", ["1", "0.5,1"])
+    @pytest.mark.parametrize("times", ["1", "0.5,1", "1e200"])
     def test_simulate_with_fewer_than_three_times(self, tmp_path, times):
-        # RuntimeWarnings are errors (pyproject.toml), so an empty mean or
-        # a 0/0 fails the run
+        # RuntimeWarnings are errors (pyproject.toml), so an empty mean, a
+        # 0/0 or a fourth central moment past the double range (1e200)
+        # fails the run
         assert run(["simulate", "--alpha", "1", "--beta", "0.5",
                     "--times", times, "--n-paths", "200",
                     "--out", str(tmp_path / "e")]) == 0

@@ -566,3 +566,30 @@ class TestBlockedPassesMatchFullArrays:
             blk[0] += acc
             np.add.reduce(blk, axis=0, out=acc)
         assert np.array_equal(acc, x.sum(axis=0))
+
+    @pytest.mark.parametrize("times", [[1e200], [1.0, 2.0, 1e200],
+                                       [1e199, 1e200, 2e200, 3e200],
+                                       [1e306, 2e306, 3e306]])
+    def test_overflowing_moments_match_a_scaled_ensemble(self, times):
+        # past a variance of about 1e154 the fourth central powers overflow,
+        # and near the double range the squares too; every field must equal
+        # the full-array formulas on the paths scaled by a power of two (an
+        # exact scaling), with no RuntimeWarning (errors, pyproject.toml)
+        ens = ggbm.sample_paths(ggbm.CovSpec(1.0, 1.0, np.array(times)),
+                                200, 11)
+        rep = ggbm.ensemble_stats(ens)
+        x = ens.paths
+        k = np.frexp(np.abs(x).max(axis=0))[1]  # one scale per column
+        want = _full_array_stats(ggbm.PathEnsemble(
+            ens.spec, np.ldexp(x, -k), ens.seed, ens.lambdas))
+        for name, power in (("mean", 1), ("mean_se", 1), ("variance", 2),
+                            ("variance_se", 2)):
+            assert np.array_equal(getattr(rep, name),
+                                  np.ldexp(want[name], power * k)), name
+        if len(times) >= 3:
+            k = np.frexp(np.abs(x).max())[1]  # one scale for the increments
+            want = _full_array_stats(ggbm.PathEnsemble(
+                ens.spec, np.ldexp(x, -k), ens.seed, ens.lambdas))
+            assert rep.lag1_increment_corr == want["lag1_increment_corr"]
+            assert (rep.lag1_increment_corr_se
+                    == want["lag1_increment_corr_se"])

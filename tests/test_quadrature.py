@@ -24,6 +24,31 @@ def test_exponential_family(a):
     assert err < 1e-11
 
 
+@pytest.mark.parametrize("f, exact", [
+    (lambda x: np.where(x < 0.3, 1.0, 2.0), 1.7),  # jump inside a panel
+    (lambda x: 1.0 / np.sqrt(x), 2.0),              # endpoint singularity
+    (np.log, -1.0),
+])
+def test_value_within_estimate(f, exact):
+    val, err = quadrature.adaptive(f, 0.0, 1.0, tol=1e-12)
+    assert abs(val - exact) <= err <= 1e-12
+
+
+@pytest.mark.parametrize("kw", [{"points": [0.05, 0.3, 1.1]},
+                                {"max_panel_width": 0.15}])
+def test_adaptive_is_the_one_row_case_of_adaptive_rows(kw):
+    def f(x):
+        return np.sqrt(x) * np.cos(7.0 * x)
+
+    pts = kw.get("points")
+    if pts is None:
+        pts = np.linspace(0.0, 2.0, math.ceil(2.0 / 0.15) + 1)
+    val, err = quadrature.adaptive_rows(lambda x, rows: f(x), 0.0, 2.0,
+                                        [pts], tol=1e-13)
+    assert quadrature.adaptive(f, 0.0, 2.0, tol=1e-13, **kw) \
+        == (val[0], err[0])
+
+
 def test_observed_order_matches_rule():
     # fixed uniform-panel estimates of int_0^48 exp(-x): halving the panel
     # width must shrink the error at the rule's nominal rate (~h^15 for
