@@ -43,6 +43,7 @@ from .errors import (
     NearSingularOrder,
     NegativeArgument,
     NonConvergence,
+    ResultOverflow,
     UnsupportedQ,
 )
 
@@ -131,8 +132,9 @@ def _series_terms(lam: float, mu: float, z, factorial: bool = True,
     the poles) so no Gamma is ever evaluated at a non-positive argument.
     Entries that are not finite (an overflowing 1/Gamma or power factor)
     become +inf, which the stopping rule cannot pass. With rebuild=True
-    they are instead resolved in log space where the power factor
-    underflowed while 1/Gamma overflowed, and set to zero elsewhere.
+    they are instead resolved in log space, in every row where one of
+    them is representable, and set to zero elsewhere; a rebuilt term past
+    the double range stays inf.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     rg = _coefficients(lam, mu)[:n]
@@ -154,9 +156,15 @@ def _series_terms(lam: float, mu: float, z, factorial: bool = True,
     # reconstruct from logs (slightly lower per-term accuracy)
     representable = np.zeros(z.size, dtype=bool)
     representable[rows[lt > -700.0]] = True
-    zsgn = np.where(nb % 2 == 0, 1.0, np.sign(zb))
-    t[rows, nb] = np.where(representable[rows], np.sign(rg[nb]) * zsgn
-                           * np.exp(np.minimum(lt, 700.0)), 0.0)
+    # the sign of 1/Gamma(x) by the reflection formula: +1 for x > 0, where
+    # rg may have underflowed to 0; sin(pi x) for x <= 0, as rg carries it
+    # (0 at the poles)
+    sgn = (np.where(lam * nb + mu > 0.0, 1.0, np.sign(rg[nb]))
+           * np.where(nb % 2 == 0, 1.0, np.sign(zb)))
+    # a term past the double range is inf, so its row misses
+    with np.errstate(over="ignore", invalid="ignore"):
+        t[rows, nb] = np.where(representable[rows] & (sgn != 0.0),
+                               sgn * np.exp(lt), 0.0)
     return t
 
 
@@ -168,7 +176,8 @@ def _apply_stopping_rule(terms: np.ndarray, tol: float, weight=None):
     overflowed. cancel_err is 2 eps sum |term| over the terms up to the
     stop, each times weight[n] when a per-term weight is given.
     """
-    s = np.cumsum(terms, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf rows miss
+        s = np.cumsum(terms, axis=1)
     absterms = np.abs(terms)
     small = absterms < tol * np.abs(s)
     run3 = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
@@ -180,7 +189,8 @@ def _apply_stopping_rule(terms: np.ndarray, tol: float, weight=None):
     absterms[_N[:terms.shape[1]] > k[:, None]] = 0.0
     if weight is not None:
         absterms *= weight[:terms.shape[1]]
-    cancel = 2.0 * _EPS * absterms.sum(axis=1)
+    with np.errstate(over="ignore"):
+        cancel = 2.0 * _EPS * absterms.sum(axis=1)
     miss = ~(run3.any(axis=1) & np.isfinite(value))
     if miss.any():
         for a in (value, trunc, cancel):
@@ -208,16 +218,17 @@ def _sum_series(lam: float, mu: float, z, tol: float):
 def wright_series(idx: WrightIndex, z: float, tol: float = 1e-12) -> EvalResult:
     """Sum the defining power series of W_{lam,mu}(z).
 
-    Valid for any real z while the stopping rule converges within the
-    400-term budget; second-kind indices stop converging (in double
-    precision) once |z| grows, in which case NonConvergence is raised.
+    Valid for any finite real z while the stopping rule converges within
+    the 400-term budget; second-kind indices stop converging (in double
+    precision) once |z| grows, and first-kind ones once the terms peak
+    beyond that budget, in which case NonConvergence is raised.
 
     Parameters
     ----------
     idx : WrightIndex
         Index pair (lam, mu) with lam > -1.
     z : float
-        Real argument.
+        Finite real argument.
     tol : float
         Relative term threshold of the stopping rule.
 
@@ -229,8 +240,9 @@ def wright_series(idx: WrightIndex, z: float, tol: float = 1e-12) -> EvalResult:
         idx = WrightIndex(*idx)
     if not tol > 0.0:
         raise InvalidArgument("tol must be positive")
-    if math.isnan(z):
-        raise InvalidArgument("wright_series argument is NaN")
+    if not math.isfinite(z):
+        raise InvalidArgument(f"wright_series argument must be finite, "
+                              f"got {z}")
     (value,), (trunc,), (cancel,) = _sum_series(idx.lam, idx.mu, z, tol)
     if np.isnan(value):
         raise NonConvergence(
@@ -589,15 +601,25 @@ def m_wright_moment(nu, delta: float) -> float:
     """Absolute moment of M_nu on the positive axis.
 
     int_0^inf r^delta M_nu(r) dr = Gamma(delta+1)/Gamma(nu*delta+1),
-    valid for delta > -1 and 0 <= nu < 1.
+    valid for delta > -1 and 0 <= nu < 1. Where Gamma(delta+1) overflows
+    the ratio is taken in log space; ResultOverflow is raised where the
+    ratio itself leaves the double range (delta = inf included).
     """
     nu = _as_nu(nu)
     delta = float(delta)
     if not delta > -1.0:
         raise InvalidMomentOrder(f"moment order must exceed -1, got {delta}")
-    if nu < 0.0 or nu >= 1.0:
+    if not 0.0 <= nu < 1.0:
         raise InvalidOrder(f"need 0 <= nu < 1, got {nu}")
-    return float(_gamma(delta + 1.0) * _rgamma(nu * delta + 1.0))
+    g = _gamma(delta + 1.0)
+    if np.isfinite(g):
+        return float(g * _rgamma(nu * delta + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN at delta = inf
+        ratio = np.exp(_gammaln(delta + 1.0) - _gammaln(nu * delta + 1.0))
+    if not np.isfinite(ratio):
+        raise ResultOverflow(f"moment of order {delta} of M_{nu} exceeds "
+                             f"the double range")
+    return float(ratio)
 
 
 def mellin_m_wright(nu, s: float) -> float:
@@ -610,48 +632,55 @@ def mellin_m_wright(nu, s: float) -> float:
 
 
 def _airy_series(x: float, tol: float = 1e-16):
-    """M_{1/3}(x) as the pair of hypergeometric-type power series.
+    """M_{1/3}(x) as the pair of hypergeometric-type power series, and the
+    rounding bound 8 eps (c1 sum|terms of part 0| + c2 sum|terms of part 1|)
+    on the cancellation between and within them.
 
-    1/Gamma(2/3) * sum (1/3)_m x^{3m}/(3m)!
-    - 1/Gamma(1/3) * sum (2/3)_m x^{3m+1}/(3m+1)!
+    c1 sum (1/3)_m x^{3m}/(3m)! - c2 sum (2/3)_m x^{3m+1}/(3m+1)!, with
+    c1 = 1/Gamma(2/3) and c2 = 1/Gamma(1/3).
     """
     c1 = float(_rgamma(2.0 / 3.0))
     c2 = float(_rgamma(1.0 / 3.0))
-    x3 = x ** 3
+    x3 = x ** 3 if abs(x) < 1e100 else math.inf  # ** raises on overflow
 
     def part(j):
         # term_0 = x^j; ratio ((j+1)/3+m) x^3 / ((3m+j+1)(3m+j+2)(3m+j+3))
         total = t = x ** j
+        size = abs(t)
         m = 0
         while abs(t) > tol * max(abs(total), 1.0) and m < 300:
             k = 3 * m + j
             t *= ((j + 1) / 3.0 + m) * x3 / ((k + 1) * (k + 2) * (k + 3))
             total += t
+            size += abs(t)
             m += 1
-        return total
+        if m == 300 or not math.isfinite(size):
+            raise NonConvergence(f"Airy series for M_(1/3) at z={x} did not "
+                                 f"converge in double precision")
+        return total, size
 
-    return c1 * part(0) - c2 * part(1)
+    (p0, s0), (p1, s1) = part(0), part(1)
+    return c1 * p0 - c2 * p1, 8.0 * _EPS * (c1 * s0 + c2 * s1)
 
 
 def m_wright_special(q: int, z: float) -> EvalResult:
-    """Closed forms M_{1/2} (Gaussian) and M_{1/3} (Airy, own power series)."""
+    """Closed forms M_{1/2} (Gaussian) and M_{1/3} (Airy, own power series).
+
+    NaN is rejected; so is +-inf for q = 3, where the power series cannot
+    be summed (q = 2 gives the limit 0 there).
+    """
     z = float(z)
+    if math.isnan(z):
+        raise InvalidArgument("m_wright_special argument is NaN")
     if q == 2:
         v = math.exp(-0.25 * z * z) / math.sqrt(math.pi)
         return EvalResult(v, 4.0 * _EPS * v, METHOD_CLOSED_FORM)
     if q == 3:
-        v = _airy_series(z)
-        return EvalResult(v, 8.0 * _EPS * max(abs(v), math.exp(-abs(z))),
-                          METHOD_CLOSED_FORM)
+        if math.isinf(z):
+            raise InvalidArgument(f"the M_(1/3) series needs a finite "
+                                  f"argument, got {z}")
+        return EvalResult(*_airy_series(z), METHOD_CLOSED_FORM)
     raise UnsupportedQ(f"closed form only for q in (2, 3), got {q}")
-
-
-def _m_any(q: int, z: float) -> float:
-    """M_{1/q}(z) for any real z through the generic series (self-test use)."""
-    (value,), _, _ = _sum_series(-1.0 / q, 1.0 - 1.0 / q, -z, 1e-14)
-    if np.isnan(value):
-        raise NonConvergence(f"series for M_(1/{q}) at z={z}")
-    return float(value)
 
 
 def m_wright_ode_residual(q: int, z: float, h: float) -> float:
@@ -666,7 +695,8 @@ def m_wright_ode_residual(q: int, z: float, h: float) -> float:
     if not h > 0.0:
         raise InvalidArgument("finite-difference step must be positive")
     z = float(z)
-    m = lambda x: _m_any(q, x)
+    idx = WrightIndex(-1.0 / q, 1.0 - 1.0 / q)
+    m = lambda x: wright_series(idx, -x, 1e-14).value
     if q == 2:
         deriv = (m(z + h) - m(z - h)) / (2.0 * h)
     elif q == 3:

@@ -254,28 +254,22 @@ def suite_fraccalc() -> list[Check]:
 # greens suite
 # ---------------------------------------------------------------------------
 
-def _green_mass_and_m2(spec: greens.GreenSpec, t: float, tol=1e-9):
-    nu = 0.5 * spec.beta
-    scale = math.sqrt(spec.k) * t ** (0.5 * spec.alpha)
-    mass = _mass_quadrature(nu, 0.0, tol)
-    m2val = _mass_quadrature(nu, 2.0, tol) * scale * scale
-    return mass, m2val
-
-
-def suite_greens(volterra: bool = True) -> list[Check]:
+def suite_greens() -> list[Check]:
     checks = []
-    alphas = (0.4, 0.8, 1.2, 1.6, 2.0)
-    betas = (0.2, 0.4, 0.6, 0.8, 1.0)
     t = 1.3
-    worst_mass = 0.0
+    # the Green profile is M_(beta/2) on the scale sqrt(K) t^(alpha/2), so
+    # its mass and second moment need one quadrature each per beta
+    moments = {b: (_mass_quadrature(0.5 * b, 0.0, 1e-9),
+                   _mass_quadrature(0.5 * b, 2.0, 1e-9))
+               for b in (0.2, 0.4, 0.6, 0.8, 1.0)}
+    worst_mass = max(abs(mass - 1.0) for mass, _ in moments.values())
     worst_var = 0.0
-    for a in alphas:
-        for b in betas:
+    for a in (0.4, 0.8, 1.2, 1.6, 2.0):
+        for b, (_, q2) in moments.items():
             spec = greens.GreenSpec(a, b, 1.0)
-            mass, m2val = _green_mass_and_m2(spec, t)
-            worst_mass = max(worst_mass, abs(mass - 1.0))
+            scale = math.sqrt(spec.k) * t ** (0.5 * spec.alpha)
             want = greens.variance_law(spec, t)
-            worst_var = max(worst_var, abs(m2val - want) / want)
+            worst_var = max(worst_var, abs(q2 * scale * scale - want) / want)
     checks.append(Check("green normalization", {"grid": "5x5"},
                         worst_mass, 1e-7))
     checks.append(Check("green second moment vs variance law",
@@ -319,21 +313,19 @@ def suite_greens(volterra: bool = True) -> list[Check]:
     checks.append(Check("drift two forms agree", {"grid": "3x3x3"},
                         worst, 1e-8))
 
-    if volterra:
-        errs = []
-        for nx, nt in ((201, 64), (401, 128)):
-            xs = np.linspace(-8.0, 8.0, nx)
-            std0 = 5 * (xs[1] - xs[0])
-            u0 = GridFunction(xs, np.exp(-0.5 * (xs / std0) ** 2)
-                              / (std0 * math.sqrt(2 * math.pi)))
-            spec = greens.GreenSpec(1.0, 0.5, 1.0)
-            got = greens.solve_volterra(u0, spec, 0.75, nt, 7.0)
-            t_eff = 0.75
-            exact = _convolve_green(u0, spec, t_eff)
-            errs.append(float(np.trapezoid(np.abs(got.ys - exact), xs)))
-        checks.append(Check("volterra refinement",
-                            {"levels": "(201,64)->(401,128)"},
-                            errs[1] - errs[0], 0.0))
+    errs = []
+    for nx, nt in ((201, 64), (401, 128)):
+        xs = np.linspace(-8.0, 8.0, nx)
+        std0 = 5 * (xs[1] - xs[0])
+        u0 = GridFunction(xs, np.exp(-0.5 * (xs / std0) ** 2)
+                          / (std0 * math.sqrt(2 * math.pi)))
+        spec = greens.GreenSpec(1.0, 0.5, 1.0)
+        got = greens.solve_volterra(u0, spec, 0.75, nt, 7.0)
+        exact = _convolve_green(u0, spec, 0.75)
+        errs.append(float(np.trapezoid(np.abs(got.ys - exact), xs)))
+    checks.append(Check("volterra refinement",
+                        {"levels": "(201,64)->(401,128)"},
+                        errs[1] - errs[0], 0.0))
     return checks
 
 
@@ -353,8 +345,9 @@ def _convolve_green(u0: GridFunction, spec: greens.GreenSpec,
 # ggbm suite
 # ---------------------------------------------------------------------------
 
-def suite_ggbm(n_paths: int = 100_000, seed: int = 20260411) -> list[Check]:
+def suite_ggbm(n_paths: int = 100_000) -> list[Check]:
     checks = []
+    seed = 20260411
     times = np.arange(1, 65) / 64.0
 
     paths64 = None

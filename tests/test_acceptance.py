@@ -1,18 +1,23 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
+Where a criterion shares a check with a `mwright verify` suite, the test
+runs that suite once and asserts on its `Check` records: each one must
+pass, at a threshold equal to the criterion's tolerance, so a suite whose
+threshold is loosened fails here too. The test itself computes only the
+points that no suite check covers. Runtime bounds include the suite run.
+
 Each test prints one `[criterion N] PASS ...` line on success (visible with
 pytest -s / -rA); a failed assertion marks the criterion red.
 """
 
-import json
+import functools
 import math
 import time
 
 import numpy as np
-import pytest
 from scipy.special import rgamma
 
-from mwright import cli, fraccalc, ggbm, greens, oracles, quadrature, specfun
+from mwright import cli, fraccalc, ggbm, greens, oracles, specfun, verification
 from mwright.gridfn import GridFunction
 from mwright.verification import _convolve_green, _mass_quadrature
 
@@ -23,24 +28,43 @@ def _report(n, ok, detail):
     assert ok, f"criterion {n}: {detail}"
 
 
+@functools.cache
+def _run(suite):
+    t0 = time.monotonic()
+    checks = verification.SUITES[suite]()
+    return checks, time.monotonic() - t0
+
+
+def _shared(suite, tols):
+    """The records of one `suite` run named in `tols` (name -> the
+    criterion's tolerance), each asserted to pass at exactly that
+    threshold, and the suite's runtime in seconds."""
+    checks, seconds = _run(suite)
+    recs = [c for c in checks if c.name in tols]
+    assert {c.name for c in recs} == set(tols)
+    for c in recs:
+        assert c.threshold == tols[c.name] and c.passed, c.record()
+    return recs, seconds
+
+
+def _worst(recs, name):
+    return max(c.residual for c in recs if c.name == name)
+
+
 def test_criterion_1_closed_form_agreement():
     """Generic evaluator vs Gaussian / Airy closed forms, |x|<=5, 1e-12."""
+    recs, suite_s = _shared("specfun", {"closed-form agreement": 1e-12})
+    assert sorted(c.params["q"] for c in recs) == [2, 3]
     t0 = time.monotonic()
-    xs = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.01), 10)
-    worst = 0.0
+    worst = _worst(recs, "closed-form agreement")
+    # the dispatching evaluator agrees on the half line as well
+    xs = np.abs(np.round(np.arange(-5.0, 5.0 + 1e-9, 0.01), 10))
     for nu, q in ((0.5, 2), (1.0 / 3.0, 3)):
-        closed = np.array([specfun.m_wright_special(q, float(x)).value
-                           for x in xs])
-        generic = np.array([specfun.wright_series(
-            specfun.WrightIndex(-nu, 1.0 - nu), -float(x), tol=1e-14).value
-            for x in xs])
-        worst = max(worst, float(np.max(np.abs(generic - closed))))
-        # the dispatching evaluator agrees on the half line as well
-        half = specfun.m_wright_values(nu, np.abs(xs))
-        sym_closed = np.array([specfun.m_wright_special(q, float(a)).value
-                               for a in np.abs(xs)])
-        worst = max(worst, float(np.max(np.abs(half - sym_closed))))
-    elapsed = time.monotonic() - t0
+        closed = np.array([specfun.m_wright_special(q, float(a)).value
+                           for a in xs])
+        half = specfun.m_wright_values(nu, xs)
+        worst = max(worst, float(np.max(np.abs(half - closed))))
+    elapsed = suite_s + time.monotonic() - t0
     _report(1, worst < 1e-12 and elapsed < 5.0,
             f"max abs dev {worst:.2e} (tol 1e-12), runtime {elapsed:.2f}s "
             f"(< 5s)")
@@ -48,14 +72,17 @@ def test_criterion_1_closed_form_agreement():
 
 def test_criterion_2_moment_identities():
     """Quadrature moments vs Gamma ratio, 1e-7 absolute."""
+    recs, suite_s = _shared("specfun", {"moment identity": 1e-7})
+    shared = {(c.params["nu"], c.params["delta"]) for c in recs}
     t0 = time.monotonic()
-    worst = 0.0
+    worst = _worst(recs, "moment identity")
     for nu in (0.1, 0.25, 0.5, 0.75, 0.9):
         for delta in (0.0, 0.5, 1.0, 2.0, 3.0):
-            got = _mass_quadrature(nu, delta, 1e-9)
-            want = specfun.m_wright_moment(nu, delta)
-            worst = max(worst, abs(got - want))
-    elapsed = time.monotonic() - t0
+            if (nu, delta) not in shared:
+                got = _mass_quadrature(nu, delta, 1e-9)
+                want = specfun.m_wright_moment(nu, delta)
+                worst = max(worst, abs(got - want))
+    elapsed = suite_s + time.monotonic() - t0
     _report(2, worst < 1e-7 and elapsed < 30.0,
             f"worst abs residual {worst:.2e} (tol 1e-7), "
             f"runtime {elapsed:.1f}s (< 30s)")
@@ -63,17 +90,13 @@ def test_criterion_2_moment_identities():
 
 def test_criterion_3_transform_pair_matrix():
     """Eight transform pairs, >= 9 points each, residual < 1e-6."""
-    t0 = time.monotonic()
-    worst = {}
-    for pid in ("L_4_1", "L_4_2", "L_4_7", "F_4_11", "M_4_13", "L_4_15",
-                "L_4_16", "F_4_17"):
-        rep = oracles.verify_pair(pid, tol=1e-7)
-        assert rep.samples >= 9
-        worst[pid] = rep.max_abs_residual
-    elapsed = time.monotonic() - t0
-    bad = {k: v for k, v in worst.items() if v >= 1e-6}
-    _report(3, not bad and elapsed < 120.0,
-            f"max residuals {max(worst.values()):.2e} (tol 1e-6), "
+    pairs = ("L_4_1", "L_4_2", "L_4_7", "F_4_11", "M_4_13", "L_4_15",
+             "L_4_16", "F_4_17")
+    recs, elapsed = _shared("pairs", {f"pair {p}": 1e-6 for p in pairs})
+    assert all(c.params["samples"] >= 9 for c in recs)
+    worst = max(c.residual for c in recs)
+    _report(3, elapsed < 120.0,
+            f"max residuals {worst:.2e} (tol 1e-6), "
             f"runtime {elapsed:.1f}s (< 2min)")
 
 
@@ -96,20 +119,9 @@ def test_criterion_4_subordination():
 def test_criterion_5_green_functions():
     """Normalization 1e-7, second moment 1e-5 rel, self-similarity 1e-12,
     inversion-route agreement 1e-6."""
-    worst_mass = 0.0
-    worst_var = 0.0
-    t = 1.3
-    for alpha in (0.4, 0.8, 1.2, 1.6, 2.0):
-        for beta in (0.2, 0.4, 0.6, 0.8, 1.0):
-            spec = greens.GreenSpec(alpha, beta, 1.0)
-            nu = 0.5 * beta
-            scale2 = spec.k * t ** alpha
-            mass = _mass_quadrature(nu, 0.0, 1e-9)
-            m2 = _mass_quadrature(nu, 2.0, 1e-9) * scale2
-            worst_mass = max(worst_mass, abs(mass - 1.0))
-            want = greens.variance_law(spec, t)
-            worst_var = max(worst_var, abs(m2 - want) / want)
-
+    recs, _ = _shared("greens", {"green normalization": 1e-7,
+                                 "green second moment vs variance law": 1e-5,
+                                 "inversion routes agree": 1e-6})
     worst_ss = 0.0
     for alpha, beta in ((0.5, 0.5), (1.0, 0.6), (1.5, 1.0), (2.0, 0.2)):
         spec = greens.GreenSpec(alpha, beta, 1.0)
@@ -119,25 +131,12 @@ def test_criterion_5_green_functions():
                 rhs = tt ** (-spec.hurst) * greens.green_density(
                     spec, x * tt ** (-spec.hurst), 1.0)
                 worst_ss = max(worst_ss, abs(lhs - rhs))
-
-    worst_route = 0.0
-    for beta in (0.5, 0.75, 1.0):
-        spec = greens.GreenSpec(beta, beta, 1.0)
-        nu = 0.5 * beta
-        for kappa in (0.5, 1.0, 2.0):
-            s2 = greens.green_fourier(spec, kappa, 1.0)
-            s1 = 2.0 * oracles.fourier_cosine_numeric(
-                lambda xv: greens.green_density_values(spec, xv, 1.0),
-                kappa, tol=1e-8,
-                tail_bound=specfun.m_wright_envelope(nu))
-            worst_route = max(worst_route, abs(s1 - s2))
-
-    ok = (worst_mass < 1e-7 and worst_var < 1e-5 and worst_ss < 1e-12
-          and worst_route < 1e-6)
-    _report(5, ok,
-            f"mass {worst_mass:.2e} (1e-7), variance rel {worst_var:.2e} "
+    _report(5, worst_ss < 1e-12,
+            f"mass {_worst(recs, 'green normalization'):.2e} (1e-7), "
+            f"variance rel "
+            f"{_worst(recs, 'green second moment vs variance law'):.2e} "
             f"(1e-5), self-similarity {worst_ss:.2e} (1e-12), "
-            f"routes {worst_route:.2e} (1e-6)")
+            f"routes {_worst(recs, 'inversion routes agree'):.2e} (1e-6)")
 
 
 def test_criterion_6_volterra_solver():
@@ -172,21 +171,21 @@ def test_criterion_6_volterra_solver():
 
 def test_criterion_7_drift_equation():
     """Two drift forms agree to 1e-8; normalization 1e-7; mean 1e-6."""
-    worst_forms = 0.0
+    recs, _ = _shared("greens", {"drift two forms agree": 1e-8})
+    worst_forms = _worst(recs, "drift two forms agree")
     worst_mass = 0.0
     worst_mean = 0.0
     for beta in (0.25, 0.5, 0.75):
         spec = greens.DriftSpec(beta)
-        for x in (0.25, 0.7, 1.5, 4.0):
+        for x in (0.7, 1.5):  # the suite covers x = 0.25, 1 and 4
             for t in (0.5, 1.0, 2.0):
                 worst_forms = max(worst_forms, abs(
                     greens.drift_green(spec, x, t)
                     - greens.drift_green_stable_form(spec, x, t)))
+        worst_mass = max(worst_mass,
+                         abs(_mass_quadrature(beta, 0.0, 1e-9) - 1.0))
         for t in (0.5, 1.0):
-            scale = t ** beta
-            mass = _mass_quadrature(beta, 0.0, 1e-9)
-            mean = _mass_quadrature(beta, 1.0, 1e-8) * scale
-            worst_mass = max(worst_mass, abs(mass - 1.0))
+            mean = _mass_quadrature(beta, 1.0, 1e-8) * t ** beta
             worst_mean = max(worst_mean,
                              abs(mean - greens.drift_mean(spec, t)))
     ok = worst_forms < 1e-8 and worst_mass < 1e-7 and worst_mean < 1e-6
@@ -198,76 +197,36 @@ def test_criterion_7_drift_equation():
 def test_criterion_8_ggbm_monte_carlo():
     """Ensembles of 1e5 paths over 64 times: variance within 3 se,
     chi-square p > 0.01 on 20 cells, increment-correlation signs."""
-    t0 = time.monotonic()
-    times = np.arange(1, 65) / 64.0
-    seed = 20260411
-    lines = []
-    ok = True
-    for alpha, beta in ((1.0, 1.0), (0.5, 0.5), (1.5, 1.0), (1.2, 0.6)):
-        ens = ggbm.sample_paths(ggbm.CovSpec(alpha, beta, times),
-                                100_000, seed)
-        rep = ggbm.ensemble_stats(ens)
-        worst_z = 0.0
-        for idx in (15, 31, 47, 63):
-            want = 2.0 * times[idx] ** alpha * rgamma(1.0 + beta)
-            worst_z = max(worst_z, abs(rep.variance[idx] - want)
-                          / rep.variance_se[idx])
-        corr, se = rep.lag1_increment_corr, rep.lag1_increment_corr_se
-        if alpha > 1.0:
-            sign_ok = corr > 0.0
-        elif alpha < 1.0:
-            sign_ok = corr < 0.0
-        else:
-            sign_ok = abs(corr) <= 3.0 * se
-        ok = ok and worst_z <= 3.0 and rep.chi2_pvalue > 0.01 and sign_ok
-        lines.append(f"({alpha},{beta}): var z {worst_z:.2f}, "
-                     f"chi2 p {rep.chi2_pvalue:.3f}, corr {corr:+.4f}")
-    elapsed = time.monotonic() - t0
-    _report(8, ok and elapsed < 300.0,
-            "; ".join(lines) + f"; runtime {elapsed:.0f}s (< 5min)")
+    recs, elapsed = _shared("ggbm", {"variance law (z-score)": 3.0,
+                                     "marginal chi-square": 0.0,
+                                     "increment correlation sign": 0.0})
+    orders = [(c.params["alpha"], c.params["beta"]) for c in recs]
+    assert sorted(orders) == sorted(
+        3 * [(1.0, 1.0), (0.5, 0.5), (1.5, 1.0), (1.2, 0.6)])
+    _report(8, elapsed < 300.0,
+            f"var z {_worst(recs, 'variance law (z-score)'):.2f} (3), chi2 p "
+            f"{0.01 - _worst(recs, 'marginal chi-square'):.3f} (> 0.01), "
+            f"signs ok; runtime {elapsed:.0f}s (< 5min)")
 
 
 def test_criterion_9_fractional_calculus():
     """Closed-form identities exact to rounding; grid order >= 1.5."""
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(50):
-        mu, nu = rng.uniform(0.1, 1.5, 2)
-        gam = rng.uniform(-0.5, 3.0)
-        t = rng.uniform(0.2, 3.0)
-        coef = fraccalc.rl_integral_power(nu, gam, t) / t ** (gam + nu)
-        lhs = coef * fraccalc.rl_integral_power(mu, gam + nu, t)
-        rhs = fraccalc.rl_integral_power(mu + nu, gam, t)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        coef = fraccalc.rl_integral_power(mu, gam, t) / t ** (gam + mu)
-        back = coef * fraccalc.rl_derivative_power(mu, gam + mu, t)
-        worst = max(worst, abs(back - t ** gam) / t ** gam)
+    recs, _ = _shared("fraccalc", {"semigroup on power laws": 1e-12,
+                                   "derivative is left inverse": 1e-12,
+                                   "grid order (integral)": 0.0,
+                                   "grid order (caputo)": 0.0})
+    worst = max(_worst(recs, "semigroup on power laws"),
+                _worst(recs, "derivative is left inverse"))
     for (c, mu, gam, t) in ((2.0, 0.5, 1.5, 0.7), (-1.0, 0.3, 2.0, 2.0)):
         rl = (c * fraccalc.rl_derivative_power(mu, 0.0, t)
               + fraccalc.rl_derivative_power(mu, gam, t))
         cap = fraccalc.caputo_power(mu, gam, t)
         want = c * t ** (-mu) * rgamma(1.0 - mu)
         worst = max(worst, abs((rl - cap) - want) / abs(want))
-
-    orders = {}
-    for scheme, mu in (("integral", 0.5), ("caputo", 0.45)):
-        errs = []
-        for n in (128, 256, 512, 1024):
-            g = np.linspace(0.0, 1.0, n + 1)
-            if scheme == "integral":
-                got = fraccalc.rl_integral_grid(GridFunction(g, g * g), mu).ys
-                ex = np.array([fraccalc.rl_integral_power(mu, 2.0, t)
-                               if t > 0 else 0.0 for t in g])
-            else:
-                got = fraccalc.caputo_derivative_grid(
-                    GridFunction(g, g * g), 0.0, mu).ys
-                ex = np.array([fraccalc.caputo_power(mu, 2.0, t)
-                               if t > 0 else 0.0 for t in g])
-            errs.append(np.max(np.abs(got - ex)))
-        orders[scheme] = -np.polyfit(np.log([128, 256, 512, 1024]),
-                                     np.log(errs), 1)[0]
-    ok = worst < 1e-12 and all(v >= 1.5 for v in orders.values())
-    _report(9, ok,
+    # the suite's residual is 1.5 minus the observed order
+    orders = {s: 1.5 - _worst(recs, f"grid order ({s})")
+              for s in ("integral", "caputo")}
+    _report(9, worst < 1e-12,
             f"identity residual {worst:.2e} (1e-12), orders "
             f"integral {orders['integral']:.2f} / caputo "
             f"{orders['caputo']:.2f} (>= 1.5)")

@@ -21,6 +21,7 @@ from mwright.errors import (
     NegativeArgument,
     NonConvergence,
     QuadratureFailure,
+    ResultOverflow,
     UnsupportedQ,
 )
 from mwright.specfun import AuxIndex, WrightIndex
@@ -75,6 +76,32 @@ class TestWrightSeries:
 
         mine = specfun.wright_series(WrightIndex(lam, mu), z).value
         assert_allclose(mine, wright_bessel(lam, mu, z), rtol=5e-14)
+
+    @pytest.mark.parametrize("lam,mu,z,ref", [
+        # 80-digit direct sums (mpmath). Each sum needs terms whose
+        # 1/Gamma(lam k + mu) underflows; their sign is +1, not that of 0
+        (1.0, 0.5, 4e4, 1.472949404887632296755897315682073513457e+173),
+        (1.0, 1.0, 6e4, 1.037394485533216727668123144065879938572e+211),
+        (1.0, 2.5, 5e4, 9.393979801673044068072593336519174610538e+188),
+        (2.0, 1.0, 4e6, 3.164460274430098014884137045622137032599e+128),
+    ])
+    def test_first_kind_large_argument_within_estimate(self, lam, mu, z, ref):
+        res = specfun.wright_series(WrightIndex(lam, mu), z)
+        assert abs(res.value - ref) <= res.abs_err_estimate
+        assert res.abs_err_estimate <= 1e-11 * ref
+
+    @pytest.mark.parametrize("lam,mu,z", [
+        (0.5, 1.0, 5000.0),  # the terms peak near k = 370; 680 are needed
+        (0.25, 1.0, 3000.0),  # terms and sum (5.2e431) beyond the doubles
+    ])
+    def test_first_kind_past_the_budget_raises(self, lam, mu, z):
+        with pytest.raises(NonConvergence):
+            specfun.wright_series(WrightIndex(lam, mu), z)
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf])
+    def test_infinite_argument_rejected(self, z):
+        with pytest.raises(InvalidArgument):
+            specfun.wright_series(WrightIndex(0.5, 1.0), z)
 
 
 class TestSeriesEngine:
@@ -478,6 +505,24 @@ class TestMomentsAndMellin:
         with pytest.raises(InvalidMomentOrder):
             specfun.m_wright_moment(0.5, -1.0)
 
+    def test_nan_order_rejected(self):
+        with pytest.raises(InvalidOrder):
+            specfun.m_wright_moment(math.nan, 1.0)
+
+    def test_ratio_in_range_past_gamma_overflow(self):
+        # Gamma(201) overflows, Gamma(201)/Gamma(61) does not (40 digits)
+        assert_allclose(specfun.m_wright_moment(0.3, 200.0),
+                        9.477936411620799745276998721803732158075e+292,
+                        rtol=1e-12)
+
+    @pytest.mark.parametrize("nu,delta", [
+        (0.3, math.inf), (0.0, math.inf), (0.5, 400.0), (0.0, 171.0)])
+    def test_ratio_beyond_double_range(self, nu, delta):
+        with pytest.raises(ResultOverflow):
+            specfun.m_wright_moment(nu, delta)
+        with pytest.raises(ResultOverflow):
+            specfun.mellin_m_wright(nu, delta + 1.0)
+
     def test_mellin_unit(self):
         assert specfun.mellin_m_wright(0.5, 1.0) == pytest.approx(1.0)
 
@@ -517,6 +562,29 @@ class TestSpecialCases:
     def test_unsupported_q(self):
         with pytest.raises(UnsupportedQ):
             specfun.m_wright_special(4, 1.0)
+
+    @pytest.mark.parametrize("z,ref", [
+        # 3^(2/3) Ai(z / 3^(1/3)) to 40 digits (mpmath); the two series
+        # cancel to fewer and fewer digits as |z| grows
+        (8.0, 6.262963256580199371269570725856406305258e-05),
+        (15.0, 6.335391476806423575683400730198574897127e-11),
+        (20.0, 3.395218653786931218529507609958922936165e-16),
+        (-15.0, -0.5969332882081786865844050057522425200042),
+        (-20.0, -0.3691832684676816503134810818639724594318),
+    ])
+    def test_airy_estimate_covers_the_cancellation(self, z, ref):
+        res = specfun.m_wright_special(3, z)
+        assert abs(res.value - ref) <= res.abs_err_estimate
+
+    def test_airy_series_past_double_precision_raises(self):
+        with pytest.raises(NonConvergence):
+            specfun.m_wright_special(3, 200.0)
+
+    @pytest.mark.parametrize("q,z", [
+        (2, math.nan), (3, math.nan), (3, math.inf), (3, -math.inf)])
+    def test_non_finite_argument_rejected(self, q, z):
+        with pytest.raises(InvalidArgument):
+            specfun.m_wright_special(q, z)
 
     @pytest.mark.parametrize("q,nu", [(2, 0.5), (3, 1.0 / 3.0)])
     def test_agreement_with_generic_series(self, q, nu):

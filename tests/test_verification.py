@@ -1,5 +1,6 @@
-"""The verify suites' own bookkeeping (the identities themselves are
-covered by test_acceptance.py and the per-module tests)."""
+"""The verify suites' own bookkeeping. The suites are the one copy of the
+paper's identities: test_acceptance.py asserts the acceptance criteria on
+their Check records, and the per-module tests cover the evaluators."""
 
 import math
 
@@ -41,3 +42,18 @@ def test_closed_form_sweep(monkeypatch):
     for c in _closed_form_checks(checks).values():
         assert not c.passed
     assert all(c.passed for c in checks if c.name != "closed-form agreement")
+
+
+def test_greens_suite_integrates_each_moment_once(monkeypatch):
+    # the mass and second moment of M_(beta/2) do not depend on alpha
+    calls = []
+    real = verification._mass_quadrature
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verification, "_mass_quadrature", counted)
+    checks = verification.suite_greens()
+    assert len(calls) == len(set(calls)) == 10
+    assert len(checks) == 6 and all(c.passed for c in checks)
