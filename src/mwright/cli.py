@@ -69,12 +69,15 @@ def cmd_eval(args) -> int:
         res = specfun.mittag_leffler_neg(args.nu, args.s, tol)
     elif fn == "moment":
         _need(args, "nu", "delta")
+        v = specfun.m_wright_moment(args.nu, args.delta)
         res = specfun.EvalResult(
-            specfun.m_wright_moment(args.nu, args.delta), 0.0, "closed_form")
+            v, specfun._moment_estimate(args.nu, args.delta, v), "closed_form")
     elif fn == "mellin":
         _need(args, "nu", "s")
+        v = specfun.mellin_m_wright(args.nu, args.s)
         res = specfun.EvalResult(
-            specfun.mellin_m_wright(args.nu, args.s), 0.0, "closed_form")
+            v, specfun._moment_estimate(args.nu, args.s - 1.0, v),
+            "closed_form")
     elif fn == "green":
         _need(args, "alpha", "beta", "x", "t")
         v = greens.green_density(

@@ -8,8 +8,9 @@ E_nu(-s) on the negative real axis.
 Two engines serve them all. Every power series (W_{lam,mu}, M_nu, its
 mass W_{-nu,1}(-r), the Taylor series of E_nu(-s)) goes through
 `_series_terms`, which builds the terms of a block of arguments, a row
-each, and `_apply_stopping_rule`, which stops every row with its
-truncation and rounding estimates. Every integral (the stable density for
+each, with one index (lam, mu) for the block or one per row, and
+`_apply_stopping_rule`, which stops every row with its truncation and
+rounding estimates. Every integral (the stable density for
 M_nu and its mass, the spectral integral for E_nu(-s)) has a positive
 integrand on (0, 1), taken for all rows at once by `quadrature.adaptive_rows`.
 
@@ -123,21 +124,40 @@ def _coefficients(lam: float, mu: float) -> np.ndarray:
     return rg
 
 
-def _series_terms(lam: float, mu: float, z, factorial: bool = True,
+def _per_row(lam, mu, z: np.ndarray):
+    """(lam, mu) unchanged when both are scalars, else one entry per z."""
+    if np.ndim(lam) == np.ndim(mu) == 0:
+        return lam, mu
+    return (np.broadcast_to(np.asarray(lam, dtype=float), z.shape),
+            np.broadcast_to(np.asarray(mu, dtype=float), z.shape))
+
+
+def _series_terms(lam, mu, z, factorial: bool = True,
                   rebuild: bool = False, n: int = _TERM_BUDGET) -> np.ndarray:
     """Terms z^k / (k! Gamma(lam*k + mu)), k < n <= 400, a row per entry of z.
 
-    Without the k! the rows hold the Mittag-Leffler terms
-    z^k / Gamma(lam*k + mu). Uses the reciprocal Gamma (entire, zero at
-    the poles) so no Gamma is ever evaluated at a non-positive argument.
-    Entries that are not finite (an overflowing 1/Gamma or power factor)
-    become +inf, which the stopping rule cannot pass. With rebuild=True
-    they are instead resolved in log space, in every row where one of
-    them is representable, and set to zero elsewhere; a rebuilt term past
-    the double range stays inf.
+    lam and mu are scalars, which read the cached `_coefficients` row, or
+    arrays with one entry per entry of z: then 1/Gamma(lam*k + mu) is built
+    once per distinct (lam, mu) by the same elementwise expression, so each
+    row has the bits of its scalar call. Without the k! the rows hold the
+    Mittag-Leffler terms z^k / Gamma(lam*k + mu). Uses the reciprocal Gamma
+    (entire, zero at the poles) so no Gamma is ever evaluated at a
+    non-positive argument. Entries that are not finite (an overflowing
+    1/Gamma or power factor) become +inf, which the stopping rule cannot
+    pass. With rebuild=True they are instead resolved in log space, in
+    every row where one of them is representable, and set to zero
+    elsewhere; a rebuilt term past the double range stays inf.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    rg = _coefficients(lam, mu)[:n]
+    lam, mu = _per_row(lam, mu, z)
+    if np.ndim(lam) == 0:
+        rg = _coefficients(lam, mu)[:n]
+    else:
+        # distinct pairs by their bits, so -0.0 and 0.0 stay apart
+        pairs = np.stack([lam, mu], axis=1)
+        _, first, inv = np.unique(pairs.view(np.uint64), axis=0,
+                                  return_index=True, return_inverse=True)
+        rg = _rgamma(lam[first, None] * _N[:n] + mu[first, None])[inv.ravel()]
     ratio = np.ones((z.size, n))
     ratio[:, 1:] = z[:, None] / (_N[1:n] if factorial else 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,10 +168,13 @@ def _series_terms(lam: float, mu: float, z, factorial: bool = True,
         return t
     rows, nb = np.nonzero(bad)
     zb = z[rows]
+    if np.ndim(lam):
+        lam, mu = lam[rows], mu[rows]
+    x = lam * nb + mu
     with np.errstate(divide="ignore", invalid="ignore"):
         lt = (nb * np.log(np.abs(zb))
               - (_gammaln(nb + 1.0) if factorial else 0.0)
-              + _log_abs_rgamma(lam * nb + mu))
+              + _log_abs_rgamma(x))
     # genuinely representable magnitude lost to overflow splitting:
     # reconstruct from logs (slightly lower per-term accuracy)
     representable = np.zeros(z.size, dtype=bool)
@@ -159,7 +182,8 @@ def _series_terms(lam: float, mu: float, z, factorial: bool = True,
     # the sign of 1/Gamma(x) by the reflection formula: +1 for x > 0, where
     # rg may have underflowed to 0; sin(pi x) for x <= 0, as rg carries it
     # (0 at the poles)
-    sgn = (np.where(lam * nb + mu > 0.0, 1.0, np.sign(rg[nb]))
+    rgb = np.broadcast_to(rg, t.shape)[rows, nb]
+    sgn = (np.where(x > 0.0, 1.0, np.sign(rgb))
            * np.where(nb % 2 == 0, 1.0, np.sign(zb)))
     # a term past the double range is inf, so its row misses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,18 +222,22 @@ def _apply_stopping_rule(terms: np.ndarray, tol: float, weight=None):
     return value, trunc, cancel
 
 
-def _sum_series(lam: float, mu: float, z, tol: float):
+def _sum_series(lam, mu, z, tol: float):
     """Stopped Wright series at every z: arrays (value, trunc_err, cancel_err).
 
-    Every row is first stopped on 64 terms; rows that miss get the 400-term
-    budget, then, where a term overflowed, a log-space rebuild, and rows
-    that still miss are NaN. The result is the full budget's, bit for bit.
+    lam and mu are scalars or give one entry per z (see `_series_terms`);
+    either way each row has the bits of its own scalar call. Every row is
+    first stopped on 64 terms; rows that miss get the 400-term budget,
+    then, where a term overflowed, a log-space rebuild, and rows that still
+    miss are NaN. The result is the full budget's, bit for bit.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    lam, mu = _per_row(lam, mu, z)
     out = _apply_stopping_rule(_series_terms(lam, mu, z, n=64), tol)
     for rebuild in (False, True):
         if (miss := np.isnan(out[0])).any():
-            terms = _series_terms(lam, mu, z[miss], rebuild=rebuild)
+            idx = (lam, mu) if np.ndim(lam) == 0 else (lam[miss], mu[miss])
+            terms = _series_terms(*idx, z[miss], rebuild=rebuild)
             for a, b in zip(out, _apply_stopping_rule(terms, tol)):
                 a[miss] = b
     return out
@@ -620,6 +648,17 @@ def m_wright_moment(nu, delta: float) -> float:
         raise ResultOverflow(f"moment of order {delta} of M_{nu} exceeds "
                              f"the double range")
     return float(ratio)
+
+
+def _moment_estimate(nu: float, delta: float, value: float) -> float:
+    """Rounding bound of value = m_wright_moment(nu, delta): 4 eps (|log
+    Gamma(delta+1)| + |log Gamma(nu delta+1)| + 1) |value|, on both routes.
+    Rounding an argument x (delta + 1, nu delta + 1) moves Gamma(x) by up
+    to x |psi(x)| eps/2 relative, hundreds of eps at x ~ 150, which the
+    log Gamma terms cover; a flat few eps would not."""
+    nu, delta = _as_nu(nu), float(delta)
+    size = abs(_gammaln(delta + 1.0)) + abs(_gammaln(nu * delta + 1.0)) + 1.0
+    return float(4.0 * _EPS * size * abs(value))
 
 
 def mellin_m_wright(nu, s: float) -> float:

@@ -61,6 +61,34 @@ class TestEval:
             doc = json.loads(capsys.readouterr().out)
             assert doc["value"] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("argv,ref", [
+        # Gamma(delta+1)/Gamma(nu delta+1) at the decimal inputs, 40 digits
+        (["moment", "--nu", "0.3", "--delta", "200"],  # log-space route
+         "9.477936411620799745276998721803732158075e+292"),
+        (["mellin", "--nu", "0.3", "--s", "201"],
+         "9.477936411620799745276998721803732158075e+292"),
+        (["moment", "--nu", "0.99", "--delta", "170"],
+         "6169.351978564240040244332282461021159832"),
+        (["moment", "--nu", "0.25", "--delta", "150.3"],
+         "2.315087589914843633109660618081550290763e+219"),
+        (["moment", "--nu", "0.37", "--delta", "160.3"],
+         "4.374901921837542912977296174805076680899e+204"),
+        (["moment", "--nu", "0.5", "--delta", "0.5"],
+         "0.977741067446923797631535468224759234145"),
+        (["moment", "--nu", "0", "--delta", "-0.25"],
+         "1.225416702465177645129098303362890526851"),
+        (["moment", "--nu", "0.01", "--delta", "-0.999"],
+         "993.5953352770504497885626765589532277316"),
+        (["mellin", "--nu", "0.25", "--s", "2"],
+         "1.10326265132083725743978215995325199903"),
+    ])
+    def test_moment_estimate_is_honest(self, capsys, argv, ref):
+        assert run(["eval", "--function"] + argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        ref = float(ref)
+        assert abs(doc["value"] - ref) <= doc["abs_err_estimate"]
+        assert 0.0 < doc["abs_err_estimate"] <= 1e-11 * ref
+
 
 class TestTabulate:
     def test_limit_columns_match_closed_forms(self, tmp_path):

@@ -138,6 +138,69 @@ class TestSeriesEngine:
                     assert a.tobytes() == b.tobytes(), (nu, tol)
         assert rebuilt > 0
 
+    # (lam, mu, z) rows that stop on 64 terms, on the 400-term budget,
+    # after a log-space rebuild (first kind, 1/Gamma underflows), and not
+    # at all (NaN: past the budget, or the F-series at z = 0)
+    MIXED_ROWS = [(-0.3, 0.7, -1.0), (-0.3, 0.7, -14.0), (1.0, 0.5, 4e4),
+                  (-0.4, 0.0, -2.5), (0.5, 1.0, 5000.0), (-0.5, 0.5, -40.0),
+                  (-0.4, 0.0, -0.0), (-0.98, 0.02, -3.0)]
+
+    @staticmethod
+    def _assert_rows_match_scalar_calls(rows, tol):
+        lam, mu, z = (np.array(c) for c in zip(*rows))
+        block = specfun._sum_series(lam, mu, z, tol)
+        for i, (lam_i, mu_i, z_i) in enumerate(rows):
+            single = specfun._sum_series(lam_i, mu_i, z_i, tol)
+            for b, one in zip(block, single):
+                assert b[i].tobytes() == one.tobytes(), (rows[i], tol)
+
+    def test_per_row_index_stages(self):
+        lam, mu, z = (np.array(c) for c in zip(*self.MIXED_ROWS))
+        stop = [np.isnan(specfun._apply_stopping_rule(
+            specfun._series_terms(lam, mu, z, n=n), 1e-12)[0])
+            for n in (64, 400)]
+        value = specfun._sum_series(lam, mu, z, 1e-12)[0]
+        assert not stop[0][0]                        # 64 terms
+        assert stop[0][1] and not stop[1][1]         # 400 terms
+        assert stop[1][2] and not np.isnan(value[2])  # rebuilt
+        assert np.isnan(value[4:]).all()
+        self._assert_rows_match_scalar_calls(self.MIXED_ROWS, 1e-12)
+
+    @given(second=st.lists(st.tuples(st.floats(0.01, 0.99),
+                                     st.sampled_from(("m", "f", "mass")),
+                                     st.floats(0.0, 4.0)),
+                           min_size=1, max_size=8),
+           first=st.lists(st.tuples(st.floats(0.25, 2.0), st.floats(0.5, 2.5),
+                                    st.floats(150.0, 4000.0)),
+                          min_size=1, max_size=4),
+           tol=st.sampled_from((1e-10, 1e-12, 1e-14)), data=st.data())
+    def test_per_row_index_matches_scalar_calls(self, second, first, tol,
+                                                data):
+        # one (lam, mu) per row gives each row the bits of its own scalar
+        # call: M_nu, F_nu and mass rows up to 4 r* (many miss the 64-term
+        # block, some the budget) mixed with first-kind rows rebuilt in
+        # log space
+        mus = {"m": lambda nu: 1.0 - nu, "f": lambda nu: 0.0,
+               "mass": lambda nu: 1.0}
+        rows = [(-nu, mus[kind](nu), -frac * specfun.crossover_radius(nu))
+                for nu, kind, frac in second] + first
+        self._assert_rows_match_scalar_calls(
+            data.draw(st.permutations(rows)), tol)
+
+    def test_scalar_index_reads_the_cached_row(self, monkeypatch):
+        row = specfun._coefficients(-0.3, 0.7)
+        assert specfun._coefficients(-0.3, 0.7) is row
+        assert not row.flags.writeable
+        built, real = [], specfun._rgamma
+        monkeypatch.setattr(specfun, "_rgamma",
+                            lambda x: built.append(np.shape(x)) or real(x))
+        specfun._sum_series(-0.3, 0.7, [-1.0, -14.0], 1e-12)
+        assert built == []
+        # per-row: one build per distinct (lam, mu) and pass
+        specfun._sum_series(np.array([-0.3, -0.5, -0.3]), 0.7,
+                            [-1.0, -1.0, -2.0], 1e-12)
+        assert built == [(2, 64)]
+
 
 class TestMWright:
     def test_gaussian_point(self):

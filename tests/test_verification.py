@@ -5,6 +5,7 @@ their Check records, and the per-module tests cover the evaluators."""
 import math
 
 import numpy as np
+import pytest
 
 from mwright import specfun, verification
 
@@ -42,6 +43,44 @@ def test_closed_form_sweep(monkeypatch):
     for c in _closed_form_checks(checks).values():
         assert not c.passed
     assert all(c.passed for c in checks if c.name != "closed-form agreement")
+
+
+def _relation_check(checks):
+    (c,) = [c for c in checks if c.name.startswith("relation F_nu")]
+    return c
+
+
+def test_f_relation_sweep():
+    # one series call each for M_nu and the F-series gives the worst ratio
+    # of the per-sample loop over the public evaluators, bit for bit
+    rng = np.random.default_rng(20260809)
+    worst = 0.0
+    for _ in range(1000):
+        nu = rng.uniform(0.05, 0.95)
+        r = rng.uniform(0.0, min(specfun.crossover_radius(nu), 5.0))
+        f = specfun.f_wright(nu, r)
+        fs = specfun.wright_series(specfun.WrightIndex(-nu, 0.0), -r)
+        bound = max(f.abs_err_estimate + fs.abs_err_estimate, 1e-14)
+        worst = max(worst, abs(f.value - fs.value) / bound)
+    assert worst == 3.3729692888582647
+    check = _relation_check(verification.suite_specfun())
+    assert check.residual == worst and check.passed
+
+
+@pytest.mark.parametrize("series", ["M", "F"])
+def test_f_relation_sweep_fails_on_a_missed_row(monkeypatch, series):
+    real = specfun._sum_series
+
+    def one_nan_row(lam, mu, z, tol):
+        out = real(lam, mu, z, tol)
+        if np.ndim(lam) and (np.ndim(mu) == 1) == (series == "M"):
+            out[0][500] = math.nan
+        return out
+
+    monkeypatch.setattr(specfun, "_sum_series", one_nan_row)
+    checks = verification.suite_specfun()
+    assert not _relation_check(checks).passed
+    assert all(c.passed for c in checks if not c.name.startswith("relation"))
 
 
 def test_greens_suite_integrates_each_moment_once(monkeypatch):
