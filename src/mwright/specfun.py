@@ -20,8 +20,8 @@ m_wright_values, so both share validation and dispatch):
 * closed forms for nu = 0 (exp) and nu = 1/2 (Gaussian);
 * power series in the reflection-formula form (coefficients 1/Gamma(1-nu*n),
   entire in the index, so no Gamma pole is evaluated) up to the crossover
-  radius r*(nu), tabulated on a 0.01 grid in nu at first use: the smallest
-  radius where the series rounding floor (2 eps sum|term|) exceeds
+  radius r*(nu), committed on a 0.01 grid in nu as the scan found it: the
+  smallest radius where the series rounding floor (2 eps sum|term|) exceeds
   min(1e-10, 1e-6 times the value);
 * beyond r*, the exact one-sided stable-density integral; the
   leading-order exponential form only serves envelopes and checks.
@@ -229,7 +229,8 @@ def _sum_series(lam, mu, z, tol: float):
     either way each row has the bits of its own scalar call. Every row is
     first stopped on 64 terms; rows that miss get the 400-term budget,
     then, where a term overflowed, a log-space rebuild, and rows that still
-    miss are NaN. The result is the full budget's, bit for bit.
+    miss are NaN. The result is the full budget's, bit for bit. A row at
+    z = 0 where 1/Gamma(mu) = 0 is the exact (0, 0, 0).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     lam, mu = _per_row(lam, mu, z)
@@ -240,6 +241,12 @@ def _sum_series(lam, mu, z, tol: float):
             terms = _series_terms(*idx, z[miss], rebuild=rebuild)
             for a, b in zip(out, _apply_stopping_rule(terms, tol)):
                 a[miss] = b
+    if (miss := np.isnan(out[0])).any():
+        # W(0) = 1/Gamma(mu) is exactly 0 at mu = 0, -1, -2, ...: every term
+        # is 0, so no partial sum passes the relative rule
+        zero = miss & (z == 0.0) & (_rgamma(mu) == 0.0)
+        for a in out:
+            a[zero] = 0.0
     return out
 
 
@@ -379,26 +386,44 @@ def _m_tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
 # crossover table
 # ---------------------------------------------------------------------------
 
-def _scan_crossover(nu: float) -> float:
-    """Smallest radius where the series rounding floor crosses its cap.
-
-    All radii 0.5 * 1.12^k up to 80 are summed in one block; the scan
-    returns the radius before the first one that fails.
-    """
+def _scan_radii() -> list:
+    """The scan's radii 0.5 * 1.12^k up to 80, by repeated multiplication."""
     rs = [0.5]
     while rs[-1] * 1.12 <= 80.0:
         rs.append(rs[-1] * 1.12)
+    return rs
+
+
+def _scan_crossover(nu: float) -> float:
+    """Smallest radius where the series rounding floor crosses its cap.
+
+    All radii of `_scan_radii` are summed in one block; the scan returns
+    the radius before the first one that fails.
+    """
+    rs = _scan_radii()
     value, _, cancel = _sum_series(-nu, 1.0 - nu, -np.array(rs), 1e-14)
     fail = np.isnan(value) | (cancel > np.minimum(1e-10, 1e-6 * abs(value)))
     first = int(fail.argmax()) if fail.any() else len(rs)
     return rs[max(first - 1, 0)]
 
 
+# the index k of `_scan_crossover(nu)` in `_scan_radii()` for nu = 0.01,
+# 0.02, ..., 0.99; rerun the scan and update these when it changes
+_CROSSOVER_STEPS = (
+    27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27,
+    27, 27, 27, 27, 26, 26, 26, 26, 26, 26, 26, 26, 25, 25, 25, 25, 25, 25,
+    25, 24, 24, 24, 24, 24, 24, 23, 23, 23, 23, 23, 22, 22, 22, 22, 22, 21,
+    21, 21, 21, 20, 20, 20, 20, 19, 19, 19, 19, 18, 18, 18, 18, 17, 17, 17,
+    16, 16, 16, 15, 15, 15, 15, 14, 14, 14, 13, 13, 12, 12, 12, 11, 11, 10,
+    10, 9, 9, 8, 8, 7, 7, 6, 6,
+)
+
+
 @lru_cache(maxsize=None)
 def _crossover_table():
-    """(nus, radii) on the 0.01 order grid, built once at first use."""
+    """(nus, radii) on the 0.01 order grid: the committed scan results."""
     nus = np.round(np.arange(0.01, NU_MAX + 1e-9, 0.01), 2)
-    return nus, np.array([_scan_crossover(float(v)) for v in nus])
+    return nus, np.array(_scan_radii())[list(_CROSSOVER_STEPS)]
 
 
 def crossover_radius(nu) -> float:

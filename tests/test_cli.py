@@ -61,6 +61,14 @@ class TestEval:
             doc = json.loads(capsys.readouterr().out)
             assert doc["value"] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("mu", ["0", "-2"])
+    def test_wright_at_the_origin_of_a_gamma_pole(self, capsys, mu):
+        # W_(lam,mu)(0) = 1/Gamma(mu) = 0 exactly
+        assert run(["eval", "--function", "wright", "--lam", "0.5",
+                    "--mu", mu, "--x", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["value"], doc["abs_err_estimate"]) == (0.0, 0.0)
+
     @pytest.mark.parametrize("argv,ref", [
         # Gamma(delta+1)/Gamma(nu delta+1) at the decimal inputs, 40 digits
         (["moment", "--nu", "0.3", "--delta", "200"],  # log-space route

@@ -1,7 +1,11 @@
 """Generalized grey Brownian motion: densities, samplers, statistics."""
 
+import concurrent.futures
 import json
 import math
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -299,6 +303,43 @@ class TestStableSampler:
         assert isinstance(ggbm.sample_oneside_stable(0.6, rng), float)
 
 
+def _kanter_reference(nu, rng, m):
+    """The stable draw as sample_oneside_stable wrote it before the Kanter
+    transform was shared with sample_paths."""
+    u = np.clip(rng.random(m), 1e-16, 1.0 - 1e-16)
+    w = np.maximum(rng.standard_exponential(m), 1e-300)
+    log_a = specfun._kanter_log_a(nu, np.pi * u)
+    return np.exp((1.0 - nu) / nu * (log_a - np.log(w)))
+
+
+class TestSharedKanterTransform:
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.75, 0.99])
+    def test_stable_draws_keep_their_bits(self, nu):
+        got = ggbm.sample_oneside_stable(nu, np.random.default_rng(5), 5000)
+        want = _kanter_reference(nu, np.random.default_rng(5), 5000)
+        assert np.array_equal(got, want)
+        scalar = ggbm.sample_oneside_stable(nu, np.random.default_rng(6))
+        assert scalar == float(_kanter_reference(
+            nu, np.random.default_rng(6), 1)[0])
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.75, 0.99])
+    def test_mixing_draws_keep_their_bits(self, beta):
+        got = ggbm.sample_mixing_lambda(beta, np.random.default_rng(7), 5000)
+        want = _kanter_reference(beta, np.random.default_rng(7), 5000)
+        assert np.array_equal(got, want ** (-beta))
+
+    def test_hard_coded_draws(self):
+        # the first three draws of default_rng(2026), printed before the
+        # transform was shared
+        rng = np.random.default_rng
+        assert ggbm.sample_oneside_stable(0.5, rng(2026), 3).tolist() == [
+            0.3946203641570573, 0.8901671682477065, 0.42446767276249153]
+        assert ggbm.sample_mixing_lambda(0.5, rng(2026), 3).tolist() == [
+            1.5918797327578411, 1.0598983445963466, 1.5348915313177105]
+        assert ggbm.sample_mixing_lambda(0.3, rng(2026), 3).tolist() == [
+            1.3685247299177392, 1.0659760471672133, 1.5001007450925332]
+
+
 class TestMixingLambda:
     def test_delta_at_unit_order(self):
         rng = np.random.default_rng(0)
@@ -593,3 +634,133 @@ class TestBlockedPassesMatchFullArrays:
             assert rep.lag1_increment_corr == want["lag1_increment_corr"]
             assert (rep.lag1_increment_corr_se
                     == want["lag1_increment_corr_se"])
+
+
+class TestParallelFills:
+    """sample_paths with 1, 2 and 3 fill threads against the batch loop: a
+    pool from 4 batches per worker and 2 workers on, the same bits always."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of every pool sample_paths makes."""
+        made = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            Recording)
+        return made
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n, m, beta", [
+        (8 * ggbm._BATCH - 1, 5, 0.6),   # 8 batches, the last partial
+        (7 * ggbm._BATCH, 5, 0.6),       # just below the threshold
+        (8 * ggbm._BATCH, 5, 0.6),       # at it
+        (9 * ggbm._BATCH - 77, 3, 0.3),  # just above, partial last batch
+        (12 * ggbm._BATCH, 2, 0.9),      # 3 workers with 3 CPUs
+        (12 * ggbm._BATCH + 1, 4, 1.0),  # beta = 1: normals only
+        (100_000, 64, 0.6),
+    ])
+    def test_same_bits_as_the_batch_loop(self, monkeypatch, pools, cpus, n,
+                                         m, beta):
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: cpus)
+        spec = ggbm.CovSpec(1.2, beta, np.arange(1, m + 1) / m)
+        ens = ggbm.sample_paths(spec, n, 31)
+        want_paths, want_lambdas = _batch_loop_paths(spec, n, 31)
+        assert np.array_equal(ens.paths, want_paths)
+        assert np.array_equal(ens.lambdas, want_lambdas)
+        n_batches = -(-n // ggbm._BATCH)
+        workers = min(cpus, n_batches // 4)
+        assert pools == ([workers] if workers >= 2 else [])
+
+    @pytest.mark.parametrize("cpus, n", [(2, 7 * ggbm._BATCH), (1, 100_000),
+                                         (64, 8192)])
+    def test_no_pool_below_the_threshold(self, monkeypatch, cpus, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: cpus)
+        spec = ggbm.CovSpec(1.0, 0.5, np.array([0.5, 1.0]))
+        assert ggbm.sample_paths(spec, n, 3).n_paths == n
+
+    def test_math_runs_on_the_calling_thread(self, monkeypatch, pools):
+        seen = set()
+        kanter = ggbm._kanter_stable
+
+        def spy(*args):
+            seen.add(threading.get_ident())
+            return kanter(*args)
+
+        monkeypatch.setattr(ggbm, "_kanter_stable", spy)
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
+        ggbm.sample_paths(ggbm.CovSpec(1.0, 0.5, np.array([1.0])),
+                          8 * ggbm._BATCH, 4)
+        assert pools == [2]
+        assert seen == {threading.get_ident()}
+
+    def test_buffers_are_reused_only_after_the_math(self, monkeypatch,
+                                                    pools):
+        # with w workers, batch b is drawn into the buffers of batch
+        # b - 4 w, so it may start only once that batch's transform is done
+        done, early = [0], []
+        fill, kanter = ggbm._fill_batch, ggbm._kanter_stable
+
+        def fill_spy(child, uw, z):
+            b = child.spawn_key[-1]
+            if b - ggbm._BATCHES_PER_WORKER * 2 >= done[0]:
+                early.append(b)
+            fill(child, uw, z)
+
+        def kanter_spy(*args):
+            time.sleep(0.002)  # let a too-early draw start first
+            out = kanter(*args)
+            done[0] += 1
+            return out
+
+        monkeypatch.setattr(ggbm, "_fill_batch", fill_spy)
+        monkeypatch.setattr(ggbm, "_kanter_stable", kanter_spy)
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
+        spec = ggbm.CovSpec(1.0, 0.5, np.array([0.5, 1.0]))
+        ens = ggbm.sample_paths(spec, 20 * ggbm._BATCH, 5)
+        assert pools == [2] and early == []
+        assert np.array_equal(ens.paths,
+                              _batch_loop_paths(spec, 20 * ggbm._BATCH, 5)[0])
+
+    def test_more_workers_than_cores(self, monkeypatch, pools):
+        # 10 fill threads with a thread switch every microsecond: a draw
+        # into buffers that the math still reads would change the bits
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 10)
+        spec = ggbm.CovSpec(0.7, 0.4, np.array([0.5, 1.0, 2.0]))
+        n = 40 * ggbm._BATCH + 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ens = ggbm.sample_paths(spec, n, 12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [10]
+        want_paths, want_lambdas = _batch_loop_paths(spec, n, 12)
+        assert np.array_equal(ens.paths, want_paths)
+        assert np.array_equal(ens.lambdas, want_lambdas)
+
+    @pytest.mark.parametrize("where", ["_fill_batch", "_kanter_stable"])
+    def test_warnings_reach_the_caller(self, monkeypatch, pools, where):
+        # RuntimeWarnings are errors here (pyproject.toml): one raised in a
+        # fill thread or in the batch math ends the call as an exception
+        original = getattr(ggbm, where)
+
+        def warn(*args):
+            out = original(*args)
+            warnings.warn("from " + where, RuntimeWarning)
+            return out
+
+        monkeypatch.setattr(ggbm, where, warn)
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
+        with pytest.raises(RuntimeWarning, match="from " + where):
+            ggbm.sample_paths(ggbm.CovSpec(1.0, 0.5, np.array([1.0])),
+                              8 * ggbm._BATCH, 4)
+        assert pools == [2]

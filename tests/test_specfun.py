@@ -45,6 +45,37 @@ class TestWrightSeries:
         res = specfun.wright_series(WrightIndex(1.0, 1.0), 0.0)
         assert res.value == 1.0
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, -0.5])
+    @pytest.mark.parametrize("mu", [0.0, -0.0, -1.0, -3.0])
+    def test_origin_at_a_gamma_pole_is_exactly_zero(self, lam, mu):
+        # W_(lam,mu)(0) = 1/Gamma(mu) = 0: every term is 0, so no partial
+        # sum can pass the relative stopping rule
+        res = specfun.wright_series(WrightIndex(lam, mu), 0.0)
+        assert (res.value, res.abs_err_estimate) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("lam,mu", [(0.5, 1.0), (0.5, 0.5), (-0.5, -1.5),
+                                        (1.0, -2.25), (0.0, 3.0)])
+    def test_origin_off_the_poles_keeps_its_bits(self, lam, mu):
+        # the stopping rule's result at z = 0: value 1/Gamma(mu), no
+        # truncation, a rounding floor of 2 eps |1/Gamma(mu)|
+        rg = float(specfun._rgamma(mu))
+        res = specfun.wright_series(WrightIndex(lam, mu), 0.0)
+        assert res.value == rg
+        assert res.abs_err_estimate == 2.0 * np.finfo(float).eps * abs(rg)
+
+    def test_zero_rows_leave_other_rows_alone(self):
+        lam, mu = 0.5, np.array([0.0, 0.0, 1.0, -1.0, 0.5])
+        z = np.array([0.0, 1.5, 0.0, 0.0, -2.0])
+        block = specfun._sum_series(lam, mu, z, 1e-12)
+        for i in range(len(z)):
+            if mu[i] <= 0.0 and z[i] == 0.0:
+                want = (0.0, 0.0, 0.0)
+            else:
+                want = [a[0] for a in specfun._sum_series(lam, mu[i], z[i],
+                                                          1e-12)]
+            for b, one in zip(block, want):
+                np.testing.assert_array_equal(b[i], one)
+
     def test_second_kind_matches_gaussian_form(self):
         # W_(-1/2,1/2)(-1) = M_(1/2)(1) = exp(-1/4)/sqrt(pi)
         res = specfun.wright_series(WrightIndex(-0.5, 0.5), -1.0)
@@ -163,7 +194,8 @@ class TestSeriesEngine:
         assert not stop[0][0]                        # 64 terms
         assert stop[0][1] and not stop[1][1]         # 400 terms
         assert stop[1][2] and not np.isnan(value[2])  # rebuilt
-        assert np.isnan(value[4:]).all()
+        assert np.isnan(value[[4, 5, 7]]).all()
+        assert value[6] == 0.0  # W_(-0.4,0)(-0) = 1/Gamma(0) = 0
         self._assert_rows_match_scalar_calls(self.MIXED_ROWS, 1e-12)
 
     @given(second=st.lists(st.tuples(st.floats(0.01, 0.99),
@@ -200,6 +232,22 @@ class TestSeriesEngine:
         specfun._sum_series(np.array([-0.3, -0.5, -0.3]), 0.7,
                             [-1.0, -1.0, -2.0], 1e-12)
         assert built == [(2, 64)]
+
+
+class TestCrossoverTable:
+    def test_committed_steps_are_the_scan(self):
+        # the literal must be what the scan finds, bit for bit
+        nus, radii = specfun._crossover_table()
+        assert len(nus) == len(radii) == 99
+        scanned = [specfun._scan_crossover(float(nu)) for nu in nus]
+        assert np.array_equal(radii, scanned)
+        for nu, r in zip(nus, radii):
+            assert specfun.crossover_radius(float(nu)) == r
+
+    def test_steps_fall_with_the_order(self):
+        steps = specfun._CROSSOVER_STEPS
+        assert (steps[0], steps[-1]) == (27, 6)
+        assert all(a >= b for a, b in zip(steps, steps[1:]))
 
 
 class TestMWright:
