@@ -80,15 +80,12 @@ def cmd_eval(args) -> int:
             "closed_form")
     elif fn == "green":
         _need(args, "alpha", "beta", "x", "t")
-        v = greens.green_density(
+        res = greens.green_density_result(
             greens.GreenSpec(args.alpha, args.beta, args.K), args.x, args.t)
-        res = specfun.EvalResult(v, float("nan"), "closed_form")
-    elif fn == "drift":
+    else:  # drift
         _need(args, "beta", "x", "t")
-        v = greens.drift_green(greens.DriftSpec(args.beta), args.x, args.t)
-        res = specfun.EvalResult(v, float("nan"), "closed_form")
-    else:
-        raise DomainError(f"unknown function {fn!r}")
+        res = greens.drift_green_result(greens.DriftSpec(args.beta), args.x,
+                                        args.t)
     doc = {"value": res.value, "abs_err_estimate": res.abs_err_estimate,
            "method": res.method}
     _emit_json(doc, args.out)
@@ -131,11 +128,9 @@ def cmd_tabulate(args) -> int:
         elif fn == "green":
             spec = greens.GreenSpec(args.alpha, p, args.K)
             cols[key] = greens.green_density_values(spec, xs, args.t)
-        elif fn == "drift":
+        else:  # drift
             cols[key] = greens.drift_green_values(greens.DriftSpec(p), xs,
                                                   args.t)
-        else:
-            raise DomainError(f"unknown function {fn!r}")
     meta = (f"tabulate function={fn} params={args.params} "
             f"xmin={args.xmin} xmax={args.xmax} step={args.step}")
     if fn == "green":

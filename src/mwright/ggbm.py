@@ -31,7 +31,7 @@ from .errors import (
 )
 
 _BATCH = 4096  # fixed sampling batch; keeps path i independent of n_paths
-_BATCHES_PER_WORKER = 4  # fewer batches per fill thread do not repay a pool
+_BATCHES_PER_WORKER = 4  # fewer batches per thread do not repay a pool
 _SAVE_ROWS = 256  # rows encoded per write in PathEnsemble.save
 _STATS_ROWS = 512  # rows per cache-resident block in ensemble_stats
 
@@ -207,13 +207,15 @@ def pdf_npoint(q: NPointQuery) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _kanter_stable(nu: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One-sided stable variates S = (A(pi U)/W)^((1-nu)/nu) of index nu
-    from uniforms u on (0,1) and standard exponentials w (Kanter)."""
-    u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    w = np.maximum(w, 1e-300)
-    log_a = specfun._kanter_log_a(nu, np.pi * u)
-    return np.exp((1.0 - nu) / nu * (log_a - np.log(w)))
+def _kanter(nu: float, u, w):
+    """Kanter's stable variate S = (A(pi U)/W)^((1-nu)/nu) of index nu from
+    uniforms u and standard exponentials w, and y = log(A(pi U)/W); S is
+    inf or 0 beyond the double range (small nu), without a RuntimeWarning."""
+    y = (specfun._kanter_log_a(nu, np.pi * np.clip(u, 1e-16, 1.0 - 1e-16))
+         - np.log(np.maximum(w, 1e-300)))
+    del u, w  # free a large draw's inputs before the exp
+    with np.errstate(over="ignore"):
+        return np.exp((1.0 - nu) / nu * y), y
 
 
 def sample_oneside_stable(nu: float, rng: np.random.Generator, size=None):
@@ -222,14 +224,14 @@ def sample_oneside_stable(nu: float, rng: np.random.Generator, size=None):
     Kanter's rejection-free construction: S = (A(pi U)/W)^((1-nu)/nu) with
     U uniform on (0,1), W standard exponential, and the kernel
     A(phi) = [sin(nu phi)^nu sin((1-nu) phi)^(1-nu) / sin(phi)]^(1/(1-nu)).
+    A draw beyond the double range is inf (or 0), with no RuntimeWarning;
+    at nu = 0.01 that happens when W is below about 7.5e-4.
     """
     nu = float(nu)
     if not 0.0 < nu < 1.0:
         raise InvalidOrder(f"stable index must lie in (0, 1), got {nu}")
-    scalar = size is None
-    m = 1 if scalar else size
-    s = _kanter_stable(nu, rng.random(m), rng.standard_exponential(m))
-    return float(s[0]) if scalar else s
+    s = _kanter(nu, rng.random(size), rng.standard_exponential(size))[0]
+    return float(s) if size is None else s
 
 
 def sample_mixing_lambda(beta: float, rng: np.random.Generator, size=None):
@@ -243,8 +245,20 @@ def sample_mixing_lambda(beta: float, rng: np.random.Generator, size=None):
         raise InvalidOrder(f"need 0 < beta <= 1, got {beta}")
     if beta == 1.0:
         return 1.0 if size is None else np.ones(size)
-    s = sample_oneside_stable(beta, rng, size)
-    return s ** (-beta)
+    lam = _mixing_lambda(beta, rng.random(size),
+                         rng.standard_exponential(size))
+    return float(lam) if size is None else lam
+
+
+def _mixing_lambda(beta: float, u, w):
+    """Lambda = S^(-beta), S = _kanter(beta, u, w). Where S is inf or 0
+    (beta below about 0.05), Lambda is the same number formed without S,
+    exp(-(1-beta) log(A/W)), so every draw is finite and positive."""
+    s, y = _kanter(beta, u, w)
+    with np.errstate(divide="ignore"):
+        lam = s ** (-beta)
+    far = (s == 0.0) | (s == np.inf)
+    return np.where(far, np.exp(-(1.0 - beta) * y), lam) if far.any() else lam
 
 
 def _cpu_count() -> int:
@@ -253,17 +267,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
-
-
-def _fill_batch(child, uw, z):
-    """Draw one batch from its own stream into caller-made buffers, in the
-    stream's order: uniforms uw[0] and exponentials uw[1] (none when uw is
-    None), then the normals z. Allocates no arrays; the GIL is released."""
-    rng = np.random.Generator(np.random.PCG64(child))
-    if uw is not None:
-        rng.random(out=uw[0])
-        rng.standard_exponential(out=uw[1])
-    rng.standard_normal(out=z)
 
 
 def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
@@ -277,15 +280,15 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
 
     Paths are generated in fixed-size batches on spawned substreams, so
     path i is reproducible independently of n_paths; the same seed yields
-    a bit-identical ensemble. Given 4 batches per worker, one worker per
-    CPU of the process's affinity mask and at least two workers, the
-    workers draw the batches' variates in parallel, each from its batch's
-    own stream, at most 4 batches per worker ahead; the Kanter transform,
-    the product with the Cholesky factor and the scaling run on the
-    calling thread, batch by batch in order. Full batches draw their
-    normals straight into their rows of the ensemble. The result does not
-    depend on the number of workers: it equals, bit for bit,
-    sqrt(Lambda) * (Z @ chol.T) formed batch by batch in fresh arrays.
+    a bit-identical ensemble. One task per batch draws the batch's uniforms
+    and exponentials into fresh arrays and its normals into its rows of the
+    ensemble (a partial last batch's into a spare block); given 4 batches
+    per worker and 2 or more CPUs in the affinity mask, the tasks run on a
+    thread pool. The calling thread takes the batches in order and writes
+    Lambda into the batch's slice of `lambdas` and the product with the
+    Cholesky factor (into one reused buffer: one BLAS call at a time),
+    scaled by sqrt(Lambda), into its rows. For any worker count the bits
+    equal sqrt(Lambda) * (Z @ chol.T) formed batch by batch in fresh arrays.
     """
     if n_paths < 1:
         raise InvalidArgument("need n_paths >= 1")
@@ -295,50 +298,46 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
     children = np.random.SeedSequence(seed).spawn(n_batches)
     paths = np.empty((n_paths, ntimes))
     lambdas = np.empty(n_paths)
-    beta = spec.beta
-    workers = min(_cpu_count(), n_batches // _BATCHES_PER_WORKER)
-    # batches drawn ahead of the math: their uniforms and exponentials
-    # take turns in `ahead` buffers
-    ahead = _BATCHES_PER_WORKER * workers if workers >= 2 else 1
-    uw = None if beta == 1.0 else np.empty((ahead, 2, _BATCH))
     # normals of a partial last batch; made only when there is one, since
     # an unused one cost an 8192 x 32 ensemble about 1.5 ms of its 8
     spare = np.empty((_BATCH, ntimes)) if n_paths % _BATCH else None
     prod = np.empty((_BATCH, ntimes))
 
+    def rows(b):
+        lo = b * _BATCH
+        return lo, min(lo + _BATCH, n_paths)
+
     def normals(b):
-        lo = b * _BATCH
-        return paths[lo:lo + _BATCH] if lo + _BATCH <= n_paths else spare
+        lo, hi = rows(b)
+        return paths[lo:hi] if hi - lo == _BATCH else spare
 
-    def fill(b):
-        _fill_batch(children[b], None if uw is None else uw[b % ahead],
-                    normals(b))
+    def draw(b):
+        rng = np.random.Generator(np.random.PCG64(children[b]))
+        uw = (None if spec.beta == 1.0
+              else (rng.random(_BATCH), rng.standard_exponential(_BATCH)))
+        rng.standard_normal(out=normals(b))
+        return uw
 
-    def scale(b):
-        lo = b * _BATCH
-        k = min(_BATCH, n_paths - lo)
-        lam = (np.ones(_BATCH) if uw is None
-               else _kanter_stable(beta, *uw[b % ahead]) ** (-beta))
+    def scale(b, uw):
+        lo, hi = rows(b)
+        lambdas[lo:hi] = (1.0 if uw is None
+                          else _mixing_lambda(spec.beta, *uw)[:hi - lo])
         # a partial batch keeps the full-batch product and is cut
         np.matmul(normals(b), chol_t, out=prod)
-        np.multiply(prod[:k], np.sqrt(lam[:k])[:, None],
-                    out=paths[lo:lo + k])
-        lambdas[lo:lo + k] = lam[:k]
+        np.multiply(prod[:hi - lo], np.sqrt(lambdas[lo:hi])[:, None],
+                    out=paths[lo:hi])
 
+    workers = min(_cpu_count(), n_batches // _BATCHES_PER_WORKER)
     if workers < 2:
         for b in range(n_batches):
-            fill(b)
-            scale(b)
+            scale(b, draw(b))
     else:
         # a pool per call: a cached one would hang in a child after fork
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            drawn = [pool.submit(fill, b) for b in range(ahead)]
-            for b in range(n_batches):
-                drawn[b % ahead].result()
-                scale(b)  # frees batch b's buffers for batch b + ahead
-                if b + ahead < n_batches:
-                    drawn[b % ahead] = pool.submit(fill, b + ahead)
+            # map yields the tasks' results in batch order, releasing each
+            for b, uw in enumerate(pool.map(draw, range(n_batches))):
+                scale(b, uw)
     return PathEnsemble(spec, paths, int(seed), lambdas)
 
 

@@ -85,11 +85,25 @@ def green_density(spec: GreenSpec, x: float, t: float) -> float:
 
 def green_density_values(spec: GreenSpec, xs, t: float) -> np.ndarray:
     """Vectorized green_density over an array of positions."""
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
-    scale = math.sqrt(spec.k) * t ** (0.5 * spec.alpha)
+    scale = _green_scale(spec, t)
     args = np.abs(np.asarray(xs, dtype=float)) / scale
     return 0.5 / scale * specfun.m_wright_values(0.5 * spec.beta, args)
+
+
+def green_density_result(spec: GreenSpec, x: float, t: float):
+    """green_density (the same bits) as an EvalResult: the M_(beta/2)
+    estimate times the same factor as the value, and the M_(beta/2) method."""
+    scale = _green_scale(spec, t)
+    m = specfun.m_wright(0.5 * spec.beta, abs(float(x)) / scale)
+    return specfun.EvalResult(0.5 / scale * m.value,
+                              0.5 / scale * m.abs_err_estimate, m.method)
+
+
+def _green_scale(spec: GreenSpec, t: float) -> float:
+    """k^(1/2) t^(alpha/2), the width that the Green function scales by."""
+    if not t > 0.0:
+        raise InvalidTime("need t > 0")
+    return math.sqrt(spec.k) * t ** (0.5 * spec.alpha)
 
 
 def variance_law(spec: GreenSpec, t: float) -> float:
@@ -123,13 +137,8 @@ def drift_green_values(spec: DriftSpec, xs, t: float) -> np.ndarray:
     pulse delta(x - t), not representable here (NearSingularOrder).
     Vectorized over the positions xs.
     """
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
-    if spec.beta > DRIFT_BETA_CAP:
-        raise NearSingularOrder(
-            f"beta={spec.beta}: too close to the delta-pulse limit")
+    scale = _drift_scale(spec, t)
     xs = np.asarray(xs, dtype=float)
-    scale = t ** (-spec.beta)
     out = np.zeros(xs.shape)
     ahead = ~(xs < 0.0)  # NaN positions reach m_wright_values and raise
     out[ahead] = scale * specfun.m_wright_values(spec.beta, xs[ahead] * scale)
@@ -139,6 +148,29 @@ def drift_green_values(spec: DriftSpec, xs, t: float) -> np.ndarray:
 def drift_green(spec: DriftSpec, x: float, t: float) -> float:
     """One-sided drift Green function at x: drift_green_values at one point."""
     return float(drift_green_values(spec, float(x), t))
+
+
+def drift_green_result(spec: DriftSpec, x: float, t: float):
+    """drift_green (the same bits) as an EvalResult: the M_beta estimate
+    times the same factor as the value and the M_beta method; (0, 0,
+    closed form) for x < 0."""
+    scale = _drift_scale(spec, t)
+    x = float(x)
+    if x < 0.0:
+        return specfun.EvalResult(0.0, 0.0, specfun.METHOD_CLOSED_FORM)
+    m = specfun.m_wright(spec.beta, x * scale)
+    return specfun.EvalResult(scale * m.value, scale * m.abs_err_estimate,
+                              m.method)
+
+
+def _drift_scale(spec: DriftSpec, t: float) -> float:
+    """t^(-beta), the factor of the drift Green function and its argument."""
+    if not t > 0.0:
+        raise InvalidTime("need t > 0")
+    if spec.beta > DRIFT_BETA_CAP:
+        raise NearSingularOrder(
+            f"beta={spec.beta}: too close to the delta-pulse limit")
+    return t ** (-spec.beta)
 
 
 def drift_green_stable_form(spec: DriftSpec, x: float, t: float) -> float:

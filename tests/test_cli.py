@@ -97,6 +97,81 @@ class TestEval:
         assert abs(doc["value"] - ref) <= doc["abs_err_estimate"]
         assert 0.0 < doc["abs_err_estimate"] <= 1e-11 * ref
 
+    @pytest.mark.parametrize("argv", [
+        ["wright", "--lam", "0.5", "--mu", "1", "--x", "-2"],
+        ["mwright", "--nu", "0.3", "--x", "12"],
+        ["fwright", "--nu", "0.3", "--x", "2"],
+        ["mlf", "--nu", "0.6", "--s", "3"],
+        ["moment", "--nu", "0.3", "--delta", "2"],
+        ["mellin", "--nu", "0.3", "--s", "3"],
+        ["green", "--alpha", "0.6", "--beta", "0.4", "--x", "1", "--t", "2"],
+        ["drift", "--beta", "0.3", "--x", "2", "--t", "1.5"],
+        ["drift", "--beta", "0.3", "--x=-2", "--t", "1.5"],
+    ])
+    def test_output_is_strict_json(self, capsys, argv):
+        assert run(["eval", "--function"] + argv) == 0
+        doc = json.loads(capsys.readouterr().out,
+                         parse_constant=_refuse_constant)
+        assert set(doc) == {"value", "abs_err_estimate", "method"}
+        assert math.isfinite(doc["abs_err_estimate"])
+
+    @pytest.mark.parametrize("argv, method, ref", [
+        # 40 digits at the decimal inputs: the M_nu power series summed
+        # with mpmath at 200 digits (150 digits agree to 1e-100)
+        (["green", "--alpha", "1", "--beta", "1", "--K", "1", "--x", "0.5",
+          "--t", "1"], "closed_form",
+         "0.2650035323440285608743546334806666609708"),
+        # the factor 1/(2 K^(1/2) t^(alpha/2)) is 5e4 here
+        (["green", "--alpha", "1", "--beta", "0.4", "--K", "1e-6", "--x",
+          "2e-5", "--t", "1e-4"], "series",
+         "7744.100037581891891523868049803161565164"),
+        (["green", "--alpha", "1.5", "--beta", "0.6", "--K", "2", "--x",
+          "30", "--t", "0.8", "--tol", "0.1"], "asymptotic",
+         "8.791985438010313415012350863640257575504e-20"),
+        (["green", "--alpha", "0.8", "--beta", "0.5", "--K", "0.5",
+          "--x=-12", "--t", "3"], "asymptotic",
+         "1.550378315052198116413335785785443285168e-6"),
+        (["drift", "--beta", "0.3", "--x", "2", "--t", "1.5"], "series",
+         "0.1830973741517843482275117187901477706297"),
+        (["drift", "--beta", "0.5", "--x", "1", "--t", "1", "--tol", "0.1"],
+         "closed_form", "0.4393912894677223970468619774122289491813"),
+        (["drift", "--beta", "0.25", "--x", "40", "--t", "2"], "asymptotic",
+         "9.99213209497090040079409337247943179664e-24"),
+        (["drift", "--beta", "0.6", "--x", "0.01", "--t", "4"], "series",
+         "0.1965573857415877172806927374954969736398"),
+    ])
+    def test_green_and_drift_estimates_are_honest(self, capsys, argv,
+                                                  method, ref):
+        from mwright import greens
+        assert run(["eval", "--function"] + argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["method"] == method
+        assert abs(doc["value"] - float(ref)) <= doc["abs_err_estimate"]
+        # the stable-integral route's rounding grows with the radius
+        assert 0.0 < doc["abs_err_estimate"] <= 1e-8 * float(ref)
+        # the library's value at 1e-12, whatever --tol says
+        tokens = [t for a in argv[1:] for t in a.split("=")]
+        v = {k[2:]: float(x) for k, x in zip(tokens[::2], tokens[1::2])}
+        if argv[0] == "green":
+            want = greens.green_density(
+                greens.GreenSpec(v["alpha"], v["beta"], v["K"]), v["x"],
+                v["t"])
+        else:
+            want = greens.drift_green(greens.DriftSpec(v["beta"]), v["x"],
+                                      v["t"])
+        assert doc["value"] == want
+
+    def test_drift_behind_the_front(self, capsys):
+        assert run(["eval", "--function", "drift", "--beta", "0.3",
+                    "--x=-0.5", "--t", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"value": 0.0, "abs_err_estimate": 0.0,
+                       "method": "closed_form"}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
 
 class TestTabulate:
     def test_limit_columns_match_closed_forms(self, tmp_path):
@@ -268,6 +343,17 @@ class TestGreenSolveSimulate:
         var, se = stats["variance"][-1], stats["variance_se"][-1]
         assert abs(var - 2.0) < 3.0 * se
 
+    def test_simulate_at_a_small_order(self, tmp_path):
+        # at beta = 0.001, 502 of these paths were inf and the stats NaN
+        assert run(["simulate", "--alpha", "1", "--beta", "0.001", "--times",
+                    "0.5,1", "--n-paths", "4096", "--seed", "1", "--out",
+                    str(tmp_path / "p")]) == 0
+        rows = np.loadtxt(tmp_path / "p.csv", delimiter=",")
+        assert rows.shape == (4096, 2) and np.isfinite(rows).all()
+        stats = json.loads((tmp_path / "p_stats.json").read_text(),
+                           parse_constant=_refuse_constant)
+        assert stats["chi2_pvalue"] > 0.01
+
     def test_simulate_reproducible(self, tmp_path):
         args = ["simulate", "--alpha", "1", "--beta", "1", "--times-n", "16",
                 "--t-max", "1", "--n-paths", "300", "--seed", "42"]
@@ -433,6 +519,40 @@ class TestCsvRoundTrip:
         assert "\n".join(lines[2:]) + "\n" == _per_value(want)
         assert _parse(lines[2:]).tobytes() == want.tobytes()
 
+    def test_tabulate_fwright(self, tmp_path, written):
+        from mwright import specfun
+        out = tmp_path / "f.csv"
+        assert run(["tabulate", "--function", "fwright", "--params",
+                    "0.25,0.6", "--xmin", "-2", "--xmax", "12", "--step",
+                    "0.25", "--tol", "1e-9", "--out", str(out)]) == 0
+        (table,) = written
+        xs = np.arange(-2.0, 12.0 + 0.125, 0.25)
+        want = np.column_stack([xs] + [
+            p * np.abs(xs) * specfun.m_wright_values(p, np.abs(xs), 1e-9)
+            for p in (0.25, 0.6)])
+        assert table.tobytes() == want.tobytes()
+        assert out.read_text() == (
+            "# tabulate function=fwright params=0.25,0.6 xmin=-2.0 "
+            "xmax=12.0 step=0.25\nx,fwright_0.25,fwright_0.6\n"
+            + _per_value(want))
+
+    def test_tabulate_green(self, tmp_path, written):
+        from mwright import greens
+        out = tmp_path / "g.csv"
+        assert run(["tabulate", "--function", "green", "--params", "0.4,1",
+                    "--alpha", "0.7", "--K", "2", "--t", "0.5", "--xmin",
+                    "-3", "--xmax", "3", "--step", "0.5", "--out",
+                    str(out)]) == 0
+        (table,) = written
+        xs = np.arange(-3.0, 3.0 + 0.25, 0.5)
+        want = np.column_stack([xs] + [greens.green_density_values(
+            greens.GreenSpec(0.7, b, 2.0), xs, 0.5) for b in (0.4, 1.0)])
+        assert table.tobytes() == want.tobytes()
+        assert out.read_text() == (
+            "# tabulate function=green params=0.4,1 xmin=-3.0 xmax=3.0 "
+            "step=0.5 alpha=0.7 K=2.0 t=0.5\nx,green_0.4,green_1\n"
+            + _per_value(want))
+
     def test_green(self, tmp_path, written):
         from mwright import greens
         out = tmp_path / "g.csv"
@@ -468,6 +588,21 @@ class TestCsvRoundTrip:
         lines = out.read_text().splitlines()[1:]
         assert "\n".join(lines) + "\n" == _per_value(want)
         assert _parse(lines).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["green", "--alpha", "0.6", "--beta", "0.4", "--t", "0.5", "--xmin",
+         "-3", "--xmax", "3", "--step", "0.25"],
+        ["solve", "--alpha", "1", "--beta", "0.6", "--t-end", "0.2", "--nt",
+         "16", "--nx", "51"],
+    ])
+    def test_stdout(self, tmp_path, capsys, argv):
+        # "--out -" and no --out print the bytes that --out FILE writes
+        out = tmp_path / "f.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        for tail in (["--out", "-"], []):
+            capsys.readouterr()
+            assert run(argv + tail) == 0
+            assert capsys.readouterr().out == out.read_text()
 
     def test_simulate(self, tmp_path, written):
         from mwright import ggbm

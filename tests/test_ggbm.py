@@ -5,7 +5,6 @@ import json
 import math
 import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -303,13 +302,19 @@ class TestStableSampler:
         assert isinstance(ggbm.sample_oneside_stable(0.6, rng), float)
 
 
+def _kanter_log(nu, rng, m):
+    """log(A(pi U)/W) of the next m uniforms and exponentials of rng, as
+    sample_oneside_stable formed it before the Kanter transform was shared
+    with sample_paths."""
+    u = np.clip(rng.random(m), 1e-16, 1.0 - 1e-16)
+    w = np.maximum(rng.standard_exponential(m), 1e-300)
+    return specfun._kanter_log_a(nu, np.pi * u) - np.log(w)
+
+
 def _kanter_reference(nu, rng, m):
     """The stable draw as sample_oneside_stable wrote it before the Kanter
     transform was shared with sample_paths."""
-    u = np.clip(rng.random(m), 1e-16, 1.0 - 1e-16)
-    w = np.maximum(rng.standard_exponential(m), 1e-300)
-    log_a = specfun._kanter_log_a(nu, np.pi * u)
-    return np.exp((1.0 - nu) / nu * (log_a - np.log(w)))
+    return np.exp((1.0 - nu) / nu * _kanter_log(nu, rng, m))
 
 
 class TestSharedKanterTransform:
@@ -367,6 +372,55 @@ class TestMixingLambda:
         p = kstest(lam, lambda v: 1.0 - specfun._half_mass(
             0.3, np.asarray(v, dtype=float), 1e-13)[0]).pvalue
         assert p > 0.01
+
+
+class TestSmallOrders:
+    """Below beta of about 0.05 the stable draw S = exp((1-beta)/beta y),
+    y = log(A/W), leaves the double range for small W; Lambda = S^(-beta)
+    is then formed as exp(-(1-beta) y). RuntimeWarnings are errors here
+    (pyproject.toml)."""
+
+    # draws of the first batch of seed 1 whose S is inf or 0
+    @pytest.mark.parametrize("beta, far", [(0.01, 3), (0.003, 480),
+                                           (0.001, 2070)])
+    def test_paths_finite_and_other_draws_keep_their_bits(self, beta, far):
+        ens = ggbm.sample_paths(ggbm.CovSpec(1.0, beta, [1.0]),
+                                ggbm._BATCH, 1)
+        lam = ens.lambdas
+        assert ((lam > 0.0) & (lam < np.inf)).all()
+        assert np.isfinite(ens.paths).all()
+        child = np.random.SeedSequence(1).spawn(1)[0]
+        y = _kanter_log(beta, np.random.Generator(np.random.PCG64(child)),
+                        ggbm._BATCH)
+        with np.errstate(over="ignore", divide="ignore"):
+            s = np.exp((1.0 - beta) / beta * y)
+            former = s ** (-beta)
+        kept = (s > 0.0) & (s < np.inf)
+        assert (~kept).sum() == far
+        assert np.array_equal(lam[kept], former[kept])
+        assert np.array_equal(lam[~kept], np.exp(-(1.0 - beta) * y[~kept]))
+
+    @pytest.mark.parametrize("beta", [0.01, 0.003, 0.001])
+    def test_mixing_law(self, beta):
+        # KS against 1 - int_v^inf M_beta
+        lam = ggbm.sample_mixing_lambda(beta, np.random.default_rng(3),
+                                        20_000)
+        assert ((lam > 0.0) & (lam < np.inf)).all()
+        p = kstest(lam, lambda v: 1.0 - specfun._half_mass(
+            beta, np.asarray(v, dtype=float), 1e-13)[0]).pvalue
+        assert p > 0.01
+        # scalar draws take the same route (S = 0 raised ZeroDivisionError)
+        rng = np.random.default_rng(3)
+        assert all(0.0 < ggbm.sample_mixing_lambda(beta, rng) < math.inf
+                   for _ in range(500))
+
+    @pytest.mark.parametrize("beta", [0.01, 0.003, 0.001])
+    def test_stable_draws_leave_the_range_quietly(self, beta):
+        s = ggbm.sample_oneside_stable(beta, np.random.default_rng(2), 20_000)
+        assert (s == np.inf).any()
+        with np.errstate(over="ignore"):
+            want = _kanter_reference(beta, np.random.default_rng(2), 20_000)
+        assert np.array_equal(s, want)
 
 
 class TestSamplePaths:
@@ -637,7 +691,7 @@ class TestBlockedPassesMatchFullArrays:
 
 
 class TestParallelFills:
-    """sample_paths with 1, 2 and 3 fill threads against the batch loop: a
+    """sample_paths with 1, 2 and 3 worker threads against the batch loop: a
     pool from 4 batches per worker and 2 workers on, the same bits always."""
 
     @pytest.fixture
@@ -688,47 +742,33 @@ class TestParallelFills:
         assert ggbm.sample_paths(spec, n, 3).n_paths == n
 
     def test_math_runs_on_the_calling_thread(self, monkeypatch, pools):
-        seen = set()
-        kanter = ggbm._kanter_stable
+        # each batch's stream is drawn by one task on a pool thread; Lambda,
+        # the product with the Cholesky factor and the scaling run on the
+        # calling thread, one per batch, so one BLAS call runs at a time
+        seen = []
 
-        def spy(*args):
-            seen.add(threading.get_ident())
-            return kanter(*args)
+        def spy(owner, name):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(ggbm, "_kanter_stable", spy)
+            def call(*args, **kwargs):
+                seen.append((name, threading.get_ident()))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+
+        spy(np.random, "PCG64")
+        for name in ("matmul", "multiply"):
+            spy(np, name)
+        spy(ggbm, "_mixing_lambda")
         monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
         ggbm.sample_paths(ggbm.CovSpec(1.0, 0.5, np.array([1.0])),
                           8 * ggbm._BATCH, 4)
         assert pools == [2]
-        assert seen == {threading.get_ident()}
-
-    def test_buffers_are_reused_only_after_the_math(self, monkeypatch,
-                                                    pools):
-        # with w workers, batch b is drawn into the buffers of batch
-        # b - 4 w, so it may start only once that batch's transform is done
-        done, early = [0], []
-        fill, kanter = ggbm._fill_batch, ggbm._kanter_stable
-
-        def fill_spy(child, uw, z):
-            b = child.spawn_key[-1]
-            if b - ggbm._BATCHES_PER_WORKER * 2 >= done[0]:
-                early.append(b)
-            fill(child, uw, z)
-
-        def kanter_spy(*args):
-            time.sleep(0.002)  # let a too-early draw start first
-            out = kanter(*args)
-            done[0] += 1
-            return out
-
-        monkeypatch.setattr(ggbm, "_fill_batch", fill_spy)
-        monkeypatch.setattr(ggbm, "_kanter_stable", kanter_spy)
-        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
-        spec = ggbm.CovSpec(1.0, 0.5, np.array([0.5, 1.0]))
-        ens = ggbm.sample_paths(spec, 20 * ggbm._BATCH, 5)
-        assert pools == [2] and early == []
-        assert np.array_equal(ens.paths,
-                              _batch_loop_paths(spec, 20 * ggbm._BATCH, 5)[0])
+        me = threading.get_ident()
+        tasks = [t for name, t in seen if name == "PCG64"]
+        assert len(tasks) == 8 and me not in tasks
+        assert sorted(seen)[8:] == ([("_mixing_lambda", me)] * 8
+                                    + [("matmul", me)] * 8
+                                    + [("multiply", me)] * 8)
 
     def test_more_workers_than_cores(self, monkeypatch, pools):
         # 10 fill threads with a thread switch every microsecond: a draw
@@ -747,20 +787,26 @@ class TestParallelFills:
         assert np.array_equal(ens.paths, want_paths)
         assert np.array_equal(ens.lambdas, want_lambdas)
 
-    @pytest.mark.parametrize("where", ["_fill_batch", "_kanter_stable"])
+    @pytest.mark.parametrize("where", ["task", "caller"])
     def test_warnings_reach_the_caller(self, monkeypatch, pools, where):
         # RuntimeWarnings are errors here (pyproject.toml): one raised in a
-        # fill thread or in the batch math ends the call as an exception
-        original = getattr(ggbm, where)
+        # batch's task on a pool thread, or in the product on the calling
+        # thread, ends the call as an exception
+        owner, name = ((np.random, "PCG64") if where == "task"
+                       else (np, "matmul"))
+        original = getattr(owner, name)
+        threads = []
 
-        def warn(*args):
-            out = original(*args)
+        def warn(*args, **kwargs):
+            out = original(*args, **kwargs)
+            threads.append(threading.get_ident())
             warnings.warn("from " + where, RuntimeWarning)
             return out
 
-        monkeypatch.setattr(ggbm, where, warn)
+        monkeypatch.setattr(owner, name, warn)
         monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
         with pytest.raises(RuntimeWarning, match="from " + where):
             ggbm.sample_paths(ggbm.CovSpec(1.0, 0.5, np.array([1.0])),
                               8 * ggbm._BATCH, 4)
         assert pools == [2]
+        assert (threads[0] == threading.get_ident()) == (where == "caller")
