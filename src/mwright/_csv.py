@@ -232,11 +232,11 @@ def encode_rows(values: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def write_rows(fh, values: np.ndarray, rows: int | None = None) -> None:
-    """Write `encode_rows` of a 2-D array to fh, `rows` rows at a time
-    (default: about 8k values a block); text files get ASCII text."""
+def write_rows(fh, values: np.ndarray) -> None:
+    """Write `encode_rows` of a 2-D array to fh, max(1, _BLOCK // columns)
+    rows at a time (256 rows of 32 columns); text files get ASCII text."""
     values = np.asarray(values, dtype=np.float64)
-    rows = rows or max(1, _BLOCK // values.shape[1])
+    rows = max(1, _BLOCK // values.shape[1])
     text = isinstance(fh, io.TextIOBase)
     for start in range(0, len(values), rows):
         chunk = encode_rows(values[start:start + rows])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import chdtrc as _chdtrc, gamma as _gamma, rgamma as _rgamma
@@ -32,7 +32,6 @@ from .errors import (
 
 _BATCH = 4096  # fixed sampling batch; keeps path i independent of n_paths
 _BATCHES_PER_WORKER = 4  # fewer batches per thread do not repay a pool
-_SAVE_ROWS = 256  # rows encoded per write in PathEnsemble.save
 _STATS_ROWS = 512  # rows per cache-resident block in ensemble_stats
 
 
@@ -99,7 +98,7 @@ class PathEnsemble:
         with open(csv_path, "wb") as fh:
             fh.write(b"# ggbm ensemble; columns are sampling times\n# ")
             fh.write(_csv.encode_rows(self.spec.times[None, :]))
-            _csv.write_rows(fh, self.paths, _SAVE_ROWS)
+            _csv.write_rows(fh, self.paths)
         with open(json_path, "w") as fh:
             json.dump(self.sidecar(), fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -294,10 +293,11 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
         raise InvalidArgument("need n_paths >= 1")
     chol_t = _cholesky(_raw_covariance(spec)).T
     ntimes = len(spec.times)
-    n_batches = (n_paths + _BATCH - 1) // _BATCH
-    children = np.random.SeedSequence(seed).spawn(n_batches)
+    # before the spawn: a count too large to allocate fails without it
     paths = np.empty((n_paths, ntimes))
     lambdas = np.empty(n_paths)
+    n_batches = (n_paths + _BATCH - 1) // _BATCH
+    children = np.random.SeedSequence(seed).spawn(n_batches)
     # normals of a partial last batch; made only when there is one, since
     # an unused one cost an 8192 x 32 ensemble about 1.5 ms of its 8
     spare = np.empty((_BATCH, ntimes)) if n_paths % _BATCH else None
@@ -402,20 +402,8 @@ class StatsReport:
     n_paths: int
 
     def to_json(self) -> str:
-        d = {
-            "times": self.times.tolist(),
-            "mean": self.mean.tolist(),
-            "mean_se": self.mean_se.tolist(),
-            "variance": self.variance.tolist(),
-            "variance_se": self.variance_se.tolist(),
-            "lag1_increment_corr": self.lag1_increment_corr,
-            "lag1_increment_corr_se": self.lag1_increment_corr_se,
-            "chi2_stat": self.chi2_stat,
-            "chi2_pvalue": self.chi2_pvalue,
-            "chi2_cells": self.chi2_cells,
-            "n_paths": self.n_paths,
-        }
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True,
+                          default=np.ndarray.tolist)
 
 
 def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:

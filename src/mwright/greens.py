@@ -25,7 +25,6 @@ from .errors import CFLViolation, InvalidArgument, InvalidTime, \
 from .fraccalc import _prod_trap_pieces
 from .gridfn import GridFunction
 
-DRIFT_BETA_CAP = 0.99
 HISTORY_BLOCK = 32  # time steps per history GEMM in solve_volterra
 
 
@@ -167,7 +166,7 @@ def _drift_scale(spec: DriftSpec, t: float) -> float:
     """t^(-beta), the factor of the drift Green function and its argument."""
     if not t > 0.0:
         raise InvalidTime("need t > 0")
-    if spec.beta > DRIFT_BETA_CAP:
+    if spec.beta > specfun.NU_MAX:  # the density is M_beta
         raise NearSingularOrder(
             f"beta={spec.beta}: too close to the delta-pulse limit")
     return t ** (-spec.beta)
@@ -180,13 +179,9 @@ def drift_green_stable_form(spec: DriftSpec, x: float, t: float) -> float:
     density L(r) = beta r^(-beta-1) M_beta(r^(-beta)); algebraically equal
     to drift_green, kept as an independent evaluation route.
     """
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
+    _drift_scale(spec, t)  # the checks on t and beta
     if not x > 0.0:
         raise InvalidArgument("stable form needs x > 0")
-    if spec.beta > DRIFT_BETA_CAP:
-        raise NearSingularOrder(
-            f"beta={spec.beta}: too close to the delta-pulse limit")
     beta = spec.beta
     r = t * x ** (-1.0 / beta)
     stable_density = beta * r ** (-beta - 1.0) * specfun.m_wright(

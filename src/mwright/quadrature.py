@@ -206,23 +206,23 @@ def _bisect_rows(f, edges, offset, tol, rtol, limit):
             row = np.concatenate((row, srow))
 
 
-def truncation_radius(tail_bound, a, tol, r0=1.0, r_max=1e12):
-    """Smallest probed radius R >= a with tail_bound(R) < tol/10.
+def truncation_radius(tail_bound, a, tol):
+    """Smallest probed radius R > a with tail_bound(R) < tol/10.
 
-    tail_bound must be eventually decreasing; the radius is found by
-    doubling from r0.
+    tail_bound must be eventually decreasing; the radius doubles from
+    max(1, a + 1), and QuadratureFailure is raised once it reaches 1e12.
     """
-    r = max(r0, a + r0)
-    while r < r_max:
+    r = max(1.0, a + 1.0)
+    while r < 1e12:
         if tail_bound(r) < 0.1 * tol:
             return r
         r *= 2.0
-    raise QuadratureFailure("no truncation radius below r_max; "
+    raise QuadratureFailure("no truncation radius below 1e12; "
                             "tail bound too weak for requested tol")
 
 
 def integrate_to_inf(f, a, tol=1e-10, rtol=0.0, tail_bound=None,
-                     limit=4000, points=None, max_panel_width=None):
+                     points=None, max_panel_width=None):
     """Integrate f over [a, inf) by truncation plus adaptive quadrature.
 
     tail_bound(r) must bound |f| on [r, inf) by a decaying envelope whose
@@ -236,6 +236,6 @@ def integrate_to_inf(f, a, tol=1e-10, rtol=0.0, tail_bound=None,
         def tail_bound(r):  # probe the integrand itself
             return float(np.max(np.abs(f(np.array([r, 1.5 * r, 2.0 * r])))))
     cut = truncation_radius(tail_bound, a, tol)
-    val, err = adaptive(f, a, cut, tol=tol, rtol=rtol, limit=limit,
-                        points=points, max_panel_width=max_panel_width)
+    val, err = adaptive(f, a, cut, tol=tol, rtol=rtol, points=points,
+                        max_panel_width=max_panel_width)
     return val, err + 0.1 * tol

@@ -312,12 +312,13 @@ def m_wright_asymptotic(nu, x: float) -> float:
     return a * y ** ((nu - 0.5) / (1.0 - nu)) * math.exp(expo)
 
 
-def m_wright_envelope(nu, safety: float = 10.0):
-    """Decreasing upper bound on M_nu(r) for large r (for tail truncation)."""
+def m_wright_envelope(nu):
+    """Decreasing bound on M_nu(r) for large r (for tail truncation): 10
+    times the saddle-point term m_wright_asymptotic; exp(-r) at nu = 0."""
     nu = _as_nu(nu)
     if nu == 0.0:
         return lambda r: math.exp(-min(r, 745.0))
-    return lambda r: safety * m_wright_asymptotic(nu, r)
+    return lambda r: 10.0 * m_wright_asymptotic(nu, r)
 
 
 def asymptotic_radius(nu, eps: float) -> float:
@@ -695,10 +696,10 @@ def mellin_m_wright(nu, s: float) -> float:
     return m_wright_moment(nu, s - 1.0)
 
 
-def _airy_series(x: float, tol: float = 1e-16):
+def _airy_series(x: float):
     """M_{1/3}(x) as the pair of hypergeometric-type power series, and the
     rounding bound 8 eps (c1 sum|terms of part 0| + c2 sum|terms of part 1|)
-    on the cancellation between and within them.
+    on the cancellation; each ends at a term <= 1e-16 max(|sum|, 1).
 
     c1 sum (1/3)_m x^{3m}/(3m)! - c2 sum (2/3)_m x^{3m+1}/(3m+1)!, with
     c1 = 1/Gamma(2/3) and c2 = 1/Gamma(1/3).
@@ -712,7 +713,7 @@ def _airy_series(x: float, tol: float = 1e-16):
         total = t = x ** j
         size = abs(t)
         m = 0
-        while abs(t) > tol * max(abs(total), 1.0) and m < 300:
+        while abs(t) > 1e-16 * max(abs(total), 1.0) and m < 300:
             k = 3 * m + j
             t *= ((j + 1) / 3.0 + m) * x3 / ((k + 1) * (k + 2) * (k + 3))
             total += t

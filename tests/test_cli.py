@@ -251,6 +251,35 @@ class TestTabulate:
                     "--step", "0"]) == 2
         assert "--step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["tabulate", "--function", "mwright", "--params", "0.3"],
+        ["green", "--alpha", "1", "--beta", "0.5", "--t", "1"],
+    ])
+    def test_grid_too_large_to_allocate(self, capsys, command):
+        # 1e18 cells, 6.94 EiB: numpy refuses the array without allocating
+        assert run(command + ["--xmin", "0", "--xmax", "1e12",
+                              "--step", "1e-6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, bound", [
+        (["tabulate", "--function", "mwright", "--params", "0.3"],
+         "--xmin=nan"),
+        (["tabulate", "--function", "mwright", "--params", "0.3"],
+         "--xmax=inf"),
+        (["green", "--alpha", "1", "--beta", "0.5", "--t", "1"],
+         "--xmin=-inf"),
+        (["green", "--alpha", "1", "--beta", "0.5", "--t", "1"],
+         "--xmax=nan"),
+    ])
+    def test_non_finite_bound_names_flag(self, capsys, command, bound):
+        flag = bound.split("=")[0]
+        other = "--xmax=1" if flag == "--xmin" else "--xmin=0"
+        assert run(command + [bound, other, "--step", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{flag} must be finite" in err
+
 
 class TestIOErrors:
     def test_missing_config_file(self, capsys, tmp_path):
@@ -434,7 +463,6 @@ class TestFlagsAndConfig:
 
     def test_per_subcommand_tol_defaults(self):
         ap = cli.build_parser()
-        assert ap.parse_args(["verify"]).tol == 1e-6
         assert ap.parse_args(["eval", "--function", "mwright"]).tol == 1e-10
 
     @pytest.mark.parametrize("argv", [
@@ -444,6 +472,8 @@ class TestFlagsAndConfig:
         ["solve", "--alpha", "1", "--beta", "1", "--t-end", "0.1",
          "--tol", "1e-8"],
         ["green", "--alpha", "1", "--beta", "1", "--t", "1", "--tol", "1e-8"],
+        ["verify", "--tol", "1e-8"],
+        ["verify", "--paths", "1000"],
     ])
     def test_unused_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -484,9 +514,9 @@ def written(monkeypatch):
     seen = []
     encode = _csv.write_rows
 
-    def spy(fh, values, rows=None):
+    def spy(fh, values):
         seen.append(np.array(values, dtype=float))
-        encode(fh, values, rows)
+        encode(fh, values)
 
     monkeypatch.setattr(_csv, "write_rows", spy)
     return seen
@@ -594,6 +624,10 @@ class TestCsvRoundTrip:
          "-3", "--xmax", "3", "--step", "0.25"],
         ["solve", "--alpha", "1", "--beta", "0.6", "--t-end", "0.2", "--nt",
          "16", "--nx", "51"],
+        ["tabulate", "--function", "drift", "--params", "0.3,0.7", "--xmin",
+         "-1", "--xmax", "3", "--step", "0.25", "--log10"],
+        ["eval", "--function", "mlf", "--nu", "0.5", "--s", "2"],
+        ["verify", "--suite", "fraccalc"],
     ])
     def test_stdout(self, tmp_path, capsys, argv):
         # "--out -" and no --out print the bytes that --out FILE writes

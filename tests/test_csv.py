@@ -96,13 +96,15 @@ class TestEncodeRows:
 
 class TestWriteRows:
     @pytest.mark.parametrize("rows", [None, 1, 7, 1000])
-    def test_blocks_join_to_one_encoding(self, rows):
+    def test_blocks_join_to_one_encoding(self, monkeypatch, rows):
         rng = np.random.default_rng(5)
         values = rng.standard_normal((2500, 5)) * 10.0 ** rng.integers(
             -30, 30, (2500, 5))
+        if rows is not None:  # blocks of `rows` rows of 5 values
+            monkeypatch.setattr(_csv, "_BLOCK", 5 * rows)
         binary, text = io.BytesIO(), io.StringIO()
-        _csv.write_rows(binary, values, rows)
-        _csv.write_rows(text, values, rows)
+        _csv.write_rows(binary, values)
+        _csv.write_rows(text, values)
         want = _per_value(values)
         assert binary.getvalue() == want
         assert text.getvalue() == want.decode()

@@ -17,7 +17,7 @@ from pathlib import Path
 from scipy.special import erf, ndtr, ndtri, rgamma
 from scipy.stats import kstest
 
-from mwright import ggbm, greens, specfun
+from mwright import _csv, ggbm, greens, specfun
 from mwright.errors import (
     InsufficientPaths,
     InvalidArgument,
@@ -479,6 +479,21 @@ class TestSamplePaths:
         got = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert np.array_equal(got, ens.paths)  # 17-digit round trip
 
+    def test_too_many_paths_fail_before_the_spawn(self, monkeypatch):
+        # 2**57 paths of 64 times exceed the address space; the spawn would
+        # build 3.5e13 child streams first if it came before the arrays
+        class NoSpawn:
+            def __init__(self, seed):
+                pass
+
+            def spawn(self, n):
+                raise AssertionError(f"spawned {n} streams before allocating")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        spec = ggbm.CovSpec(1.0, 0.5, np.arange(1, 65) / 64.0)
+        with pytest.raises(ValueError, match="array is too big"):
+            ggbm.sample_paths(spec, 2 ** 57, 0)
+
 
 def _per_value_csv(ens) -> str:
     """The CSV text of PathEnsemble.save, one f-string per value."""
@@ -510,7 +525,7 @@ class TestSaveFormat:
         ens = _ensemble(paths)
         prefix = str(tmp_path_factory.mktemp("save") / "ens")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ggbm, "_SAVE_ROWS", chunk)
+            mp.setattr(_csv, "_BLOCK", chunk * cols)  # chunk rows a block
             csv_path, _ = ens.save(prefix)
         text = open(csv_path).read()
         assert text == _per_value_csv(ens)
@@ -519,8 +534,9 @@ class TestSaveFormat:
                                                                     cols)
         assert got.tobytes() == paths.tobytes()  # bits, so -0.0 too
 
-    def test_partial_last_block(self, tmp_path):
-        rows = 2 * ggbm._SAVE_ROWS + 37
+    def test_partial_last_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_csv, "_BLOCK", 256 * 7)  # 256 rows a block
+        rows = 2 * 256 + 37
         rng = np.random.default_rng(11)
         paths = rng.standard_normal((rows, 7)) * 10.0 ** rng.integers(
             -300, 300, (rows, 7))
