@@ -3,9 +3,10 @@
 `encode_rows` turns a 2-D float64 array into CSV text: every value as
 "%.17g" % v prints it, ',' between columns and '\n' after each row, so
 the text parses back to the same bits. `write_rows` writes it to a file
-block by block. Every CSV writer of the package goes through them. The
-encoder runs in three vectorized stages instead of one dtoa call per
-value.
+block by block. Every CSV writer of the package goes through them.
+`opened` is the package's one rule for a target that is either a path or
+an open file. The encoder runs in three vectorized stages instead of one
+dtoa call per value.
 
 1. Digits. With a = m 2^e (m in [0.5, 1)) the decimal exponent X of a is
    one of two values fixed by e; a comparison with the least double at or
@@ -32,9 +33,11 @@ value.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -241,3 +244,12 @@ def write_rows(fh, values: np.ndarray) -> None:
     for start in range(0, len(values), rows):
         chunk = encode_rows(values[start:start + rows])
         fh.write(chunk.decode("ascii") if text else chunk)
+
+
+def opened(target, mode: str = "r"):
+    """target as a context manager for a file: a path (str, bytes or
+    os.PathLike) is opened in mode and closed on exit; a file object is
+    used as it is and left open."""
+    if isinstance(target, (str, bytes, os.PathLike)):
+        return open(target, mode)
+    return contextlib.nullcontext(target)

@@ -11,7 +11,6 @@ JSON. Command-line flags override an optional JSON config file.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
@@ -32,11 +31,10 @@ def _parse_floats(text: str) -> list[float]:
         raise DomainError(f"could not parse numeric list {text!r}") from exc
 
 
-def _output(path):
-    """Where a command writes, as a context manager: stdout (left open)
-    for None or '-', else the file at path opened for writing."""
-    return (contextlib.nullcontext(sys.stdout) if path in (None, "-")
-            else open(path, "w"))
+def _target(path):
+    """Where a command writes: stdout (left open) for None or '-', else
+    the file at path."""
+    return sys.stdout if path in (None, "-") else path
 
 
 def _write_table(path, header_meta: str, columns: dict, log_columns: bool):
@@ -46,7 +44,7 @@ def _write_table(path, header_meta: str, columns: dict, log_columns: bool):
         names += [f"log10|{n}|" for n in names[1:]]
         table += [[math.log10(y) if y > 0 else -math.inf
                    for y in np.abs(col).tolist()] for col in table[1:]]
-    with _output(path) as out:
+    with _csv.opened(_target(path), "w") as out:
         out.write(f"# {header_meta}\n")
         out.write(",".join(names) + "\n")
         _csv.write_rows(out, np.column_stack(table))
@@ -56,49 +54,40 @@ def _write_table(path, header_meta: str, columns: dict, log_columns: bool):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _closed_form(nu: float, delta: float, value: float):
+    """A moment or Mellin value with its rounding estimate."""
+    return specfun.EvalResult(
+        value, specfun._moment_estimate(nu, delta, value), "closed_form")
+
+
+# eval --function: the flags it requires and its EvalResult
+_EVAL = {
+    "wright": (("lam", "mu", "x"), lambda a: specfun.wright_series(
+        specfun.WrightIndex(a.lam, a.mu), a.x, a.tol)),
+    "mwright": (("nu", "x"),
+                lambda a: specfun.m_wright_symmetric(a.nu, a.x, a.tol)),
+    "fwright": (("nu", "x"), lambda a: specfun.f_wright(a.nu, a.x, a.tol)),
+    "mlf": (("nu", "s"),
+            lambda a: specfun.mittag_leffler_neg(a.nu, a.s, a.tol)),
+    "moment": (("nu", "delta"), lambda a: _closed_form(
+        a.nu, a.delta, specfun.m_wright_moment(a.nu, a.delta))),
+    "mellin": (("nu", "s"), lambda a: _closed_form(
+        a.nu, a.s - 1.0, specfun.mellin_m_wright(a.nu, a.s))),
+    "green": (("alpha", "beta", "x", "t"),
+              lambda a: greens.green_density_result(
+                  greens.GreenSpec(a.alpha, a.beta, a.K), a.x, a.t)),
+    "drift": (("beta", "x", "t"), lambda a: greens.drift_green_result(
+        greens.DriftSpec(a.beta), a.x, a.t)),
+}
+
+
 def cmd_eval(args) -> int:
-    tol = args.tol
-    fn = args.function
-    if fn == "wright":
-        _need(args, "lam", "mu", "x")
-        res = specfun.wright_series(
-            specfun.WrightIndex(args.lam, args.mu), args.x, tol)
-    elif fn == "mwright":
-        _need(args, "nu", "x")
-        res = specfun.m_wright_symmetric(args.nu, args.x, tol)
-    elif fn == "fwright":
-        _need(args, "nu", "x")
-        res = specfun.f_wright(args.nu, args.x, tol)
-    elif fn == "mlf":
-        _need(args, "nu", "s")
-        res = specfun.mittag_leffler_neg(args.nu, args.s, tol)
-    elif fn == "moment":
-        _need(args, "nu", "delta")
-        v = specfun.m_wright_moment(args.nu, args.delta)
-        res = specfun.EvalResult(
-            v, specfun._moment_estimate(args.nu, args.delta, v), "closed_form")
-    elif fn == "mellin":
-        _need(args, "nu", "s")
-        v = specfun.mellin_m_wright(args.nu, args.s)
-        res = specfun.EvalResult(
-            v, specfun._moment_estimate(args.nu, args.s - 1.0, v),
-            "closed_form")
-    elif fn == "green":
-        _need(args, "alpha", "beta", "x", "t")
-        res = greens.green_density_result(
-            greens.GreenSpec(args.alpha, args.beta, args.K), args.x, args.t)
-    else:  # drift
-        _need(args, "beta", "x", "t")
-        res = greens.drift_green_result(greens.DriftSpec(args.beta), args.x,
-                                        args.t)
-    _emit_json(dataclasses.asdict(res), args.out)
-    return 0
-
-
-def _need(args, *names):
-    for n in names:
-        if getattr(args, n, None) is None:
+    needs, evaluate = _EVAL[args.function]
+    for n in needs:
+        if getattr(args, n) is None:
             raise DomainError(f"function {args.function!r} requires --{n}")
+    _emit_json(dataclasses.asdict(evaluate(args)), args.out)
+    return 0
 
 
 def _grid(args) -> np.ndarray:
@@ -111,6 +100,28 @@ def _grid(args) -> np.ndarray:
     return np.arange(args.xmin, args.xmax + 0.5 * args.step, args.step)
 
 
+def _fwright_column(a, p, xs):
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"fwright order must be in (0,1), got {p}")
+    return p * np.abs(xs) * specfun.m_wright_values(p, np.abs(xs), a.tol)
+
+
+# tabulate --function: its column at order p on the grid xs, and what it
+# adds to the '#' header (a str.format template over the flags)
+_TABULATE = {
+    "mwright": (
+        lambda a, p, xs: specfun.m_wright_values(p, np.abs(xs), a.tol), ""),
+    "fwright": (_fwright_column, ""),
+    "mlf": (  # plots E_nu(-s) on s >= 0; raises for s < 0
+        lambda a, p, xs: specfun.mittag_leffler_values(p, xs, a.tol), ""),
+    "green": (lambda a, p, xs: greens.green_density_values(
+        greens.GreenSpec(a.alpha, p, a.K), xs, a.t),
+        " alpha={alpha} K={K} t={t}"),
+    "drift": (lambda a, p, xs: greens.drift_green_values(
+        greens.DriftSpec(p), xs, a.t), " t={t}"),
+}
+
+
 def cmd_tabulate(args) -> int:
     params = _parse_floats(args.params)
     if not params:
@@ -118,31 +129,14 @@ def cmd_tabulate(args) -> int:
     xs = _grid(args)
     if len(xs) == 0:
         raise DomainError("empty x grid")
-    cols = {"x": xs}
     fn = args.function
+    column, extra = _TABULATE[fn]
+    cols = {"x": xs}
     for p in params:
-        key = f"{fn}_{p:g}"
-        if fn == "mwright":
-            cols[key] = specfun.m_wright_values(p, np.abs(xs), args.tol)
-        elif fn == "fwright":
-            if not 0.0 < p < 1.0:
-                raise DomainError(f"fwright order must be in (0,1), got {p}")
-            cols[key] = (p * np.abs(xs)
-                         * specfun.m_wright_values(p, np.abs(xs), args.tol))
-        elif fn == "mlf":  # plots E_nu(-s) on s >= 0; raises for s < 0
-            cols[key] = specfun.mittag_leffler_values(p, xs, args.tol)
-        elif fn == "green":
-            spec = greens.GreenSpec(args.alpha, p, args.K)
-            cols[key] = greens.green_density_values(spec, xs, args.t)
-        else:  # drift
-            cols[key] = greens.drift_green_values(greens.DriftSpec(p), xs,
-                                                  args.t)
+        cols[f"{fn}_{p:g}"] = column(args, p, xs)
     meta = (f"tabulate function={fn} params={args.params} "
-            f"xmin={args.xmin} xmax={args.xmax} step={args.step}")
-    if fn == "green":
-        meta += f" alpha={args.alpha} K={args.K} t={args.t}"
-    if fn == "drift":
-        meta += f" t={args.t}"
+            f"xmin={args.xmin} xmax={args.xmax} step={args.step}"
+            + extra.format(**vars(args)))
     _write_table(args.out, meta, cols, args.log10)
     return 0
 
@@ -154,8 +148,7 @@ def cmd_green(args) -> int:
     gf = GridFunction(xs, ys,
                       f"alpha={args.alpha} beta={args.beta} K={args.K} "
                       f"t={args.t}")
-    with _output(args.out) as fh:
-        gf.to_csv(fh)
+    gf.to_csv(_target(args.out))
     return 0
 
 
@@ -170,8 +163,7 @@ def cmd_solve(args) -> int:
     spec = greens.GreenSpec(args.alpha, args.beta, args.K)
     out = greens.solve_volterra(u0, spec, args.t_end, args.nt,
                                 args.halfwidth)
-    with _output(args.out) as fh:
-        out.to_csv(fh)
+    out.to_csv(_target(args.out))
     return 0
 
 
@@ -216,7 +208,7 @@ def cmd_verify(args) -> int:
 
 
 def _emit_json(doc, path):
-    with _output(path) as out:
+    with _csv.opened(_target(path), "w") as out:
         out.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
@@ -224,8 +216,16 @@ def _emit_json(doc, path):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser, subparsers included, whose usage errors raise
+    DomainError: one 'error:' line and exit 2, as for any user error."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mwright",
         description="M-Wright special functions, fractional-diffusion Green "
                     "functions, and grey-noise process simulation")
@@ -242,17 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn, subparser=p)
 
     p = sub.add_parser("eval", help="evaluate one function value")
-    p.add_argument("--function", required=True,
-                   choices=["wright", "mwright", "fwright", "mlf", "moment",
-                            "mellin", "green", "drift"])
+    p.add_argument("--function", required=True, choices=list(_EVAL))
     for name in ("lam", "mu", "nu", "x", "s", "delta", "alpha", "beta", "t"):
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--K", type=float, default=1.0)
     common(p, cmd_eval, tol=1e-10)
 
     p = sub.add_parser("tabulate", help="write a CSV table of a function")
-    p.add_argument("--function", required=True,
-                   choices=["mwright", "fwright", "mlf", "green", "drift"])
+    p.add_argument("--function", required=True, choices=list(_TABULATE))
     p.add_argument("--params", required=True,
                    help="comma-separated order parameters (one column each)")
     p.add_argument("--xmin", type=float, required=True)
@@ -323,8 +320,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.config:
             # config entries become the subcommand's defaults; flags win.
             # set_defaults changes its parser, so this takes a fresh one

@@ -32,24 +32,30 @@ class FracOrder:
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise InvalidExponent("fractional order must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise InvalidExponent("fractional order mu must be in (0, inf)")
 
     @property
     def m(self) -> int:
         return int(math.ceil(self.mu))
 
 
+def _check_power(mu: float, gamma: float, t: float, kind: str) -> None:
+    """Raise InvalidExponent unless mu >= 0, gamma > -1 and t > 0 are all
+    finite (a NaN fails every test)."""
+    if not -1.0 < gamma < math.inf:
+        raise InvalidExponent(f"need finite gamma > -1, got {gamma}")
+    if not 0.0 <= mu < math.inf:
+        raise InvalidExponent(f"{kind} order must be finite and >= 0")
+    if not 0.0 < t < math.inf:
+        raise InvalidExponent(f"t must be finite and positive, got {t}")
+
+
 def rl_integral_power(mu: float, gamma: float, t: float) -> float:
     """Fractional integral of t^gamma:
     Gamma(gamma+1)/Gamma(gamma+1+mu) * t^(gamma+mu); mu = 0 is the identity.
     """
-    if not gamma > -1.0:
-        raise InvalidExponent(f"need gamma > -1, got {gamma}")
-    if mu < 0.0:
-        raise InvalidExponent("integral order must be >= 0")
-    if not t > 0.0:
-        raise InvalidExponent("t must be positive")
+    _check_power(mu, gamma, t, "integral")
     return float(_gamma(gamma + 1.0) * _rgamma(gamma + 1.0 + mu)
                  * t ** (gamma + mu))
 
@@ -61,12 +67,7 @@ def rl_derivative_power(mu: float, gamma: float, t: float) -> float:
     The reciprocal Gamma makes the result an exact 0 when gamma+1-mu is a
     non-positive integer (derivative of t^(mu-k)).
     """
-    if not gamma > -1.0:
-        raise InvalidExponent(f"need gamma > -1, got {gamma}")
-    if mu < 0.0:
-        raise InvalidExponent("derivative order must be >= 0")
-    if not t > 0.0:
-        raise InvalidExponent("t must be positive")
+    _check_power(mu, gamma, t, "derivative")
     return float(_gamma(gamma + 1.0) * _rgamma(gamma + 1.0 - mu)
                  * t ** (gamma - mu))
 
@@ -79,10 +80,9 @@ def caputo_power(mu: float, gamma: float, t: float) -> float:
     stays zero); any other admissible gamma matches the Riemann-Liouville
     value.
     """
-    if not mu > 0.0:
-        raise InvalidExponent("Caputo order must be positive")
-    if gamma < 0.0:
-        raise InvalidExponent("need gamma >= 0")
+    if not (mu > 0.0 and gamma >= 0.0):
+        raise InvalidExponent("Caputo needs order mu > 0 and gamma >= 0")
+    _check_power(mu, gamma, t, "Caputo")
     m = int(math.ceil(mu))
     is_int = abs(gamma - round(gamma)) < 1e-12
     if is_int and round(gamma) < m:
@@ -122,8 +122,8 @@ def rl_integral_grid(f: GridFunction, mu: float) -> GridFunction:
     is integrated exactly against the piecewise-linear interpolant, so the
     kernel singularity costs no accuracy. Second-order for smooth data.
     """
-    if not mu > 0.0:
-        raise InvalidExponent("integral order must be positive")
+    if not 0.0 < mu < math.inf:
+        raise InvalidExponent("integral order must be finite and positive")
     h = f.require_uniform_from_zero()
     n = len(f) - 1
     p0, p1 = _prod_trap_pieces(mu, n)

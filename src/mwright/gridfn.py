@@ -49,22 +49,15 @@ class GridFunction:
     def to_csv(self, path_or_buf) -> None:
         """Two-column CSV with a '#' header line carrying the metadata and
         every value to 17 significant digits, as "%.17g" prints it."""
-        own = isinstance(path_or_buf, (str, bytes))
-        fh = open(path_or_buf, "w") if own else path_or_buf
-        try:
+        with _csv.opened(path_or_buf, "w") as fh:
             fh.write(f"# {self.meta}\n")
             _csv.write_rows(fh, np.column_stack([self.xs, self.ys]))
-        finally:
-            if own:
-                fh.close()
 
     @classmethod
     def from_csv(cls, path_or_buf) -> "GridFunction":
-        own = isinstance(path_or_buf, (str, bytes))
-        fh = open(path_or_buf) if own else path_or_buf
-        try:
-            meta = ""
-            xs, ys = [], []
+        meta = ""
+        xs, ys = [], []
+        with _csv.opened(path_or_buf) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -75,10 +68,7 @@ class GridFunction:
                 sx, sy = line.split(",")
                 xs.append(float(sx))
                 ys.append(float(sy))
-            return cls(np.array(xs), np.array(ys), meta)
-        finally:
-            if own:
-                fh.close()
+        return cls(np.array(xs), np.array(ys), meta)
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()

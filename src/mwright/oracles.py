@@ -120,16 +120,13 @@ def subordination_check(lambda_, mu_, x: float, t: float,
     def integrand(tau):
         return _m2_values(lam, x, tau) * _m2_values(mu, tau, t)
 
-    env_mu = specfun.m_wright_envelope(mu)
-    t_mu = t ** mu
     # sup of the first factor's M part; the peak exceeds M(0) for orders
     # past 1/2, so measure it rather than assume the origin value
     lam_peak = 1.2 * float(np.max(specfun.m_wright_values(
         lam, np.linspace(0.0, 2.5, 26))))
 
     def tail(tau):
-        return (tau ** (-lam) * lam_peak + 1e-300) * (
-            env_mu(tau / t_mu) / t_mu)
+        return (tau ** (-lam) * lam_peak + 1e-300) * _m2_env_in_x(tau, mu, t)
 
     # resolve the integrable tau^(-lam) behaviour at 0 (x = 0 case)
     lhs, _ = quadrature.integrate_to_inf(

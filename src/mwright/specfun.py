@@ -305,6 +305,8 @@ def m_wright_asymptotic(nu, x: float) -> float:
     y = nu * float(x)
     if y <= 0.0:
         raise NegativeArgument("asymptotic form needs x > 0")
+    if not y < math.inf:
+        raise InvalidArgument(f"asymptotic form needs a finite x, got {x}")
     a = 1.0 / math.sqrt(2.0 * math.pi * (1.0 - nu))
     expo = (nu - 1.0) / nu * y ** (1.0 / (1.0 - nu))
     if expo < -745.0:
@@ -313,26 +315,10 @@ def m_wright_asymptotic(nu, x: float) -> float:
 
 
 def m_wright_envelope(nu):
-    """Decreasing bound on M_nu(r) for large r (for tail truncation): 10
-    times the saddle-point term m_wright_asymptotic; exp(-r) at nu = 0."""
+    """Decreasing bound on M_nu(r), 0 < nu < 1, for large r (for tail
+    truncation): 10 times the saddle-point term m_wright_asymptotic."""
     nu = _as_nu(nu)
-    if nu == 0.0:
-        return lambda r: math.exp(-min(r, 745.0))
     return lambda r: 10.0 * m_wright_asymptotic(nu, r)
-
-
-def asymptotic_radius(nu, eps: float) -> float:
-    """Radius beyond which the M_nu tail envelope stays below eps."""
-    nu = _as_nu(nu)
-    if nu == 0.0:
-        return max(1.0, -math.log(max(eps, 1e-300)))
-    env = m_wright_envelope(nu)
-    r = max(2.0, 2.0 / nu)  # start beyond the envelope's peak
-    while env(r) >= eps:
-        r *= 2.0
-        if r > 1e9:
-            break
-    return r
 
 
 def _kanter_log_a(nu: float, phi: np.ndarray) -> np.ndarray:

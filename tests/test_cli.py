@@ -31,11 +31,31 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nu" in err
 
-    def test_unknown_flag_nonzero_exit(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["eval", "--function", "mwright", "--nu", "0.5",
-                 "--x", "1", "--bogus", "3"])
-        assert exc.value.code != 0
+    def test_unknown_flag_nonzero_exit(self, capsys):
+        assert run(["eval", "--function", "mwright", "--nu", "0.5",
+                    "--x", "1", "--bogus", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: mwright: unrecognized arguments: --bogus 3\n"
+
+    def test_function_choices_are_the_table(self):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices
+        for command, table in (("eval", cli._EVAL),
+                               ("tabulate", cli._TABULATE)):
+            (action,) = [a for a in sub[command]._actions
+                         if a.dest == "function"]
+            assert action.choices == list(table)
+
+    @pytest.mark.parametrize("function", list(cli._EVAL))
+    def test_each_missing_flag_is_named(self, capsys, function):
+        needs = cli._EVAL[function][0]
+        for missing in needs:
+            argv = ["eval", "--function", function]
+            for n in needs:
+                if n != missing:
+                    argv += [f"--{n}", "0.5"]
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: function {function!r} requires --{missing}\n")
 
     def test_drift_eval(self, capsys):
         assert run(["eval", "--function", "drift", "--beta", "0.5",
@@ -475,10 +495,34 @@ class TestFlagsAndConfig:
         ["verify", "--tol", "1e-8"],
         ["verify", "--paths", "1000"],
     ])
-    def test_unused_flags_rejected(self, argv):
+    def test_unused_flags_rejected(self, capsys, argv):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mwright") and err.count("\n") == 1
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--paths", "10"],
+         "mwright: unrecognized arguments: --paths 10"),
+        (["tabulate", "--function", "mwright"],
+         "mwright tabulate: the following arguments are required: "
+         "--params, --xmin, --xmax, --step"),
+        (["eval", "--function", "mwright", "--nu", "abc", "--x", "1"],
+         "mwright eval: argument --nu: invalid float value: 'abc'"),
+        (["nosuch"], "mwright: argument command: invalid choice: 'nosuch'"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: " + message)
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
+            run([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestVerifyCommand:

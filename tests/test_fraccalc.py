@@ -7,8 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gamma, rgamma
 
-from mwright import fraccalc
-from mwright.errors import InvalidExponent, NonUniformGrid, UnsupportedOrder
+from mwright import fraccalc, specfun
+from mwright.errors import (
+    InvalidArgument,
+    InvalidExponent,
+    NonUniformGrid,
+    UnsupportedOrder,
+)
 from mwright.gridfn import GridFunction
 
 SQRT_PI = math.sqrt(math.pi)
@@ -64,6 +69,31 @@ class TestPowerLaws:
         assert fraccalc.FracOrder(0.5).m == 1
         assert fraccalc.FracOrder(1.0).m == 1
         assert fraccalc.FracOrder(1.5).m == 2
+
+
+NAN, INF = math.nan, math.inf
+_UNIT = GridFunction(np.linspace(0.0, 1.0, 5), np.ones(5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, args, error", [
+    (fraccalc.rl_integral_power, (NAN, 1.0, 1.0), InvalidExponent),
+    (fraccalc.rl_derivative_power, (NAN, 1.0, 1.0), InvalidExponent),
+    (fraccalc.rl_integral_power, (0.5, INF, 1.0), InvalidExponent),
+    (fraccalc.rl_integral_power, (INF, 1.0, 2.0), InvalidExponent),
+    (fraccalc.rl_integral_power, (0.5, 1.0, INF), InvalidExponent),
+    (fraccalc.rl_derivative_power, (0.5, 1.0, INF), InvalidExponent),
+    (fraccalc.caputo_power, (0.5, 1.0, INF), InvalidExponent),
+    (fraccalc.caputo_power, (0.5, NAN, 1.0), InvalidExponent),
+    (fraccalc.caputo_power, (INF, 1.0, 1.0), InvalidExponent),
+    (fraccalc.FracOrder, (INF,), InvalidExponent),
+    (fraccalc.rl_integral_grid, (_UNIT, INF), InvalidExponent),
+    (specfun.m_wright_asymptotic, (0.5, NAN), InvalidArgument),
+])
+def test_non_finite_inputs_raise(call, args, error):
+    # NaN and inf fail every guard: no NaN or inf result, no RuntimeWarning
+    with pytest.raises(error):
+        call(*args)
 
 
 class TestAlgebraicIdentities:

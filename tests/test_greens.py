@@ -130,12 +130,9 @@ class TestVarianceLaw:
         t = 0.9
         xs_scale = math.sqrt(spec.k) * t ** spec.hurst
 
-        def f(r):
-            return np.asarray(r) ** 2 * specfun.m_wright_values(0.3, r)
-
-        from mwright.quadrature import adaptive
-        cut = specfun.asymptotic_radius(0.3, 1e-15)
-        m2, _ = adaptive(f, 0.0, cut, tol=1e-10)
+        m2 = oracles.mellin_numeric(
+            lambda r: specfun.m_wright_values(0.3, r), 3.0, tol=1e-10,
+            tail_bound=specfun.m_wright_envelope(0.3))
         got = m2 * xs_scale ** 2
         assert_allclose(got, greens.variance_law(spec, t), rtol=1e-7)
 

@@ -50,3 +50,27 @@ def test_csv_buffer_api():
     assert text.splitlines()[0] == "# m"
     back = GridFunction.from_csv(io.StringIO(text))
     assert np.array_equal(back.ys, g.ys)
+
+
+def test_csv_round_trip_through_a_path(tmp_path):
+    g = GridFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, -0.0, 3e-7]),
+                     "p")
+    path = tmp_path / "g.csv"
+    g.to_csv(path)
+    back = GridFunction.from_csv(path)
+    assert back.meta == "p"
+    assert back.xs.tobytes() == g.xs.tobytes()
+    assert back.ys.tobytes() == g.ys.tobytes()
+
+
+def test_csv_file_objects_stay_open(tmp_path):
+    g = GridFunction(np.array([0.0, 0.5]), np.array([1.0, 2.0]), "m")
+    path = tmp_path / "g.csv"
+    with open(path, "w") as fh:
+        g.to_csv(fh)
+        assert not fh.closed
+        fh.write("\n")
+    with open(path) as fh:
+        back = GridFunction.from_csv(fh)
+        assert not fh.closed
+    assert np.array_equal(back.ys, g.ys)
