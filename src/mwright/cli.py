@@ -302,15 +302,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_value(action, key: str, value):
+    """A config entry as its flag would parse it from the command line: a
+    switch takes a JSON boolean; any other flag converts str(value) with
+    its argparse type."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        reason = "a switch takes true or false"
+    else:
+        try:
+            return (action.type or str)(str(value))
+        except ValueError as exc:
+            reason = str(exc)
+    raise DomainError(f"config entry {key!r}: invalid value {value!r} "
+                      f"({reason})")
+
+
 def _read_config(args) -> dict:
-    """Entries of the --config file that name a flag of the subcommand."""
+    """Entries of the --config file that name a flag of the subcommand,
+    each converted as its flag converts a command-line string."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise DomainError(f"config {args.config!r} must hold a JSON object")
-    flags = set(vars(args)) - {"command", "config", "fn", "subparser"}
-    return {k.replace("-", "_"): v for k, v in cfg.items()
-            if k.replace("-", "_") in flags}
+    actions = {a.dest: a for a in args.subparser._actions
+               if a.dest in vars(args) and a.dest != "config"}
+    return {dest: _config_value(actions[dest], key, value)
+            for key, value in cfg.items()
+            if (dest := key.replace("-", "_")) in actions}
 
 
 @functools.cache

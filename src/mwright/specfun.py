@@ -23,8 +23,19 @@ m_wright_values, so both share validation and dispatch):
   radius r*(nu), committed on a 0.01 grid in nu as the scan found it: the
   smallest radius where the series rounding floor (2 eps sum|term|) exceeds
   min(1e-10, 1e-6 times the value);
-* beyond r*, the exact one-sided stable-density integral; the
-  leading-order exponential form only serves envelopes and checks.
+* beyond r*, the exact one-sided stable-density integral (`_m_tail`),
+  served through a per-order Chebyshev interpolant (`_tail_interpolant`)
+  of log(M_nu e^Y / (a (nu r)^((nu-1/2)/(1-nu)))), the log of M_nu over
+  its saddle-point form, in t = 1/Y on [1/795, 1/Y(r*)], Y = (1-nu)/nu
+  (nu r)^(1/(1-nu)). It is built once per order from `_m_tail` itself at
+  full relative accuracy, on at most 65 nodes, and evaluated by an
+  elementwise Clenshaw recurrence. Its estimate is value x (Lebesgue
+  constant x largest node relative estimate + chopped coefficients +
+  8 eps (1 + Y)/(1 - nu)), whatever tol asks. Orders whose build does not
+  converge or fails (near 0.99, and tiny orders such as 1e-3) keep the
+  quadrature at every radius. The mass int_r^inf M_nu takes the same
+  route past r*. The leading-order exponential form alone only serves
+  envelopes and checks.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval as _chebval
 from scipy.special import gamma as _gamma, gammaln as _gammaln, rgamma as _rgamma
 
 from . import quadrature
@@ -44,12 +56,16 @@ from .errors import (
     NearSingularOrder,
     NegativeArgument,
     NonConvergence,
+    QuadratureFailure,
     ResultOverflow,
     UnsupportedQ,
 )
 
 _EPS = float(np.finfo(float).eps)
 _TERM_BUDGET = 400
+_Y_CUT = 745.0 + 50.0  # Y past which M_nu is below the double underflow
+_CHEB_NODES = (17, 33, 65)  # nested Chebyshev extreme points of the tail
+_CHEB_CHOP = 1e-13  # a Chebyshev coefficient below this counts as converged
 _N = np.arange(_TERM_BUDGET)
 NU_MAX = 0.99  # evaluation cap; the peak near r=1 defeats doubles beyond this
 # Below the least normal double, nu phi underflows in the stable kernel;
@@ -333,22 +349,35 @@ def _kanter_log_a(nu: float, phi: np.ndarray) -> np.ndarray:
             - np.log(np.sin(phi))) / (1.0 - nu)
 
 
-def _m_tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
+def _saddle_exponent(nu: float, w: np.ndarray) -> np.ndarray:
+    """Y = w^{1/(1-nu)} A(0+) = (1-nu)/nu (nu w)^{1/(1-nu)}, the exponent of
+    the saddle-point form a (nu w)^{(nu-1/2)/(1-nu)} e^{-Y} of M_nu."""
+    with np.errstate(over="ignore"):  # Y = inf is past the underflow cut
+        return w ** (1.0 / (1.0 - nu)) * (nu ** (nu / (1.0 - nu)) * (1.0 - nu))
+
+
+def _m_tail(nu: float, w: np.ndarray, tol: float, power: int = 1,
+            scaled: bool = False):
     """M_nu at every radius w from the exact stable-density integral.
 
     M_nu(w) = w^{nu/(1-nu)}/(1-nu) * int_0^1 A(pi u) exp(-w^{1/(1-nu)} A(pi u)) du,
     integrated for all radii together. Returns (value, abs_err_estimate).
     power=0 drops A and the prefactor: Zolotarev's mass int_w^inf M_nu.
+    scaled=True returns both times e^Y (`_saddle_exponent`), which the
+    integrand carries in its exponent, so no radius underflows.
     """
     with np.errstate(over="ignore"):  # c = inf is past the underflow cut
         c = w ** (1.0 / (1.0 - nu))
     a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)  # A(0+), the kernel's minimum
+    y = c * a0  # Y, as `_saddle_exponent` has it
     value, err = np.zeros(w.size), np.full(w.size, 1e-300)
-    live = c * a0 <= 745.0 + 50.0  # else below the double underflow threshold
+    # else below the double underflow threshold
+    live = np.full(w.size, True) if scaled else y <= _Y_CUT
     if not live.any():
         return value, err
-    c = c[live]
-    logscale = power * ((nu / (1.0 - nu)) * np.log(w[live]) - math.log1p(-nu))
+    c, y = c[live], y[live]
+    logscale = (power * ((nu / (1.0 - nu)) * np.log(w[live]) - math.log1p(-nu))
+                + (y if scaled else 0.0))
 
     def f(u, rows):
         la = _kanter_log_a(nu, np.pi * u)
@@ -359,13 +388,107 @@ def _m_tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
         return out
 
     # breakpoints resolving the boundary layer near u = 0 when c*A is large
-    width = 1.0 / np.sqrt(1.0 + c * a0)
+    width = 1.0 / np.sqrt(1.0 + y)
     pts = np.minimum(1.0 - 1e-9, width[:, None] * 2.0 ** np.arange(-3, 6))
     # relative rounding of the samples: log A carries 1/(1-nu), c*A scales it
-    noise = 8.0 * _EPS * (1.0 + c * a0) / (1.0 - nu)
+    noise = 8.0 * _EPS * (1.0 + y) / (1.0 - nu)
     v, e = quadrature.adaptive_rows(f, 0.0, 1.0, pts, max(1e-300, 0.01 * tol),
                                     np.maximum(1e-13, noise), limit=600)
     value[live], err[live] = v, np.maximum(e + noise * v, 1e-300)
+    return value, err
+
+
+def _log_saddle_factor(nu: float, power: int, w: np.ndarray) -> np.ndarray:
+    """log(a (nu w)^p), a = 1/sqrt(2 pi (1-nu)): the factor beside e^{-Y} of
+    the saddle-point form of M_nu (power=1, p = (nu-1/2)/(1-nu)) or of its
+    mass (power=0, p = -1/(2(1-nu)))."""
+    p = (power * nu - 0.5) / (1.0 - nu)
+    return p * np.log(nu * w) - 0.5 * math.log(2.0 * math.pi * (1.0 - nu))
+
+
+def _chebyshev_coefficients(h: np.ndarray) -> np.ndarray:
+    """Coefficients c_k of sum_k c_k T_k(x) through the values h at the
+    extreme points x_j = cos(pi j/N), j = 0..N (a DCT-I, summed row by row
+    so that no BLAS call is made)."""
+    big_n = len(h) - 1
+    k = np.arange(big_n + 1)
+    ends = np.ones(big_n + 1)
+    ends[[0, -1]] = 0.5
+    c = (np.cos(np.pi * (np.outer(k, k) % (2 * big_n)) / big_n)
+         * (ends * h)).sum(axis=1) * (2.0 / big_n)
+    return c * ends
+
+
+@lru_cache(maxsize=256)
+def _tail_interpolant(nu: float, power: int):
+    """Chebyshev interpolant of the tail past r*(nu), or None.
+
+    Interpolates h(t) = log(M e^Y / (a (nu w)^p)), the log of M_nu
+    (power=1) or of its mass (power=0) over its saddle-point form (see
+    `_log_saddle_factor`), in t = 1/Y on [1/795, 1/Y(r*)]. The node values
+    are `_m_tail` at full relative accuracy on 17, then 33, then 65 nested
+    Chebyshev extreme points; the
+    first count whose last three coefficients lie below 1e-13 is kept,
+    with its trailing coefficients below 1e-13 chopped. Returns (y_hi,
+    t_lo, t_hi, coefficients, rel): y_hi = Y(r*), and rel the Lebesgue
+    constant times the largest node relative estimate plus the sum of the
+    chopped coefficients. None where no count converges or the quadrature
+    fails (orders near 1, tiny orders): those keep `_m_tail` at each radius.
+    """
+    a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+    # Y(r*) by numpy's power, as `_tail` computes Y at every radius
+    y_hi = float(_saddle_exponent(nu, np.array(crossover_radius(nu))))
+    t_lo, t_hi = 1.0 / _Y_CUT, 1.0 / y_hi
+    h, worst = np.empty(0), 0.0
+    for n in _CHEB_NODES:
+        # the nodes of the previous count are every other node of this one
+        j = np.arange(n)[1::2] if h.size else np.arange(n)
+        t = t_lo + 0.5 * (t_hi - t_lo) * (1.0 + np.cos(np.pi * j / (n - 1)))
+        w = (1.0 / (t * a0)) ** (1.0 - nu)
+        try:
+            v, e = _m_tail(nu, w, 0.0, power, scaled=True)
+        except QuadratureFailure:
+            return None
+        if not (np.isfinite(v) & (v > 0.0)).all():
+            return None
+        h = np.insert(np.log(v) - _log_saddle_factor(nu, power, w),
+                      np.arange(h.size), h)
+        worst = max(worst, float(np.max(e / v)))
+        c = _chebyshev_coefficients(h)
+        if np.abs(c[-3:]).max() < _CHEB_CHOP:
+            big = np.flatnonzero(np.abs(c) >= _CHEB_CHOP)
+            keep = min(n - 3, int(big[-1]) + 1 if big.size else 1)
+            lebesgue = 1.0 + 2.0 / math.pi * math.log(n)
+            rel = lebesgue * worst + float(np.abs(c[keep:]).sum())
+            c = c[:keep]
+            c.flags.writeable = False
+            return y_hi, t_lo, t_hi, c, rel
+    return None
+
+
+def _tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
+    """M_nu (power=1) or its mass (power=0) at radii w past r*(nu), as
+    `_m_tail` returns them: from `_tail_interpolant` where the order has
+    one, with the estimate value x (rel + 8 eps (1 + Y)/(1-nu)), the last
+    term the rounding of Y itself; else, and at radii below r*, from
+    `_m_tail`. The interpolant's evaluation is elementwise, so every radius
+    gets the same bits in a block of any size. No radius, no build."""
+    fit = _tail_interpolant(nu, power) if w.size else None
+    if fit is None:
+        return _m_tail(nu, w, tol, power)
+    y_hi, t_lo, t_hi, coef, rel = fit
+    y = _saddle_exponent(nu, w)
+    served = y >= y_hi
+    value, err = np.zeros(w.size), np.full(w.size, 1e-300)
+    if not served.all():
+        value[~served], err[~served] = _m_tail(nu, w[~served], tol, power)
+    live = served & (y <= _Y_CUT)  # else below the double underflow threshold
+    wl, yl = w[live], y[live]
+    x = (2.0 * np.clip(1.0 / yl, t_lo, t_hi) - (t_lo + t_hi)) / (t_hi - t_lo)
+    v = np.exp(_chebval(x, coef) + _log_saddle_factor(nu, power, wl) - yl)
+    value[live] = v
+    err[live] = np.maximum(
+        v * (rel + 8.0 * _EPS * (1.0 + yl) / (1.0 - nu)), 1e-300)
     return value, err
 
 
@@ -459,7 +582,7 @@ def _m_wright_array(nu, rs, tol: float):
         v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -rs[near], tol)
         value[near], err[near] = v, trunc + cancel
     tail = np.isnan(value)
-    value[tail], err[tail] = _m_tail(nu, rs[tail], tol)
+    value[tail], err[tail] = _tail(nu, rs[tail], tol)
     return value, err, np.where(tail, METHOD_ASYMPTOTIC, METHOD_SERIES)
 
 
@@ -473,7 +596,7 @@ def _half_mass(nu: float, r: np.ndarray, tol: float):
     v, trunc, cancel = _sum_series(-nu, 1.0, -r[near], 0.01 * tol)
     value[near], err[near] = v, trunc + cancel
     far = ~(err <= tol * value)
-    value[far], err[far] = _m_tail(nu, r[far], 0.0, power=0)
+    value[far], err[far] = _tail(nu, r[far], 0.0, power=0)
     return value, err
 
 
@@ -482,7 +605,11 @@ def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
 
     Dispatches between the exact limit/closed forms (nu = 0, 1/2), the
     power series below the crossover radius, and the stable-integral
-    large-argument route above it. The one-point case of
+    large-argument route above it (method "asymptotic"). That route reads
+    a Chebyshev interpolant of the integral in 1/Y, built once per order
+    and accurate to about 1e-12 relative, whose estimate does not depend
+    on tol; orders whose interpolant does not converge (near 0.99, tiny
+    orders) integrate at each radius instead. The one-point case of
     m_wright_values, so both return the same bits.
 
     Parameters

@@ -481,6 +481,53 @@ class TestFlagsAndConfig:
         assert run(base + ["--config", str(cfg)]) == 0
         assert seen == [16, 256, 16]
 
+    SOLVE = ["solve", "--alpha", "1", "--beta", "0.5", "--t-end", "0.1"]
+    SIMULATE = ["simulate", "--alpha", "1", "--beta", "0.5", "--n-paths",
+                "10"]
+    TABULATE = ["tabulate", "--function", "mwright", "--params", "0.3",
+                "--xmin", "0", "--xmax", "1", "--step", "0.5"]
+
+    @pytest.mark.parametrize("argv,entry", [
+        (SOLVE, {"nt": 20.5}),
+        (SOLVE, {"nx": 21.0}),
+        (SOLVE, {"halfwidth": "wide"}),
+        (SOLVE, {"u0-std": [1.0]}),
+        (SIMULATE, {"seed": 1.5}),
+        (SIMULATE, {"seed": True}),
+        (TABULATE, {"log10": "no"}),
+        (["eval", "--function", "mwright", "--x", "1"], {"nu": "abc"}),
+    ])
+    def test_config_value_of_the_wrong_type_names_its_key(
+            self, capsys, tmp_path, argv, entry):
+        # each entry converts as its flag converts a command-line string
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        out = ["--out", str(tmp_path / "o")]
+        assert run(argv + out + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config entry ") and err.count("\n") == 1
+        assert repr(next(iter(entry))) in err
+
+    def test_config_strings_convert_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nt": "16", "nx": 21, "halfwidth": "6"}))
+        assert run(self.SOLVE + ["--config", str(cfg),
+                                 "--out", str(tmp_path / "cfg.csv")]) == 0
+        flags = ["--nt", "16", "--nx", "21", "--halfwidth", "6"]
+        assert run(self.SOLVE + flags
+                   + ["--out", str(tmp_path / "flags.csv")]) == 0
+        assert (tmp_path / "cfg.csv").read_bytes() \
+            == (tmp_path / "flags.csv").read_bytes()
+
+    def test_config_switch_takes_a_boolean(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for flag in (True, False):
+            cfg.write_text(json.dumps({"log10": flag}))
+            path = tmp_path / f"t_{flag}.csv"
+            assert run(self.TABULATE + ["--config", str(cfg),
+                                        "--out", str(path)]) == 0
+            assert ("log10|" in path.read_text()) is flag
+
     def test_per_subcommand_tol_defaults(self):
         ap = cli.build_parser()
         assert ap.parse_args(["eval", "--function", "mwright"]).tol == 1e-10

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from mwright import quadrature, specfun
@@ -811,3 +811,121 @@ class TestStableTail:
             quadrature.adaptive_rows(f, 0.0, 1.0, pts, tol=0.0, rtol=0.0)
         with pytest.raises(QuadratureFailure):
             quadrature.adaptive_rows(f, 0.0, 1.0, pts, tol=1e-14, limit=8)
+
+
+def _m_refs():
+    """{nu: (r, M_nu(r))} from the committed 40-digit table
+    (make_m_refs.py)."""
+    table = np.loadtxt(Path(__file__).parent / "data" / "m_refs.csv",
+                       delimiter=",", skiprows=2, dtype=str)
+    out = {}
+    for nu, r, value in table:
+        out.setdefault(float(nu), []).append((float(r), float(value)))
+    return {nu: tuple(map(np.array, zip(*rows))) for nu, rows in out.items()}
+
+
+def _tail_radii(nu, count):
+    """count radii past r* up to the underflow cut Y = 795, shuffled."""
+    a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+    rs = np.geomspace(np.nextafter(specfun.crossover_radius(nu), np.inf),
+                      (795.0 / a0) ** (1.0 - nu), count)
+    return np.random.default_rng(3).permutation(rs)
+
+
+class TestTailInterpolant:
+    # orders whose interpolant converges, and one that keeps the quadrature
+    SERVED, FALLBACK = (0.05, 0.3, 0.75, 0.95), 0.99
+
+    def test_which_orders_fall_back(self):
+        for nu in self.SERVED:
+            assert specfun._tail_interpolant(nu, 1) is not None
+        for nu in (1e-12, 1e-3, 0.98, self.FALLBACK):
+            assert specfun._tail_interpolant(nu, 1) is None
+
+    def test_series_points_build_nothing(self):
+        # the first evaluation after import stays on the series route
+        specfun._tail_interpolant.cache_clear()
+        specfun.m_wright(0.25, 1.0)
+        specfun._half_mass(0.25, np.array([0.5, 1.0]), 1e-13)
+        assert specfun._tail_interpolant.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_within_estimate_of_40_digit_references(self, tol):
+        # 13 orders, radii from r* to where M_nu falls below 1e-300, on the
+        # interpolated route and on the quadrature it falls back to. The
+        # quadrature is not held to 1e-12: at nu = 0.99 the kernel's
+        # rounding, amplified by 1/(1-nu) and Y, reaches 1.1e-12 relative
+        refs = _m_refs()
+        assert len(refs) == 13
+        for nu, (r, ref) in refs.items():
+            got = [specfun.m_wright(nu, x, tol) for x in r.tolist()]
+            value = np.array([g.value for g in got])
+            err = np.array([g.abs_err_estimate for g in got])
+            assert {g.method for g in got} == {"asymptotic"}
+            bad = np.abs(value - ref) > err
+            assert not bad.any(), (nu, r[bad], value[bad], ref[bad])
+            assert ref.min() < 1e-290  # the table reaches the far tail
+            if specfun._tail_interpolant(nu, 1) is not None:
+                assert np.all(np.abs(value - ref) <= 1e-12 * ref), nu
+            value, err = specfun._m_tail(nu, r, tol)
+            assert not (np.abs(value - ref) > err).any(), nu
+
+    @pytest.mark.parametrize("nu", SERVED + (FALLBACK,))
+    def test_values_match_scalar_calls_in_any_block(self, nu):
+        rs = _tail_radii(nu, 4096)
+        whole = specfun.m_wright_values(nu, rs)
+        sevens = np.concatenate([specfun.m_wright_values(nu, rs[i:i + 7])
+                                 for i in range(0, 70, 7)])
+        assert whole[:70].tobytes() == sevens.tobytes()
+        for r, v in zip(rs[:25].tolist(), whole[:25].tolist()):
+            assert specfun.m_wright(nu, r).value == v
+
+    @pytest.mark.parametrize("power", [1, 0])
+    def test_cold_and_warm_cache_give_the_same_bits(self, power):
+        rs = _tail_radii(0.6, 200)
+        runs = []
+        for cold in (True, False, True):
+            if cold:
+                specfun._tail_interpolant.cache_clear()
+            runs.append(specfun._tail(0.6, rs, 1e-10, power))
+        for value, err in runs[1:]:
+            assert value.tobytes() == runs[0][0].tobytes()
+            assert err.tobytes() == runs[0][1].tobytes()
+
+    @given(nu=st.floats(0.0, 0.99, exclude_min=True))
+    @example(nu=1e-12)
+    @example(nu=1e-3)
+    @example(nu=0.97)
+    @example(nu=0.98)
+    @example(nu=0.99)
+    def test_builds_never_raise(self, nu):
+        # an order whose build fails keeps the quadrature; RuntimeWarnings
+        # are errors in this suite
+        rs = np.array([1.0, 1.5, 3.0]) * specfun.crossover_radius(nu)
+        value = specfun.m_wright_values(nu, rs, 1e-10)
+        mass, err = specfun._half_mass(nu, rs, 1e-13)
+        assert np.all(np.isfinite(value) & (value >= 0.0))
+        assert np.all(np.isfinite(mass) & (mass >= 0.0) & (err > 0.0))
+
+    @pytest.mark.parametrize("nu", SERVED)
+    def test_estimate_does_not_depend_on_tol(self, nu):
+        for r in _tail_radii(nu, 20).tolist():
+            got = {specfun.m_wright(nu, r, tol)
+                   for tol in (1e-8, 1e-10, 1e-12)}
+            assert len(got) == 1, r
+
+    @given(nu=st.floats(0.002, 0.99), power=st.sampled_from([1, 0]),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_agrees_with_its_quadrature_within_both_estimates(
+            self, nu, power, fracs):
+        # M_nu and, for _half_mass's far rows, its mass (power=0), at
+        # radii spread in log Y from r* to the underflow cut Y = 795
+        rstar = specfun.crossover_radius(nu)
+        a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+        y = float(specfun._saddle_exponent(nu, rstar)) ** (
+            1.0 - np.array(fracs)) * 795.0 ** np.array(fracs)
+        rs = (y / a0) ** (1.0 - nu)
+        rs = rs[rs > rstar]
+        value, err = specfun._tail(nu, rs, 0.0, power)
+        want, want_err = specfun._m_tail(nu, rs, 0.0, power)
+        assert np.all(np.abs(value - want) <= err + want_err)
