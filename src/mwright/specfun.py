@@ -574,7 +574,8 @@ def _m_wright_array(nu, rs, tol: float):
         v = np.exp(-rs)
         return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_LIMIT_CASE)
     if nu == 0.5:
-        v = np.exp(-0.25 * rs * rs) / math.sqrt(math.pi)
+        with np.errstate(over="ignore"):  # r^2 = inf past 1.3e154: exp gives 0
+            v = np.exp(-0.25 * rs * rs) / math.sqrt(math.pi)
         return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_CLOSED_FORM)
     value, err = np.full((2, rs.size), np.nan)
     near = rs <= crossover_radius(nu)

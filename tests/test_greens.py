@@ -81,6 +81,11 @@ class TestGreenDensity:
         assert_allclose(greens.green_density(spec, 1.0, 1.0), want,
                         rtol=1e-13)
 
+    def test_gaussian_far_out_is_zero(self):
+        # M_(1/2) at r = 1e300, past where r * r overflows
+        spec = greens.GreenSpec(1.0, 1.0, 1.0)
+        assert greens.green_density(spec, 1e300, 1.0) == 0.0
+
     def test_symmetry_and_time_validation(self):
         spec = greens.GreenSpec(1.2, 0.8, 2.0)
         assert greens.green_density(spec, -1.3, 0.7) == greens.green_density(
@@ -296,11 +301,15 @@ class TestVolterra:
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.8, 0.4),
                                             (1.5, 0.35)])
     @pytest.mark.parametrize("nt", [16, 33, 100])
-    @pytest.mark.parametrize("nx", [3, 201])
+    @pytest.mark.parametrize("nx", [3, 201, 202, 1601])
     def test_blocked_history_matches_per_step_loop(self, alpha, beta, nt,
                                                    nx):
         # 33 and 100 end in a partial block of greens.HISTORY_BLOCK = 32
-        # steps; nx = 3 leaves a single interior node
+        # steps; nx = 3 leaves a single interior node, and the sine
+        # transform's FFT lengths 2(nx-1) are 4, 400, 402 and 3200. At
+        # nx = 1601 the gap reaches 4e-13, the reference's own rounding in
+        # its stiff tridiagonal solves (the sine march is within 1e-15 of
+        # a long-double nodal march there)
         spec = greens.GreenSpec(alpha, beta, 1.0)
         xs = np.linspace(-4.0, 4.0, nx)
         u0 = GridFunction(xs, np.exp(-0.5 * (xs / 0.4) ** 2))
@@ -309,15 +318,29 @@ class TestVolterra:
         assert np.max(np.abs(got.ys - want)) <= 1e-12 * np.max(np.abs(want))
         assert got.ys[0] == got.ys[-1] == 0.0
 
+    @staticmethod
+    def _step_one_growth(monkeypatch, growth, nt, t_end):
+        """Give every sine mode of a beta = 1, k = 1 march one eigenvalue
+        that scales step 1 by growth: (1 + x ap[1]) / (1 - x w_diag) with
+        x = -coef * eigenvalue; later steps grow further."""
+        p0, p1 = _prod_trap_pieces(1.0, nt)
+        x = (growth - 1.0) / (p0[1] - p1[1] + growth * p1[1])
+        monkeypatch.setattr(greens, "_sine_eigenvalues",
+                            lambda m, dx: np.full(m, -x * nt / t_end))
+
     def test_growth_guard_still_raises(self, monkeypatch):
-        # a solve that returns ten times its right-hand side must trip the
-        # guard on the first step
-        real = greens.dpttrs
-        monkeypatch.setattr(greens, "dpttrs",
-                            lambda d, e, b: (10.0 * real(d, e, b)[0], 0))
+        # L2 growth just past five trips the guard on the first step
+        self._step_one_growth(monkeypatch, 5.1, 16, 0.5)
         spec = greens.GreenSpec(1.0, 1.0, 1.0)
-        with pytest.raises(CFLViolation, match="step 1"):
-            greens.solve_volterra(self.gaussian(0.5), spec, 1e-300, 16, 7.0)
+        with pytest.raises(CFLViolation, match="step 1$"):
+            greens.solve_volterra(self.gaussian(0.5), spec, 0.5, 16, 7.0)
+
+    def test_growth_guard_threshold_is_five(self, monkeypatch):
+        # 4.9-fold growth passes step 1; a later step trips the guard
+        self._step_one_growth(monkeypatch, 4.9, 16, 0.5)
+        spec = greens.GreenSpec(1.0, 1.0, 1.0)
+        with pytest.raises(CFLViolation, match="step ([2-9]|1[0-6])$"):
+            greens.solve_volterra(self.gaussian(0.5), spec, 0.5, 16, 7.0)
 
     def test_domain_validation(self):
         spec = greens.GreenSpec(1.0, 1.0, 1.0)

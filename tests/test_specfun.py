@@ -361,6 +361,12 @@ class TestInputContract:
         assert specfun.m_wright(nu, math.inf).value == 0.0
         assert specfun.m_wright_values(nu, [0.0, math.inf])[1] == 0.0
 
+    def test_half_order_huge_argument_is_zero(self):
+        # r * r overflows past about 1.3e154; exp(-r^2/4) is 0 there
+        assert specfun.m_wright_values(0.5, [1e300]).tolist() == [0.0]
+        res = specfun.m_wright(0.5, 1e300)
+        assert (res.value, res.abs_err_estimate) == (0.0, 0.0)
+
     def test_f_wright_infinite_argument_gives_zero(self):
         assert specfun.f_wright(0.25, math.inf).value == 0.0
 
