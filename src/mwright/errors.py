@@ -34,7 +34,7 @@ class InvalidExponent(ValueError):
 
 
 class InvalidTime(ValueError):
-    """Time argument must be strictly positive."""
+    """Time argument must be finite and strictly positive."""
 
 
 class DomainError(ValueError):

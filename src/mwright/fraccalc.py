@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma, rgamma as _rgamma
 
-from .errors import InvalidExponent, UnsupportedOrder
+from .errors import InvalidArgument, InvalidExponent, UnsupportedOrder
 from .gridfn import GridFunction
 
 
@@ -149,6 +149,8 @@ def caputo_derivative_grid(f: GridFunction, f0: float, mu: float) -> GridFunctio
     """
     if not 0.0 < mu < 1.0:
         raise UnsupportedOrder("grid Caputo implemented for 0 < mu < 1 only")
+    if not math.isfinite(f0):
+        raise InvalidArgument(f"need a finite f0, got {f0}")
     h = f.require_uniform_from_zero()
     n = len(f) - 1
     v = f.ys.copy()

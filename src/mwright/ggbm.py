@@ -24,7 +24,6 @@ from .errors import (
     InsufficientPaths,
     InvalidArgument,
     InvalidOrder,
-    InvalidTime,
     NonConvergence,
     NotPositiveDefinite,
     ResultOverflow,
@@ -117,6 +116,8 @@ class NPointQuery:
         object.__setattr__(self, "xs", xs)
         if xs.shape != self.spec.times.shape:
             raise InvalidArgument("xs must match the times in length")
+        if not np.isfinite(xs).all():
+            raise InvalidArgument("xs must be finite")
 
 
 def covariance_matrix(spec: CovSpec) -> np.ndarray:
@@ -279,53 +280,38 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
 
     Paths are generated in fixed-size batches on spawned substreams, so
     path i is reproducible independently of n_paths; the same seed yields
-    a bit-identical ensemble. One task per batch draws the batch's uniforms
-    and exponentials into fresh arrays and its normals into its rows of the
-    ensemble (a partial last batch's into a spare block); given 4 batches
-    per worker and 2 or more CPUs in the affinity mask, the tasks run on a
-    thread pool. The calling thread takes the batches in order and writes
-    Lambda into the batch's slice of `lambdas` and the product with the
-    Cholesky factor (into one reused buffer: one BLAS call at a time),
-    scaled by sqrt(Lambda), into its rows. For any worker count the bits
-    equal sqrt(Lambda) * (Z @ chol.T) formed batch by batch in fresh arrays.
+    a bit-identical ensemble. Every batch is drawn whole, and the result
+    is cut to n_paths (views of the whole-batch arrays). One task per batch
+    draws its uniforms and exponentials into fresh arrays and its normals
+    into its rows; given 4 batches per worker and 2 or more CPUs in the
+    affinity mask, the tasks run on a thread pool. The calling thread takes
+    the batches in order and writes Lambda into the batch's `lambdas` and
+    the product with the Cholesky factor (into one reused buffer: one BLAS
+    call at a time), scaled by sqrt(Lambda), into its rows. For any worker
+    count the bits equal sqrt(Lambda) * (Z @ chol.T) batch by batch.
     """
     if n_paths < 1:
         raise InvalidArgument("need n_paths >= 1")
     chol_t = _cholesky(_raw_covariance(spec)).T
     ntimes = len(spec.times)
-    # before the spawn: a count too large to allocate fails without it
-    paths = np.empty((n_paths, ntimes))
-    lambdas = np.empty(n_paths)
     n_batches = (n_paths + _BATCH - 1) // _BATCH
+    # before the spawn: a count too large to allocate fails without it
+    paths = np.empty((n_batches, _BATCH, ntimes))
+    lambdas = np.empty((n_batches, _BATCH))
     children = np.random.SeedSequence(seed).spawn(n_batches)
-    # normals of a partial last batch; made only when there is one, since
-    # an unused one cost an 8192 x 32 ensemble about 1.5 ms of its 8
-    spare = np.empty((_BATCH, ntimes)) if n_paths % _BATCH else None
     prod = np.empty((_BATCH, ntimes))
-
-    def rows(b):
-        lo = b * _BATCH
-        return lo, min(lo + _BATCH, n_paths)
-
-    def normals(b):
-        lo, hi = rows(b)
-        return paths[lo:hi] if hi - lo == _BATCH else spare
 
     def draw(b):
         rng = np.random.Generator(np.random.PCG64(children[b]))
         uw = (None if spec.beta == 1.0
               else (rng.random(_BATCH), rng.standard_exponential(_BATCH)))
-        rng.standard_normal(out=normals(b))
+        rng.standard_normal(out=paths[b])
         return uw
 
     def scale(b, uw):
-        lo, hi = rows(b)
-        lambdas[lo:hi] = (1.0 if uw is None
-                          else _mixing_lambda(spec.beta, *uw)[:hi - lo])
-        # a partial batch keeps the full-batch product and is cut
-        np.matmul(normals(b), chol_t, out=prod)
-        np.multiply(prod[:hi - lo], np.sqrt(lambdas[lo:hi])[:, None],
-                    out=paths[lo:hi])
+        lambdas[b] = 1.0 if uw is None else _mixing_lambda(spec.beta, *uw)
+        np.matmul(paths[b], chol_t, out=prod)
+        np.multiply(prod, np.sqrt(lambdas[b])[:, None], out=paths[b])
 
     workers = min(_cpu_count(), n_batches // _BATCHES_PER_WORKER)
     if workers < 2:
@@ -338,7 +324,8 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
             # map yields the tasks' results in batch order, releasing each
             for b, uw in enumerate(pool.map(draw, range(n_batches))):
                 scale(b, uw)
-    return PathEnsemble(spec, paths, int(seed), lambdas)
+    return PathEnsemble(spec, paths.reshape(-1, ntimes)[:n_paths], int(seed),
+                        lambdas.ravel()[:n_paths])
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +336,7 @@ def marginal_cdf(alpha: float, beta: float, x, t: float):
     """Distribution function of the one-point law at time t (vectorized):
     Q/2 for x < 0, else 1 - Q/2, Q the mass of M_(beta/2) beyond |x|
     t^(-alpha/2) to 1e-13 relative (1e-12 below Q = 1e-100)."""
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
+    greens._time(t)
     nu = 0.5 * greens.GreenSpec(alpha, beta, 1.0).beta
     x = np.asarray(x, dtype=float)
     r = specfun._arguments(np.abs(x), 1.0, "marginal_cdf") / t ** (0.5 * alpha)
@@ -365,8 +351,7 @@ def marginal_quantile(alpha: float, beta: float, p, t: float):
     for x < 0, so the iterates fall to the root in about -ln min(p, 1 - p)
     steps. |F(q) - p| <= 1e-12 min(p, 1 - p) + 1e-15, else NonConvergence;
     ResultOverflow when a quantile scaled to time t is not finite."""
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
+    greens._time(t)
     p = np.asarray(p, dtype=float)
     if not ((p > 0.0) & (p < 1.0)).all():
         raise InvalidArgument("quantile levels must lie strictly in (0, 1)")

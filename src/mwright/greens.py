@@ -44,8 +44,9 @@ class GreenSpec:
             raise InvalidArgument(f"need 0 < alpha <= 2, got {self.alpha}")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidArgument(f"need 0 < beta <= 1, got {self.beta}")
-        if not self.k > 0.0:
-            raise InvalidArgument("diffusion coefficient must be positive")
+        if not 0.0 < self.k < math.inf:
+            raise InvalidArgument(
+                f"diffusion coefficient must be finite and > 0, got {self.k}")
 
     @property
     def hurst(self) -> float:
@@ -97,18 +98,22 @@ def green_density_result(spec: GreenSpec, x: float, t: float):
                               0.5 / scale * m.abs_err_estimate, m.method)
 
 
+def _time(t: float) -> float:
+    """t itself; InvalidTime unless 0 < t < inf (NaN fails too)."""
+    if not 0.0 < t < math.inf:
+        raise InvalidTime(f"need a finite time t > 0, got {t}")
+    return t
+
+
 def _green_scale(spec: GreenSpec, t: float) -> float:
     """k^(1/2) t^(alpha/2), the width that the Green function scales by."""
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
-    return math.sqrt(spec.k) * t ** (0.5 * spec.alpha)
+    return math.sqrt(spec.k) * _time(t) ** (0.5 * spec.alpha)
 
 
 def variance_law(spec: GreenSpec, t: float) -> float:
     """Displacement variance 2 k t^alpha / Gamma(beta + 1)."""
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
-    return 2.0 * spec.k * t ** spec.alpha * float(_rgamma(spec.beta + 1.0))
+    return (2.0 * spec.k * _time(t) ** spec.alpha
+            * float(_rgamma(spec.beta + 1.0)))
 
 
 def green_fourier(spec: GreenSpec, kappa: float, t: float) -> float:
@@ -121,10 +126,8 @@ def green_fourier(spec: GreenSpec, kappa: float, t: float) -> float:
     """
     if spec.alpha != spec.beta or spec.k != 1.0:
         raise SpecMismatch("Fourier form defined for alpha = beta, k = 1")
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
-    return specfun.mittag_leffler_neg(spec.beta,
-                                      kappa * kappa * t ** spec.beta).value
+    return specfun.mittag_leffler_neg(
+        spec.beta, kappa * kappa * _time(t) ** spec.beta).value
 
 
 def drift_green_values(spec: DriftSpec, xs, t: float) -> np.ndarray:
@@ -163,8 +166,7 @@ def drift_green_result(spec: DriftSpec, x: float, t: float):
 
 def _drift_scale(spec: DriftSpec, t: float) -> float:
     """t^(-beta), the factor of the drift Green function and its argument."""
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
+    _time(t)
     if spec.beta > specfun.NU_MAX:  # the density is M_beta
         raise NearSingularOrder(
             f"beta={spec.beta}: too close to the delta-pulse limit")
@@ -181,6 +183,8 @@ def drift_green_stable_form(spec: DriftSpec, x: float, t: float) -> float:
     _drift_scale(spec, t)  # the checks on t and beta
     if not x > 0.0:
         raise InvalidArgument("stable form needs x > 0")
+    if x == math.inf:  # M_beta vanishes there, as drift_green has it
+        return 0.0
     beta = spec.beta
     r = t * x ** (-1.0 / beta)
     stable_density = beta * r ** (-beta - 1.0) * specfun.m_wright(
@@ -190,9 +194,7 @@ def drift_green_stable_form(spec: DriftSpec, x: float, t: float) -> float:
 
 def drift_mean(spec: DriftSpec, t: float) -> float:
     """First moment of the drift Green function, t^beta / Gamma(beta+1)."""
-    if not t > 0.0:
-        raise InvalidTime("need t > 0")
-    return t ** spec.beta * float(_rgamma(spec.beta + 1.0))
+    return _time(t) ** spec.beta * float(_rgamma(spec.beta + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +255,17 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
     bc_halfwidth : float
         Required half-width of the computational domain.
     """
-    if not t_end > 0.0:
-        raise InvalidTime("need t_end > 0")
+    _time(t_end)
     if nt < 16:
         raise InvalidArgument("need nt >= 16")
     if len(u0) < 3:
         raise InvalidArgument("grid needs at least one interior node")
     dx = u0.spacing
-    if u0.xs[0] > -bc_halfwidth + 1e-12 or u0.xs[-1] < bc_halfwidth - 1e-12:
+    if not np.isfinite(u0.ys).all():
+        raise InvalidArgument("initial profile must be finite")
+    # written so that a NaN half-width fails too
+    if not (u0.xs[0] <= -bc_halfwidth + 1e-12
+            and u0.xs[-1] >= bc_halfwidth - 1e-12):
         raise InvalidArgument(
             f"grid [{u0.xs[0]}, {u0.xs[-1]}] does not span the requested "
             f"half-width {bc_halfwidth}")

@@ -55,20 +55,14 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path_or_buf) -> "GridFunction":
-        meta = ""
-        xs, ys = [], []
+        """Read what to_csv writes: the two value columns through
+        np.loadtxt (the bits float() gives) and the metadata of the last
+        '#' line."""
         with _csv.opened(path_or_buf) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    meta = line[1:].strip()
-                    continue
-                sx, sy = line.split(",")
-                xs.append(float(sx))
-                ys.append(float(sy))
-        return cls(np.array(xs), np.array(ys), meta)
+            lines = [line.strip() for line in fh]
+        meta = [line[1:].strip() for line in lines if line.startswith("#")]
+        xs, ys = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2).T
+        return cls(xs.copy(), ys.copy(), meta[-1] if meta else "")
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()

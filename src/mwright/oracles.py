@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import quadrature, specfun
+from . import greens, quadrature, specfun
 from .errors import InvalidArgument, InvalidOrder, InvalidPair
 
 
@@ -96,8 +96,7 @@ def _m2_values(nu, xs, t):
 def m2(nu, x: float, t: float) -> float:
     """Two-variable density t^(-nu) M_nu(x t^(-nu)); in x it integrates to 1."""
     nu = specfun._as_nu(nu)
-    if not t > 0.0:
-        raise InvalidArgument("t must be positive")
+    greens._time(t)
     if x < 0.0:
         raise InvalidArgument("x must be >= 0")
     return float(_m2_values(nu, float(x), t))
@@ -113,8 +112,7 @@ def subordination_check(lambda_, mu_, x: float, t: float,
     lam, mu = specfun._as_nu(lambda_), specfun._as_nu(mu_)
     if not (0.0 < lam < 1.0 and 0.0 < mu < 1.0):
         raise InvalidOrder("subordination orders must lie in (0, 1)")
-    if not t > 0.0:
-        raise InvalidArgument("t must be positive")
+    greens._time(t)
     x = float(x)
 
     def integrand(tau):

@@ -102,7 +102,7 @@ def adaptive(f, a, b, tol=1e-10, rtol=0.0, limit=4000, points=None,
     oscillatory integrands. Returns (value, error_estimate).
     """
     if not b > a:
-        raise ValueError("need b > a")
+        raise InvalidArgument("need b > a")
     edges = [] if points is None else list(points)
     if max_panel_width is not None and max_panel_width > 0:
         n = int(math.ceil((b - a) / max_panel_width))

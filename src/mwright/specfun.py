@@ -223,13 +223,13 @@ def _apply_stopping_rule(terms: np.ndarray, tol: float, weight=None):
     run3 = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
     k = run3.argmax(axis=1) + 2  # index of the third small term
     value = s[np.arange(len(terms)), k]
-    trunc = np.take_along_axis(absterms, k[:, None] - [2, 1, 0], 1).sum(1)
-    # rounding floor: every term carries a few-ulp error, and for slowly
-    # decaying alternating tables these accumulate with like signs
-    absterms[_N[:terms.shape[1]] > k[:, None]] = 0.0
-    if weight is not None:
-        absterms *= weight[:terms.shape[1]]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # overflowing rows miss below
+        trunc = np.take_along_axis(absterms, k[:, None] - [2, 1, 0], 1).sum(1)
+        # rounding floor: every term carries a few-ulp error, and for slowly
+        # decaying alternating tables these accumulate with like signs
+        absterms[_N[:terms.shape[1]] > k[:, None]] = 0.0
+        if weight is not None:
+            absterms *= weight[:terms.shape[1]]
         cancel = 2.0 * _EPS * absterms.sum(axis=1)
     miss = ~(run3.any(axis=1) & np.isfinite(value))
     if miss.any():
@@ -368,8 +368,7 @@ def _m_tail(nu: float, w: np.ndarray, tol: float, power: int = 1,
     """
     with np.errstate(over="ignore"):  # c = inf is past the underflow cut
         c = w ** (1.0 / (1.0 - nu))
-    a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)  # A(0+), the kernel's minimum
-    y = c * a0  # Y, as `_saddle_exponent` has it
+    y = _saddle_exponent(nu, w)  # c A(0+), A(0+) the kernel's minimum
     value, err = np.zeros(w.size), np.full(w.size, 1e-300)
     # else below the double underflow threshold
     live = np.full(w.size, True) if scaled else y <= _Y_CUT

@@ -300,6 +300,25 @@ class TestTabulate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{flag} must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--alpha", "1", "--beta", "0.5", "--t-end", "inf"],
+        ["green", "--alpha", "1", "--beta", "0.5", "--t", "inf"],
+        ["eval", "--function", "drift", "--beta", "0.5", "--x", "1",
+         "--t", "nan"],
+        ["eval", "--function", "green", "--alpha", "1", "--beta", "0.5",
+         "--x", "1", "--t", "1", "--K", "inf"],
+        # the truncation terms at the stop overflow: NonConvergence, quietly
+        ["eval", "--function", "wright", "--lam", "-0.155", "--mu", "-170.5",
+         "--x", "1.575"],
+    ])
+    def test_rejected_input_writes_nothing_and_one_line(
+            self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestIOErrors:
     def test_missing_config_file(self, capsys, tmp_path):

@@ -726,6 +726,8 @@ class TestParallelFills:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n, m, beta", [
+        (1, 5, 0.6),                     # one path of a whole batch
+        (100, 3, 0.3),                   # one partial batch
         (8 * ggbm._BATCH - 1, 5, 0.6),   # 8 batches, the last partial
         (7 * ggbm._BATCH, 5, 0.6),       # just below the threshold
         (8 * ggbm._BATCH, 5, 0.6),       # at it
@@ -740,6 +742,8 @@ class TestParallelFills:
         spec = ggbm.CovSpec(1.2, beta, np.arange(1, m + 1) / m)
         ens = ggbm.sample_paths(spec, n, 31)
         want_paths, want_lambdas = _batch_loop_paths(spec, n, 31)
+        assert ens.paths.shape == (n, m) and ens.lambdas.shape == (n,)
+        assert ens.paths.flags.c_contiguous
         assert np.array_equal(ens.paths, want_paths)
         assert np.array_equal(ens.lambdas, want_lambdas)
         n_batches = -(-n // ggbm._BATCH)

@@ -129,6 +129,13 @@ class TestWrightSeries:
         with pytest.raises(NonConvergence):
             specfun.wright_series(WrightIndex(lam, mu), z)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_stop_raises_without_a_warning(self):
+        # the three terms at the stop sum past the double range: the row
+        # misses quietly instead of numpy's "overflow encountered in reduce"
+        with pytest.raises(NonConvergence):
+            specfun.wright_series(WrightIndex(-0.155, -170.5), 1.575)
+
     @pytest.mark.parametrize("z", [math.inf, -math.inf])
     def test_infinite_argument_rejected(self, z):
         with pytest.raises(InvalidArgument):
