@@ -20,7 +20,7 @@ from scipy.special import rgamma as _rgamma
 
 from . import specfun
 from .errors import CFLViolation, InvalidArgument, InvalidTime, \
-    NearSingularOrder, SpecMismatch
+    NearSingularOrder, ResultOverflow, SpecMismatch
 from .fraccalc import _prod_trap_pieces
 from .gridfn import GridFunction
 
@@ -178,7 +178,9 @@ def drift_green_stable_form(spec: DriftSpec, x: float, t: float) -> float:
 
     (t/beta) x^(-1-1/beta) L(t x^(-1/beta)) with the one-sided stable
     density L(r) = beta r^(-beta-1) M_beta(r^(-beta)); algebraically equal
-    to drift_green, kept as an independent evaluation route.
+    to drift_green, kept as an independent evaluation route. r and the
+    prefactors are formed in log space, since r leaves the double range
+    long before the value does (x = 3 at beta = 0.001 gives r = 3^-1000).
     """
     _drift_scale(spec, t)  # the checks on t and beta
     if not x > 0.0:
@@ -186,10 +188,18 @@ def drift_green_stable_form(spec: DriftSpec, x: float, t: float) -> float:
     if x == math.inf:  # M_beta vanishes there, as drift_green has it
         return 0.0
     beta = spec.beta
-    r = t * x ** (-1.0 / beta)
-    stable_density = beta * r ** (-beta - 1.0) * specfun.m_wright(
-        beta, r ** (-beta)).value
-    return t / beta * x ** (-1.0 - 1.0 / beta) * stable_density
+    log_t, log_x = math.log(t), math.log(x)
+    log_r = log_t - log_x / beta
+    m = specfun.m_wright(beta, math.exp(-beta * log_r)).value
+    if m == 0.0:
+        return 0.0
+    log_value = (log_t - (1.0 + 1.0 / beta) * log_x
+                 - (beta + 1.0) * log_r + math.log(m))
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ResultOverflow(f"drift Green function at x={x}, t={t} "
+                             f"exceeds the double range") from None
 
 
 def drift_mean(spec: DriftSpec, t: float) -> float:

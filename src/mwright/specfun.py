@@ -19,23 +19,26 @@ m_wright_values, so both share validation and dispatch):
 
 * closed forms for nu = 0 (exp) and nu = 1/2 (Gaussian);
 * power series in the reflection-formula form (coefficients 1/Gamma(1-nu*n),
-  entire in the index, so no Gamma pole is evaluated) up to the crossover
-  radius r*(nu), committed on a 0.01 grid in nu as the scan found it: the
-  smallest radius where the series rounding floor (2 eps sum|term|) exceeds
-  min(1e-10, 1e-6 times the value);
-* beyond r*, the exact one-sided stable-density integral (`_m_tail`),
+  entire in the index, so no Gamma pole is evaluated) up to the switch
+  radius `crossover_radius(nu)`. That is the scan's r*(nu), committed on a
+  0.01 grid in nu as the scan found it (the smallest radius where the
+  series rounding floor 2 eps sum|term| exceeds min(1e-10, 1e-6 times the
+  value)), halved for 0.01 <= nu <= 0.75: just below r* the series loses
+  up to 1e-7 relative and runs to its full 400 terms, while the tail
+  interpolant converges from r*/2 at these orders;
+* past the switch, the exact one-sided stable-density integral (`_m_tail`),
   served through a per-order Chebyshev interpolant (`_tail_interpolant`)
   of log(M_nu e^Y / (a (nu r)^((nu-1/2)/(1-nu)))), the log of M_nu over
-  its saddle-point form, in t = 1/Y on [1/795, 1/Y(r*)], Y = (1-nu)/nu
-  (nu r)^(1/(1-nu)). It is built once per order from `_m_tail` itself at
-  full relative accuracy, on at most 65 nodes, and evaluated by an
-  elementwise Clenshaw recurrence. Its estimate is value x (Lebesgue
+  its saddle-point form, in t = 1/Y on [1/795, 1/Y(switch)], Y =
+  (1-nu)/nu (nu r)^(1/(1-nu)). It is built once per order from `_m_tail`
+  itself at full relative accuracy, on at most 65 nodes, and evaluated by
+  an elementwise Clenshaw recurrence. Its estimate is value x (Lebesgue
   constant x largest node relative estimate + chopped coefficients +
   8 eps (1 + Y)/(1 - nu)), whatever tol asks. Orders whose build does not
   converge or fails (near 0.99, and tiny orders such as 1e-3) keep the
   quadrature at every radius. The mass int_r^inf M_nu takes the same
-  route past r*. The leading-order exponential form alone only serves
-  envelopes and checks.
+  route past the same switch. The leading-order exponential form alone
+  only serves envelopes and checks.
 """
 
 from __future__ import annotations
@@ -243,20 +246,30 @@ def _sum_series(lam, mu, z, tol: float):
 
     lam and mu are scalars or give one entry per z (see `_series_terms`);
     either way each row has the bits of its own scalar call. Every row is
-    first stopped on 64 terms; rows that miss get the 400-term budget,
-    then, where a term overflowed, a log-space rebuild, and rows that still
-    miss are NaN. The result is the full budget's, bit for bit. A row at
-    z = 0 where 1/Gamma(mu) = 0 is the exact (0, 0, 0).
+    first stopped on 64 terms; rows that miss get 200, then the 400-term
+    budget, then, where a term overflowed, a log-space rebuild (any other
+    row would rebuild to the same terms), and rows that still miss are
+    NaN. The result is the full budget's, bit for bit: the rounding floor
+    sums a zero-padded row of 64, 200 or 400 terms in the same order. A
+    row at z = 0 where 1/Gamma(mu) = 0 is the exact (0, 0, 0).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     lam, mu = _per_row(lam, mu, z)
     out = _apply_stopping_rule(_series_terms(lam, mu, z, n=64), tol)
-    for rebuild in (False, True):
-        if (miss := np.isnan(out[0])).any():
-            idx = (lam, mu) if np.ndim(lam) == 0 else (lam[miss], mu[miss])
-            terms = _series_terms(*idx, z[miss], rebuild=rebuild)
-            for a, b in zip(out, _apply_stopping_rule(terms, tol)):
-                a[miss] = b
+    miss = np.isnan(out[0])
+    for n, rebuild in ((200, False), (_TERM_BUDGET, False),
+                       (_TERM_BUDGET, True)):
+        if not miss.any():
+            break
+        idx = (lam, mu) if np.ndim(lam) == 0 else (lam[miss], mu[miss])
+        terms = _series_terms(*idx, z[miss], rebuild=rebuild, n=n)
+        stage = _apply_stopping_rule(terms, tol)
+        for a, b in zip(out, stage):
+            a[miss] = b
+        left = np.isnan(stage[0])
+        if n == _TERM_BUDGET and not rebuild:
+            left &= np.isinf(terms).any(axis=1)
+        miss[miss] = left
     if (miss := np.isnan(out[0])).any():
         # W(0) = 1/Gamma(mu) is exactly 0 at mu = 0, -1, -2, ...: every term
         # is 0, so no partial sum passes the relative rule
@@ -420,11 +433,12 @@ def _chebyshev_coefficients(h: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _tail_interpolant(nu: float, power: int):
-    """Chebyshev interpolant of the tail past r*(nu), or None.
+    """Chebyshev interpolant of the tail past crossover_radius(nu), or None.
 
     Interpolates h(t) = log(M e^Y / (a (nu w)^p)), the log of M_nu
     (power=1) or of its mass (power=0) over its saddle-point form (see
-    `_log_saddle_factor`), in t = 1/Y on [1/795, 1/Y(r*)]. The node values
+    `_log_saddle_factor`), in t = 1/Y on [1/795, 1/Y(switch)], the switch
+    being r*(nu)/2 for 0.01 <= nu <= 0.75 and r*(nu) else. The node values
     are `_m_tail` at full relative accuracy on 17, then 33, then 65 nested
     Chebyshev extreme points; the
     first count whose last three coefficients lie below 1e-13 is kept,
@@ -435,7 +449,7 @@ def _tail_interpolant(nu: float, power: int):
     fails (orders near 1, tiny orders): those keep `_m_tail` at each radius.
     """
     a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
-    # Y(r*) by numpy's power, as `_tail` computes Y at every radius
+    # Y(switch) by numpy's power, as `_tail` computes Y at every radius
     y_hi = float(_saddle_exponent(nu, np.array(crossover_radius(nu))))
     t_lo, t_hi = 1.0 / _Y_CUT, 1.0 / y_hi
     h, worst = np.empty(0), 0.0
@@ -466,10 +480,11 @@ def _tail_interpolant(nu: float, power: int):
 
 
 def _tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
-    """M_nu (power=1) or its mass (power=0) at radii w past r*(nu), as
-    `_m_tail` returns them: from `_tail_interpolant` where the order has
-    one, with the estimate value x (rel + 8 eps (1 + Y)/(1-nu)), the last
-    term the rounding of Y itself; else, and at radii below r*, from
+    """M_nu (power=1) or its mass (power=0) at radii w past the switch
+    `crossover_radius(nu)`, as `_m_tail` returns them: from
+    `_tail_interpolant` where the order has one, with the estimate value x
+    (rel + 8 eps (1 + Y)/(1-nu)), the last term the rounding of Y itself;
+    else, and at radii below the switch, from
     `_m_tail`. The interpolant's evaluation is elementwise, so every radius
     gets the same bits in a block of any size. No radius, no build."""
     fit = _tail_interpolant(nu, power) if w.size else None
@@ -536,12 +551,21 @@ def _crossover_table():
 
 
 def crossover_radius(nu) -> float:
-    """Series/large-argument crossover radius r*(nu) (interpolated table)."""
+    """Radius where M_nu and its mass leave the series for the tail route.
+
+    The scan's r*(nu) (the committed table, interpolated linearly in nu),
+    halved for 0.01 <= nu <= 0.75: there the tail interpolant converges
+    from r*/2 for M_nu and its mass alike, and is accurate to about 1e-13
+    where the series loses up to 1e-7 relative just below r*. Its build
+    fails for the mass from nu = 0.80 and for M_nu from 0.83, and at
+    nu = 0.005, so other orders switch at r* itself.
+    """
     nu = _as_nu(nu)
     if not 0.0 < nu < 1.0:
         raise InvalidOrder("crossover radius defined for 0 < nu < 1")
     nus, radii = _crossover_table()
-    return float(np.interp(nu, nus, radii))
+    rstar = float(np.interp(nu, nus, radii))
+    return 0.5 * rstar if 0.01 <= nu <= 0.75 else rstar
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +628,14 @@ def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
     """Evaluate the M-Wright function M_nu(r) for r >= 0.
 
     Dispatches between the exact limit/closed forms (nu = 0, 1/2), the
-    power series below the crossover radius, and the stable-integral
-    large-argument route above it (method "asymptotic"). That route reads
-    a Chebyshev interpolant of the integral in 1/Y, built once per order
-    and accurate to about 1e-12 relative, whose estimate does not depend
-    on tol; orders whose interpolant does not converge (near 0.99, tiny
-    orders) integrate at each radius instead. The one-point case of
-    m_wright_values, so both return the same bits.
+    power series up to `crossover_radius(nu)` (half the scan's r* for
+    0.01 <= nu <= 0.75, r* else), and the stable-integral large-argument
+    route past it (method "asymptotic"). That route reads a Chebyshev
+    interpolant of the integral in 1/Y, built once per order and accurate
+    to about 1e-12 relative, whose estimate does not depend on tol; orders
+    whose interpolant does not converge (near 0.99, tiny orders) integrate
+    at each radius instead. The one-point case of m_wright_values, so both
+    return the same bits.
 
     Parameters
     ----------

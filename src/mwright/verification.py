@@ -123,7 +123,7 @@ def suite_specfun() -> list[Check]:
         (b,), _ = specfun._tail(nu, np.array([rstar]), 1e-13)
         gap = abs(s - b) / max(abs(b), 1e-300)
         checks.append(Check("series/asymptotic gap at crossover",
-                            {"nu": nu, "r*": round(rstar, 3)}, gap, 1e-5))
+                            {"nu": nu, "r*": round(rstar, 3)}, gap, 1e-11))
 
     # Mittag-Leffler interlacing
     worst = 0.0

@@ -1,13 +1,16 @@
-"""Regenerate m_refs.csv, 40-digit references of M_nu on its large-argument
-route, from past the crossover radius r*(nu) into the far tail.
+"""Regenerate m_refs.csv, 40-digit references of M_nu around and past its
+series/tail switch, into the far tail.
 
-    python3 tests/data/make_m_refs.py    # needs mpmath; about an hour
+    python3 tests/data/make_m_refs.py    # needs mpmath
 
 Grid: the orders in ORDERS (exact binary doubles, so exactly the orders the
-package evaluates) times the radii of `radii(nu)`: those past the crossover
-radius r*(nu) where the saddle-point exponent Y = (1-nu)/nu
+package evaluates) times the radii of `radii(nu)`: those past r*(nu)/4 for
+orders up to 0.75, whose tail route starts at r*/2, and past r*(nu) for
+the others, where the saddle-point exponent Y = (1-nu)/nu
 (nu r)^(1/(1-nu)) takes the values Y_STEPS, each radius kept while
-M_nu(r) >= 1e-300.
+M_nu(r) >= 1e-300. A row whose (nu, r) already stands in m_refs.csv is
+copied from it, and only the others are computed: about 25 s for the 60
+rows below r*, about an hour for the whole table (delete the file).
 Every radius is rounded to 10 significant digits, so the table's radii
 are the doubles its readers parse. Every value is computed by two
 independent methods, which must agree to 1e-30 relative:
@@ -22,9 +25,8 @@ independent methods, which must agree to 1e-30 relative:
   [sin(nu phi)^nu sin((1-nu) phi)^(1-nu) / sin(phi)]^(1/(1-nu)), by mpmath
   quadrature with breakpoints through the boundary layer at u = 0.
 
-The rows start past the crossover radius of the package's table at the
-time of writing (R_STAR). Radii at or below it, where M_nu takes the power
-series, can join by adding them to `radii`; the test reads every row.
+R_STAR is the scan's radius r*(nu) at the time of writing. Other radii
+can join by adding them to `radii`; the test reads every row.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ OUT = Path(__file__).resolve().parent / "m_refs.csv"
 ORDERS = [0.01, 0.02, 0.05, 0.1, 0.25, 1 / 3, 0.43, 0.6, 0.75, 0.9, 0.95,
           0.96, 0.99]
 # r*(nu) = 0.5 * 1.12^k (by repeated multiplication) of the crossover
-# table, interpolated linearly in nu between hundredths as the package does
+# scan's table, interpolated linearly in nu between hundredths as the
+# package does
 R_STAR = {0.01: 10.66244039584632, 0.02: 10.66244039584632,
           0.05: 10.66244039584632, 0.1: 10.66244039584632,
           0.25: 9.520036067719927, 1 / 3: 8.500032203321362,
@@ -57,8 +60,10 @@ def radius(nu: float, y: float) -> float:
 
 
 def radii(nu: float) -> list:
-    """The radii of Y_STEPS beyond r*(nu), where M_nu takes its tail route."""
-    return [r for r in (radius(nu, y) for y in Y_STEPS) if r > R_STAR[nu]]
+    """The radii of Y_STEPS beyond r*(nu)/4 for nu <= 0.75 (series rows up
+    to the switch at r*/2, tail rows past it), else beyond r*(nu)."""
+    start = R_STAR[nu] / 4.0 if nu <= 0.75 else R_STAR[nu]
+    return [r for r in (radius(nu, y) for y in Y_STEPS) if r > start]
 
 
 def zolotarev(nu: float, r: float) -> mp.mpf:
@@ -112,12 +117,15 @@ def series(nu: float, r: float, extra: int = 10) -> mp.mpf:
     return +total if need <= extra else series(nu, r, need)
 
 
-def rows(nu: float) -> list:
+def rows(nu: float, known: dict) -> list:
     """The CSV lines of one order and the worst relative gap between the
-    two methods."""
+    two methods; a line of `known`, keyed by its "nu,r", is copied."""
     lines, worst = [], 0.0
     with mp.workdps(DPS):
         for r in radii(nu):
+            if (line := known.get(f"{nu!r},{r!r}")) is not None:
+                lines.append(line)
+                continue
             a = zolotarev(nu, r)
             if a < mp.mpf(10) ** -300:
                 break
@@ -134,8 +142,12 @@ def rows(nu: float) -> list:
 def main() -> int:
     lines = ["# M_nu(r) to 40 significant digits; see make_m_refs.py",
              "nu,r,value"]
+    known = {}
+    if OUT.exists():
+        for line in OUT.read_text().splitlines()[2:]:
+            known[line.rsplit(",", 1)[0]] = line
     for nu in ORDERS:
-        more, worst = rows(nu)
+        more, worst = rows(nu, known)
         lines += more
         print(f"nu={nu} done, worst gap {worst:.1e}", flush=True)
     OUT.write_text("\n".join(lines) + "\n")

@@ -18,6 +18,7 @@ from mwright.errors import (
     InvalidTime,
     NegativeArgument,
     NotPositiveDefinite,
+    ResultOverflow,
 )
 from mwright.gridfn import GridFunction
 
@@ -97,6 +98,27 @@ class TestNonFiniteInputs:
     def test_stable_form_at_infinity_is_zero_like_drift_green(self):
         assert greens.drift_green(_DRIFT, math.inf, 1.0) == 0.0
         assert greens.drift_green_stable_form(_DRIFT, math.inf, 1.0) == 0.0
+
+    @pytest.mark.parametrize("beta, x", [(0.5, 1e200), (0.5, 1e159),
+                                         (0.001, 3.0)])
+    def test_stable_form_where_r_leaves_the_double_range(self, beta, x):
+        # r = t x^(-1/beta) underflows (ZeroDivisionError) or its power
+        # overflows (OverflowError) in double arithmetic; in log space the
+        # two routes agree within drift_green's estimate plus the rounding
+        # of the log-space prefactors, which cancel to t^(-beta)
+        spec = greens.DriftSpec(beta)
+        want = greens.drift_green_result(spec, x, 1.0)
+        got = greens.drift_green_stable_form(spec, x, 1.0)
+        logs = (1.0 + 1.0 / beta) * abs(math.log(x)) * 2.0
+        rounding = 8.0 * np.finfo(float).eps * logs * abs(got)
+        assert abs(got - want.value) <= want.abs_err_estimate + rounding
+        assert (got > 0.0) == (want.value > 0.0)
+
+    def test_stable_form_past_the_double_range_raises_result_overflow(self):
+        # t^(-beta) M_beta(1) = 4.4e308 at beta = 0.99
+        t = 10.0 ** (-308.0 / 0.99)
+        with pytest.raises(ResultOverflow, match="double range"):
+            greens.drift_green_stable_form(greens.DriftSpec(0.99), 1e-308, t)
 
     @pytest.mark.parametrize("f0", [math.nan, math.inf, -math.inf])
     def test_caputo_start_value_must_be_finite(self, f0):
