@@ -57,7 +57,8 @@ def _write_table(path, header_meta: str, columns: dict, log_columns: bool):
 def _closed_form(nu: float, delta: float, value: float):
     """A moment or Mellin value with its rounding estimate."""
     return specfun.EvalResult(
-        value, specfun._moment_estimate(nu, delta, value), "closed_form")
+        value, specfun._moment_estimate(nu, delta, value),
+        specfun.METHOD_CLOSED_FORM)
 
 
 # eval --function: the flags it requires and its EvalResult

@@ -13,6 +13,7 @@ with its equivalent stable-density form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,19 @@ def green_density(spec: GreenSpec, x: float, t: float) -> float:
 
 
 def green_density_values(spec: GreenSpec, xs, t: float) -> np.ndarray:
-    """Vectorized green_density over an array of positions."""
+    """Vectorized green_density over an array of positions.
+
+    A width outside the normal double range (a time near 0 or a huge
+    k t^alpha) takes the factors in log space; see `_m_in_logs`.
+    """
     scale = _green_scale(spec, t)
-    args = np.abs(np.asarray(xs, dtype=float)) / scale
+    xs = np.asarray(xs, dtype=float)
+    if not sys.float_info.min <= scale < math.inf:
+        return _checked(_m_in_logs(0.5 * spec.beta, np.abs(xs),
+                                   *_green_logs(spec, t)),
+                        xs, t, "Green function")
+    with np.errstate(over="ignore"):  # M_nu is 0 at an inf argument
+        args = np.abs(xs) / scale
     return 0.5 / scale * specfun.m_wright_values(0.5 * spec.beta, args)
 
 
@@ -93,9 +104,56 @@ def green_density_result(spec: GreenSpec, x: float, t: float):
     """green_density (the same bits) as an EvalResult: the M_(beta/2)
     estimate times the same factor as the value, and the M_(beta/2) method."""
     scale = _green_scale(spec, t)
+    if not sys.float_info.min <= scale < math.inf:
+        return _result_in_logs(0.5 * spec.beta, abs(float(x)),
+                               *_green_logs(spec, t), t, "Green function")
     m = specfun.m_wright(0.5 * spec.beta, abs(float(x)) / scale)
     return specfun.EvalResult(0.5 / scale * m.value,
                               0.5 / scale * m.abs_err_estimate, m.method)
+
+
+def _green_logs(spec: GreenSpec, t: float) -> tuple[float, float]:
+    """The logs of the Green function's factor 1/(2 scale) and of its
+    argument's 1/scale."""
+    log_scale = 0.5 * (math.log(spec.k) + spec.alpha * math.log(t))
+    return math.log(0.5) - log_scale, -log_scale
+
+
+def _m_in_logs(nu: float, xs: np.ndarray, log_c: float,
+               log_a: float) -> np.ndarray:
+    """c M_nu(a xs) at xs >= 0 from log c and log a, for a factor past the
+    double range. As in drift_green_stable_form, the value is 0 where the
+    argument a xs leaves the double range, and inf where the value does."""
+    m = specfun.m_wright_values(nu, _times_exp(xs, log_a))
+    return _times_exp(m, log_c)
+
+
+def _result_in_logs(nu: float, x: float, log_c: float, log_a: float,
+                    t: float, what: str):
+    """_m_in_logs at one x (the same bits) as an EvalResult: the M_nu
+    estimate times c, 0 where the argument a x leaves the double range."""
+    arg = float(_times_exp(x, log_a))
+    m = specfun.m_wright(nu, arg)
+    err = m.abs_err_estimate if arg < math.inf else 0.0
+    value, err = _times_exp(np.array([m.value, err]), log_c)
+    return specfun.EvalResult(float(_checked(value, x, t, what)), float(err),
+                              m.method)
+
+
+def _times_exp(x, log_factor: float) -> np.ndarray:
+    """x exp(log_factor) for x >= 0, formed as exp(log x + log_factor)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(np.log(x) + log_factor)
+
+
+def _checked(out, xs, t: float, what: str):
+    """out, or ResultOverflow naming the first x where it is inf."""
+    over = np.isinf(out)
+    if over.any():
+        x = np.broadcast_to(xs, np.shape(out))[over][0]
+        raise ResultOverflow(f"{what} at x={x}, t={t} exceeds the double "
+                             f"range")
+    return out
 
 
 def _time(t: float) -> float:
@@ -111,9 +169,16 @@ def _green_scale(spec: GreenSpec, t: float) -> float:
 
 
 def variance_law(spec: GreenSpec, t: float) -> float:
-    """Displacement variance 2 k t^alpha / Gamma(beta + 1)."""
-    return (2.0 * spec.k * _time(t) ** spec.alpha
-            * float(_rgamma(spec.beta + 1.0)))
+    """Displacement variance 2 k t^alpha / Gamma(beta + 1); ResultOverflow
+    where it exceeds the double range."""
+    try:
+        var = (2.0 * spec.k * _time(t) ** spec.alpha
+               * float(_rgamma(spec.beta + 1.0)))
+    except OverflowError:  # t^alpha
+        var = math.inf
+    if var == math.inf:
+        raise ResultOverflow(f"variance at t={t} exceeds the double range")
+    return var
 
 
 def green_fourier(spec: GreenSpec, kappa: float, t: float) -> float:
@@ -136,14 +201,22 @@ def drift_green_values(spec: DriftSpec, xs, t: float) -> np.ndarray:
     Vanishes for x < 0; normalized on the positive axis with mean
     t^beta / Gamma(beta + 1). The beta -> 1 limit is a pure right-running
     pulse delta(x - t), not representable here (NearSingularOrder).
-    Vectorized over the positions xs.
+    Vectorized over the positions xs. A value past the double range raises
+    ResultOverflow; a t^(-beta) past it takes the factors in log space
+    (`_m_in_logs`).
     """
     scale = _drift_scale(spec, t)
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape)
     ahead = ~(xs < 0.0)  # NaN positions reach m_wright_values and raise
-    out[ahead] = scale * specfun.m_wright_values(spec.beta, xs[ahead] * scale)
-    return out
+    if scale == math.inf:
+        log_s = -spec.beta * math.log(t)
+        out[ahead] = _m_in_logs(spec.beta, xs[ahead], log_s, log_s)
+    else:
+        with np.errstate(over="ignore"):  # M_beta is 0 at an inf argument
+            out[ahead] = scale * specfun.m_wright_values(spec.beta,
+                                                         xs[ahead] * scale)
+    return _checked(out, xs, t, "drift Green function")
 
 
 def drift_green(spec: DriftSpec, x: float, t: float) -> float:
@@ -159,18 +232,27 @@ def drift_green_result(spec: DriftSpec, x: float, t: float):
     x = float(x)
     if x < 0.0:
         return specfun.EvalResult(0.0, 0.0, specfun.METHOD_CLOSED_FORM)
+    if scale == math.inf:
+        log_s = -spec.beta * math.log(t)
+        return _result_in_logs(spec.beta, x, log_s, log_s, t,
+                               "drift Green function")
     m = specfun.m_wright(spec.beta, x * scale)
-    return specfun.EvalResult(scale * m.value, scale * m.abs_err_estimate,
-                              m.method)
+    return specfun.EvalResult(
+        float(_checked(scale * m.value, x, t, "drift Green function")),
+        scale * m.abs_err_estimate, m.method)
 
 
 def _drift_scale(spec: DriftSpec, t: float) -> float:
-    """t^(-beta), the factor of the drift Green function and its argument."""
+    """t^(-beta), the factor of the drift Green function and its argument;
+    inf where it exceeds the double range."""
     _time(t)
     if spec.beta > specfun.NU_MAX:  # the density is M_beta
         raise NearSingularOrder(
             f"beta={spec.beta}: too close to the delta-pulse limit")
-    return t ** (-spec.beta)
+    try:
+        return t ** (-spec.beta)
+    except OverflowError:
+        return math.inf
 
 
 def drift_green_stable_form(spec: DriftSpec, x: float, t: float) -> float:

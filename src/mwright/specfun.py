@@ -135,14 +135,6 @@ def _log_abs_rgamma(x: np.ndarray) -> np.ndarray:
                         + _gammaln(1.0 - x))
 
 
-@lru_cache(maxsize=256)
-def _coefficients(lam: float, mu: float) -> np.ndarray:
-    """1/Gamma(lam*n + mu) for n < 400, read-only and cached per index."""
-    rg = _rgamma(lam * _N + mu)
-    rg.flags.writeable = False
-    return rg
-
-
 def _per_row(lam, mu, z: np.ndarray):
     """(lam, mu) unchanged when both are scalars, else one entry per z."""
     if np.ndim(lam) == np.ndim(mu) == 0:
@@ -155,11 +147,11 @@ def _series_terms(lam, mu, z, factorial: bool = True,
                   rebuild: bool = False, n: int = _TERM_BUDGET) -> np.ndarray:
     """Terms z^k / (k! Gamma(lam*k + mu)), k < n <= 400, a row per entry of z.
 
-    lam and mu are scalars, which read the cached `_coefficients` row, or
-    arrays with one entry per entry of z: then 1/Gamma(lam*k + mu) is built
-    once per distinct (lam, mu) by the same elementwise expression, so each
-    row has the bits of its scalar call. Without the k! the rows hold the
-    Mittag-Leffler terms z^k / Gamma(lam*k + mu). Uses the reciprocal Gamma
+    lam and mu are scalars, which give one row of 1/Gamma(lam*k + mu) for
+    every z, or arrays with one entry per entry of z, which give a row per
+    entry by the same elementwise expression, so each row has the bits of
+    its scalar call. Without the k! the rows hold the Mittag-Leffler terms
+    z^k / Gamma(lam*k + mu). Uses the reciprocal Gamma
     (entire, zero at the poles) so no Gamma is ever evaluated at a
     non-positive argument. Entries that are not finite (an overflowing
     1/Gamma or power factor) become +inf, which the stopping rule cannot
@@ -169,14 +161,7 @@ def _series_terms(lam, mu, z, factorial: bool = True,
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     lam, mu = _per_row(lam, mu, z)
-    if np.ndim(lam) == 0:
-        rg = _coefficients(lam, mu)[:n]
-    else:
-        # distinct pairs by their bits, so -0.0 and 0.0 stay apart
-        pairs = np.stack([lam, mu], axis=1)
-        _, first, inv = np.unique(pairs.view(np.uint64), axis=0,
-                                  return_index=True, return_inverse=True)
-        rg = _rgamma(lam[first, None] * _N[:n] + mu[first, None])[inv.ravel()]
+    rg = _rgamma(np.multiply.outer(lam, _N[:n]) + np.expand_dims(mu, -1))
     ratio = np.ones((z.size, n))
     ratio[:, 1:] = z[:, None] / (_N[1:n] if factorial else 1.0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,7 +8,6 @@ pass means residual <= threshold. For probabilistic checks the residual is
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -65,10 +64,10 @@ def suite_specfun() -> list[Check]:
 
     # F = nu r M against the independent F-series; per-sample residuals
     # measured in units of the combined error estimates. The samples lie
-    # below r*(nu), so M_nu takes its series route (or the Gaussian at
-    # nu = 1/2); M_nu and the F-series are one series call each, formed as
-    # f_wright and wright_series form them, and a row that misses its stop
-    # is NaN, which fails the check
+    # below the switch crossover_radius(nu), so M_nu takes its series route
+    # (or the Gaussian at nu = 1/2); M_nu and the F-series are one series
+    # call each, formed as f_wright and wright_series form them, and a row
+    # that misses its stop is NaN, which fails the check
     rng = np.random.default_rng(20260809)
     nu, r = np.empty((2, 1000))
     for i in range(1000):  # the bound on r depends on nu
@@ -483,20 +482,4 @@ def run_suites(names) -> dict:
         checks = SUITES[name]()
         out["suites"][name] = [c.record() for c in checks]
         out["passed"] = out["passed"] and all(c.passed for c in checks)
-        _release_freed_heap()
     return out
-
-
-def _release_freed_heap() -> None:
-    """Return the malloc heap's free pages to the OS (glibc; else a no-op).
-
-    A suite frees tens of MB of temporaries, and glibc keeps them resident
-    while a small live allocation sits above them in the heap. Whether one
-    does moves with the hash seed and thread timing, so without this the
-    peak RSS of repeated runs in one process varied by 35 MB."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError, TypeError):  # not glibc
-        return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)

@@ -5,6 +5,7 @@ Each case expects a named ValueError subclass, with RuntimeWarnings as
 errors, so that NaN or inf never comes back as a plausible number.
 """
 
+import json
 import math
 
 import numpy as np
@@ -130,6 +131,68 @@ class TestNonFiniteInputs:
     def test_adaptive_needs_an_increasing_interval(self, a, b):
         with pytest.raises(InvalidArgument, match="b > a"):
             quadrature.adaptive(np.cos, a, b)
+
+
+class TestExtremeTimes:
+    """Green and drift densities where t^(alpha/2) or t^(-beta) leaves the
+    double range: 0 where the argument of M does, ResultOverflow where the
+    value does, in the scalar, _values and _result forms alike."""
+
+    _TINY = 5e-324  # the least subnormal
+    _BIG = 10.0 ** (-308.0 / 0.99)  # t^(-0.99) M_0.99(1) = 4.4e308
+    _FORMS = {
+        "green": (greens.GreenSpec(2.0, 0.5), greens.green_density,
+                  greens.green_density_values, greens.green_density_result),
+        "drift": (greens.DriftSpec(0.99), greens.drift_green,
+                  greens.drift_green_values, greens.drift_green_result),
+    }
+
+    @pytest.mark.parametrize("kind", ["green", "drift"])
+    def test_argument_past_the_double_range_gives_zero(self, kind):
+        spec, scalar, values, result = self._FORMS[kind]
+        assert scalar(spec, 1.0, self._TINY) == 0.0
+        assert values(spec, [1.0, 2.0], self._TINY).tolist() == [0.0, 0.0]
+        assert result(spec, 1.0, self._TINY) == specfun.EvalResult(
+            0.0, 0.0, specfun.METHOD_ASYMPTOTIC)
+
+    @pytest.mark.parametrize("kind, x, t", [("green", 0.0, _TINY),
+                                            ("drift", 1e-308, _BIG)])
+    def test_value_past_the_double_range_raises(self, kind, x, t):
+        spec, *forms = self._FORMS[kind]
+        for form in forms:
+            with pytest.raises(ResultOverflow, match=f"x={x}, t={t}"):
+                form(spec, x, t)
+        with pytest.raises(ResultOverflow, match=f"x={x}, t={t}"):
+            forms[1](spec, [1.0, x], t)
+
+    @pytest.mark.parametrize("kind, x", [("green", 1.5e-322),
+                                         ("drift", 9.506e-321)])
+    def test_log_route_forms_agree_bit_for_bit(self, kind, x):
+        # a factor near 1e320 times an M value small enough for the
+        # product to be finite; the result form takes its value from the
+        # same logs as the scalar and _values forms
+        spec, scalar, values, result = self._FORMS[kind]
+        got = result(spec, x, self._TINY)
+        assert got.value == scalar(spec, x, self._TINY) \
+            == values(spec, [x], self._TINY)[0]
+        assert 1e100 < got.value < math.inf
+        assert 0.0 < got.abs_err_estimate < 1e-8 * got.value
+
+    def test_variance_past_the_double_range_raises(self):
+        spec = greens.GreenSpec(2.0, 0.5)
+        with pytest.raises(ResultOverflow, match="t=1e"):
+            greens.variance_law(spec, 1e300)
+        with pytest.raises(ResultOverflow):
+            greens.variance_law(greens.GreenSpec(1.0, 0.5, 1e300), 1e300)
+
+    @pytest.mark.parametrize("argv", [
+        ("--function", "drift", "--beta", "0.99", "--x", "1"),
+        ("--function", "green", "--alpha", "2", "--beta", "0.5", "--x", "1")])
+    def test_eval_prints_standard_json(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        _cli(tmp_path, "eval", *argv, "--t", "5e-324", "--out", str(out))
+        doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert doc["value"] == 0.0
 
 
 def _cli(tmp, *argv, config=None):

@@ -232,20 +232,19 @@ class TestSeriesEngine:
         self._assert_rows_match_scalar_calls(
             data.draw(st.permutations(rows)), tol)
 
-    def test_scalar_index_reads_the_cached_row(self, monkeypatch):
-        row = specfun._coefficients(-0.3, 0.7)
-        assert specfun._coefficients(-0.3, 0.7) is row
-        assert not row.flags.writeable
+    def test_scalar_index_builds_one_row_per_stage(self, monkeypatch):
         built, real = [], specfun._rgamma
         monkeypatch.setattr(specfun, "_rgamma",
                             lambda x: built.append(np.shape(x)) or real(x))
+        # z = -14 needs more than 64 terms and at most 200
         specfun._sum_series(-0.3, 0.7, [-1.0, -14.0], 1e-12)
-        assert built == []
-        # per-row: one build per distinct (lam, mu) and pass; z = -14
-        # needs more than 64 terms and at most 200
-        specfun._sum_series(np.array([-0.3, -0.5, -0.3, -0.3]), 0.7,
-                            [-1.0, -1.0, -2.0, -14.0], 1e-12)
-        assert built == [(2, 64), (1, 200)]
+        assert built == [(64,), (200,)]
+        # per-row: a row per entry and stage, repeated pairs included
+        built.clear()
+        rows = [(-0.3, 0.7, -1.0), (-0.5, 0.7, -1.0), (-0.3, 0.7, -2.0),
+                (-0.3, 0.7, -14.0)]
+        self._assert_rows_match_scalar_calls(rows, 1e-12)
+        assert built[:2] == [(4, 64), (1, 200)]
 
 
 class TestCrossoverTable:

@@ -98,16 +98,11 @@ def test_greens_suite_integrates_each_moment_once(monkeypatch):
     assert len(checks) == 6 and all(c.passed for c in checks)
 
 
-def test_run_suites_releases_the_heap_after_each_suite(monkeypatch):
-    # the freed temporaries of one suite must not stay resident into the
-    # next; the release itself is a no-op where malloc_trim is missing
-    verification._release_freed_heap()
+def test_run_suites_runs_every_suite_in_order(monkeypatch):
     order = []
-    monkeypatch.setattr(verification, "_release_freed_heap",
-                        lambda: order.append("release"))
     monkeypatch.setattr(verification, "SUITES", {
         "a": lambda: order.append("a") or [],
         "b": lambda: order.append("b") or []})
     report = verification.run_suites(["all"])
-    assert order == ["a", "release", "b", "release"]
+    assert order == ["a", "b"]
     assert report == {"suites": {"a": [], "b": []}, "passed": True}
