@@ -107,9 +107,11 @@ def green_density_result(spec: GreenSpec, x: float, t: float):
     if not sys.float_info.min <= scale < math.inf:
         return _result_in_logs(0.5 * spec.beta, abs(float(x)),
                                *_green_logs(spec, t), t, "Green function")
-    m = specfun.m_wright(0.5 * spec.beta, abs(float(x)) / scale)
-    return specfun.EvalResult(0.5 / scale * m.value,
-                              0.5 / scale * m.abs_err_estimate, m.method)
+    nu, arg = 0.5 * spec.beta, abs(float(x)) / scale
+    m = specfun.m_wright(nu, arg)
+    err = (_underflow_estimate(nu, arg, math.log(0.5 / scale))
+           if _underflowed(m) else 0.5 / scale * m.abs_err_estimate)
+    return specfun.EvalResult(0.5 / scale * m.value, err, m.method)
 
 
 def _green_logs(spec: GreenSpec, t: float) -> tuple[float, float]:
@@ -134,10 +136,30 @@ def _result_in_logs(nu: float, x: float, log_c: float, log_a: float,
     estimate times c, 0 where the argument a x leaves the double range."""
     arg = float(_times_exp(x, log_a))
     m = specfun.m_wright(nu, arg)
-    err = m.abs_err_estimate if arg < math.inf else 0.0
-    value, err = _times_exp(np.array([m.value, err]), log_c)
-    return specfun.EvalResult(float(_checked(value, x, t, what)), float(err),
-                              m.method)
+    value = _checked(_times_exp(m.value, log_c), x, t, what)
+    err = (_underflow_estimate(nu, arg, log_c) if _underflowed(m)
+           else _times_exp(m.abs_err_estimate, log_c))
+    return specfun.EvalResult(float(value), float(err), m.method)
+
+
+def _underflowed(m) -> bool:
+    """Whether M_nu's tail route returned 0 for a value below the double
+    range, with its 1e-300 floor as the estimate."""
+    return m.value == 0.0 and m.method == specfun.METHOD_ASYMPTOTIC
+
+
+def _underflow_estimate(nu: float, arg: float, log_c: float) -> float:
+    """The estimate of c M_nu(arg) where M_nu underflowed to 0: c times
+    `specfun.m_wright_envelope(nu)` at arg, formed in logs, and 0 at an
+    infinite argument. c times M's 1e-300 floor could exceed the value's
+    own scale by far (0.5 at t = 1e-300 for a Green function)."""
+    if not arg < math.inf:
+        return 0.0
+    w = np.float64(arg)
+    with np.errstate(over="ignore"):  # Y = inf: the envelope is 0
+        log_env = (math.log(10.0) + specfun._log_saddle_factor(nu, 1, w)
+                   - specfun._saddle_exponent(nu, w))
+    return float(np.exp(log_env + log_c))
 
 
 def _times_exp(x, log_factor: float) -> np.ndarray:
@@ -237,9 +259,11 @@ def drift_green_result(spec: DriftSpec, x: float, t: float):
         return _result_in_logs(spec.beta, x, log_s, log_s, t,
                                "drift Green function")
     m = specfun.m_wright(spec.beta, x * scale)
+    err = (_underflow_estimate(spec.beta, x * scale, math.log(scale))
+           if _underflowed(m) else scale * m.abs_err_estimate)
     return specfun.EvalResult(
         float(_checked(scale * m.value, x, t, "drift Green function")),
-        scale * m.abs_err_estimate, m.method)
+        err, m.method)
 
 
 def _drift_scale(spec: DriftSpec, t: float) -> float:

@@ -23,22 +23,25 @@ m_wright_values, so both share validation and dispatch):
   radius `crossover_radius(nu)`. That is the scan's r*(nu), committed on a
   0.01 grid in nu as the scan found it (the smallest radius where the
   series rounding floor 2 eps sum|term| exceeds min(1e-10, 1e-6 times the
-  value)), halved for 0.01 <= nu <= 0.75: just below r* the series loses
-  up to 1e-7 relative and runs to its full 400 terms, while the tail
-  interpolant converges from r*/2 at these orders;
+  value)), halved for nu >= 0.01: just below r* the series loses up to
+  1e-7 relative and runs to its full 400 terms (near nu = 1 it also stops
+  inside the dips of its coefficients), while the tail interpolant
+  converges from r*/2;
 * past the switch, the exact one-sided stable-density integral (`_m_tail`),
   served through a per-order Chebyshev interpolant (`_tail_interpolant`)
   of log(M_nu e^Y / (a (nu r)^((nu-1/2)/(1-nu)))), the log of M_nu over
-  its saddle-point form, in t = 1/Y on [1/795, 1/Y(switch)], Y =
-  (1-nu)/nu (nu r)^(1/(1-nu)). It is built once per order from `_m_tail`
-  itself at full relative accuracy, on at most 65 nodes, and evaluated by
-  an elementwise Clenshaw recurrence. Its estimate is value x (Lebesgue
-  constant x largest node relative estimate + chopped coefficients +
-  8 eps (1 + Y)/(1 - nu)), whatever tol asks. Orders whose build does not
-  converge or fails (near 0.99, and tiny orders such as 1e-3) keep the
-  quadrature at every radius. The mass int_r^inf M_nu takes the same
-  route past the same switch. The leading-order exponential form alone
-  only serves envelopes and checks.
+  its saddle-point form, Y = (1-nu)/nu (nu r)^(1/(1-nu)): one piece in
+  t = 1/Y on [1/795, 1/max(1, Y(switch))], and where Y(switch) < 1
+  (orders 0.70-0.99) one in r from the switch to r(Y = 1), since as
+  nu -> 1 M_nu tends to the delta pulse at r = 1. Each piece is built
+  once per order from `_m_tail` itself at full relative accuracy, on at
+  most 65 nodes, and evaluated by an elementwise Clenshaw recurrence. Its
+  estimate is value x (Lebesgue constant x largest node relative estimate
+  + chopped coefficients + 8 eps (1 + Y)/(1 - nu)), whatever tol asks.
+  Orders whose build fails (tiny orders such as 1e-3) keep the quadrature
+  at every radius. The mass int_r^inf M_nu takes the same route past the
+  same switch. The leading-order exponential form alone only serves
+  envelopes and checks.
 """
 
 from __future__ import annotations
@@ -387,6 +390,23 @@ def _m_tail(nu: float, w: np.ndarray, tol: float, power: int = 1,
     # breakpoints resolving the boundary layer near u = 0 when c*A is large
     width = 1.0 / np.sqrt(1.0 + y)
     pts = np.minimum(1.0 - 1e-9, width[:, None] * 2.0 ** np.arange(-3, 6))
+    if (low := y < 1.0).any():
+        # below Y = 1 the mass sits where c A(pi u) is about 1, up next to
+        # u = 1, where near nu = 1 A grows like sin(pi u)^(-1/(1-nu)): the
+        # part where c A < e^-j holds about e^-j of it, in a layer too thin
+        # for a wide panel. Breakpoints where c A = e^j, j = -36, -34, ..,
+        # 4, by bisection (A increases on (0, 1)); the other rows' points
+        # at u = 1 add no panel
+        with np.errstate(divide="ignore"):  # c = 0 at w = 0: no point
+            target = np.arange(-36.0, 5.0, 2.0) - np.log(c[low])[:, None]
+        lo, hi = np.zeros(target.shape), np.ones(target.shape)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            above = _kanter_log_a(nu, np.pi * mid) > target
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        cliff = np.ones((y.size, target.shape[1]))
+        cliff[low] = hi
+        pts = np.hstack((pts, cliff))
     # relative rounding of the samples: log A carries 1/(1-nu), c*A scales it
     noise = 8.0 * _EPS * (1.0 + y) / (1.0 - nu)
     v, e = quadrature.adaptive_rows(f, 0.0, 1.0, pts, max(1e-300, 0.01 * tol),
@@ -416,33 +436,29 @@ def _chebyshev_coefficients(h: np.ndarray) -> np.ndarray:
     return c * ends
 
 
-@lru_cache(maxsize=256)
-def _tail_interpolant(nu: float, power: int):
-    """Chebyshev interpolant of the tail past crossover_radius(nu), or None.
-
-    Interpolates h(t) = log(M e^Y / (a (nu w)^p)), the log of M_nu
-    (power=1) or of its mass (power=0) over its saddle-point form (see
-    `_log_saddle_factor`), in t = 1/Y on [1/795, 1/Y(switch)], the switch
-    being r*(nu)/2 for 0.01 <= nu <= 0.75 and r*(nu) else. The node values
-    are `_m_tail` at full relative accuracy on 17, then 33, then 65 nested
-    Chebyshev extreme points; the
-    first count whose last three coefficients lie below 1e-13 is kept,
-    with its trailing coefficients below 1e-13 chopped. Returns (y_hi,
-    t_lo, t_hi, coefficients, rel): y_hi = Y(r*), and rel the Lebesgue
-    constant times the largest node relative estimate plus the sum of the
-    chopped coefficients. None where no count converges or the quadrature
-    fails (orders near 1, tiny orders): those keep `_m_tail` at each radius.
-    """
+def _chebyshev_piece(nu: float, power: int, lo: float, hi: float,
+                     in_r: bool, noisy: bool = False):
+    """One Chebyshev piece of h = log(M e^Y / (a (nu w)^p)), the log of
+    M_nu (power=1) or of its mass (power=0) over its saddle-point form (see
+    `_log_saddle_factor`), in the variable s = r (in_r) or s = 1/Y on [lo,
+    hi]. The node values are `_m_tail` at full relative accuracy on 17,
+    then 33, then 65 nested Chebyshev extreme points; the first count whose
+    last three coefficients lie below 1e-13 is kept, with its trailing
+    coefficients below 1e-13 chopped. With noisy=True (the orders with a
+    piece in r) 65 nodes are also kept where the last three lie below the
+    largest node relative estimate: near nu = 1 the kernel's rounding,
+    amplified by Y/(1-nu), leaves the coefficients on a plateau of about
+    1e-13 (0.985), which the nodes' estimates cover. Returns (lo, hi, in_r,
+    coefficients, rel), rel the Lebesgue constant times the largest node
+    relative estimate plus the sum of the chopped coefficients; None where
+    no count converges or the quadrature fails."""
     a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
-    # Y(switch) by numpy's power, as `_tail` computes Y at every radius
-    y_hi = float(_saddle_exponent(nu, np.array(crossover_radius(nu))))
-    t_lo, t_hi = 1.0 / _Y_CUT, 1.0 / y_hi
     h, worst = np.empty(0), 0.0
     for n in _CHEB_NODES:
         # the nodes of the previous count are every other node of this one
         j = np.arange(n)[1::2] if h.size else np.arange(n)
-        t = t_lo + 0.5 * (t_hi - t_lo) * (1.0 + np.cos(np.pi * j / (n - 1)))
-        w = (1.0 / (t * a0)) ** (1.0 - nu)
+        s = lo + 0.5 * (hi - lo) * (1.0 + np.cos(np.pi * j / (n - 1)))
+        w = s if in_r else (1.0 / (s * a0)) ** (1.0 - nu)
         try:
             v, e = _m_tail(nu, w, 0.0, power, scaled=True)
         except QuadratureFailure:
@@ -453,41 +469,74 @@ def _tail_interpolant(nu: float, power: int):
                       np.arange(h.size), h)
         worst = max(worst, float(np.max(e / v)))
         c = _chebyshev_coefficients(h)
-        if np.abs(c[-3:]).max() < _CHEB_CHOP:
+        tail = np.abs(c[-3:]).max()
+        if tail < _CHEB_CHOP or (noisy and n == _CHEB_NODES[-1]
+                                 and tail < worst):
             big = np.flatnonzero(np.abs(c) >= _CHEB_CHOP)
             keep = min(n - 3, int(big[-1]) + 1 if big.size else 1)
             lebesgue = 1.0 + 2.0 / math.pi * math.log(n)
             rel = lebesgue * worst + float(np.abs(c[keep:]).sum())
             c = c[:keep]
             c.flags.writeable = False
-            return y_hi, t_lo, t_hi, c, rel
+            return lo, hi, in_r, c, rel
     return None
+
+
+@lru_cache(maxsize=256)
+def _tail_interpolant(nu: float, power: int):
+    """The Chebyshev pieces of the tail past crossover_radius(nu), or None.
+
+    One piece (`_chebyshev_piece`) in t = 1/Y on [1/795, 1/max(1,
+    Y(switch))], and where Y(switch) < 1 (orders 0.70-0.99 on the
+    committed table) a second one in r on [switch, r(Y = 1)]: as nu -> 1,
+    M_nu tends to the delta pulse at r = 1, and h is no polynomial in 1/Y
+    down there. Returns ((y_from, lo, hi, in_r, coefficients, rel), ...),
+    the piece that serves Y >= y_from, highest y_from first. None where a
+    build fails (tiny orders such as 1e-3): those keep `_m_tail` at each
+    radius.
+    """
+    switch = crossover_radius(nu)
+    # Y(switch) by numpy's power, as `_tail` computes Y at every radius
+    y_lo = float(_saddle_exponent(nu, np.array(switch)))
+    y_mid, two = max(1.0, y_lo), y_lo < 1.0
+    far = _chebyshev_piece(nu, power, 1.0 / _Y_CUT, 1.0 / y_mid, False, two)
+    if far is None:
+        return None
+    if not two:
+        return (y_mid, *far),
+    r_mid = (1.0 / (nu ** (nu / (1.0 - nu)) * (1.0 - nu))) ** (1.0 - nu)
+    near = _chebyshev_piece(nu, power, switch, r_mid, True, True)
+    return None if near is None else ((y_mid, *far), (y_lo, *near))
 
 
 def _tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
     """M_nu (power=1) or its mass (power=0) at radii w past the switch
-    `crossover_radius(nu)`, as `_m_tail` returns them: from
-    `_tail_interpolant` where the order has one, with the estimate value x
-    (rel + 8 eps (1 + Y)/(1-nu)), the last term the rounding of Y itself;
-    else, and at radii below the switch, from
-    `_m_tail`. The interpolant's evaluation is elementwise, so every radius
-    gets the same bits in a block of any size. No radius, no build."""
+    `crossover_radius(nu)`, as `_m_tail` returns them: from the pieces of
+    `_tail_interpolant` where the order has them, with the estimate value
+    x (rel + 8 eps (1 + Y)/(1-nu)), the last term the rounding of Y itself
+    (below Y = 1, of r itself: |r d log M/dr| stays under half of (1 +
+    Y)/(1-nu) there, measured on 0.70-0.99); else, and at radii below the
+    switch, from `_m_tail`. The pieces'
+    evaluation is elementwise, so every radius gets the same bits in a
+    block of any size. No radius, no build."""
     fit = _tail_interpolant(nu, power) if w.size else None
     if fit is None:
         return _m_tail(nu, w, tol, power)
-    y_hi, t_lo, t_hi, coef, rel = fit
     y = _saddle_exponent(nu, w)
-    served = y >= y_hi
     value, err = np.zeros(w.size), np.full(w.size, 1e-300)
-    if not served.all():
-        value[~served], err[~served] = _m_tail(nu, w[~served], tol, power)
-    live = served & (y <= _Y_CUT)  # else below the double underflow threshold
-    wl, yl = w[live], y[live]
-    x = (2.0 * np.clip(1.0 / yl, t_lo, t_hi) - (t_lo + t_hi)) / (t_hi - t_lo)
-    v = np.exp(_chebval(x, coef) + _log_saddle_factor(nu, power, wl) - yl)
-    value[live] = v
-    err[live] = np.maximum(
-        v * (rel + 8.0 * _EPS * (1.0 + yl) / (1.0 - nu)), 1e-300)
+    left = y <= _Y_CUT  # else below the double underflow threshold
+    for y_from, lo, hi, in_r, coef, rel in fit:
+        on = left & (y >= y_from)
+        left &= ~on
+        wl, yl = w[on], y[on]
+        x = (2.0 * np.clip(wl if in_r else 1.0 / yl, lo, hi)
+             - (lo + hi)) / (hi - lo)
+        v = np.exp(_chebval(x, coef) + _log_saddle_factor(nu, power, wl) - yl)
+        value[on] = v
+        err[on] = np.maximum(
+            v * (rel + 8.0 * _EPS * (1.0 + yl) / (1.0 - nu)), 1e-300)
+    if left.any():  # radii below the switch
+        value[left], err[left] = _m_tail(nu, w[left], tol, power)
     return value, err
 
 
@@ -539,18 +588,18 @@ def crossover_radius(nu) -> float:
     """Radius where M_nu and its mass leave the series for the tail route.
 
     The scan's r*(nu) (the committed table, interpolated linearly in nu),
-    halved for 0.01 <= nu <= 0.75: there the tail interpolant converges
-    from r*/2 for M_nu and its mass alike, and is accurate to about 1e-13
-    where the series loses up to 1e-7 relative just below r*. Its build
-    fails for the mass from nu = 0.80 and for M_nu from 0.83, and at
-    nu = 0.005, so other orders switch at r* itself.
+    halved for nu >= 0.01: there the tail interpolant (with its piece in r
+    where Y(r*/2) < 1) converges from r*/2 for M_nu and its mass alike,
+    and is accurate to about 1e-13 where the series loses up to 1e-7
+    relative just below r*. Below 0.01 the piece in 1/Y fails at r*/2 (at
+    nu = 0.005), so those orders switch at r* itself.
     """
     nu = _as_nu(nu)
     if not 0.0 < nu < 1.0:
         raise InvalidOrder("crossover radius defined for 0 < nu < 1")
     nus, radii = _crossover_table()
     rstar = float(np.interp(nu, nus, radii))
-    return 0.5 * rstar if 0.01 <= nu <= 0.75 else rstar
+    return 0.5 * rstar if nu >= 0.01 else rstar
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +663,13 @@ def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
 
     Dispatches between the exact limit/closed forms (nu = 0, 1/2), the
     power series up to `crossover_radius(nu)` (half the scan's r* for
-    0.01 <= nu <= 0.75, r* else), and the stable-integral large-argument
-    route past it (method "asymptotic"). That route reads a Chebyshev
-    interpolant of the integral in 1/Y, built once per order and accurate
-    to about 1e-12 relative, whose estimate does not depend on tol; orders
-    whose interpolant does not converge (near 0.99, tiny orders) integrate
-    at each radius instead. The one-point case of m_wright_values, so both
-    return the same bits.
+    nu >= 0.01, r* else), and the stable-integral large-argument route
+    past it (method "asymptotic"). That route reads a Chebyshev
+    interpolant of the integral, in 1/Y and, below Y = 1, in r, built once
+    per order and accurate to about 1e-12 relative, whose estimate does
+    not depend on tol; orders whose build fails (tiny orders such as 1e-3)
+    integrate at each radius instead. The one-point case of
+    m_wright_values, so both return the same bits.
 
     Parameters
     ----------

@@ -4,13 +4,17 @@ series/tail switch, into the far tail.
     python3 tests/data/make_m_refs.py    # needs mpmath
 
 Grid: the orders in ORDERS (exact binary doubles, so exactly the orders the
-package evaluates) times the radii of `radii(nu)`: those past r*(nu)/4 for
-orders up to 0.75, whose tail route starts at r*/2, and past r*(nu) for
-the others, where the saddle-point exponent Y = (1-nu)/nu
-(nu r)^(1/(1-nu)) takes the values Y_STEPS, each radius kept while
-M_nu(r) >= 1e-300. A row whose (nu, r) already stands in m_refs.csv is
-copied from it, and only the others are computed: about 25 s for the 60
-rows below r*, about an hour for the whole table (delete the file).
+package evaluates) times the radii of `radii(nu)`: those past r*(nu)/4,
+a quarter of the scan's radius (the tail route starts at r*/2), where the
+saddle-point exponent Y = (1-nu)/nu (nu r)^(1/(1-nu)) takes the values
+Y_STEPS, each radius kept while M_nu(r) >= 1e-300. As nu -> 1 these
+radii crowd next to r = 1 (at 0.99 the smallest Y step lies at r*), so
+where the smallest step's radius lies above r*/4, GAP_ROWS radii evenly
+spaced in r fill the gap from r*/4 up to it: series rows below r*/2 and
+rows of the tail's piece in r above it. A row whose (nu, r) already
+stands in m_refs.csv is copied from it, and only the others are
+computed: about 2 min for the 94 rows added with the gap rows, about an
+hour for the whole table (delete the file).
 Every radius is rounded to 10 significant digits, so the table's radii
 are the doubles its readers parse. Every value is computed by two
 independent methods, which must agree to 1e-30 relative:
@@ -23,7 +27,8 @@ independent methods, which must agree to 1e-30 relative:
 * Zolotarev's integral M_nu(r) = r^(nu/(1-nu))/(1-nu) int_0^1 A(pi u)
   exp(-r^(1/(1-nu)) A(pi u)) du with the Kanter kernel A(phi) =
   [sin(nu phi)^nu sin((1-nu) phi)^(1-nu) / sin(phi)]^(1/(1-nu)), by mpmath
-  quadrature with breakpoints through the boundary layer at u = 0.
+  quadrature with breakpoints through the boundary layer at u = 0 and
+  geometrically closer to u = 1.
 
 R_STAR is the scan's radius r*(nu) at the time of writing. Other radii
 can join by adding them to `radii`; the test reads every row.
@@ -50,6 +55,7 @@ R_STAR = {0.01: 10.66244039584632, 0.02: 10.66244039584632,
           0.95: 1.2379815881474057, 0.96: 1.1053407037030407,
           0.99: 0.9869113425920005}
 Y_STEPS = [2.0 ** (k / 2) for k in range(-20, 19)] + [600.0, 680.0, 760.0]
+GAP_ROWS = 8
 DPS = 50
 
 
@@ -60,10 +66,13 @@ def radius(nu: float, y: float) -> float:
 
 
 def radii(nu: float) -> list:
-    """The radii of Y_STEPS beyond r*(nu)/4 for nu <= 0.75 (series rows up
-    to the switch at r*/2, tail rows past it), else beyond r*(nu)."""
-    start = R_STAR[nu] / 4.0 if nu <= 0.75 else R_STAR[nu]
-    return [r for r in (radius(nu, y) for y in Y_STEPS) if r > start]
+    """The radii of Y_STEPS beyond r*(nu)/4 (series rows up to the switch
+    at r*/2, tail rows past it), after GAP_ROWS radii evenly spaced in r
+    from r*/4 where the first of them lies above r*/4."""
+    start, first = R_STAR[nu] / 4.0, radius(nu, Y_STEPS[0])
+    gap = ([float(f"{start + k * (first - start) / GAP_ROWS:.10g}")
+            for k in range(GAP_ROWS)] if first > start else [])
+    return gap + [r for r in (radius(nu, y) for y in Y_STEPS) if r > start]
 
 
 def zolotarev(nu: float, r: float) -> mp.mpf:
@@ -83,9 +92,13 @@ def zolotarev(nu: float, r: float) -> mp.mpf:
     # absolute error, which a far-tail integrand would meet at once
     a0 = nu_m ** (nu_m / (1 - nu_m)) * (1 - nu_m)  # A(0+), the minimum
     width = 1 / mp.sqrt(1 + c * a0)
+    # below r = 1 the integrand's mass sits where c A(pi u) is about 1, up
+    # next to u = 1, and at orders near 1 it ends there in a cliff: A grows
+    # like sin(pi u)^(-1/(1-nu))
     pts = sorted({mp.mpf(0), mp.mpf(1)}
                  | {width * mp.mpf(2) ** k for k in range(-8, 9)
-                    if width * mp.mpf(2) ** k < 1})
+                    if width * mp.mpf(2) ** k < 1}
+                 | {1 - mp.mpf(2) ** (-mp.mpf(k) / 4) for k in range(1, 49)})
     return (r_m ** (nu_m / (1 - nu_m)) / (1 - nu_m) * mp.exp(-c * a0)
             * mp.quad(kernel, pts))
 

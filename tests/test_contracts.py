@@ -178,6 +178,30 @@ class TestExtremeTimes:
         assert 1e100 < got.value < math.inf
         assert 0.0 < got.abs_err_estimate < 1e-8 * got.value
 
+    @pytest.mark.parametrize("kind, x, t", [("green", 1.0, 1e-300),
+                                            ("drift", 1.0, 1e-300),
+                                            ("drift", 1e-320, _TINY)])
+    def test_underflowed_value_keeps_a_tiny_estimate(self, kind, x, t):
+        # M underflows to 0 with its 1e-300 floor, which the factor lifted
+        # to 0.5, 1e-3 and 1.2e20; the envelope in logs underflows too
+        spec, _, _, result = self._FORMS[kind]
+        got = result(spec, x, t)
+        assert got.value == 0.0 and got.abs_err_estimate <= 1e-300
+
+    def test_underflow_estimate_covers_a_value_the_factor_lifts(self):
+        # at r = 313 M_0.25 underflows (Y = 1000), but the factor 1/(2t)
+        # = 1e323 lifts the density to about e^-258: the estimate, the
+        # factor times the envelope, covers it (by its saddle-point form)
+        spec, t = greens.GreenSpec(2.0, 0.5), self._TINY
+        x = 313.0 * t
+        got = greens.green_density_result(spec, x, t)
+        r = np.exp(np.log(x) - np.log(t))
+        log_form = (math.log(0.5) - math.log(t)
+                    + specfun._log_saddle_factor(0.25, 1, r)
+                    - specfun._saddle_exponent(0.25, r))
+        want = math.exp(log_form)
+        assert abs(got.value - want) <= got.abs_err_estimate < 1e-100
+
     def test_variance_past_the_double_range_raises(self):
         spec = greens.GreenSpec(2.0, 0.5)
         with pytest.raises(ResultOverflow, match="t=1e"):

@@ -255,21 +255,33 @@ class TestCrossoverTable:
         scanned = [specfun._scan_crossover(float(nu)) for nu in nus]
         assert np.array_equal(radii, scanned)
 
-    def test_switch_is_half_the_scan_radius_from_001_to_075(self):
+    def test_switch_is_half_the_scan_radius_from_001_to_099(self):
         nus, radii = specfun._crossover_table()
         for nu, r in zip(nus.tolist(), radii.tolist()):
-            half = 0.01 <= nu <= 0.75
-            assert specfun.crossover_radius(nu) == (0.5 * r if half else r)
-        for nu in (0.005, 0.0099, 0.7501, 0.76):
+            assert specfun.crossover_radius(nu) == 0.5 * r
+        for nu in (0.005, 0.0099, 0.7501, 0.985):
             rstar = float(np.interp(nu, nus, radii))
-            assert specfun.crossover_radius(nu) == rstar
+            half = nu >= 0.01
+            assert specfun.crossover_radius(nu) == (0.5 * rstar if half
+                                                    else rstar)
 
     def test_both_tail_builds_converge_at_the_halved_switch(self):
-        # the interpolant of M_nu and of its mass serves every halved order
-        for nu in np.linspace(0.01, 0.75, 297).tolist():
+        # the interpolant of M_nu and of its mass serves every halved order,
+        # with a piece in r from the switch to Y = 1 where Y(switch) < 1
+        # (0.70 and up on the committed table)
+        pieces = set()
+        for nu in np.linspace(0.01, 0.99, 393).tolist():
             for power in (1, 0):
-                assert specfun._tail_interpolant(nu, power) is not None, \
-                    (nu, power)
+                fit = specfun._tail_interpolant(nu, power)
+                assert fit is not None, (nu, power)
+                pieces.add(len(fit))
+                # the lowest piece starts at the switch, in r below Y = 1
+                switch = specfun.crossover_radius(nu)
+                y_from, lo, _, in_r, _, _ = fit[-1]
+                assert y_from == specfun._saddle_exponent(nu, np.array(switch))
+                assert in_r == (y_from < 1.0), (nu, power)
+                assert lo == switch or not in_r, (nu, power)
+        assert pieces == {1, 2}
 
     def test_steps_fall_with_the_order(self):
         steps = specfun._CROSSOVER_STEPS
@@ -314,7 +326,7 @@ class TestMWright:
             specfun.m_wright(0.25, -1.0)
 
     def test_method_switch_at_crossover(self):
-        # at a halved switch (0.25, 0.75) and at the scan's r* (0.9)
+        # at the switch r*/2, below the piece in r (0.75, 0.9) or not (0.25)
         for nu in (0.25, 0.75, 0.9):
             rstar = specfun.crossover_radius(nu)
             assert specfun.m_wright(nu, 0.9 * rstar).method == "series"
@@ -802,9 +814,11 @@ def _tail_reference(nu, w):
 
     a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
     width = 1.0 / math.sqrt(1.0 + float(c) * a0)
+    # a breakpoint within 1e-9 of u = 1 (width -> 1 as c -> 0) would make
+    # a panel whose nodes round to u = 1, where sin(phi) <= 0
+    points = [min(1.0 - 1e-9, width * 2.0 ** k) for k in range(-6, 6)]
     return quadrature.adaptive(f, 0.0, 1.0, tol=1e-320, rtol=3e-14,
-                               points=[width * 2.0 ** k for k in range(-6, 6)],
-                               limit=40000)[0]
+                               points=points, limit=40000)[0]
 
 
 class TestStableTail:
@@ -868,13 +882,16 @@ def _tail_radii(nu, count):
 
 
 class TestTailInterpolant:
-    # orders whose interpolant converges, and one that keeps the quadrature
-    SERVED, FALLBACK = (0.05, 0.3, 0.75, 0.95), 0.99
+    # orders whose interpolant converges: one piece in 1/Y (0.05, 0.3), or
+    # also one in r from the switch to Y = 1 (0.75 and up)
+    SERVED = (0.05, 0.3, 0.75, 0.9, 0.95, 0.99)
 
     def test_which_orders_fall_back(self):
-        for nu in self.SERVED:
-            assert specfun._tail_interpolant(nu, 1) is not None
-        for nu in (1e-12, 1e-3, 0.98, self.FALLBACK):
+        for nu in self.SERVED + (0.98,):
+            for power in (1, 0):
+                fit = specfun._tail_interpolant(nu, power)
+                assert len(fit) == (1 if nu < 0.7 else 2), (nu, power)
+        for nu in (1e-12, 1e-3):
             assert specfun._tail_interpolant(nu, 1) is None
 
     def test_series_points_build_nothing(self):
@@ -886,11 +903,12 @@ class TestTailInterpolant:
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
     def test_within_estimate_of_40_digit_references(self, tol):
-        # 13 orders, radii from r*/4 (orders up to 0.75: series rows up to
-        # the switch at r*/2) or r* to where M_nu falls below 1e-300, on the
-        # interpolated route and on the quadrature it falls back to. The
-        # quadrature is not held to 1e-12: at nu = 0.99 the kernel's
-        # rounding, amplified by 1/(1-nu) and Y, reaches 1.1e-12 relative
+        # 13 orders, radii from r*/4 (series rows up to the switch at r*/2)
+        # to where M_nu falls below 1e-300, on the interpolated route and on
+        # the quadrature it is built from. Neither is held to 1e-12 at
+        # nu = 0.99: there the kernel's rounding, amplified by 1/(1-nu)
+        # and Y, reaches 1.1e-12 relative in the quadrature, and the
+        # interpolant inherits it
         refs = _m_refs()
         assert len(refs) == 13
         for nu, (r, ref) in refs.items():
@@ -900,13 +918,16 @@ class TestTailInterpolant:
             past = r > specfun.crossover_radius(nu)
             method = np.array([g.method for g in got])
             assert (method == np.where(past, "asymptotic", "series")).all()
-            if nu <= 0.75:  # series rows, and tail rows below the scan's r*
-                rstar = float(np.interp(nu, *specfun._crossover_table()))
-                assert (~past).any() and (past & (r <= rstar)).any(), nu
+            # series rows, and tail rows below the scan's r*
+            rstar = float(np.interp(nu, *specfun._crossover_table()))
+            assert (~past).any() and (past & (r <= rstar)).any(), nu
+            if nu >= 0.75:  # rows on the piece in r, below Y = 1
+                y = specfun._saddle_exponent(nu, r)
+                assert (past & (y < 1.0)).any(), nu
             bad = np.abs(value - ref) > err
             assert not bad.any(), (nu, r[bad], value[bad], ref[bad])
             assert ref.min() < 1e-290  # the table reaches the far tail
-            if specfun._tail_interpolant(nu, 1) is not None:
+            if nu != 0.99:
                 off = np.abs(value - ref)[past] > 1e-12 * ref[past]
                 assert not off.any(), (nu, r[past][off])
             value, err = specfun._m_tail(nu, r, tol)
@@ -924,7 +945,7 @@ class TestTailInterpolant:
         assert res.method == "asymptotic"
         assert abs(res.value - ref) <= min(res.abs_err_estimate, 1e-12 * ref)
 
-    @pytest.mark.parametrize("nu", SERVED + (FALLBACK,))
+    @pytest.mark.parametrize("nu", SERVED)
     def test_values_match_scalar_calls_in_any_block(self, nu):
         rs = _tail_radii(nu, 4096)
         whole = specfun.m_wright_values(nu, rs)
@@ -983,3 +1004,19 @@ class TestTailInterpolant:
         value, err = specfun._tail(nu, rs, 0.0, power)
         want, want_err = specfun._m_tail(nu, rs, 0.0, power)
         assert np.all(np.abs(value - want) <= err + want_err)
+
+    @given(nu=st.floats(0.70, 0.99), power=st.sampled_from([1, 0]),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @example(nu=0.99, power=1, fracs=[0.0, 0.5, 1.0])
+    @example(nu=0.99, power=0, fracs=[0.0, 0.5, 1.0])
+    def test_piece_in_r_agrees_with_its_quadrature(self, nu, power, fracs):
+        # radii spread evenly in r from the switch to r(Y = 1), the domain
+        # of the piece in r; 4 ulp for the rounding of the comparison
+        switch = specfun.crossover_radius(nu)
+        a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+        r_mid = (1.0 / a0) ** (1.0 - nu)
+        rs = switch + np.array(fracs) * (r_mid - switch)
+        value, err = specfun._tail(nu, rs, 0.0, power)
+        want, want_err = specfun._m_tail(nu, rs, 0.0, power)
+        ulp = 4.0 * np.spacing(np.maximum(value, want))
+        assert np.all(np.abs(value - want) <= err + want_err + ulp)
