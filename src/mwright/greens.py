@@ -124,22 +124,41 @@ def _green_logs(spec: GreenSpec, t: float) -> tuple[float, float]:
 def _m_in_logs(nu: float, xs: np.ndarray, log_c: float,
                log_a: float) -> np.ndarray:
     """c M_nu(a xs) at xs >= 0 from log c and log a, for a factor past the
-    double range. As in drift_green_stable_form, the value is 0 where the
-    argument a xs leaves the double range, and inf where the value does."""
-    m = specfun.m_wright_values(nu, _times_exp(xs, log_a))
-    return _times_exp(m, log_c)
+    double range: exp(log M_nu + log c), with log M_nu from
+    `specfun._m_wright_logs`, so that a value the factor lifts back into
+    range keeps it where M_nu itself underflows. As in
+    drift_green_stable_form, the value is 0 where the argument a xs leaves
+    the double range, and inf where the value does."""
+    log_m = specfun._m_wright_logs(nu, _times_exp(xs, log_a))[0]
+    with np.errstate(over="ignore"):  # inf: ResultOverflow at _checked
+        return np.exp(log_m + log_c).reshape(np.shape(xs))
 
 
 def _result_in_logs(nu: float, x: float, log_c: float, log_a: float,
                     t: float, what: str):
-    """_m_in_logs at one x (the same bits) as an EvalResult: the M_nu
-    estimate times c, 0 where the argument a x leaves the double range."""
+    """_m_in_logs at one x (the same bits) as an EvalResult. The estimate
+    is the value times M_nu's relative estimate plus the rounding of the
+    logs: 4 eps (1 + |log M| + |log c|) of the exponent, and eps (2 + |log
+    x| + |log a|) of the argument a x, times (1 + Y)/(1 - nu), which bounds
+    |d log M/d log r| (Y = `specfun._saddle_exponent`); at nu = 0.99 and Y
+    = 474 that is 47500. Where M_nu underflowed on a route without a log,
+    `_underflow_estimate`."""
     arg = float(_times_exp(x, log_a))
-    m = specfun.m_wright(nu, arg)
-    value = _checked(_times_exp(m.value, log_c), x, t, what)
-    err = (_underflow_estimate(nu, arg, log_c) if _underflowed(m)
-           else _times_exp(m.abs_err_estimate, log_c))
-    return specfun.EvalResult(float(value), float(err), m.method)
+    (log_m,), (rel,), (method,) = specfun._m_wright_logs(nu, arg)
+    with np.errstate(over="ignore"):
+        value = _checked(np.exp(log_m + log_c), x, t, what)
+    if log_m == -math.inf:
+        err = (_underflow_estimate(nu, arg, log_c)
+               if method == specfun.METHOD_ASYMPTOTIC else 0.0)
+    else:
+        slope = (1.0 + specfun._saddle_exponent(nu, np.float64(arg))) / (
+            1.0 - nu)
+        log_x = abs(math.log(x)) if x > 0.0 else 0.0
+        size = sys.float_info.epsilon * (
+            4.0 * (1.0 + abs(log_m) + abs(log_c))
+            + slope * (2.0 + log_x + abs(log_a)))
+        err = _times_exp(rel + size, log_m + log_c)
+    return specfun.EvalResult(float(value), float(err), str(method))
 
 
 def _underflowed(m) -> bool:

@@ -17,16 +17,22 @@ integrand on (0, 1), taken for all rows at once by `quadrature.adaptive_rows`.
 Evaluation strategy for M_nu (m_wright is the one-point case of
 m_wright_values, so both share validation and dispatch):
 
-* closed forms for nu = 0 (exp) and nu = 1/2 (Gaussian);
-* power series in the reflection-formula form (coefficients 1/Gamma(1-nu*n),
-  entire in the index, so no Gamma pole is evaluated) up to the switch
-  radius `crossover_radius(nu)`. That is the scan's r*(nu), committed on a
-  0.01 grid in nu as the scan found it (the smallest radius where the
-  series rounding floor 2 eps sum|term| exceeds min(1e-10, 1e-6 times the
-  value)), halved for nu >= 0.01: just below r* the series loses up to
-  1e-7 relative and runs to its full 400 terms (near nu = 1 it also stops
-  inside the dips of its coefficients), while the tail interpolant
-  converges from r*/2;
+* closed forms for nu = 1/2 (Gaussian) and up to nu = 1e-11 the first
+  order in nu, e^-r (1 - gamma nu (1 - r)), exact to double precision
+  (`_small_order`; e^-r itself below the least normal order);
+* up to the switch radius `crossover_radius(nu)`, the power series in the
+  reflection-formula form (coefficients 1/Gamma(1-nu*n), entire in the
+  index, so no Gamma pole is evaluated), served from nu = 0.01 through a
+  per-order Chebyshev interpolant of log M_nu in r on [0, switch]
+  (`_series_interpolant`), built once from the series itself at tol
+  1e-16 and split where the series' rounding floor passes 1e-13; other
+  orders sum the series at each radius. The switch is the scan's r*(nu),
+  committed on a 0.01 grid in nu as the scan found it (the smallest
+  radius where the series rounding floor 2 eps sum|term| exceeds
+  min(1e-10, 1e-6 times the value)), halved for nu >= 0.01: just below r*
+  the series loses up to 1e-7 relative and runs to its full 400 terms
+  (near nu = 1 it also stops inside the dips of its coefficients), while
+  the tail interpolant converges from r*/2;
 * past the switch, the exact one-sided stable-density integral (`_m_tail`),
   served through a per-order Chebyshev interpolant (`_tail_interpolant`)
   of log(M_nu e^Y / (a (nu r)^((nu-1/2)/(1-nu)))), the log of M_nu over
@@ -40,8 +46,13 @@ m_wright_values, so both share validation and dispatch):
   + chopped coefficients + 8 eps (1 + Y)/(1 - nu)), whatever tol asks.
   Orders whose build fails (tiny orders such as 1e-3) keep the quadrature
   at every radius. The mass int_r^inf M_nu takes the same route past the
-  same switch. The leading-order exponential form alone only serves
-  envelopes and checks.
+  same switch, and its series (not interpolated) below it. The
+  leading-order exponential form alone only serves envelopes and checks.
+
+Both interpolants are read by one elementwise routine, `_read_pieces`,
+whose estimate does not depend on tol; `_m_wright_logs` reads the same
+pieces for log M_nu, which keeps M_nu where it underflows (the Green
+functions' log route).
 """
 
 from __future__ import annotations
@@ -74,9 +85,12 @@ _CHEB_NODES = (17, 33, 65)  # nested Chebyshev extreme points of the tail
 _CHEB_CHOP = 1e-13  # a Chebyshev coefficient below this counts as converged
 _N = np.arange(_TERM_BUDGET)
 NU_MAX = 0.99  # evaluation cap; the peak near r=1 defeats doubles beyond this
-# Below the least normal double, nu phi underflows in the stable kernel;
-# such orders take the nu = 0 forms, which M_nu meets to about 1e-300.
-_NU_ZERO = float(np.finfo(float).tiny)
+# Up to this order M_nu(r) = e^-r (1 - gamma nu (1 - r)) to double
+# precision wherever e^-r is representable (`_small_order`)
+_NU_SMALL = 1e-11
+_NU_HALVED = 0.01  # from this order the switch is r*/2 and M_nu has pieces
+_NODE_TOL = 1e-16  # stopping tol of the series at the nodes below the switch
+_SERIES_SPLIT = 1e-13  # node relative estimate where the piece below splits
 
 METHOD_SERIES = "series"
 METHOD_ASYMPTOTIC = "asymptotic"
@@ -239,7 +253,9 @@ def _sum_series(lam, mu, z, tol: float):
     row would rebuild to the same terms), and rows that still miss are
     NaN. The result is the full budget's, bit for bit: the rounding floor
     sums a zero-padded row of 64, 200 or 400 terms in the same order. A
-    row at z = 0 where 1/Gamma(mu) = 0 is the exact (0, 0, 0).
+    row at z = 0 where 1/Gamma(mu) = 0 is the exact (0, 0, 0). For M_nu
+    below the switch it is the build source of `_series_interpolant`, and
+    serves the radii itself only for orders without pieces.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     lam, mu = _per_row(lam, mu, z)
@@ -436,28 +452,51 @@ def _chebyshev_coefficients(h: np.ndarray) -> np.ndarray:
     return c * ends
 
 
-def _chebyshev_piece(nu: float, power: int, lo: float, hi: float,
-                     in_r: bool, noisy: bool = False):
-    """One Chebyshev piece of h = log(M e^Y / (a (nu w)^p)), the log of
-    M_nu (power=1) or of its mass (power=0) over its saddle-point form (see
-    `_log_saddle_factor`), in the variable s = r (in_r) or s = 1/Y on [lo,
-    hi]. The node values are `_m_tail` at full relative accuracy on 17,
-    then 33, then 65 nested Chebyshev extreme points; the first count whose
-    last three coefficients lie below 1e-13 is kept, with its trailing
-    coefficients below 1e-13 chopped. With noisy=True (the orders with a
-    piece in r) 65 nodes are also kept where the last three lie below the
-    largest node relative estimate: near nu = 1 the kernel's rounding,
-    amplified by Y/(1-nu), leaves the coefficients on a plateau of about
-    1e-13 (0.985), which the nodes' estimates cover. Returns (lo, hi, in_r,
-    coefficients, rel), rel the Lebesgue constant times the largest node
-    relative estimate plus the sum of the chopped coefficients; None where
-    no count converges or the quadrature fails."""
-    a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+def _chebyshev_piece(lo: float, hi: float, nodes, noisy: bool = False,
+                     chop: float = _CHEB_CHOP):
+    """One Chebyshev piece on [lo, hi] of a function h whose values and
+    relative estimates nodes(s) returns at a block of points s (None where
+    they fail): h on 17, then 33, then 65 nested Chebyshev extreme points;
+    the first count whose last three coefficients lie below chop (1e-13
+    for the tail) is kept, with its trailing coefficients below chop
+    chopped. With noisy=True (the tail of the orders with a piece in r,
+    and the pieces below the switch) 65 nodes are also kept where the last
+    three lie below the largest node relative estimate: near nu = 1 the
+    kernel's rounding, amplified by Y/(1-nu), leaves the coefficients on a
+    plateau of about 1e-13 (0.985), which the nodes' estimates cover.
+    Returns (coefficients, rel), rel the Lebesgue constant times the
+    largest node relative estimate plus the sum of the chopped
+    coefficients; None where no count converges or a node fails."""
     h, worst = np.empty(0), 0.0
     for n in _CHEB_NODES:
         # the nodes of the previous count are every other node of this one
         j = np.arange(n)[1::2] if h.size else np.arange(n)
-        s = lo + 0.5 * (hi - lo) * (1.0 + np.cos(np.pi * j / (n - 1)))
+        got = nodes(lo + 0.5 * (hi - lo) * (1.0 + np.cos(np.pi * j / (n - 1))))
+        if got is None:
+            return None
+        h = np.insert(got[0], np.arange(h.size), h)
+        worst = max(worst, float(np.max(got[1])))
+        c = _chebyshev_coefficients(h)
+        tail = np.abs(c[-3:]).max()
+        if tail < chop or (noisy and n == _CHEB_NODES[-1] and tail < worst):
+            big = np.flatnonzero(np.abs(c) >= chop)
+            keep = min(n - 3, int(big[-1]) + 1 if big.size else 1)
+            lebesgue = 1.0 + 2.0 / math.pi * math.log(n)
+            rel = lebesgue * worst + float(np.abs(c[keep:]).sum())
+            c = c[:keep]
+            c.flags.writeable = False
+            return c, rel
+    return None
+
+
+def _tail_nodes(nu: float, power: int, in_r: bool):
+    """The nodes of a tail piece (see `_chebyshev_piece`): h = log(M e^Y /
+    (a (nu w)^p)), the log of M_nu (power=1) or of its mass (power=0) over
+    its saddle-point form (see `_log_saddle_factor`), at s = r (in_r) or s
+    = 1/Y, from `_m_tail` at full relative accuracy."""
+    a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+
+    def nodes(s):
         w = s if in_r else (1.0 / (s * a0)) ** (1.0 - nu)
         try:
             v, e = _m_tail(nu, w, 0.0, power, scaled=True)
@@ -465,76 +504,152 @@ def _chebyshev_piece(nu: float, power: int, lo: float, hi: float,
             return None
         if not (np.isfinite(v) & (v > 0.0)).all():
             return None
-        h = np.insert(np.log(v) - _log_saddle_factor(nu, power, w),
-                      np.arange(h.size), h)
-        worst = max(worst, float(np.max(e / v)))
-        c = _chebyshev_coefficients(h)
-        tail = np.abs(c[-3:]).max()
-        if tail < _CHEB_CHOP or (noisy and n == _CHEB_NODES[-1]
-                                 and tail < worst):
-            big = np.flatnonzero(np.abs(c) >= _CHEB_CHOP)
-            keep = min(n - 3, int(big[-1]) + 1 if big.size else 1)
-            lebesgue = 1.0 + 2.0 / math.pi * math.log(n)
-            rel = lebesgue * worst + float(np.abs(c[keep:]).sum())
-            c = c[:keep]
-            c.flags.writeable = False
-            return lo, hi, in_r, c, rel
-    return None
+        return np.log(v) - _log_saddle_factor(nu, power, w), e / v
+
+    return nodes
 
 
 @lru_cache(maxsize=256)
 def _tail_interpolant(nu: float, power: int):
     """The Chebyshev pieces of the tail past crossover_radius(nu), or None.
 
-    One piece (`_chebyshev_piece`) in t = 1/Y on [1/795, 1/max(1,
-    Y(switch))], and where Y(switch) < 1 (orders 0.70-0.99 on the
+    One piece (`_chebyshev_piece` on `_tail_nodes`) in t = 1/Y on [1/795,
+    1/max(1, Y(switch))], and where Y(switch) < 1 (orders 0.70-0.99 on the
     committed table) a second one in r on [switch, r(Y = 1)]: as nu -> 1,
     M_nu tends to the delta pulse at r = 1, and h is no polynomial in 1/Y
     down there. Returns ((y_from, lo, hi, in_r, coefficients, rel), ...),
     the piece that serves Y >= y_from, highest y_from first. None where a
     build fails (tiny orders such as 1e-3): those keep `_m_tail` at each
-    radius.
+    radius. Below the switch `_series_interpolant` serves M_nu, with
+    pieces of the same layout keyed by r; `_read_pieces` reads both.
     """
     switch = crossover_radius(nu)
     # Y(switch) by numpy's power, as `_tail` computes Y at every radius
     y_lo = float(_saddle_exponent(nu, np.array(switch)))
     y_mid, two = max(1.0, y_lo), y_lo < 1.0
-    far = _chebyshev_piece(nu, power, 1.0 / _Y_CUT, 1.0 / y_mid, False, two)
+    far = _chebyshev_piece(1.0 / _Y_CUT, 1.0 / y_mid,
+                           _tail_nodes(nu, power, False), two)
     if far is None:
         return None
+    far = (y_mid, 1.0 / _Y_CUT, 1.0 / y_mid, False, *far)
     if not two:
-        return (y_mid, *far),
+        return far,
     r_mid = (1.0 / (nu ** (nu / (1.0 - nu)) * (1.0 - nu))) ** (1.0 - nu)
-    near = _chebyshev_piece(nu, power, switch, r_mid, True, True)
-    return None if near is None else ((y_mid, *far), (y_lo, *near))
+    near = _chebyshev_piece(switch, r_mid, _tail_nodes(nu, power, True), True)
+    return None if near is None else (far, (y_lo, switch, r_mid, True, *near))
+
+
+@lru_cache(maxsize=256)
+def _series_interpolant(nu: float):
+    """The Chebyshev pieces of log M_nu in r on [0, crossover_radius(nu)],
+    or None.
+
+    Built once per order by `_chebyshev_piece`, whose nodes are
+    `_sum_series` at tol 1e-16 and nothing else: no quadrature. The
+    series' rounding floor 2 eps sum|term| grows towards the switch, to
+    1.8e-11 relative at nu = 0.01, and would loosen a single piece's rel
+    down to r = 0. So where the series' relative estimate at 33 evenly
+    spaced radii first exceeds 1e-13, the interval splits in two there.
+    Near the switch the rounding of the node values leaves the
+    coefficients on a plateau, so 65 nodes are also kept where their
+    estimates cover it (noisy=True). Each rel adds 8 eps (1 + sum |c_k|)
+    for the rounding of the evaluation.
+    Returns ((r_from, lo, hi, True, coefficients, rel), ...), the piece
+    that serves r >= r_from, highest r_from first, as `_tail_interpolant`
+    does. None below nu = 0.01, whose switch is r* itself, where the
+    series loses up to 1e-7, and where a build fails: those orders sum
+    the series at each radius.
+    """
+    if nu < _NU_HALVED:
+        return None
+    switch = crossover_radius(nu)
+
+    def nodes(r):
+        v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -r, _NODE_TOL)
+        if not (v > 0.0).all():  # NaN fails too
+            return None
+        return np.log(v), (trunc + cancel) / v
+
+    probe = np.linspace(0.0, switch, 33)
+    got = nodes(probe)
+    if got is None:
+        return None
+    above = np.flatnonzero(got[1] > _SERIES_SPLIT)
+    cuts = [0.0, switch]
+    if above.size:  # never at r = 0, where the estimate is 2 eps
+        cuts.insert(1, float(probe[min(above[0], probe.size - 2)]))
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        # the tail's chop, lowered to the nodes' own estimate (not below
+        # 1e-15): at nu = 0.9 the nodes are good to 5e-16, and a flat 1e-13
+        # made the chopped coefficients most of the piece's error
+        inside = (probe >= lo) & (probe <= hi)
+        chop = min(_CHEB_CHOP, max(1e-15, float(got[1][inside].max())))
+        piece = _chebyshev_piece(lo, hi, nodes, True, chop)
+        if piece is None:
+            return None
+        c, rel = piece
+        rel += 8.0 * _EPS * (1.0 + float(np.abs(c).sum()))
+        pieces.insert(0, (lo, lo, hi, True, c, rel))
+    return tuple(pieces)
+
+
+def _read_pieces(fit, w, key, beyond: bool = False):
+    """The interpolant h and rel of the piece of fit (`_tail_interpolant`,
+    `_series_interpolant`) that serves each radius w: the first whose
+    key_from the radius's key (Y past the switch, r below it) reaches.
+    Returns (served, h, rel), the last two at the served radii only. A
+    piece in 1/Y reads t = 1/key. The evaluation is elementwise, so every
+    radius gets the same bits in a block of any size. With beyond=True the
+    piece in 1/Y runs on past its end t = 1/795 down to t = 0, with rel
+    times |T_K(x)| there, K its coefficient count: a polynomial of degree
+    below K that stays within 1 on [-1, 1] grows at most that much."""
+    h, rel = np.full((2, w.size), np.nan)
+    left = np.ones(w.size, dtype=bool)
+    for key_from, lo, hi, in_r, coef, r in fit:
+        on = left & (key >= key_from)
+        left &= ~on
+        s = w[on] if in_r else 1.0 / key[on]
+        low = 0.0 if beyond and not in_r else lo
+        x = (2.0 * np.clip(s, low, hi) - (lo + hi)) / (hi - lo)
+        h[on], rel[on] = _chebval(x, coef), r
+        if low != lo:
+            rel[on] *= np.cosh(coef.size * np.arccosh(np.maximum(-x, 1.0)))
+    served = ~left
+    return served, h[served], rel[served]
+
+
+def _tail_logs(nu: float, power: int, fit, w: np.ndarray, y: np.ndarray,
+               beyond: bool = False):
+    """log M_nu (power=1) or of its mass (power=0) from the tail pieces of
+    fit at radii w with exponents y = Y(w): (served, log value, relative
+    estimate) as `_read_pieces` returns them, the estimate rel + 8 eps (1 +
+    Y)/(1-nu), the last term the rounding of Y itself (below Y = 1, of r
+    itself: |r d log M/dr| stays under half of (1 + Y)/(1-nu) there,
+    measured on 0.70-0.99)."""
+    served, h, rel = _read_pieces(fit, w, y, beyond)
+    w, y = w[served], y[served]
+    return (served, h + _log_saddle_factor(nu, power, w) - y,
+            rel + 8.0 * _EPS * (1.0 + y) / (1.0 - nu))
 
 
 def _tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
     """M_nu (power=1) or its mass (power=0) at radii w past the switch
     `crossover_radius(nu)`, as `_m_tail` returns them: from the pieces of
-    `_tail_interpolant` where the order has them, with the estimate value
-    x (rel + 8 eps (1 + Y)/(1-nu)), the last term the rounding of Y itself
-    (below Y = 1, of r itself: |r d log M/dr| stays under half of (1 +
-    Y)/(1-nu) there, measured on 0.70-0.99); else, and at radii below the
-    switch, from `_m_tail`. The pieces'
-    evaluation is elementwise, so every radius gets the same bits in a
-    block of any size. No radius, no build."""
+    `_tail_interpolant` where the order has them (see `_tail_logs`); else,
+    and at radii below the switch, from `_m_tail`. No radius, no build."""
     fit = _tail_interpolant(nu, power) if w.size else None
     if fit is None:
         return _m_tail(nu, w, tol, power)
     y = _saddle_exponent(nu, w)
     value, err = np.zeros(w.size), np.full(w.size, 1e-300)
     left = y <= _Y_CUT  # else below the double underflow threshold
-    for y_from, lo, hi, in_r, coef, rel in fit:
-        on = left & (y >= y_from)
-        left &= ~on
-        wl, yl = w[on], y[on]
-        x = (2.0 * np.clip(wl if in_r else 1.0 / yl, lo, hi)
-             - (lo + hi)) / (hi - lo)
-        v = np.exp(_chebval(x, coef) + _log_saddle_factor(nu, power, wl) - yl)
-        value[on] = v
-        err[on] = np.maximum(
-            v * (rel + 8.0 * _EPS * (1.0 + yl) / (1.0 - nu)), 1e-300)
+    live = np.flatnonzero(left)
+    served, log_v, rel = _tail_logs(nu, power, fit, w[live], y[live])
+    on = live[served]
+    value[on] = v = np.exp(log_v)
+    err[on] = np.maximum(v * rel, 1e-300)
+    left[on] = False
     if left.any():  # radii below the switch
         value[left], err[left] = _m_tail(nu, w[left], tol, power)
     return value, err
@@ -592,14 +707,16 @@ def crossover_radius(nu) -> float:
     where Y(r*/2) < 1) converges from r*/2 for M_nu and its mass alike,
     and is accurate to about 1e-13 where the series loses up to 1e-7
     relative just below r*. Below 0.01 the piece in 1/Y fails at r*/2 (at
-    nu = 0.005), so those orders switch at r* itself.
+    nu = 0.005), so those orders switch at r* itself. From 0.01, M_nu
+    below the switch reads the series' own interpolant
+    (`_series_interpolant`), on [0, crossover_radius(nu)].
     """
     nu = _as_nu(nu)
     if not 0.0 < nu < 1.0:
         raise InvalidOrder("crossover radius defined for 0 < nu < 1")
     nus, radii = _crossover_table()
     rstar = float(np.interp(nu, nus, radii))
-    return 0.5 * rstar if nu >= 0.01 else rstar
+    return 0.5 * rstar if nu >= _NU_HALVED else rstar
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +744,8 @@ def _m_wright_array(nu, rs, tol: float):
         raise NearSingularOrder(
             f"nu={nu} too close to the delta limit (cap {NU_MAX})")
     rs = _arguments(rs, tol, "M_nu")
-    if nu < _NU_ZERO:
-        v = np.exp(-rs)
+    if nu <= _NU_SMALL:
+        v = _small_order(nu, rs, 1)
         return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_LIMIT_CASE)
     if nu == 0.5:
         with np.errstate(over="ignore"):  # r^2 = inf past 1.3e154: exp gives 0
@@ -636,7 +753,12 @@ def _m_wright_array(nu, rs, tol: float):
         return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_CLOSED_FORM)
     value, err = np.full((2, rs.size), np.nan)
     near = rs <= crossover_radius(nu)
-    if near.any():
+    fit = _series_interpolant(nu) if near.any() else None
+    if fit is not None:
+        _, h, rel = _read_pieces(fit, rs[near], rs[near])
+        value[near] = v = np.exp(h)
+        err[near] = v * rel
+    elif near.any():
         v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -rs[near], tol)
         value[near], err[near] = v, trunc + cancel
     tail = np.isnan(value)
@@ -644,11 +766,58 @@ def _m_wright_array(nu, rs, tol: float):
     return value, err, np.where(tail, METHOD_ASYMPTOTIC, METHOD_SERIES)
 
 
+def _m_wright_logs(nu, rs):
+    """log M_nu at radii rs >= 0, with its relative estimate and the
+    method, for a factor past the double range (`greens`): m_wright's
+    route at tol 1e-12, taking the log itself where the route has one, so
+    that a value below the double range keeps it. That is h on the pieces
+    below the switch, h + log(a (nu r)^p) - Y on the tail pieces (the one
+    in 1/Y running on past Y = 795, see `_read_pieces`), and the log of
+    the closed and limit forms. Elsewhere (orders without pieces) it is
+    the log of the value, -inf where that underflowed."""
+    value, err, method = _m_wright_array(nu, rs, 1e-12)
+    nu, rs = _as_nu(nu), np.asarray(rs, dtype=float).ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_v, rel = np.log(value), err / value
+        if nu <= _NU_SMALL:
+            log_v = np.where(rs < math.inf, -rs + np.log1p(
+                np.euler_gamma * nu * (rs - 1.0)), -math.inf)
+        elif nu == 0.5:
+            log_v = -0.25 * rs * rs - 0.5 * math.log(math.pi)
+    if nu <= _NU_SMALL or nu == 0.5:
+        return log_v, rel, method
+    near = rs <= crossover_radius(nu)
+    fit = _series_interpolant(nu) if near.any() else None
+    if fit is not None:
+        _, log_v[near], rel[near] = _read_pieces(fit, rs[near], rs[near])
+    fit = _tail_interpolant(nu, 1) if not near.all() else None
+    if fit is not None:
+        y = _saddle_exponent(nu, rs)
+        far = np.flatnonzero(~near & (y < math.inf))
+        served, lv, lr = _tail_logs(nu, 1, fit, rs[far], y[far], True)
+        log_v[far[served]], rel[far[served]] = lv, lr
+    return log_v, rel, method
+
+
+def _small_order(nu: float, r: np.ndarray, power: int) -> np.ndarray:
+    """M_nu (power=1) or its mass (power=0) at radii r for 0 <= nu <=
+    1e-11: e^-r (1 + gamma nu (r - power)), gamma Euler's constant. From
+    1/Gamma(1 - e) = 1 - gamma e + c2 e^2 + .., |c2| < 0.66, in the series
+    with e = nu (n+1); the second order, c2 nu^2 (1 - 3r + r^2) for M_nu
+    and c2 nu^2 (r^2 - r) for the mass, stays below 4e-17 relative up to r
+    = 746, past which e^-r is 0. Below the least normal order it is e^-r
+    bit for bit."""
+    corr = 1.0 + np.euler_gamma * nu * (np.minimum(r, 746.0) - power)
+    return np.exp(-r) * corr
+
+
 def _half_mass(nu: float, r: np.ndarray, tol: float):
     """int_r^inf M_nu, 0 <= nu < 1, and its estimate: W_{-nu,1}(-r) up to
-    crossover_radius(nu) where its estimate is <= tol x value, else _m_tail."""
-    if nu < _NU_ZERO:  # M_0(r) = exp(-r)
-        return np.exp(-r), 4.0 * _EPS * np.exp(-r)
+    crossover_radius(nu) where its estimate is <= tol x value, else _m_tail;
+    `_small_order` up to nu = 1e-11."""
+    if nu <= _NU_SMALL:
+        v = _small_order(nu, r, 0)
+        return v, 4.0 * _EPS * v
     value, err = np.full((2, r.size), np.nan)
     near = r <= crossover_radius(nu)
     v, trunc, cancel = _sum_series(-nu, 1.0, -r[near], 0.01 * tol)
@@ -661,15 +830,18 @@ def _half_mass(nu: float, r: np.ndarray, tol: float):
 def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
     """Evaluate the M-Wright function M_nu(r) for r >= 0.
 
-    Dispatches between the exact limit/closed forms (nu = 0, 1/2), the
-    power series up to `crossover_radius(nu)` (half the scan's r* for
+    Dispatches between the exact limit/closed forms (nu <= 1e-11, 1/2),
+    the power series up to `crossover_radius(nu)` (half the scan's r* for
     nu >= 0.01, r* else), and the stable-integral large-argument route
-    past it (method "asymptotic"). That route reads a Chebyshev
-    interpolant of the integral, in 1/Y and, below Y = 1, in r, built once
-    per order and accurate to about 1e-12 relative, whose estimate does
-    not depend on tol; orders whose build fails (tiny orders such as 1e-3)
-    integrate at each radius instead. The one-point case of
-    m_wright_values, so both return the same bits.
+    past it (method "asymptotic"). Both routes read Chebyshev
+    interpolants built once per order from nu = 0.01: below the switch
+    one of log M_nu in r, built from the series (method "series"), and
+    past it one of the integral, in 1/Y and, below Y = 1, in r. Their
+    estimates do not depend on tol; the error is at most 5.3e-13 relative
+    below the switch and about 1e-12 past it. Orders whose builds fail
+    (tiny orders such as 1e-3) sum the series or integrate at each radius
+    instead. The one-point case of m_wright_values, so both return the
+    same bits.
 
     Parameters
     ----------

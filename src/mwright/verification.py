@@ -64,10 +64,11 @@ def suite_specfun() -> list[Check]:
 
     # F = nu r M against the independent F-series; per-sample residuals
     # measured in units of the combined error estimates. The samples lie
-    # below the switch crossover_radius(nu), so M_nu takes its series route
-    # (or the Gaussian at nu = 1/2); M_nu and the F-series are one series
-    # call each, formed as f_wright and wright_series form them, and a row
-    # that misses its stop is NaN, which fails the check
+    # below the switch crossover_radius(nu), where M_nu's pieces are built
+    # from its series, so the series itself is checked (the Gaussian at nu
+    # = 1/2); M_nu and the F-series are one series call each, formed as
+    # f_wright and wright_series form them, and a row that misses its stop
+    # is NaN, which fails the check
     rng = np.random.default_rng(20260809)
     nu, r = np.empty((2, 1000))
     for i in range(1000):  # the bound on r depends on nu

@@ -4,17 +4,18 @@ series/tail switch, into the far tail.
     python3 tests/data/make_m_refs.py    # needs mpmath
 
 Grid: the orders in ORDERS (exact binary doubles, so exactly the orders the
-package evaluates) times the radii of `radii(nu)`: those past r*(nu)/4,
-a quarter of the scan's radius (the tail route starts at r*/2), where the
-saddle-point exponent Y = (1-nu)/nu (nu r)^(1/(1-nu)) takes the values
+package evaluates) times the radii of `radii(nu)`. LOW_ROWS radii evenly
+spaced in r from 0 up to r*(nu)/4, a quarter of the scan's radius, come
+first; past r*/4 (the tail route starts at r*/2) the radii are those where
+the saddle-point exponent Y = (1-nu)/nu (nu r)^(1/(1-nu)) takes the values
 Y_STEPS, each radius kept while M_nu(r) >= 1e-300. As nu -> 1 these
 radii crowd next to r = 1 (at 0.99 the smallest Y step lies at r*), so
 where the smallest step's radius lies above r*/4, GAP_ROWS radii evenly
 spaced in r fill the gap from r*/4 up to it: series rows below r*/2 and
 rows of the tail's piece in r above it. A row whose (nu, r) already
 stands in m_refs.csv is copied from it, and only the others are
-computed: about 2 min for the 94 rows added with the gap rows, about an
-hour for the whole table (delete the file).
+computed: a few minutes for the 104 rows below r*/4, about an hour for
+the whole table (delete the file).
 Every radius is rounded to 10 significant digits, so the table's radii
 are the doubles its readers parse. Every value is computed by two
 independent methods, which must agree to 1e-30 relative:
@@ -28,7 +29,8 @@ independent methods, which must agree to 1e-30 relative:
   exp(-r^(1/(1-nu)) A(pi u)) du with the Kanter kernel A(phi) =
   [sin(nu phi)^nu sin((1-nu) phi)^(1-nu) / sin(phi)]^(1/(1-nu)), by mpmath
   quadrature with breakpoints through the boundary layer at u = 0 and
-  geometrically closer to u = 1.
+  geometrically closer to u = 1. At r = 0 it is its limit M_nu(0) =
+  1/Gamma(1-nu), which the series' first term alone also gives.
 
 R_STAR is the scan's radius r*(nu) at the time of writing. Other radii
 can join by adding them to `radii`; the test reads every row.
@@ -56,6 +58,7 @@ R_STAR = {0.01: 10.66244039584632, 0.02: 10.66244039584632,
           0.99: 0.9869113425920005}
 Y_STEPS = [2.0 ** (k / 2) for k in range(-20, 19)] + [600.0, 680.0, 760.0]
 GAP_ROWS = 8
+LOW_ROWS = 8
 DPS = 50
 
 
@@ -66,17 +69,22 @@ def radius(nu: float, y: float) -> float:
 
 
 def radii(nu: float) -> list:
-    """The radii of Y_STEPS beyond r*(nu)/4 (series rows up to the switch
-    at r*/2, tail rows past it), after GAP_ROWS radii evenly spaced in r
-    from r*/4 where the first of them lies above r*/4."""
+    """LOW_ROWS radii evenly spaced in r from 0 up to r*(nu)/4, then the
+    radii of Y_STEPS beyond r*/4 (series rows up to the switch at r*/2,
+    tail rows past it), after GAP_ROWS radii evenly spaced in r from r*/4
+    where the first of them lies above r*/4."""
     start, first = R_STAR[nu] / 4.0, radius(nu, Y_STEPS[0])
+    low = [float(f"{k * start / LOW_ROWS:.10g}") for k in range(LOW_ROWS)]
     gap = ([float(f"{start + k * (first - start) / GAP_ROWS:.10g}")
             for k in range(GAP_ROWS)] if first > start else [])
-    return gap + [r for r in (radius(nu, y) for y in Y_STEPS) if r > start]
+    return (low + gap
+            + [r for r in (radius(nu, y) for y in Y_STEPS) if r > start])
 
 
 def zolotarev(nu: float, r: float) -> mp.mpf:
     nu_m, r_m = mp.mpf(nu), mp.mpf(r)
+    if r == 0:  # the limit r -> 0 of the integral
+        return mp.rgamma(1 - nu_m)
     c = r_m ** (1 / (1 - nu_m))
 
     def kernel(u):
@@ -113,6 +121,8 @@ def log_majorant(nu: float, r: float, n: int) -> float:
 def series(nu: float, r: float, extra: int = 10) -> mp.mpf:
     """M_nu(r) with `extra` guard digits, raised and summed again until
     they cover the largest term over the sum."""
+    if r == 0:  # the first term alone
+        return mp.rgamma(1 - mp.mpf(nu))
     with mp.workdps(DPS + extra):
         nu_m, z = mp.mpf(nu), -mp.mpf(r)
         total, power, fact, n, peak = mp.mpf(0), mp.mpf(1), mp.mpf(1), 0, 0.0

@@ -894,24 +894,32 @@ class TestTailInterpolant:
         for nu in (1e-12, 1e-3):
             assert specfun._tail_interpolant(nu, 1) is None
 
-    def test_series_points_build_nothing(self):
-        # the first evaluation after import stays on the series route
+    def test_series_points_build_no_tail(self):
+        # the first evaluation after import builds its order's pieces below
+        # the switch, from the series alone; the mass there is the series
         specfun._tail_interpolant.cache_clear()
+        specfun._series_interpolant.cache_clear()
         specfun.m_wright(0.25, 1.0)
         specfun._half_mass(0.25, np.array([0.5, 1.0]), 1e-13)
         assert specfun._tail_interpolant.cache_info().currsize == 0
+        assert specfun._series_interpolant.cache_info().currsize == 1
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
     def test_within_estimate_of_40_digit_references(self, tol):
-        # 13 orders, radii from r*/4 (series rows up to the switch at r*/2)
-        # to where M_nu falls below 1e-300, on the interpolated route and on
-        # the quadrature it is built from. Neither is held to 1e-12 at
-        # nu = 0.99: there the kernel's rounding, amplified by 1/(1-nu)
-        # and Y, reaches 1.1e-12 relative in the quadrature, and the
-        # interpolant inherits it
+        # 13 orders, radii from 0 (the pieces below the switch at r*/2, built
+        # from the series) to where M_nu falls below 1e-300, on the
+        # interpolated route and, past the switch, on the quadrature it is
+        # built from. Below the switch every row is within half its
+        # estimate and 1e-12 relative. Past it neither route is held to
+        # 1e-12 at nu = 0.99: there the kernel's rounding, amplified by
+        # 1/(1-nu) and Y, reaches 1.1e-12 relative in the quadrature, and
+        # the interpolant inherits it
         refs = _m_refs()
         assert len(refs) == 13
         for nu, (r, ref) in refs.items():
+            # 8 rows from 0 below r*/4, half the switch
+            assert r[0] == 0.0 and (r < 0.5 * specfun.crossover_radius(
+                nu)).sum() >= 8, nu
             got = [specfun.m_wright(nu, x, tol) for x in r.tolist()]
             value = np.array([g.value for g in got])
             err = np.array([g.abs_err_estimate for g in got])
@@ -927,11 +935,16 @@ class TestTailInterpolant:
             bad = np.abs(value - ref) > err
             assert not bad.any(), (nu, r[bad], value[bad], ref[bad])
             assert ref.min() < 1e-290  # the table reaches the far tail
+            near = ~past
+            assert np.all(np.abs(value - ref)[near] <= 0.5 * err[near]), nu
+            assert np.all(np.abs(value - ref)[near] <= 1e-12 * ref[near]), nu
             if nu != 0.99:
                 off = np.abs(value - ref)[past] > 1e-12 * ref[past]
                 assert not off.any(), (nu, r[past][off])
-            value, err = specfun._m_tail(nu, r, tol)
-            assert not (np.abs(value - ref) > err).any(), nu
+            # the quadrature from r*/4 (at r = 0 its prefactor is log 0)
+            far = r >= 0.25 * rstar
+            value, err = specfun._m_tail(nu, r[far], tol)
+            assert not (np.abs(value - ref[far]) > err).any(), nu
 
     @pytest.mark.parametrize("nu, r, ref", [
         (0.6, 4.823146546637476, 6.185161100010610862604116475790580126024e-5),
@@ -969,14 +982,19 @@ class TestTailInterpolant:
 
     @given(nu=st.floats(0.0, 0.99, exclude_min=True))
     @example(nu=1e-12)
+    @example(nu=2.5e-13)
+    @example(nu=5.3e-13)
     @example(nu=1e-3)
     @example(nu=0.97)
     @example(nu=0.98)
     @example(nu=0.99)
     def test_builds_never_raise(self, nu):
         # an order whose build fails keeps the quadrature; RuntimeWarnings
-        # are errors in this suite
-        rs = np.array([1.0, 1.5, 3.0]) * specfun.crossover_radius(nu)
+        # are errors in this suite. At 2.5e-13 and 5.3e-13 the quadrature of
+        # the mass at 3 r* (r = 32) runs out of panels, as the kernel's
+        # rounding next to u = 1 keeps its error above the target: orders up
+        # to 1e-11 take `_small_order`
+        rs = np.array([0.0, 0.5, 1.0, 1.5, 3.0]) * specfun.crossover_radius(nu)
         value = specfun.m_wright_values(nu, rs, 1e-10)
         mass, err = specfun._half_mass(nu, rs, 1e-13)
         assert np.all(np.isfinite(value) & (value >= 0.0))
@@ -1020,3 +1038,118 @@ class TestTailInterpolant:
         want, want_err = specfun._m_tail(nu, rs, 0.0, power)
         ulp = 4.0 * np.spacing(np.maximum(value, want))
         assert np.all(np.abs(value - want) <= err + want_err + ulp)
+
+
+# the orders of tests/data/make_m_refs.py
+_REF_ORDERS = (0.01, 0.02, 0.05, 0.1, 0.25, 1 / 3, 0.43, 0.6, 0.75, 0.9, 0.95,
+               0.96, 0.99)
+
+
+class TestSeriesInterpolant:
+    def test_which_orders_fall_back(self):
+        # every order on the 0.0025 grid over [0.01, 0.99] builds its pieces
+        # on [0, switch], one or two of them; orders below 0.01 (switch r*)
+        # keep the series
+        fallback, pieces = [], set()
+        for nu in np.linspace(0.01, 0.99, 393).tolist():
+            fit = specfun._series_interpolant(nu)
+            if fit is None:
+                fallback.append(nu)
+                continue
+            pieces.add(len(fit))
+            assert fit[-1][:2] == (0.0, 0.0)
+            assert fit[0][2] == specfun.crossover_radius(nu)
+            if len(fit) == 2:  # split where the series' estimate grows
+                assert fit[0][0] == fit[0][1] == fit[1][2]
+                assert fit[1][5] < 1e-12
+        assert fallback == []
+        assert pieces == {1, 2}
+        for nu in (1e-12, 1e-3, 0.0099):
+            assert specfun._series_interpolant(nu) is None
+
+    @pytest.mark.parametrize("nu", _REF_ORDERS)
+    def test_estimates_are_not_loosened(self, nu):
+        # wherever the series' own estimate at tol 1e-12 is within 1e-13
+        # relative, the piece's is within 1e-12
+        rs = np.linspace(0.0, specfun.crossover_radius(nu), 201)
+        v, trunc, cancel = specfun._sum_series(-nu, 1.0 - nu, -rs, 1e-12)
+        tight = (trunc + cancel) <= 1e-13 * v
+        assert tight.any()
+        value, err, method = specfun._m_wright_array(nu, rs, 1e-12)
+        assert (method == "series").all()
+        assert np.all(err[tight] <= 1e-12 * value[tight]), rs[tight][
+            err[tight] > 1e-12 * value[tight]]
+
+    @given(nu=st.floats(0.01, 0.99),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    @example(nu=0.01, fracs=[0.0, 0.5, 0.53, 1.0])
+    @example(nu=0.5, fracs=[0.0, 1.0])
+    def test_block_matches_points_and_ignores_tol(self, nu, fracs):
+        # m_wright_values equals the per-point m_wright value and estimate
+        # bit for bit, whatever the block holds, and the estimate does not
+        # depend on tol
+        switch = specfun.crossover_radius(nu)
+        rs = np.array(fracs) * switch
+        rs = np.concatenate((rs, [switch, np.nextafter(switch, 0.0)]))
+        block = specfun.m_wright_values(nu, rs)
+        for r, v in zip(rs.tolist(), block.tolist()):
+            got = {specfun.m_wright(nu, r, tol)
+                   for tol in (1e-8, 1e-10, 1e-12)}
+            assert len(got) == 1, r
+            (res,) = got
+            assert res.value == v and res.method in ("series", "closed_form")
+        value, err, _ = specfun._m_wright_array(nu, rs, 1e-10)
+        for i, r in enumerate(rs.tolist()):
+            one = specfun._m_wright_array(nu, r, 1e-10)
+            assert (one[0][0], one[1][0]) == (value[i], err[i])
+
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 0.75, 0.9, 0.99])
+    def test_logs_are_the_values_exponents(self, nu):
+        # the log route reads the same pieces: exp of its log is the value
+        # bit for bit, and past Y = 795, where M_nu underflows to 0, the log
+        # runs on down the saddle-point form
+        a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+        switch = specfun.crossover_radius(nu)
+        rs = np.concatenate((np.linspace(0.0, 3.0 * switch, 40),
+                             (np.array([700.0, 790.0]) / a0) ** (1.0 - nu)))
+        log_m, rel, _ = specfun._m_wright_logs(nu, rs)
+        value, err, _ = specfun._m_wright_array(nu, rs, 1e-12)
+        assert np.array_equal(np.exp(log_m), value)
+        assert np.array_equal(np.maximum(value * rel, 1e-300), err)
+        far = (np.array([900.0, 1200.0, 1e4]) / a0) ** (1.0 - nu)
+        log_m, rel, method = specfun._m_wright_logs(nu, far)
+        assert (specfun.m_wright_values(nu, far) == 0.0).all()
+        v, e = specfun._m_tail(nu, far, 0.0, scaled=True)
+        want = np.log(v) - specfun._saddle_exponent(nu, far)
+        assert np.all(np.abs(log_m - want) <= rel + e / v + 1e-12 * np.abs(
+            want)), (log_m - want, rel)
+        assert (method == "asymptotic").all()
+
+
+class TestSmallOrders:
+    @pytest.mark.parametrize("nu", [1e-11, 3e-12, 2.5e-13, 1e-15])
+    @pytest.mark.parametrize("power", [1, 0])
+    def test_first_order_form_within_both_estimates(self, nu, power):
+        # e^-r (1 + gamma nu (r - power)) against the series up to r = 3 and
+        # the quadrature from r = 6, within both estimates
+        mu = 1.0 - nu if power else 1.0
+        rs = np.array([0.0, 0.25, 1.0, 2.0, 3.0])
+        want, trunc, cancel = specfun._sum_series(-nu, mu, -rs, 1e-16)
+        got = specfun._small_order(nu, rs, power)
+        assert np.all(np.abs(got - want)
+                      <= trunc + cancel + 4.0 * specfun._EPS * got)
+        if nu != 2.5e-13:  # where the quadrature runs out of panels
+            rs = np.array([6.0, 10.0, 20.0, 50.0, 100.0, 200.0])
+            want, err = specfun._m_tail(nu, rs, 0.0, power)
+            got = specfun._small_order(nu, rs, power)
+            assert np.all(np.abs(got - want) <= err + 4.0 * specfun._EPS * got)
+
+    def test_the_failing_marginal_is_served(self):
+        # the order and radius where the mass quadrature ran out of panels
+        from mwright import ggbm
+        got = ggbm.marginal_cdf(1.0, 5.3e-13, 32.0, 1.0)
+        assert got == pytest.approx(1.0 - 0.5 * math.exp(-32.0), abs=1e-16)
+        value, err = specfun._half_mass(2.5e-13, np.array([32.0]), 1e-13)
+        assert value[0] == pytest.approx(math.exp(-32.0), rel=1e-10)
+        res = specfun.m_wright(2.5e-13, 32.0)
+        assert res.method == "limit_case"
