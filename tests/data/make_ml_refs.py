@@ -1,12 +1,14 @@
 """Regenerate ml_refs.csv, the 40-digit references of E_nu(-s), 0 < nu < 2.
 
-    python3 tests/data/make_ml_refs.py      # needs mpmath; about 20 min
+    python3 tests/data/make_ml_refs.py      # needs mpmath; about 15 min
 
 Grid: the 50 odd-hundredth orders nu = 0.01, 0.03, ..., 0.99 times
 s in {1e-8, 1e-3, 0.5, 1, ..., 20, 1e2, 1e4, 1e6} (s = 0 is exactly 1),
 then nu in {1.1, 1.3, 1.5, 1.7, 1.9} times s = 0.5, 1, ..., 29.5 with
 s^(1/nu) < 60, where the Taylor series is the only route in double
-precision. Every value is computed by two independent methods at 50
+precision, then the 50 orders again times s in {24, 32, 48, 64, 128, 256,
+512, 1000, 1024}, the range of the piece in 1/s of E_nu(-s) (appended,
+so that the earlier rows keep their place). Every value is computed by two independent methods at 50
 digits, which must agree to 1e-32 relative:
 
 * the spectral integral
@@ -34,9 +36,11 @@ import mpmath as mp
 OUT = Path(__file__).resolve().parent / "ml_refs.csv"
 ORDERS = [k / 100 for k in range(1, 100, 2)]
 ARGS = [1e-8, 1e-3] + [0.5 * k for k in range(1, 41)] + [1e2, 1e4, 1e6]
+FAR_ARGS = [24.0, 32.0, 48.0, 64.0, 128.0, 256.0, 512.0, 1000.0, 1024.0]
 GRID = [(nu, s) for nu in ORDERS for s in ARGS] + [
     (nu, 0.5 * k) for nu in (1.1, 1.3, 1.5, 1.7, 1.9) for k in range(1, 60)
-    if (0.5 * k) ** (1.0 / nu) < 60.0]
+    if (0.5 * k) ** (1.0 / nu) < 60.0] + [
+    (nu, s) for nu in ORDERS for s in FAR_ARGS]
 DPS = 50
 
 

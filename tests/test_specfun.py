@@ -487,6 +487,22 @@ class TestMittagLeffler:
         assert_allclose(specfun.mittag_leffler_neg(0.5, 4.0).value,
                         0.13699945762506138989, rtol=1e-8)
 
+    @pytest.mark.parametrize("s, ref", [
+        (2.019437994800837e-08, 9.999999772130827820689694880266534762242e-1),
+        (0.001, 9.988726200811514086044507793861658861004e-1),
+        (0.5, 6.156903441929258748707934226837419367823e-1),
+        (4.0, 1.369994576250613898894451713998054823302e-1),
+        (27.0, 2.08816079904209406740944901929350089402e-2),
+        (1024.0, 5.509661274624838133707411837989382627247e-4),
+        (1e6, 5.641895835474741921563059965594862058776e-7),
+    ])
+    def test_half_order_is_erfcx(self, s, ref):
+        # E_(1/2)(-s) = exp(s^2) erfc(s), 40 digits by mpmath; at the first
+        # argument erfcx is 4.1 eps off, past a 4 eps estimate
+        res = specfun.mittag_leffler_neg(0.5, s)
+        assert res.method == "closed_form"
+        assert abs(res.value - ref) <= res.abs_err_estimate
+
     def test_zero_order_geometric(self):
         assert_allclose(specfun.mittag_leffler_neg(0.0, 0.5).value,
                         1.0 / 1.5, rtol=1e-15)
@@ -506,8 +522,14 @@ class TestMittagLeffler:
             specfun.mittag_leffler_neg(nu, math.inf)
 
     def test_branch_switch(self):
-        small = specfun.mittag_leffler_neg(0.5, 0.5)
-        large = specfun.mittag_leffler_neg(0.5, 50.0)
+        # interpolated orders read the pieces built from the spectral
+        # integral (its label) up to s = 1024; an order whose build fails
+        # keeps the Taylor series where it meets tol, the integral elsewhere
+        small = specfun.mittag_leffler_neg(0.25, 0.5)
+        large = specfun.mittag_leffler_neg(0.25, 50.0)
+        assert small.method == large.method == "asymptotic"
+        small = specfun.mittag_leffler_neg(0.999, 0.5)
+        large = specfun.mittag_leffler_neg(0.999, 50.0)
         assert small.method == "series"
         assert large.method == "asymptotic"
 
@@ -550,15 +572,22 @@ def _ml_refs():
 class TestMittagLefflerRoutes:
     @pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-300])
     def test_within_estimate_of_40_digit_references(self, tol):
-        # 50 odd-hundredth orders, s from 1e-8 to 1e6, both routes
+        # 50 odd-hundredth orders, s from 1e-8 to 1e6: the pieces up to s =
+        # 1024 (rows from 24 to 1024 on the piece in 1/s), within 1e-12
+        # relative there, and the Taylor rows and the integral past it
         refs = {nu: v for nu, v in _ml_refs().items() if nu < 1.0}
         assert len(refs) == 50
         for nu, (s, ref) in refs.items():
+            assert np.count_nonzero((s > 20.0) & (s <= 1024.0)) == 10, nu
             value, err, method = specfun._ml_array(nu, s, tol)
             bound = err + 4.0 * np.spacing(np.abs(ref))
             bad = np.abs(value - ref) > bound
             assert not bad.any(), (nu, s[bad], value[bad], ref[bad], err[bad])
             assert set(method) <= {"series", "asymptotic"}
+            assert specfun._ml_interpolant(nu) is not None
+            on = s <= 1024.0
+            off = np.abs(value - ref)[on] > 1e-12 * ref[on]
+            assert not off.any(), (nu, s[on][off])
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6])
     def test_taylor_estimates_cover_orders_above_one(self, tol):
@@ -575,11 +604,13 @@ class TestMittagLefflerRoutes:
     @pytest.mark.parametrize("nu, s, tol", [(0.99, 6.0, 1e-10),
                                             (0.95, 6.5, 1e-10),
                                             (0.9, 6.0, 1e-8)])
-    def test_taylor_kept_where_terms_overflow_after_the_stop(self, nu, s,
-                                                             tol):
+    def test_taylor_kept_where_terms_overflow_after_the_stop(
+            self, nu, s, tol, monkeypatch):
         # terms past the stop overflow (s^n, n < 400); the rounding floor
         # sums only the terms up to the stop, so the row stays on the
-        # series instead of costing a spectral pass
+        # series instead of costing a spectral pass. These orders have
+        # pieces; the route of an order without them is the one tested
+        monkeypatch.setattr(specfun, "_ml_interpolant", lambda nu: None)
         res = specfun.mittag_leffler_neg(nu, s, tol)
         assert res.method == "series" and res.abs_err_estimate <= tol
         (ref,), (ref_err,) = specfun._ml_spectral(nu, np.array([s]), 1e-14)
@@ -587,15 +618,22 @@ class TestMittagLefflerRoutes:
 
     @pytest.mark.parametrize("nu", [0.25, 0.5, 0.9, 0.95, 1.3])
     def test_values_match_scalar_loop_across_blocks(self, nu):
+        # past s = 1024 the pieces end, and more than a row block of
+        # arguments takes the spectral pass; nu = 1/2 is erfcx throughout
         s = np.linspace(0.0, 20.0, 401)
         if nu < 1.0:
-            s = np.concatenate((s, [1e-8, 1e-3, 1e2, 1e4, 1e6]))
+            s = np.concatenate((s, [1e-8, 1e-3, 1e2, 1e4, 1e6],
+                                np.geomspace(1025.0, 1e5, 300)))
         s = np.random.default_rng(11).permutation(s)
         results = [specfun.mittag_leffler_neg(nu, float(x)) for x in s]
-        if nu < 1.0:
-            spectral = sum(r.method == "asymptotic" for r in results)
+        methods = np.array([r.method for r in results])
+        if nu == 0.5:
+            assert set(methods) == {"closed_form"}
+        elif nu < 1.0:
+            spectral = np.count_nonzero((methods == "asymptotic") & (s > 1024))
             assert spectral > quadrature._ROW_BLOCK
-            assert spectral < len(s)
+            pieces = (methods == "asymptotic") & (s > 0.0) & (s <= 1024)
+            assert pieces.sum() == np.count_nonzero((s > 0.0) & (s <= 1024))
         vals = specfun.mittag_leffler_values(nu, s.reshape(-1, 1))
         assert vals.shape == (len(s), 1)
         for r, v in zip(results, vals[:, 0]):
@@ -645,6 +683,59 @@ class TestMittagLefflerRoutes:
                                     for i, xi in enumerate(x)])
                 dd = (-1) ** k * np.dot(w, f[lo:lo + k + 1])
                 assert dd >= -np.dot(np.abs(w), slack[lo:lo + k + 1]), (k, x)
+
+
+class TestMittagLefflerInterpolant:
+    def test_which_orders_fall_back(self):
+        # every order on the 0.0025 grid over [0.01, 0.99] builds both pieces
+        for nu in np.linspace(0.01, 0.99, 393).tolist():
+            fit = specfun._ml_interpolant(nu)
+            assert fit is not None, nu
+            far, near = fit
+            assert far[:4] == (4.0, 1.0 / 1024.0, 0.25, False), nu
+            assert near[:4] == (0.0, 0.0, 4.0, True), nu
+            assert far[5] < 1e-12 and near[5] < 1e-12, nu
+        # orders whose build fails keep the Taylor series where it meets tol
+        # and the spectral integral elsewhere
+        for nu in (1e-4, 1e-3, 0.9975, 0.999):
+            assert specfun._ml_interpolant(nu) is None
+            s = np.array([0.5, 10.0])
+            value, err, method = specfun._ml_array(nu, s, 1e-12)
+            assert method.tolist() == ["series", "asymptotic"], nu
+            spectral = specfun._ml_spectral(nu, s[1:], 1e-12)
+            assert (value[1], err[1]) == (spectral[0][0], spectral[1][0])
+
+    @given(nu=st.floats(0.01, 0.99),
+           s=st.lists(st.floats(0.0, 1024.0, exclude_min=True), min_size=1,
+                      max_size=8))
+    @example(nu=0.01, s=[1e-300, 3.9999999999999996, 4.0, 1024.0])
+    @example(nu=0.99, s=[1e-8, 3.9999999999999996, 4.0, 1024.0])
+    def test_agrees_with_the_spectral_integral(self, nu, s):
+        # the pieces against the integral they are built from, within both
+        # estimates and 4 ulp for the rounding of the comparison
+        s = np.array(s)
+        value, err, method = specfun._ml_array(nu, s, 1e-12)
+        assert set(method) == {"closed_form" if nu == 0.5 else "asymptotic"}
+        want, want_err = specfun._ml_spectral(nu, s, 0.0)
+        ulp = 4.0 * np.spacing(np.maximum(value, want))
+        assert np.all(np.abs(value - want) <= err + want_err + ulp)
+
+    @given(nu=st.floats(0.01, 0.99),
+           s=st.lists(st.floats(0.0, 1024.0), min_size=1, max_size=12))
+    @example(nu=0.9, s=[0.0, 0.5, 4.125, 20.0])
+    def test_block_matches_points_and_ignores_tol(self, nu, s):
+        # mittag_leffler_values equals the per-point mittag_leffler_neg value
+        # and estimate bit for bit, whatever the block holds, and the
+        # estimate does not depend on tol
+        s = np.array(s + [np.nextafter(4.0, 0.0), 4.0, 1024.0])
+        block = specfun.mittag_leffler_values(nu, s)
+        value, err, method = specfun._ml_array(nu, s, 1e-10)
+        assert block.tobytes() == value.tobytes()
+        for i, x in enumerate(s.tolist()):
+            got = {specfun.mittag_leffler_neg(nu, x, tol)
+                   for tol in (1e-8, 1e-10, 1e-12, 1e-300)}
+            assert got == {specfun.EvalResult(float(value[i]), float(err[i]),
+                                              str(method[i]))}, x
 
 
 class TestMomentsAndMellin:
