@@ -70,11 +70,12 @@ spectral integral elsewhere. Orders nu > 1 have the Taylor series alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval as _chebval
+from numpy.polynomial.chebyshev import chebval as _np_chebval
 from scipy.special import (erfcx as _erfcx, gamma as _gamma,
                            gammaln as _gammaln, rgamma as _rgamma)
 
@@ -92,6 +93,8 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(float).eps)
+_TINY = sys.float_info.min  # least normal double
+_SUBNORMAL_2 = 2.0 * math.ulp(0.0)  # two subnormal spacings, 2^-1073
 _TERM_BUDGET = 400
 _Y_CUT = 745.0 + 50.0  # Y past which M_nu is below the double underflow
 _CHEB_NODES = (17, 33, 65)  # nested Chebyshev extreme points of the tail
@@ -106,6 +109,11 @@ _NODE_TOL = 1e-16  # stopping tol of the series at the nodes below the switch
 _SERIES_SPLIT = 1e-13  # node relative estimate where the piece below splits
 # E_nu(-s) pieces: in s on [0, _ML_NEAR], in 1/s on [1/_ML_FAR, 1/_ML_NEAR]
 _ML_NEAR, _ML_FAR = 4.0, 1024.0
+# blocks shorter than this take loops in Python floats (`_chebval`,
+# `_read_pieces`): numpy pays 1.5-2.5 us per array operation whatever the
+# size, and the float Clenshaw loop about 55 ns per point and coefficient,
+# which break even at 32-40 points on 9-62 coefficients (2 vCPUs)
+_SHORT_BLOCK = 32
 
 METHOD_SERIES = "series"
 METHOD_ASYMPTOTIC = "asymptotic"
@@ -467,6 +475,29 @@ def _chebyshev_coefficients(h: np.ndarray) -> np.ndarray:
     return c * ends
 
 
+def _clenshaw(x: float, c: list) -> float:
+    """sum_k c_k T_k(x) at one point by Clenshaw's recurrence (Clenshaw
+    1955), in Python floats with numpy `chebval`'s operations in the same
+    order, so with the same bits."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    x2 = 2 * x
+    for ck in c[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(x) at every x: numpy's `chebval` on blocks of at least
+    _SHORT_BLOCK points, `_clenshaw` point by point on shorter ones; both
+    routes give the same bits."""
+    if x.size >= _SHORT_BLOCK:
+        return _np_chebval(x, c)
+    c = c.tolist()
+    return np.array([_clenshaw(xi, c) for xi in x.tolist()])
+
+
 def _chebyshev_piece(lo: float, hi: float, nodes, noisy: bool = False,
                      chop: float = _CHEB_CHOP):
     """One Chebyshev piece on [lo, hi] of a function h whose values and
@@ -619,8 +650,23 @@ def _read_pieces(fit, w, key, beyond: bool = False):
     radius gets the same bits in a block of any size. With beyond=True the
     piece in 1/Y runs on past its end t = 1/795 down to t = 0, with rel
     times |T_K(x)| there, K its coefficient count: a polynomial of degree
-    below K that stays within 1 on [-1, 1] grows at most that much."""
-    h, rel = np.full((2, w.size), np.nan)
+    below K that stays within 1 on [-1, 1] grows at most that much.
+    Blocks shorter than _SHORT_BLOCK (beyond=False) are read point by point
+    in Python floats, by the same piece and operations (np.clip as max
+    then min, `_clenshaw`), so with the same bits."""
+    if w.size < _SHORT_BLOCK and not beyond:
+        served, h, rel = [], [], []
+        for wi, ki in zip(w.tolist(), key.tolist()):
+            for key_from, lo, hi, in_r, coef, r in fit:
+                if ki >= key_from:
+                    s = min(max(wi if in_r else 1.0 / ki, lo), hi)
+                    h.append(_clenshaw((2.0 * s - (lo + hi)) / (hi - lo),
+                                       coef.tolist()))
+                    rel.append(r)
+                    break
+            served.append(ki >= fit[-1][0])
+        return np.array(served, dtype=bool), np.array(h), np.array(rel)
+    h, rel = np.empty((2, w.size))
     left = np.ones(w.size, dtype=bool)
     for key_from, lo, hi, in_r, coef, r in fit:
         on = left & (key >= key_from)
@@ -629,7 +675,7 @@ def _read_pieces(fit, w, key, beyond: bool = False):
         left &= ~on
         s = w[on] if in_r else 1.0 / key[on]
         low = 0.0 if beyond and not in_r else lo
-        x = (2.0 * np.clip(s, low, hi) - (lo + hi)) / (hi - lo)
+        x = (2.0 * s.clip(low, hi) - (lo + hi)) / (hi - lo)
         h[on], rel[on] = _chebval(x, coef), r
         if low != lo:
             rel[on] *= np.cosh(coef.size * np.arccosh(np.maximum(-x, 1.0)))
@@ -655,8 +701,10 @@ def _tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
     """M_nu (power=1) or its mass (power=0) at radii w past the switch
     `crossover_radius(nu)`, as `_m_tail` returns them: from the pieces of
     `_tail_interpolant` where the order has them (see `_tail_logs`); else,
-    and at radii below the switch, from `_m_tail`. No radius, no build."""
-    fit = _tail_interpolant(nu, power) if w.size else None
+    and at radii below the switch, from `_m_tail`. No radius, no work."""
+    if not w.size:
+        return np.zeros(0), np.zeros(0)
+    fit = _tail_interpolant(nu, power)
     if fit is None:
         return _m_tail(nu, w, tol, power)
     y = _saddle_exponent(nu, w)
@@ -732,9 +780,14 @@ def crossover_radius(nu) -> float:
     nu = _as_nu(nu)
     if not 0.0 < nu < 1.0:
         raise InvalidOrder("crossover radius defined for 0 < nu < 1")
-    nus, radii = _crossover_table()
-    rstar = float(np.interp(nu, nus, radii))
-    return 0.5 * rstar if nu >= _NU_HALVED else rstar
+    return float(_crossover_radii(np.float64(nu)))
+
+
+def _crossover_radii(nu: np.ndarray) -> np.ndarray:
+    """crossover_radius at every order of an array in (0, 1), unchecked:
+    the table interpolated linearly in nu, halved from _NU_HALVED."""
+    rstar = np.interp(nu, *_crossover_table())
+    return np.where(nu >= _NU_HALVED, 0.5 * rstar, rstar)
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +806,27 @@ def _arguments(x, tol: float, name: str) -> np.ndarray:
     return x
 
 
-def _m_wright_array(nu, rs, tol: float):
-    """Validation and dispatch of M_nu: value, estimate, method arrays."""
+def _gaussian_estimate(v, e):
+    """Estimate of M_(1/2)(r) = v = exp(e)/sqrt(pi), e = -r^2/4 rounded:
+    4 eps x value for exp and the division, plus the rounding of e (half
+    an ulp), which exp carries into the value amplified by |e| (21 eps at
+    r = 30.1 and 27 eps at r = 50.3). Where v is subnormal or has
+    underflowed to 0 (|e| past 707.8), exp and the division each round to
+    the subnormal spacing, which adds two spacings; at e = -inf the value
+    0 is exact, and so is its estimate 0 (the cap keeps inf x 0 out)."""
+    if isinstance(e, np.ndarray):
+        cap = np.minimum(-e, 1e4)
+        low = np.where((v < _TINY) & (e > -math.inf), _SUBNORMAL_2, 0.0)
+    else:
+        cap = min(-e, 1e4)
+        low = _SUBNORMAL_2 if v < _TINY and e > -math.inf else 0.0
+    return (4.0 + 0.5 * cap) * _EPS * v + low
+
+
+def _m_wright_array(nu, rs, tol: float, methods: bool = True):
+    """Validation and dispatch of M_nu: value, estimate, method arrays (no
+    methods, None, with methods=False). A route that serves no radius does
+    no work."""
     nu = _as_nu(nu)
     if not 0.0 <= nu < 1.0:
         raise InvalidOrder(f"M_nu needs an order 0 <= nu < 1, got {nu}")
@@ -762,25 +834,31 @@ def _m_wright_array(nu, rs, tol: float):
         raise NearSingularOrder(
             f"nu={nu} too close to the delta limit (cap {NU_MAX})")
     rs = _arguments(rs, tol, "M_nu")
-    if nu <= _NU_SMALL:
-        v = _small_order(nu, rs, 1)
-        return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_LIMIT_CASE)
-    if nu == 0.5:
-        with np.errstate(over="ignore"):  # r^2 = inf past 1.3e154: exp gives 0
-            v = np.exp(-0.25 * rs * rs) / math.sqrt(math.pi)
-        return v, 4.0 * _EPS * v, np.full(rs.shape, METHOD_CLOSED_FORM)
+    if nu <= _NU_SMALL or nu == 0.5:
+        if nu <= _NU_SMALL:
+            v, method = _small_order(nu, rs, 1), METHOD_LIMIT_CASE
+            err = 4.0 * _EPS * v
+        else:
+            with np.errstate(over="ignore"):  # r^2 = inf past 1.3e154: exp 0
+                e = -0.25 * rs * rs
+            v, method = np.exp(e) / math.sqrt(math.pi), METHOD_CLOSED_FORM
+            err = _gaussian_estimate(v, e)
+        return v, err, np.full(rs.shape, method) if methods else None
     value, err = np.full((2, rs.size), np.nan)
     near = rs <= crossover_radius(nu)
-    fit = _series_interpolant(nu) if near.any() else None
-    if fit is not None:
-        _, h, rel = _read_pieces(fit, rs[near], rs[near])
-        value[near] = v = np.exp(h)
-        err[near] = v * rel
-    elif near.any():
-        v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -rs[near], tol)
-        value[near], err[near] = v, trunc + cancel
+    if near.any():
+        fit = _series_interpolant(nu)
+        if fit is not None:
+            _, h, rel = _read_pieces(fit, rs[near], rs[near])
+            value[near] = v = np.exp(h)
+            err[near] = v * rel
+        else:
+            v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -rs[near], tol)
+            value[near], err[near] = v, trunc + cancel
     tail = np.isnan(value)
     value[tail], err[tail] = _tail(nu, rs[tail], tol)
+    if not methods:
+        return value, err, None
     return value, err, np.where(tail, METHOD_ASYMPTOTIC, METHOD_SERIES)
 
 
@@ -800,8 +878,10 @@ def _m_wright_logs(nu, rs):
         if nu <= _NU_SMALL:
             log_v = np.where(rs < math.inf, -rs + np.log1p(
                 np.euler_gamma * nu * (rs - 1.0)), -math.inf)
-        elif nu == 0.5:
-            log_v = -0.25 * rs * rs - 0.5 * math.log(math.pi)
+        elif nu == 0.5:  # rel as _gaussian_estimate's, also past underflow
+            e = -0.25 * rs * rs
+            log_v = e - 0.5 * math.log(math.pi)
+            rel = _gaussian_estimate(1.0, e)
     if nu <= _NU_SMALL or nu == 0.5:
         return log_v, rel, method
     near = rs <= crossover_radius(nu)
@@ -882,7 +962,8 @@ def m_wright_values(nu, rs, tol: float = 1e-12) -> np.ndarray:
     Bulk counterpart of m_wright (values only), used by the quadrature
     oracles and the tabulation front end.
     """
-    return _m_wright_array(nu, rs, tol)[0].reshape(np.shape(rs))
+    return _m_wright_array(nu, rs, tol, methods=False)[0].reshape(
+        np.shape(rs))
 
 
 def f_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
@@ -1016,24 +1097,27 @@ def _ml_array(nu, s, tol: float):
     method = np.full(s.size, METHOD_CLOSED_FORM)
     # the closed forms at s > 0, and at s = inf the limit 0 of every order
     exact = (s > 0.0) & (nu in (0.0, 0.5, 1.0) or s == math.inf)
-    if nu == 0.0:
-        value[exact] = 1.0 / (1.0 + s[exact])
-    elif nu == 0.5:
-        value[exact] = _erfcx(s[exact])
-    else:
-        value[exact] = [math.exp(-x) for x in s[exact]]
-    # erfcx is up to 4.1 eps off (s near 2e-8), the other two within 2 eps
-    err[exact] = (8.0 if nu == 0.5 else 4.0) * _EPS * value[exact]
-    method[exact] = METHOD_LIMIT_CASE if nu == 0.0 else METHOD_CLOSED_FORM
+    if exact.any():
+        if nu == 0.0:
+            value[exact] = 1.0 / (1.0 + s[exact])
+        elif nu == 0.5:
+            value[exact] = _erfcx(s[exact])
+        else:
+            value[exact] = [math.exp(-x) for x in s[exact]]
+        # erfcx is up to 4.1 eps off (s near 2e-8), the other two within 2 eps
+        err[exact] = (8.0 if nu == 0.5 else 4.0) * _EPS * value[exact]
+        method[exact] = METHOD_LIMIT_CASE if nu == 0.0 else METHOD_CLOSED_FORM
     rows = np.flatnonzero((s > 0.0) & ~exact)
     fit = _ml_interpolant(nu) if 0.0 < nu < 1.0 and rows.size else None
     if fit is not None:  # the pieces up to s = 1024, the Taylor rows past it
-        on, rows = rows[s[rows] <= _ML_FAR], rows[s[rows] > _ML_FAR]
-        _, h, rel = _read_pieces(fit, s[on], s[on])
-        lead = np.where(s[on] >= _ML_NEAR, s[on] * float(_gamma(1.0 - nu)),
-                        1.0)
-        value[on] = v = np.exp(h) / lead
-        err[on], method[on] = v * (rel + 8.0 * _EPS), METHOD_ASYMPTOTIC
+        far = s[rows] > _ML_FAR
+        on, rows = rows[~far], rows[far]
+        if on.size:
+            _, h, rel = _read_pieces(fit, s[on], s[on])
+            lead = np.where(s[on] >= _ML_NEAR,
+                            s[on] * float(_gamma(1.0 - nu)), 1.0)
+            value[on] = v = np.exp(h) / lead
+            err[on], method[on] = v * (rel + 8.0 * _EPS), METHOD_ASYMPTOTIC
     if not rows.size:
         return value, err, method
     # Taylor rows, stopped at min(tol, 1e-13), else at tol, else NaN. 1/Gamma
@@ -1131,16 +1215,17 @@ def mellin_m_wright(nu, s: float) -> float:
     return m_wright_moment(nu, s - 1.0)
 
 
-def _airy_series(x: float):
-    """M_{1/3}(x) as the pair of hypergeometric-type power series, and the
-    rounding bound 8 eps (c1 sum|terms of part 0| + c2 sum|terms of part 1|)
-    on the cancellation; each ends at a term <= 1e-16 max(|sum|, 1).
+_AIRY_C1 = float(_rgamma(2.0 / 3.0))
+_AIRY_C2 = float(_rgamma(1.0 / 3.0))
 
-    c1 sum (1/3)_m x^{3m}/(3m)! - c2 sum (2/3)_m x^{3m+1}/(3m+1)!, with
-    c1 = 1/Gamma(2/3) and c2 = 1/Gamma(1/3).
-    """
-    c1 = float(_rgamma(2.0 / 3.0))
-    c2 = float(_rgamma(1.0 / 3.0))
+
+def _airy_diverged(x: float) -> NonConvergence:
+    return NonConvergence(f"Airy series for M_(1/3) at z={x} did not "
+                          f"converge in double precision")
+
+
+def _airy_point(x: float):
+    """`_airy_series` at one point, in Python floats."""
     x3 = x ** 3 if abs(x) < 1e100 else math.inf  # ** raises on overflow
 
     def part(j):
@@ -1155,26 +1240,82 @@ def _airy_series(x: float):
             size += abs(t)
             m += 1
         if m == 300 or not math.isfinite(size):
-            raise NonConvergence(f"Airy series for M_(1/3) at z={x} did not "
-                                 f"converge in double precision")
+            raise _airy_diverged(x)
         return total, size
 
     (p0, s0), (p1, s1) = part(0), part(1)
-    return c1 * p0 - c2 * p1, 8.0 * _EPS * (c1 * s0 + c2 * s1)
+    return (_AIRY_C1 * p0 - _AIRY_C2 * p1,
+            8.0 * _EPS * (_AIRY_C1 * s0 + _AIRY_C2 * s1))
+
+
+def _airy_series(x):
+    """M_{1/3}(x) as the pair of hypergeometric-type power series, and the
+    rounding bound 8 eps (c1 sum|terms of part 0| + c2 sum|terms of part 1|)
+    on the cancellation; each ends at a term <= 1e-16 max(|sum|, 1).
+
+    c1 sum (1/3)_m x^{3m}/(3m)! - c2 sum (2/3)_m x^{3m+1}/(3m+1)!, with
+    c1 = 1/Gamma(2/3) and c2 = 1/Gamma(1/3).
+
+    x is a scalar, which gives floats, or an array, which gives arrays.
+    A scalar is summed in Python floats (`_airy_point`); an array of any
+    size by a numpy loop over the terms of the points still summing, with
+    the same operations in the same order and the cubes from Python's **
+    (numpy's power rounds some differently), so every point has the bits
+    of its own call.
+    NonConvergence is raised where a point needs 300 terms or a sum leaves
+    the double range (z = 200, |z| >= 1e100), whatever the block.
+    """
+    if np.ndim(x) == 0:
+        return _airy_point(float(x))  # a Python float: numpy's ** differs
+    x3 = np.array([xi ** 3 if abs(xi) < 1e100 else math.inf
+                   for xi in x.tolist()])
+
+    def part(j):
+        t = x.copy() if j else np.ones(x.size)  # x ** j
+        total, size = t.copy(), np.abs(t)
+        go = np.abs(t) > 1e-16 * np.maximum(np.abs(total), 1.0)
+        live, t = np.flatnonzero(go), t[go]
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows raise
+            for m in range(300):
+                if not live.size:
+                    break
+                k = 3 * m + j
+                t = t * (((j + 1) / 3.0 + m) * x3[live]
+                         / ((k + 1) * (k + 2) * (k + 3)))
+                total[live] += t
+                size[live] += np.abs(t)
+                go = np.abs(t) > 1e-16 * np.maximum(np.abs(total[live]), 1.0)
+                last, live, t = live, live[go], t[go]
+            else:  # the rows of the last pass took 300 terms
+                raise _airy_diverged(float(x[last[0]]))
+        if not np.isfinite(size).all():
+            raise _airy_diverged(float(x[~np.isfinite(size)][0]))
+        return total, size
+
+    (p0, s0), (p1, s1) = part(0), part(1)
+    return (_AIRY_C1 * p0 - _AIRY_C2 * p1,
+            8.0 * _EPS * (_AIRY_C1 * s0 + _AIRY_C2 * s1))
 
 
 def m_wright_special(q: int, z: float) -> EvalResult:
     """Closed forms M_{1/2} (Gaussian) and M_{1/3} (Airy, own power series).
 
-    NaN is rejected; so is +-inf for q = 3, where the power series cannot
-    be summed (q = 2 gives the limit 0 there).
+    q = 2 is exp(-z^2/4)/sqrt(pi), with the estimate of m_wright at nu =
+    1/2: 4 eps x value plus the rounding of z^2/4, which the exponent
+    amplifies by z^2/4 (`_gaussian_estimate`). q = 3 sums the two series
+    of `_airy_series` in Python floats, with the bits that point has in a
+    block, and raises NonConvergence where they do not converge in double
+    precision (|z| of about 200 and beyond). NaN is rejected; so is +-inf
+    for q = 3, where the power series cannot be summed (q = 2 gives the
+    limit 0 there).
     """
     z = float(z)
     if math.isnan(z):
         raise InvalidArgument("m_wright_special argument is NaN")
     if q == 2:
-        v = math.exp(-0.25 * z * z) / math.sqrt(math.pi)
-        return EvalResult(v, 4.0 * _EPS * v, METHOD_CLOSED_FORM)
+        e = -0.25 * z * z
+        v = math.exp(e) / math.sqrt(math.pi)
+        return EvalResult(v, _gaussian_estimate(v, e), METHOD_CLOSED_FORM)
     if q == 3:
         if math.isinf(z):
             raise InvalidArgument(f"the M_(1/3) series needs a finite "

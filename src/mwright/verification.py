@@ -68,12 +68,12 @@ def suite_specfun() -> list[Check]:
     # from its series, so the series itself is checked (the Gaussian at nu
     # = 1/2); M_nu and the F-series are one series call each, formed as
     # f_wright and wright_series form them, and a row that misses its stop
-    # is NaN, which fails the check
-    rng = np.random.default_rng(20260809)
-    nu, r = np.empty((2, 1000))
-    for i in range(1000):  # the bound on r depends on nu
-        nu[i] = rng.uniform(0.05, 0.95)
-        r[i] = rng.uniform(0.0, min(specfun.crossover_radius(nu[i]), 5.0))
+    # is NaN, which fails the check. The draws alternate nu and r, as
+    # rng.uniform(low, high) = low + (high - low) u takes them, u = random()
+    u = np.random.default_rng(20260809).random(2000)
+    nu = 0.05 + (0.95 - 0.05) * u[0::2]
+    high = np.minimum(specfun._crossover_radii(nu), 5.0)  # depends on nu
+    r = 0.0 + (high - 0.0) * u[1::2]
     m, trunc, cancel = specfun._sum_series(-nu, 1.0 - nu, -r, 1e-12)
     m_err = trunc + cancel
     half = nu == 0.5
@@ -103,12 +103,13 @@ def suite_specfun() -> list[Check]:
                                 abs(got - want), 1e-7))
 
     # closed-form agreement on |z| <= 5 through the generic series path,
-    # one series call per sweep; a row that misses its stop is NaN, and a
-    # NaN residual fails the check
+    # one series call per sweep, and one Airy block for M_(1/3); a row that
+    # misses its stop is NaN, and a NaN residual fails the check
     zs = np.arange(-5.0, 5.0 + 1e-12, 0.01)
     for nu, q in ((0.5, 2), (1.0 / 3.0, 3)):
         series = specfun._sum_series(-nu, 1.0 - nu, -zs, 1e-14)[0]
-        closed = [specfun.m_wright_special(q, z).value for z in zs.tolist()]
+        closed = (specfun._airy_series(zs)[0] if q == 3 else
+                  [specfun.m_wright_special(q, z).value for z in zs.tolist()])
         worst = float(np.max(np.abs(series - closed)))
         checks.append(Check("closed-form agreement", {"q": q}, worst, 1e-12))
 

@@ -5,12 +5,15 @@ closed-form Gamma/erfc arithmetic; tags in comments name the oracle used.
 """
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from numpy.polynomial.chebyshev import chebval
 from numpy.testing import assert_allclose
+from scipy.special import rgamma
 
 from mwright import quadrature, specfun
 from mwright.errors import (
@@ -283,6 +286,12 @@ class TestCrossoverTable:
                 assert lo == switch or not in_r, (nu, power)
         assert pieces == {1, 2}
 
+    def test_radii_of_an_array_are_the_scalar_calls(self):
+        nus = np.concatenate((np.random.default_rng(3).uniform(0.0, 1.0, 200),
+                              [1e-12, 0.005, 0.0099, 0.01, 0.5, 0.999]))
+        want = [specfun.crossover_radius(nu) for nu in nus.tolist()]
+        assert specfun._crossover_radii(nus).tolist() == want
+
     def test_steps_fall_with_the_order(self):
         steps = specfun._CROSSOVER_STEPS
         assert (steps[0], steps[-1]) == (27, 6)
@@ -405,8 +414,10 @@ class TestInputContract:
     def test_half_order_huge_argument_is_zero(self):
         # r * r overflows past about 1.3e154; exp(-r^2/4) is 0 there
         assert specfun.m_wright_values(0.5, [1e300]).tolist() == [0.0]
-        res = specfun.m_wright(0.5, 1e300)
-        assert (res.value, res.abs_err_estimate) == (0.0, 0.0)
+        for r in (1e300, math.inf):
+            for res in (specfun.m_wright(0.5, r),
+                        specfun.m_wright_special(2, r)):
+                assert (res.value, res.abs_err_estimate) == (0.0, 0.0)
 
     def test_f_wright_infinite_argument_gives_zero(self):
         assert specfun.f_wright(0.25, math.inf).value == 0.0
@@ -824,6 +835,35 @@ class TestSpecialCases:
     def test_airy_estimate_covers_the_cancellation(self, z, ref):
         res = specfun.m_wright_special(3, z)
         assert abs(res.value - ref) <= res.abs_err_estimate
+
+    @pytest.mark.parametrize("r,ref", [
+        # exp(-r^2/4)/sqrt(pi) at the double r, 40 digits (mpmath)
+        (10.1, 4.740564270371082630369095330782367769547e-12),
+        (30.1, 2.413454837483753569337123858187674599616e-99),
+        (50.3, 1.123035885680823358789448697362944568215e-275),
+        (53.5, 9.695715347949649570190980024928961215206e-312),
+        (54.0, 1.414971707488855844301449176307313647698e-317),
+        (60.0, 0.0),  # 7.7e-392: the value underflows to 0
+    ])
+    def test_gaussian_estimate_covers_the_rounded_exponent(self, r, ref):
+        # the rounding of r^2/4 moves the value by up to r^2/8 eps
+        # relative: 2.2, 21 and 27 eps here, where 4 eps was reported;
+        # subnormal values round to the subnormal spacing besides
+        results = (specfun.m_wright_special(2, r), specfun.m_wright(0.5, r),
+                   specfun.m_wright_symmetric(0.5, -r))
+        low = 2.0 * math.ulp(0.0) if ref < sys.float_info.min else 0.0
+        for res in results:
+            assert abs(res.value - ref) <= res.abs_err_estimate
+            assert res.abs_err_estimate <= (4.0 + r * r / 8.0) * (
+                specfun._EPS * ref * (1.0 + 1e-12)) + low
+            assert res.abs_err_estimate >= low
+        # the log route (greens) reports the same relative estimate, also
+        # where the value is subnormal or 0
+        _, (rel,), _ = specfun._m_wright_logs(0.5, [r])
+        assert rel == pytest.approx((4.0 + r * r / 8.0) * specfun._EPS)
+        value, err, _ = specfun._m_wright_array(0.5, [r, r], 1e-12)
+        assert (value[0], err[0]) == (results[1].value,
+                                      results[1].abs_err_estimate)
 
     def test_airy_series_past_double_precision_raises(self):
         with pytest.raises(NonConvergence):
@@ -1244,3 +1284,126 @@ class TestSmallOrders:
         assert value[0] == pytest.approx(math.exp(-32.0), rel=1e-10)
         res = specfun.m_wright(2.5e-13, 32.0)
         assert res.method == "limit_case"
+
+
+def _airy_reference(x):
+    """M_(1/3)(x) by the scalar loop the block route replaced, kept as its
+    reference: (value, estimate), NonConvergence where it fails."""
+    c1 = float(rgamma(2.0 / 3.0))
+    c2 = float(rgamma(1.0 / 3.0))
+    x3 = x ** 3 if abs(x) < 1e100 else math.inf
+
+    def part(j):
+        total = t = x ** j
+        size = abs(t)
+        m = 0
+        while abs(t) > 1e-16 * max(abs(total), 1.0) and m < 300:
+            k = 3 * m + j
+            t *= ((j + 1) / 3.0 + m) * x3 / ((k + 1) * (k + 2) * (k + 3))
+            total += t
+            size += abs(t)
+            m += 1
+        if m == 300 or not math.isfinite(size):
+            raise NonConvergence(x)
+        return total, size
+
+    (p0, s0), (p1, s1) = part(0), part(1)
+    return c1 * p0 - c2 * p1, 8.0 * specfun._EPS * (c1 * s0 + c2 * s1)
+
+
+class TestShortBlocks:
+    """Blocks shorter than the cutoff take loops in Python floats; they
+    must give numpy's bits, whatever the block."""
+
+    CUT = specfun._SHORT_BLOCK
+
+    @given(c=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=65),
+           x=st.lists(st.floats(-1.0, 1.0) | st.floats(-1e3, -1.0),
+                      max_size=specfun._SHORT_BLOCK + 1))
+    @example(c=[0.5], x=[-0.0, 0.0, -1.0, 1.0, -2.5])
+    @example(c=[-0.0], x=[-0.5, 0.5])
+    @example(c=[1.0, -2.0], x=[0.3, -7.0])
+    @example(c=[1.0, 0.5, 0.25], x=[])
+    def test_float_clenshaw_is_numpys_chebval(self, c, x):
+        # x < -1 is the beyond=True route, which runs the piece in 1/Y on
+        # past its end; both routes of `_chebval`, at every block size
+        c, x = np.array(c), np.array(x, dtype=float)
+        want = chebval(x, c).tobytes()
+        assert specfun._chebval(x, c).tobytes() == want
+        coef = c.tolist()
+        floats = np.array([specfun._clenshaw(xi, coef) for xi in x.tolist()])
+        assert floats.astype(float).tobytes() == want
+
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 0.9, 0.99])
+    def test_pieces_read_alike_below_and_above_the_cutoff(self, nu):
+        # one block past the cutoff (numpy) against the same points in
+        # blocks below it (floats), on every piece and the gaps between
+        switch = specfun.crossover_radius(nu)
+        rs = np.linspace(0.0, switch, 3 * self.CUT + 1)
+        ws = np.linspace(0.5 * switch, 4.0 * switch, 3 * self.CUT + 1)
+        ss = np.concatenate((np.linspace(0.0, 8.0, 2 * self.CUT),
+                             np.geomspace(8.0, 1024.0, self.CUT)))
+        cases = [(specfun._series_interpolant(nu), rs, rs),
+                 (specfun._tail_interpolant(nu, 1), ws,
+                  specfun._saddle_exponent(nu, ws)),
+                 (specfun._ml_interpolant(nu), ss, ss)]
+        for fit, w, key in cases:
+            whole = specfun._read_pieces(fit, w, key)
+            assert not whole[0].all() or fit[-1][0] <= key.min()
+            for size in (1, 7, self.CUT - 1):
+                parts = [specfun._read_pieces(fit, w[i:i + size],
+                                              key[i:i + size])
+                         for i in range(0, w.size, size)]
+                for k in range(3):
+                    got = np.concatenate([p[k] for p in parts])
+                    assert got.tobytes() == whole[k].tobytes(), (size, k)
+
+    def test_airy_block_is_the_scalar_loop(self):
+        # the verify sweep's grid and random |z| <= 12, as long blocks,
+        # short ones down to size 0 (the same numpy loop) and point by point
+        grid = np.arange(-5.0, 5.0 + 1e-12, 0.01)
+        rand = np.random.default_rng(5).uniform(-12.0, 12.0, 400)
+        for zs in (grid, rand, rand[:self.CUT], rand[:self.CUT - 1],
+                   rand[:1], rand[:0]):
+            value, err = specfun._airy_series(zs)
+            want = [_airy_reference(z) for z in zs.tolist()]
+            assert value.tobytes() == np.array(
+                [v for v, _ in want], dtype=float).tobytes()
+            assert err.tobytes() == np.array(
+                [e for _, e in want], dtype=float).tobytes()
+        for z in rand[:20].tolist():
+            assert specfun._airy_series(z) == _airy_reference(z)
+            res = specfun.m_wright_special(3, z)
+            assert (res.value, res.abs_err_estimate) == _airy_reference(z)
+
+    @pytest.mark.parametrize("bad", [200.0, -200.0, 1e100, -1e100, 1e300])
+    @pytest.mark.parametrize("size", [1, specfun._SHORT_BLOCK - 1,
+                                      specfun._SHORT_BLOCK, 200])
+    def test_airy_raises_inside_a_block(self, bad, size):
+        with pytest.raises(NonConvergence):
+            _airy_reference(bad)
+        zs = np.linspace(-5.0, 5.0, size)
+        zs[size // 2] = bad
+        with pytest.raises(NonConvergence):
+            specfun._airy_series(zs)
+        with pytest.raises(NonConvergence):
+            specfun.m_wright_special(3, bad)
+
+    def test_lone_points_skip_the_routes_they_do_not_take(self, monkeypatch):
+        # a radius on the pieces below the switch does no tail work (`_tail`
+        # returns at once on no radius), and an argument on the E_nu(-s)
+        # pieces sums no Taylor series (once the pieces are built)
+        for nu in (0.25, 0.75):
+            specfun.m_wright(nu, 0.0)
+        specfun.mittag_leffler_neg(0.25, 7.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("route called with no argument")
+
+        for name in ("_tail_interpolant", "_saddle_exponent", "_m_tail",
+                     "_series_terms", "_sum_series"):
+            monkeypatch.setattr(specfun, name, refuse)
+        for nu in (0.25, 0.75):
+            specfun.m_wright(nu, 0.5 * specfun.crossover_radius(nu))
+            specfun.m_wright_values(nu, [0.0, 0.1])
+        assert specfun.mittag_leffler_neg(0.25, 7.3).method == "asymptotic"
