@@ -26,19 +26,16 @@ m_wright_values, so both share validation and dispatch):
   per-order Chebyshev interpolant of log M_nu in r on [0, switch]
   (`_series_interpolant`), built once from the series itself at tol
   1e-16 and split where the series' rounding floor passes 1e-13; other
-  orders sum the series at each radius. The switch is the scan's r*(nu),
-  committed on a 0.01 grid in nu as the scan found it (the smallest
-  radius where the series rounding floor 2 eps sum|term| exceeds
-  min(1e-10, 1e-6 times the value)), halved for nu >= 0.01: just below r*
-  the series loses up to 1e-7 relative and runs to its full 400 terms
-  (near nu = 1 it also stops inside the dips of its coefficients), while
-  the tail interpolant converges from r*/2;
+  orders sum the series at each radius. The switch is the radius where
+  the saddle exponent Y = (1-nu)/nu (nu r)^(1/(1-nu)) is 9, halved for
+  nu >= 0.01, where the series' rounding floor 2 eps sum|term| stays
+  below 1e-11 relative and the tail interpolant converges;
 * past the switch, the exact one-sided stable-density integral (`_m_tail`),
   served through a per-order Chebyshev interpolant (`_tail_interpolant`)
   of log(M_nu e^Y / (a (nu r)^((nu-1/2)/(1-nu)))), the log of M_nu over
   its saddle-point form, Y = (1-nu)/nu (nu r)^(1/(1-nu)): one piece in
   t = 1/Y on [1/795, 1/max(1, Y(switch))], and where Y(switch) < 1
-  (orders 0.70-0.99) one in r from the switch to r(Y = 1), since as
+  (orders above 0.68) one in r from the switch to r(Y = 1), since as
   nu -> 1 M_nu tends to the delta pulse at r = 1. Each piece is built
   once per order from `_m_tail` itself at full relative accuracy, on at
   most 65 nodes, and evaluated by an elementwise Clenshaw recurrence. Its
@@ -104,7 +101,8 @@ NU_MAX = 0.99  # evaluation cap; the peak near r=1 defeats doubles beyond this
 # Up to this order M_nu(r) = e^-r (1 - gamma nu (1 - r)) to double
 # precision wherever e^-r is representable (`_small_order`)
 _NU_SMALL = 1e-11
-_NU_HALVED = 0.01  # from this order the switch is r*/2 and M_nu has pieces
+_NU_HALVED = 0.01  # from this order the switch is halved and M_nu has pieces
+_Y_SWITCH = 9.0  # the saddle exponent Y whose radius is the switch
 _NODE_TOL = 1e-16  # stopping tol of the series at the nodes below the switch
 _SERIES_SPLIT = 1e-13  # node relative estimate where the piece below splits
 # E_nu(-s) pieces: in s on [0, _ML_NEAR], in 1/s on [1/_ML_FAR, 1/_ML_NEAR]
@@ -123,14 +121,16 @@ METHOD_LIMIT_CASE = "limit_case"
 
 @dataclass(frozen=True)
 class WrightIndex:
-    """Index pair (lam, mu) of the general Wright function, lam > -1."""
+    """Index pair (lam, mu) of the Wright function: finite, lam > -1."""
 
     lam: float
     mu: float
 
     def __post_init__(self):
-        if not self.lam > -1.0:
-            raise InvalidOrder(f"Wright index requires lam > -1, got {self.lam}")
+        if not (self.lam > -1.0 and math.isfinite(self.lam)
+                and math.isfinite(self.mu)):
+            raise InvalidOrder(f"Wright index requires a finite lam > -1 and "
+                               f"a finite mu, got ({self.lam}, {self.mu})")
 
     @property
     def kind(self) -> str:
@@ -498,18 +498,17 @@ def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.array([_clenshaw(xi, c) for xi in x.tolist()])
 
 
-def _chebyshev_piece(lo: float, hi: float, nodes, noisy: bool = False,
-                     chop: float = _CHEB_CHOP):
+def _chebyshev_piece(lo: float, hi: float, nodes, chop: float = _CHEB_CHOP):
     """One Chebyshev piece on [lo, hi] of a function h whose values and
     relative estimates nodes(s) returns at a block of points s (None where
     they fail): h on 17, then 33, then 65 nested Chebyshev extreme points;
     the first count whose last three coefficients lie below chop (1e-13
     for the tail) is kept, with its trailing coefficients below chop
-    chopped. With noisy=True (the tail of the orders with a piece in r,
-    and the pieces below the switch) 65 nodes are also kept where the last
-    three lie below the largest node relative estimate: near nu = 1 the
-    kernel's rounding, amplified by Y/(1-nu), leaves the coefficients on a
-    plateau of about 1e-13 (0.985), which the nodes' estimates cover.
+    chopped. 65 nodes are also kept where the last three lie below the
+    largest node relative estimate: the rounding of the node values (near
+    nu = 1 the kernel's, amplified by Y/(1-nu); near the switch the
+    series') leaves the coefficients on a plateau, of about 1e-13 at 0.985,
+    which the nodes' estimates cover.
     Returns (coefficients, rel), rel the Lebesgue constant times the
     largest node relative estimate plus the sum of the chopped
     coefficients; None where no count converges or a node fails."""
@@ -524,7 +523,7 @@ def _chebyshev_piece(lo: float, hi: float, nodes, noisy: bool = False,
         worst = max(worst, float(np.max(got[1])))
         c = _chebyshev_coefficients(h)
         tail = np.abs(c[-3:]).max()
-        if tail < chop or (noisy and n == _CHEB_NODES[-1] and tail < worst):
+        if tail < chop or (n == _CHEB_NODES[-1] and tail < worst):
             big = np.flatnonzero(np.abs(c) >= chop)
             keep = min(n - 3, int(big[-1]) + 1 if big.size else 1)
             lebesgue = 1.0 + 2.0 / math.pi * math.log(n)
@@ -560,13 +559,13 @@ def _tail_interpolant(nu: float, power: int):
     """The Chebyshev pieces of the tail past crossover_radius(nu), or None.
 
     One piece (`_chebyshev_piece` on `_tail_nodes`) in t = 1/Y on [1/795,
-    1/max(1, Y(switch))], and where Y(switch) < 1 (orders 0.70-0.99 on the
-    committed table) a second one in r on [switch, r(Y = 1)]: as nu -> 1,
-    M_nu tends to the delta pulse at r = 1, and h is no polynomial in 1/Y
-    down there. Returns ((y_from, lo, hi, in_r, coefficients, rel), ...),
-    the piece that serves Y >= y_from, highest y_from first. None where a
-    build fails (tiny orders such as 1e-3): those keep `_m_tail` at each
-    radius. Below the switch `_series_interpolant` serves M_nu, with
+    1/max(1, Y(switch))], and where Y(switch) < 1 (orders above 0.68) a
+    second one in r on [switch, r(Y = 1)]: as nu -> 1, M_nu tends to the
+    delta pulse at r = 1, and h is no polynomial in 1/Y down there.
+    Returns ((y_from, lo, hi, in_r, coefficients, rel), ...), the piece
+    that serves Y >= y_from, highest y_from first. None where a build
+    fails (orders up to 0.0017 on a 0.0001 grid): those keep `_m_tail` at
+    each radius. Below the switch `_series_interpolant` serves M_nu, with
     pieces of the same layout keyed by r; `_read_pieces` reads both.
     """
     switch = crossover_radius(nu)
@@ -574,14 +573,14 @@ def _tail_interpolant(nu: float, power: int):
     y_lo = float(_saddle_exponent(nu, np.array(switch)))
     y_mid, two = max(1.0, y_lo), y_lo < 1.0
     far = _chebyshev_piece(1.0 / _Y_CUT, 1.0 / y_mid,
-                           _tail_nodes(nu, power, False), two)
+                           _tail_nodes(nu, power, False))
     if far is None:
         return None
     far = (y_mid, 1.0 / _Y_CUT, 1.0 / y_mid, False, *far)
     if not two:
         return far,
     r_mid = (1.0 / (nu ** (nu / (1.0 - nu)) * (1.0 - nu))) ** (1.0 - nu)
-    near = _chebyshev_piece(switch, r_mid, _tail_nodes(nu, power, True), True)
+    near = _chebyshev_piece(switch, r_mid, _tail_nodes(nu, power, True))
     return None if near is None else (far, (y_lo, switch, r_mid, True, *near))
 
 
@@ -593,17 +592,15 @@ def _series_interpolant(nu: float):
     Built once per order by `_chebyshev_piece`, whose nodes are
     `_sum_series` at tol 1e-16 and nothing else: no quadrature. The
     series' rounding floor 2 eps sum|term| grows towards the switch, to
-    1.8e-11 relative at nu = 0.01, and would loosen a single piece's rel
-    down to r = 0. So where the series' relative estimate at 33 evenly
+    5.8e-12 relative (at nu = 0.045), and would loosen a single piece's
+    rel down to r = 0. So where the series' relative estimate at 33 evenly
     spaced radii first exceeds 1e-13, the interval splits in two there.
-    Near the switch the rounding of the node values leaves the
-    coefficients on a plateau, so 65 nodes are also kept where their
-    estimates cover it (noisy=True). Each rel adds 8 eps (1 + sum |c_k|)
-    for the rounding of the evaluation.
+    Each rel adds 8 eps (1 + sum |c_k|) for the rounding of the
+    evaluation.
     Returns ((r_from, lo, hi, True, coefficients, rel), ...), the piece
     that serves r >= r_from, highest r_from first, as `_tail_interpolant`
-    does. None below nu = 0.01, whose switch is r* itself, where the
-    series loses up to 1e-7, and where a build fails: those orders sum
+    does. None below nu = 0.01, whose switch is not halved, where the
+    series loses up to 4.8e-8, and where a build fails: those orders sum
     the series at each radius.
     """
     if nu < _NU_HALVED:
@@ -631,7 +628,7 @@ def _series_interpolant(nu: float):
         # made the chopped coefficients most of the piece's error
         inside = (probe >= lo) & (probe <= hi)
         chop = min(_CHEB_CHOP, max(1e-15, float(got[1][inside].max())))
-        piece = _chebyshev_piece(lo, hi, nodes, True, chop)
+        piece = _chebyshev_piece(lo, hi, nodes, chop)
         if piece is None:
             return None
         c, rel = piece
@@ -722,72 +719,37 @@ def _tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# crossover table
+# series/tail switch
 # ---------------------------------------------------------------------------
-
-def _scan_radii() -> list:
-    """The scan's radii 0.5 * 1.12^k up to 80, by repeated multiplication."""
-    rs = [0.5]
-    while rs[-1] * 1.12 <= 80.0:
-        rs.append(rs[-1] * 1.12)
-    return rs
-
-
-def _scan_crossover(nu: float) -> float:
-    """Smallest radius where the series rounding floor crosses its cap.
-
-    All radii of `_scan_radii` are summed in one block; the scan returns
-    the radius before the first one that fails.
-    """
-    rs = _scan_radii()
-    value, _, cancel = _sum_series(-nu, 1.0 - nu, -np.array(rs), 1e-14)
-    fail = np.isnan(value) | (cancel > np.minimum(1e-10, 1e-6 * abs(value)))
-    first = int(fail.argmax()) if fail.any() else len(rs)
-    return rs[max(first - 1, 0)]
-
-
-# the index k of `_scan_crossover(nu)` in `_scan_radii()` for nu = 0.01,
-# 0.02, ..., 0.99; rerun the scan and update these when it changes
-_CROSSOVER_STEPS = (
-    27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27, 27,
-    27, 27, 27, 27, 26, 26, 26, 26, 26, 26, 26, 26, 25, 25, 25, 25, 25, 25,
-    25, 24, 24, 24, 24, 24, 24, 23, 23, 23, 23, 23, 22, 22, 22, 22, 22, 21,
-    21, 21, 21, 20, 20, 20, 20, 19, 19, 19, 19, 18, 18, 18, 18, 17, 17, 17,
-    16, 16, 16, 15, 15, 15, 15, 14, 14, 14, 13, 13, 12, 12, 12, 11, 11, 10,
-    10, 9, 9, 8, 8, 7, 7, 6, 6,
-)
-
-
-@lru_cache(maxsize=None)
-def _crossover_table():
-    """(nus, radii) on the 0.01 order grid: the committed scan results."""
-    nus = np.round(np.arange(0.01, NU_MAX + 1e-9, 0.01), 2)
-    return nus, np.array(_scan_radii())[list(_CROSSOVER_STEPS)]
-
 
 def crossover_radius(nu) -> float:
     """Radius where M_nu and its mass leave the series for the tail route.
 
-    The scan's r*(nu) (the committed table, interpolated linearly in nu),
-    halved for nu >= 0.01: there the tail interpolant (with its piece in r
-    where Y(r*/2) < 1) converges from r*/2 for M_nu and its mass alike,
-    and is accurate to about 1e-13 where the series loses up to 1e-7
-    relative just below r*. Below 0.01 the piece in 1/Y fails at r*/2 (at
-    nu = 0.005), so those orders switch at r* itself. From 0.01, M_nu
-    below the switch reads the series' own interpolant
-    (`_series_interpolant`), on [0, crossover_radius(nu)].
+    The radius r = (9 nu/(1-nu))^(1-nu)/nu where the saddle exponent Y =
+    (1-nu)/nu (nu r)^(1/(1-nu)) is 9, halved for nu >= 0.01. Below it the
+    series' rounding floor, which grows like e^(2Y), leaves M_nu's pieces
+    (`_series_interpolant`) within 1.7e-11 relative on at most 20
+    coefficients; from it the tail interpolant converges for M_nu and its
+    mass alike. A lower Y costs tail-build time (at Y = 8 about 7% more
+    than at 10, over orders 0.01-0.45), a higher one leaves the series
+    pieces on their nodes' rounding (up to 28 coefficients at 9.5, 50 at
+    10).
+    Below 0.01 the piece in 1/Y fails at the halved radius (at nu =
+    0.005), so those orders switch at the radius itself, where the series
+    loses up to 4.8e-8 relative.
     """
     nu = _as_nu(nu)
     if not 0.0 < nu < 1.0:
         raise InvalidOrder("crossover radius defined for 0 < nu < 1")
-    return float(_crossover_radii(np.float64(nu)))
+    # (Y nu/(1-nu))^(1-nu)/nu, with no product nu Y to lose subnormal bits
+    r = (_Y_SWITCH / (1.0 - nu)) ** (1.0 - nu) * nu ** -nu
+    return 0.5 * r if nu >= _NU_HALVED else r
 
 
 def _crossover_radii(nu: np.ndarray) -> np.ndarray:
-    """crossover_radius at every order of an array in (0, 1), unchecked:
-    the table interpolated linearly in nu, halved from _NU_HALVED."""
-    rstar = np.interp(nu, *_crossover_table())
-    return np.where(nu >= _NU_HALVED, 0.5 * rstar, rstar)
+    """crossover_radius at every order of a 1-d array, one call each, so
+    with its bits (numpy's power rounds some arguments differently)."""
+    return np.array([crossover_radius(v) for v in nu.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -929,13 +891,14 @@ def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
     """Evaluate the M-Wright function M_nu(r) for r >= 0.
 
     Dispatches between the exact limit/closed forms (nu <= 1e-11, 1/2),
-    the power series up to `crossover_radius(nu)` (half the scan's r* for
-    nu >= 0.01, r* else), and the stable-integral large-argument route
-    past it (method "asymptotic"). Both routes read Chebyshev
+    the power series up to `crossover_radius(nu)` (the radius where the
+    saddle exponent Y is 9, halved for nu >= 0.01), and the
+    stable-integral large-argument route past it (method "asymptotic").
+    Both routes read Chebyshev
     interpolants built once per order from nu = 0.01: below the switch
     one of log M_nu in r, built from the series (method "series"), and
     past it one of the integral, in 1/Y and, below Y = 1, in r. Their
-    estimates do not depend on tol; the error is at most 5.3e-13 relative
+    estimates do not depend on tol; the error is at most 3.0e-13 relative
     below the switch and about 1e-12 past it. Orders whose builds fail
     (tiny orders such as 1e-3) sum the series or integrate at each radius
     instead. The one-point case of m_wright_values, so both return the

@@ -4,18 +4,21 @@ series/tail switch, into the far tail.
     python3 tests/data/make_m_refs.py    # needs mpmath
 
 Grid: the orders in ORDERS (exact binary doubles, so exactly the orders the
-package evaluates) times the radii of `radii(nu)`. LOW_ROWS radii evenly
-spaced in r from 0 up to r*(nu)/4, a quarter of the scan's radius, come
-first; past r*/4 (the tail route starts at r*/2) the radii are those where
-the saddle-point exponent Y = (1-nu)/nu (nu r)^(1/(1-nu)) takes the values
-Y_STEPS, each radius kept while M_nu(r) >= 1e-300. As nu -> 1 these
-radii crowd next to r = 1 (at 0.99 the smallest Y step lies at r*), so
-where the smallest step's radius lies above r*/4, GAP_ROWS radii evenly
-spaced in r fill the gap from r*/4 up to it: series rows below r*/2 and
-rows of the tail's piece in r above it. A row whose (nu, r) already
-stands in m_refs.csv is copied from it, and only the others are
-computed: a few minutes for the 104 rows below r*/4, about an hour for
-the whole table (delete the file).
+package evaluates) times the radii of `radii(nu)`, in increasing order.
+LOW_ROWS radii evenly spaced in r from 0 up to half the package's switch
+(`switch(nu)`, half the radius where the saddle-point exponent Y =
+(1-nu)/nu (nu r)^(1/(1-nu)) is Y_SWITCH) are the rows on the pieces built
+from the series. The rest were laid out by R_STAR, the radius r*(nu) of
+the rounding-floor scan that placed the switch (at r*/2) before it took
+its closed form: LOW_ROWS radii evenly spaced in r from 0 up to r*/4; past
+r*/4 the radii where Y takes the values Y_STEPS, each radius kept while
+M_nu(r) >= 1e-300. As nu -> 1 these radii crowd next to r = 1 (at 0.99
+the smallest Y step lies at r*), so where the smallest step's radius lies
+above r*/4, GAP_ROWS radii evenly spaced in r fill the gap from r*/4 up
+to it: series rows below the switch and rows of the tail's piece in r
+above it. A row whose (nu, r) already stands in m_refs.csv is copied from
+it, and only the others are computed: a few minutes for the rows below
+the switch, about an hour for the whole table (delete the file).
 Every radius is rounded to 10 significant digits, so the table's radii
 are the doubles its readers parse. Every value is computed by two
 independent methods, which must agree to 1e-30 relative:
@@ -32,8 +35,8 @@ independent methods, which must agree to 1e-30 relative:
   geometrically closer to u = 1. At r = 0 it is its limit M_nu(0) =
   1/Gamma(1-nu), which the series' first term alone also gives.
 
-R_STAR is the scan's radius r*(nu) at the time of writing. Other radii
-can join by adding them to `radii`; the test reads every row.
+Other radii can join by adding them to `radii`; the test reads every row.
+The layout (R_STAR, `switch`, `radii`) needs no mpmath.
 """
 
 from __future__ import annotations
@@ -41,14 +44,16 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-import mpmath as mp
+try:
+    import mpmath as mp
+except ImportError:  # the layout alone, as the tests read it
+    mp = None
 
 OUT = Path(__file__).resolve().parent / "m_refs.csv"
 ORDERS = [0.01, 0.02, 0.05, 0.1, 0.25, 1 / 3, 0.43, 0.6, 0.75, 0.9, 0.95,
           0.96, 0.99]
-# r*(nu) = 0.5 * 1.12^k (by repeated multiplication) of the crossover
-# scan's table, interpolated linearly in nu between hundredths as the
-# package does
+# r*(nu) = 0.5 * 1.12^k (by repeated multiplication) of the retired
+# crossover scan's table, interpolated linearly in nu between hundredths
 R_STAR = {0.01: 10.66244039584632, 0.02: 10.66244039584632,
           0.05: 10.66244039584632, 0.1: 10.66244039584632,
           0.25: 9.520036067719927, 1 / 3: 8.500032203321362,
@@ -56,6 +61,8 @@ R_STAR = {0.01: 10.66244039584632, 0.02: 10.66244039584632,
           0.75: 3.065196825183946, 0.9: 1.552924104172106,
           0.95: 1.2379815881474057, 0.96: 1.1053407037030407,
           0.99: 0.9869113425920005}
+# the switch is half the radius where Y is this (specfun._Y_SWITCH)
+Y_SWITCH = 9.0
 Y_STEPS = [2.0 ** (k / 2) for k in range(-20, 19)] + [600.0, 680.0, 760.0]
 GAP_ROWS = 8
 LOW_ROWS = 8
@@ -68,17 +75,27 @@ def radius(nu: float, y: float) -> float:
     return float(f"{r:.10g}")
 
 
+def switch(nu: float) -> float:
+    """The package's series/tail switch for nu >= 0.01, unrounded."""
+    return 0.5 * (nu * Y_SWITCH / (1.0 - nu)) ** (1.0 - nu) / nu
+
+
+def evenly(stop: float, count: int, start: float = 0.0) -> list:
+    """count radii evenly spaced from start up to (not at) stop."""
+    return [float(f"{start + k * (stop - start) / count:.10g}")
+            for k in range(count)]
+
+
 def radii(nu: float) -> list:
-    """LOW_ROWS radii evenly spaced in r from 0 up to r*(nu)/4, then the
-    radii of Y_STEPS beyond r*/4 (series rows up to the switch at r*/2,
-    tail rows past it), after GAP_ROWS radii evenly spaced in r from r*/4
-    where the first of them lies above r*/4."""
+    """LOW_ROWS radii evenly spaced in r from 0 up to half the switch, and
+    the R_STAR layout: LOW_ROWS radii evenly spaced in r from 0 up to
+    r*(nu)/4, then the radii of Y_STEPS beyond r*/4, after GAP_ROWS radii
+    evenly spaced in r from r*/4 where the first of them lies above r*/4."""
     start, first = R_STAR[nu] / 4.0, radius(nu, Y_STEPS[0])
-    low = [float(f"{k * start / LOW_ROWS:.10g}") for k in range(LOW_ROWS)]
-    gap = ([float(f"{start + k * (first - start) / GAP_ROWS:.10g}")
-            for k in range(GAP_ROWS)] if first > start else [])
-    return (low + gap
-            + [r for r in (radius(nu, y) for y in Y_STEPS) if r > start])
+    gap = evenly(first, GAP_ROWS, start) if first > start else []
+    steps = [r for r in (radius(nu, y) for y in Y_STEPS) if r > start]
+    return sorted(set(evenly(0.5 * switch(nu), LOW_ROWS)
+                      + evenly(start, LOW_ROWS) + gap + steps))
 
 
 def zolotarev(nu: float, r: float) -> mp.mpf:

@@ -81,6 +81,14 @@ class TestEval:
             doc = json.loads(capsys.readouterr().out)
             assert doc["value"] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("lam, mu", [("inf", "1"), ("0.5", "nan")])
+    def test_wright_non_finite_index_is_an_order_error(self, capsys, lam, mu):
+        assert run(["eval", "--function", "wright", "--lam", lam,
+                    "--mu", mu, "--x", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
     @pytest.mark.parametrize("mu", ["0", "-2"])
     def test_wright_at_the_origin_of_a_gamma_pole(self, capsys, mu):
         # W_(lam,mu)(0) = 1/Gamma(mu) = 0 exactly

@@ -4,6 +4,7 @@ Reference values were frozen from 50+ digit series summations (mpmath) and
 closed-form Gamma/erfc arithmetic; tags in comments name the oracle used.
 """
 
+import importlib.util
 import math
 import sys
 from pathlib import Path
@@ -35,6 +36,21 @@ M13_AT_1 = 0.39623947970650259057    # 60-digit series; equals 3^(2/3) Ai(3^(-1/
 M14_AT_1 = 0.38333541657068353578    # 60-digit series
 M14_AT_2 = 0.16125108345458585591    # 60-digit series
 E_HALF_AT_1 = 0.42758357615580700441  # exp(1) * erfc(1)
+
+
+def _load_m_refs_layout():
+    """tests/data/make_m_refs.py, whose layout (ORDERS, R_STAR, radii)
+    loads without mpmath."""
+    spec = importlib.util.spec_from_file_location(
+        "make_m_refs", Path(__file__).parent / "data" / "make_m_refs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the radius r*(nu) of the retired crossover scan at the orders of
+# m_refs.csv, by which most of its rows were laid out
+_R_STAR = _load_m_refs_layout().R_STAR
 
 
 class TestWrightSeries:
@@ -87,6 +103,17 @@ class TestWrightSeries:
     def test_invalid_order(self):
         with pytest.raises(InvalidOrder):
             WrightIndex(-1.0, 0.5)
+
+    @pytest.mark.parametrize("lam, mu", [
+        (math.inf, 1.0), (math.nan, 1.0), (0.5, math.nan), (0.5, math.inf),
+        (-0.5, -math.inf)])
+    def test_non_finite_index_rejected(self, lam, mu):
+        # an infinite lam used to end in numpy's "invalid value" warning, a
+        # NaN mu in NonConvergence
+        with pytest.raises(InvalidOrder):
+            WrightIndex(lam, mu)
+        with pytest.raises(InvalidOrder):
+            specfun.wright_series((lam, mu), 1.0)
 
     def test_kind_classification(self):
         assert WrightIndex(0.0, 1.0).kind == "first"
@@ -161,12 +188,12 @@ class TestSeriesEngine:
     @pytest.mark.parametrize("mass", [False, True])
     def test_short_first_block_matches_full_budget(self, mass):
         # M_nu (mu = 1 - nu) and its mass W_{-nu,1} (mu = 1), up to 1.5
-        # times the scan's radius: the 64- and 200-term blocks and the
-        # 400-term stop must agree bit for bit, on rows that stop in each
+        # times the retired scan's radius r*: the 64- and 200-term blocks
+        # and the 400-term stop must agree bit for bit, on rows that stop
+        # in each
         stops = np.zeros(4, dtype=int)  # by 64, by 200, by 400, rebuilt
-        for nu in (0.05, 0.25, 0.5, 0.75, 0.9, 0.98):
-            rstar = float(np.interp(nu, *specfun._crossover_table()))
-            z = -np.linspace(0.0, 1.5 * rstar, 200)
+        for nu in (0.05, 0.25, 0.6, 0.75, 0.9, 0.99):
+            z = -np.linspace(0.0, 1.5 * _R_STAR[nu], 200)
             mu = 1.0 if mass else 1.0 - nu
             for tol in (1e-10, 1e-14):
                 full = specfun._apply_stopping_rule(
@@ -225,9 +252,9 @@ class TestSeriesEngine:
     def test_per_row_index_matches_scalar_calls(self, second, first, tol,
                                                 data):
         # one (lam, mu) per row gives each row the bits of its own scalar
-        # call: M_nu, F_nu and mass rows up to 4 r* (many miss the 64-term
-        # block, some the budget) mixed with first-kind rows rebuilt in
-        # log space
+        # call: M_nu, F_nu and mass rows up to 4 times the switch (many miss
+        # the 64-term block, some the budget) mixed with first-kind rows
+        # rebuilt in log space
         mus = {"m": lambda nu: 1.0 - nu, "f": lambda nu: 0.0,
                "mass": lambda nu: 1.0}
         rows = [(-nu, mus[kind](nu), -frac * specfun.crossover_radius(nu))
@@ -251,27 +278,26 @@ class TestSeriesEngine:
 
 
 class TestCrossoverTable:
-    def test_committed_steps_are_the_scan(self):
-        # the literal must be what the scan finds, bit for bit
-        nus, radii = specfun._crossover_table()
-        assert len(nus) == len(radii) == 99
-        scanned = [specfun._scan_crossover(float(nu)) for nu in nus]
-        assert np.array_equal(radii, scanned)
+    """The series/tail switch crossover_radius(nu), closed-form in nu."""
 
-    def test_switch_is_half_the_scan_radius_from_001_to_099(self):
-        nus, radii = specfun._crossover_table()
-        for nu, r in zip(nus.tolist(), radii.tolist()):
-            assert specfun.crossover_radius(nu) == 0.5 * r
-        for nu in (0.005, 0.0099, 0.7501, 0.985):
-            rstar = float(np.interp(nu, nus, radii))
-            half = nu >= 0.01
-            assert specfun.crossover_radius(nu) == (0.5 * rstar if half
-                                                    else rstar)
+    @given(nu=st.floats(0.0, 0.99, exclude_min=True))
+    @example(nu=0.0099)
+    @example(nu=0.01)
+    @example(nu=0.99)
+    @example(nu=1e-12)
+    @example(nu=5e-324)
+    def test_switch_is_where_the_saddle_exponent_is_fixed(self, nu):
+        # the radius where Y = 9, halved from 0.01; Y carries the rounding
+        # of r times 1/(1-nu)
+        switch = specfun.crossover_radius(nu)
+        r = 2.0 * switch if nu >= 0.01 else switch
+        y = float(specfun._saddle_exponent(nu, np.array(r)))
+        assert y == pytest.approx(9.0, rel=16.0 * specfun._EPS / (1.0 - nu))
 
     def test_both_tail_builds_converge_at_the_halved_switch(self):
         # the interpolant of M_nu and of its mass serves every halved order,
         # with a piece in r from the switch to Y = 1 where Y(switch) < 1
-        # (0.70 and up on the committed table)
+        # (orders above 0.68)
         pieces = set()
         for nu in np.linspace(0.01, 0.99, 393).tolist():
             for power in (1, 0):
@@ -291,11 +317,6 @@ class TestCrossoverTable:
                               [1e-12, 0.005, 0.0099, 0.01, 0.5, 0.999]))
         want = [specfun.crossover_radius(nu) for nu in nus.tolist()]
         assert specfun._crossover_radii(nus).tolist() == want
-
-    def test_steps_fall_with_the_order(self):
-        steps = specfun._CROSSOVER_STEPS
-        assert (steps[0], steps[-1]) == (27, 6)
-        assert all(a >= b for a, b in zip(steps, steps[1:]))
 
 
 class TestMWright:
@@ -335,7 +356,7 @@ class TestMWright:
             specfun.m_wright(0.25, -1.0)
 
     def test_method_switch_at_crossover(self):
-        # at the switch r*/2, below the piece in r (0.75, 0.9) or not (0.25)
+        # at the switch, below the piece in r (0.75, 0.9) or not (0.25)
         for nu in (0.25, 0.75, 0.9):
             rstar = specfun.crossover_radius(nu)
             assert specfun.m_wright(nu, 0.9 * rstar).method == "series"
@@ -374,7 +395,8 @@ class TestMWright:
            fracs=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12))
     def test_values_match_scalar_on_both_sides(self, nu, fracs):
         # bit-identical scalar and vector routes, and M_nu >= 0, over the
-        # order domain and radii up to 3 r*, next to r* included
+        # order domain and radii up to 3 times the switch, next to it
+        # included
         rstar = specfun.crossover_radius(nu)
         rs = np.array(fracs) * rstar
         rs = np.concatenate((rs, [np.nextafter(rstar, 0.0), rstar,
@@ -1005,7 +1027,8 @@ def _m_refs():
 
 
 def _tail_radii(nu, count):
-    """count radii past r* up to the underflow cut Y = 795, shuffled."""
+    """count radii past the switch up to the underflow cut Y = 795,
+    shuffled."""
     a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
     rs = np.geomspace(np.nextafter(specfun.crossover_radius(nu), np.inf),
                       (795.0 / a0) ** (1.0 - nu), count)
@@ -1014,16 +1037,43 @@ def _tail_radii(nu, count):
 
 class TestTailInterpolant:
     # orders whose interpolant converges: one piece in 1/Y (0.05, 0.3), or
-    # also one in r from the switch to Y = 1 (0.75 and up)
+    # also one in r from the switch to Y = 1 (above 0.68)
     SERVED = (0.05, 0.3, 0.75, 0.9, 0.95, 0.99)
+    # the orders on the 0.0001 grid below 0.01 whose builds fail, for M_nu
+    # and its mass alike
+    FALLBACK = (0.0001, 0.0002, 0.0003, 0.0004, 0.0005, 0.0006, 0.0007,
+                0.0008, 0.0009, 0.001, 0.0011, 0.0012, 0.0013, 0.0014,
+                0.0015, 0.0016, 0.0017)
 
     def test_which_orders_fall_back(self):
         for nu in self.SERVED + (0.98,):
             for power in (1, 0):
                 fit = specfun._tail_interpolant(nu, power)
-                assert len(fit) == (1 if nu < 0.7 else 2), (nu, power)
-        for nu in (1e-12, 1e-3):
-            assert specfun._tail_interpolant(nu, 1) is None
+                assert len(fit) == (1 if nu < 0.68 else 2), (nu, power)
+        assert specfun._tail_interpolant(1e-12, 1) is None
+        for power in (1, 0):
+            failed = tuple(nu for nu in np.round(np.arange(
+                0.0001, 0.00995, 0.0001), 4).tolist()
+                if specfun._tail_interpolant(nu, power) is None)
+            assert failed == self.FALLBACK, power
+
+    @pytest.mark.parametrize("nu", [0.0018, 0.0019, 0.0021, 0.0022, 0.0023,
+                                    0.0027])
+    @pytest.mark.parametrize("power", [1, 0])
+    def test_low_order_pieces_agree_with_their_quadrature(self, nu, power):
+        # orders below 0.01 whose piece in 1/Y keeps 62 coefficients,
+        # taken on 65 nodes whose estimates cover the coefficients' plateau:
+        # radii spread in log Y from the switch (Y = 9) to the underflow
+        # cut, within both estimates and 4 ulp for the rounding of the
+        # comparison
+        fit = specfun._tail_interpolant(nu, power)
+        assert len(fit) == 1 and fit[0][4].size >= 61
+        a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+        rs = (np.geomspace(9.0, 795.0, 9)[1:] / a0) ** (1.0 - nu)
+        value, err = specfun._tail(nu, rs, 0.0, power)
+        want, want_err = specfun._m_tail(nu, rs, 0.0, power)
+        ulp = 4.0 * np.spacing(np.maximum(value, want))
+        assert np.all(np.abs(value - want) <= err + want_err + ulp)
 
     def test_series_points_build_no_tail(self):
         # the first evaluation after import builds its order's pieces below
@@ -1037,8 +1087,8 @@ class TestTailInterpolant:
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
     def test_within_estimate_of_40_digit_references(self, tol):
-        # 13 orders, radii from 0 (the pieces below the switch at r*/2, built
-        # from the series) to where M_nu falls below 1e-300, on the
+        # 13 orders, radii from 0 (the pieces below the switch, built from
+        # the series) to where M_nu falls below 1e-300, on the
         # interpolated route and, past the switch, on the quadrature it is
         # built from. Below the switch every row is within half its
         # estimate and 1e-12 relative. Past it neither route is held to
@@ -1048,7 +1098,7 @@ class TestTailInterpolant:
         refs = _m_refs()
         assert len(refs) == 13
         for nu, (r, ref) in refs.items():
-            # 8 rows from 0 below r*/4, half the switch
+            # 8 rows from 0 below half the switch
             assert r[0] == 0.0 and (r < 0.5 * specfun.crossover_radius(
                 nu)).sum() >= 8, nu
             got = [specfun.m_wright(nu, x, tol) for x in r.tolist()]
@@ -1057,8 +1107,8 @@ class TestTailInterpolant:
             past = r > specfun.crossover_radius(nu)
             method = np.array([g.method for g in got])
             assert (method == np.where(past, "asymptotic", "series")).all()
-            # series rows, and tail rows below the scan's r*
-            rstar = float(np.interp(nu, *specfun._crossover_table()))
+            # series rows, and tail rows below the retired scan's r*
+            rstar = _R_STAR[nu]
             assert (~past).any() and (past & (r <= rstar)).any(), nu
             if nu >= 0.75:  # rows on the piece in r, below Y = 1
                 y = specfun._saddle_exponent(nu, r)
@@ -1122,7 +1172,7 @@ class TestTailInterpolant:
     def test_builds_never_raise(self, nu):
         # an order whose build fails keeps the quadrature; RuntimeWarnings
         # are errors in this suite. At 2.5e-13 and 5.3e-13 the quadrature of
-        # the mass at 3 r* (r = 32) runs out of panels, as the kernel's
+        # the mass at r = 32 runs out of panels, as the kernel's
         # rounding next to u = 1 keeps its error above the target: orders up
         # to 1e-11 take `_small_order`
         rs = np.array([0.0, 0.5, 1.0, 1.5, 3.0]) * specfun.crossover_radius(nu)
@@ -1143,7 +1193,7 @@ class TestTailInterpolant:
     def test_agrees_with_its_quadrature_within_both_estimates(
             self, nu, power, fracs):
         # M_nu and, for _half_mass's far rows, its mass (power=0), at
-        # radii spread in log Y from r* to the underflow cut Y = 795
+        # radii spread in log Y from the switch to the underflow cut Y = 795
         rstar = specfun.crossover_radius(nu)
         a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
         y = float(specfun._saddle_exponent(nu, rstar)) ** (
@@ -1172,15 +1222,14 @@ class TestTailInterpolant:
 
 
 # the orders of tests/data/make_m_refs.py
-_REF_ORDERS = (0.01, 0.02, 0.05, 0.1, 0.25, 1 / 3, 0.43, 0.6, 0.75, 0.9, 0.95,
-               0.96, 0.99)
+_REF_ORDERS = tuple(_R_STAR)
 
 
 class TestSeriesInterpolant:
     def test_which_orders_fall_back(self):
         # every order on the 0.0025 grid over [0.01, 0.99] builds its pieces
-        # on [0, switch], one or two of them; orders below 0.01 (switch r*)
-        # keep the series
+        # on [0, switch], one or two of them; orders below 0.01 (switch not
+        # halved) keep the series
         fallback, pieces = [], set()
         for nu in np.linspace(0.01, 0.99, 393).tolist():
             fit = specfun._series_interpolant(nu)
@@ -1197,6 +1246,17 @@ class TestSeriesInterpolant:
         assert pieces == {1, 2}
         for nu in (1e-12, 1e-3, 0.0099):
             assert specfun._series_interpolant(nu) is None
+
+    def test_pieces_keep_few_coefficients(self):
+        # below the switch the series' rounding floor stays low enough that
+        # no piece on the 0.0025 grid over [0.01, 0.99] needs more than 20
+        # coefficients or has rel above 1.7e-11 (at most 62 and 6.7e-11
+        # with the switch at half the rounding-floor scan's radius)
+        most, worst = 0, 0.0
+        for nu in np.linspace(0.01, 0.99, 393).tolist():
+            for _, _, _, _, c, rel in specfun._series_interpolant(nu):
+                most, worst = max(most, c.size), max(worst, rel)
+        assert most <= 24 and worst < 3e-11, (most, worst)
 
     @pytest.mark.parametrize("nu", _REF_ORDERS)
     def test_estimates_are_not_loosened(self, nu):
