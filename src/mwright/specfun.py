@@ -25,31 +25,36 @@ m_wright_values, so both share validation and dispatch):
   index, so no Gamma pole is evaluated), served from nu = 0.01 through a
   per-order Chebyshev interpolant of log M_nu in r on [0, switch]
   (`_series_interpolant`), built once from the series itself at tol
-  1e-16 and split where the series' rounding floor passes 1e-13; other
-  orders sum the series at each radius. The switch is the radius where
-  the saddle exponent Y = (1-nu)/nu (nu r)^(1/(1-nu)) is 9, halved for
-  nu >= 0.01, where the series' rounding floor 2 eps sum|term| stays
+  1e-16 and split, below about nu = 0.459, at the radius where Y = 2.5;
+  other orders sum the series at each radius. The switch is the radius
+  where the saddle exponent Y = (1-nu)/nu (nu r)^(1/(1-nu)) is 9, halved
+  for nu >= 0.01, where the series' rounding floor 2 eps sum|term| stays
   below 1e-11 relative and the tail interpolant converges;
 * past the switch, the exact one-sided stable-density integral (`_m_tail`),
   served through a per-order Chebyshev interpolant (`_tail_interpolant`)
   of log(M_nu e^Y / (a (nu r)^((nu-1/2)/(1-nu)))), the log of M_nu over
   its saddle-point form, Y = (1-nu)/nu (nu r)^(1/(1-nu)): one piece in
-  t = 1/Y on [1/795, 1/max(1, Y(switch))], and where Y(switch) < 1
-  (orders above 0.68) one in r from the switch to r(Y = 1), since as
-  nu -> 1 M_nu tends to the delta pulse at r = 1. Each piece is built
-  once per order from `_m_tail` itself at full relative accuracy, on at
-  most 65 nodes, and evaluated by an elementwise Clenshaw recurrence. Its
-  estimate is value x (Lebesgue constant x largest node relative estimate
-  + chopped coefficients + 8 eps (1 + Y)/(1 - nu)), whatever tol asks.
-  Orders whose build fails (tiny orders such as 1e-3) keep the quadrature
-  at every radius. The mass int_r^inf M_nu takes the same route past the
-  same switch, and its series (not interpolated) below it. The
-  leading-order exponential form alone only serves envelopes and checks.
+  t = 1/Y on [1/795, 1/max(1, Y(switch))], run on past Y = 795, where
+  M_nu underflows, and where Y(switch) < 1 (orders above 0.68) one in r
+  from the switch to r(Y = 1), since as nu -> 1 M_nu tends to the delta
+  pulse at r = 1. Its estimate is value x (rel + 8 eps (1 + Y)/(1 -
+  nu)), whatever tol asks. Orders whose build fails (tiny orders such as
+  1e-3) keep the quadrature at every radius. The mass int_r^inf M_nu
+  takes the same route past the same switch, and its series (not
+  interpolated) below it. The leading-order exponential form alone only
+  serves envelopes and checks.
 
-Both interpolants are read by one elementwise routine, `_read_pieces`,
-whose estimate does not depend on tol; `_m_wright_logs` reads the same
-pieces for log M_nu, which keeps M_nu where it underflows (the Green
-functions' log route).
+Every interpolant (these two and E_nu(-s)'s below) is a layout of
+pieces, each a variable, an interval and a node function, built by one
+routine, `_pieces`: `_chebyshev_piece` takes each piece's nodes from its
+build source at full relative accuracy, on at most 65 nested Chebyshev
+points, with one chop rule, and gives it the estimate rel = Lebesgue
+constant x largest node relative estimate + chopped coefficients + 8 eps
+(1 + sum |c_k|). One elementwise routine, `_read_pieces`, reads them all
+by a Clenshaw recurrence, with an estimate that does not depend on tol;
+`_tail_logs` reads the tail pieces for `_tail` and for `_m_wright_logs`,
+which keeps log M_nu where M_nu underflows (the Green functions' log
+route).
 
 Evaluation strategy for E_nu(-s) (mittag_leffler_neg is the one-point
 case of mittag_leffler_values): closed forms for nu = 0 (1/(1+s), s < 1),
@@ -57,11 +62,11 @@ nu = 1/2 (erfcx(s)) and nu = 1 (e^-s). For other 0 < nu < 1, up to
 s = 1024, a per-order Chebyshev interpolant (`_ml_interpolant`) of log
 E_nu(-s) in s on [0, 4] and of log(s Gamma(1-nu) E_nu(-s)) in 1/s on
 [1/1024, 1/4], built once from the spectral integral (`_ml_spectral`,
-Gorenflo, Loutchko & Luchko 2002) at full relative accuracy and read by
-`_read_pieces`; its estimate, value x (rel + 8 eps), does not depend on
-tol. Past s = 1024, and at every s for orders whose build fails (such as
-1e-3, and from about 0.9975), the Taylor series where it meets tol and the
-spectral integral elsewhere. Orders nu > 1 have the Taylor series alone.
+Gorenflo, Loutchko & Luchko 2002); its estimate, value x (rel + 8 eps),
+does not depend on tol. Past s = 1024, and at every s for orders whose
+build fails (such as 1e-3, and from about 0.9975), the Taylor series where
+it meets tol and the spectral integral elsewhere. Orders nu > 1 have the
+Taylor series alone.
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ _SUBNORMAL_2 = 2.0 * math.ulp(0.0)  # two subnormal spacings, 2^-1073
 _TERM_BUDGET = 400
 _Y_CUT = 745.0 + 50.0  # Y past which M_nu is below the double underflow
 _CHEB_NODES = (17, 33, 65)  # nested Chebyshev extreme points of the tail
-_CHEB_CHOP = 1e-13  # a Chebyshev coefficient below this counts as converged
+_CHEB_CHOP = 1e-13  # the chop, where the nodes' relative estimates exceed it
 _N = np.arange(_TERM_BUDGET)
 NU_MAX = 0.99  # evaluation cap; the peak near r=1 defeats doubles beyond this
 # Up to this order M_nu(r) = e^-r (1 - gamma nu (1 - r)) to double
@@ -103,8 +108,8 @@ NU_MAX = 0.99  # evaluation cap; the peak near r=1 defeats doubles beyond this
 _NU_SMALL = 1e-11
 _NU_HALVED = 0.01  # from this order the switch is halved and M_nu has pieces
 _Y_SWITCH = 9.0  # the saddle exponent Y whose radius is the switch
+_Y_SPLIT = 2.5  # the saddle exponent Y whose radius splits the series pieces
 _NODE_TOL = 1e-16  # stopping tol of the series at the nodes below the switch
-_SERIES_SPLIT = 1e-13  # node relative estimate where the piece below splits
 # E_nu(-s) pieces: in s on [0, _ML_NEAR], in 1/s on [1/_ML_FAR, 1/_ML_NEAR]
 _ML_NEAR, _ML_FAR = 4.0, 1024.0
 # blocks shorter than this take loops in Python floats (`_chebval`,
@@ -498,20 +503,22 @@ def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.array([_clenshaw(xi, c) for xi in x.tolist()])
 
 
-def _chebyshev_piece(lo: float, hi: float, nodes, chop: float = _CHEB_CHOP):
+def _chebyshev_piece(lo: float, hi: float, nodes):
     """One Chebyshev piece on [lo, hi] of a function h whose values and
     relative estimates nodes(s) returns at a block of points s (None where
-    they fail): h on 17, then 33, then 65 nested Chebyshev extreme points;
-    the first count whose last three coefficients lie below chop (1e-13
-    for the tail) is kept, with its trailing coefficients below chop
-    chopped. 65 nodes are also kept where the last three lie below the
-    largest node relative estimate: the rounding of the node values (near
-    nu = 1 the kernel's, amplified by Y/(1-nu); near the switch the
-    series') leaves the coefficients on a plateau, of about 1e-13 at 0.985,
-    which the nodes' estimates cover.
+    they fail): h on 17, then 33, then 65 nested Chebyshev extreme points.
+    The chop is the largest node relative estimate so far, clipped to
+    [1e-15, 1e-13]: the first count whose last three coefficients lie
+    below it is kept, with its trailing coefficients below it chopped. 65
+    nodes are also kept where the last three lie below the largest node
+    relative estimate itself: the rounding of the node values (near nu = 1
+    the kernel's, amplified by Y/(1-nu); near the switch the series')
+    leaves the coefficients on a plateau, of about 1e-13 at 0.985, which
+    the nodes' estimates cover.
     Returns (coefficients, rel), rel the Lebesgue constant times the
-    largest node relative estimate plus the sum of the chopped
-    coefficients; None where no count converges or a node fails."""
+    largest node relative estimate, plus the sum of the chopped
+    coefficients, plus 8 eps (1 + sum |c_k|) for the rounding of the
+    evaluation; None where no count converges or a node fails."""
     h, worst = np.empty(0), 0.0
     for n in _CHEB_NODES:
         # the nodes of the previous count are every other node of this one
@@ -521,6 +528,7 @@ def _chebyshev_piece(lo: float, hi: float, nodes, chop: float = _CHEB_CHOP):
             return None
         h = np.insert(got[0], np.arange(h.size), h)
         worst = max(worst, float(np.max(got[1])))
+        chop = min(_CHEB_CHOP, max(1e-15, worst))
         c = _chebyshev_coefficients(h)
         tail = np.abs(c[-3:]).max()
         if tail < chop or (n == _CHEB_NODES[-1] and tail < worst):
@@ -530,8 +538,22 @@ def _chebyshev_piece(lo: float, hi: float, nodes, chop: float = _CHEB_CHOP):
             rel = lebesgue * worst + float(np.abs(c[keep:]).sum())
             c = c[:keep]
             c.flags.writeable = False
-            return c, rel
+            return c, rel + 8.0 * _EPS * (1.0 + float(np.abs(c).sum()))
     return None
+
+
+def _pieces(layout):
+    """The Chebyshev pieces of a layout ((key_from, lo, hi, in_r, nodes),
+    ...): ((key_from, lo, hi, in_r, coefficients, rel), ...), each by
+    `_chebyshev_piece` on its nodes, in the layout's order; None as soon as
+    one fails."""
+    pieces = []
+    for key_from, lo, hi, in_r, nodes in layout:
+        piece = _chebyshev_piece(lo, hi, nodes)
+        if piece is None:
+            return None
+        pieces.append((key_from, lo, hi, in_r, *piece))
+    return tuple(pieces)
 
 
 def _tail_nodes(nu: float, power: int, in_r: bool):
@@ -558,10 +580,11 @@ def _tail_nodes(nu: float, power: int, in_r: bool):
 def _tail_interpolant(nu: float, power: int):
     """The Chebyshev pieces of the tail past crossover_radius(nu), or None.
 
-    One piece (`_chebyshev_piece` on `_tail_nodes`) in t = 1/Y on [1/795,
-    1/max(1, Y(switch))], and where Y(switch) < 1 (orders above 0.68) a
-    second one in r on [switch, r(Y = 1)]: as nu -> 1, M_nu tends to the
-    delta pulse at r = 1, and h is no polynomial in 1/Y down there.
+    The layout of `_pieces` on `_tail_nodes`: one piece in t = 1/Y on
+    [1/795, 1/max(1, Y(switch))], Y as `_tail_logs` computes it, and where
+    Y(switch) < 1 (orders above 0.68) a second one in r on [switch, r(Y =
+    1)]: as nu -> 1, M_nu tends to the delta pulse at r = 1, and h is no
+    polynomial in 1/Y down there.
     Returns ((y_from, lo, hi, in_r, coefficients, rel), ...), the piece
     that serves Y >= y_from, highest y_from first. None where a build
     fails (orders up to 0.0017 on a 0.0001 grid): those keep `_m_tail` at
@@ -569,19 +592,15 @@ def _tail_interpolant(nu: float, power: int):
     pieces of the same layout keyed by r; `_read_pieces` reads both.
     """
     switch = crossover_radius(nu)
-    # Y(switch) by numpy's power, as `_tail` computes Y at every radius
+    # Y(switch) by numpy's power, as `_tail_logs` computes Y at every radius
     y_lo = float(_saddle_exponent(nu, np.array(switch)))
-    y_mid, two = max(1.0, y_lo), y_lo < 1.0
-    far = _chebyshev_piece(1.0 / _Y_CUT, 1.0 / y_mid,
-                           _tail_nodes(nu, power, False))
-    if far is None:
-        return None
-    far = (y_mid, 1.0 / _Y_CUT, 1.0 / y_mid, False, *far)
-    if not two:
-        return far,
-    r_mid = (1.0 / (nu ** (nu / (1.0 - nu)) * (1.0 - nu))) ** (1.0 - nu)
-    near = _chebyshev_piece(switch, r_mid, _tail_nodes(nu, power, True))
-    return None if near is None else (far, (y_lo, switch, r_mid, True, *near))
+    y_mid = max(1.0, y_lo)
+    layout = [(y_mid, 1.0 / _Y_CUT, 1.0 / y_mid, False,
+               _tail_nodes(nu, power, False))]
+    if y_lo < 1.0:
+        r_mid = (1.0 / (nu ** (nu / (1.0 - nu)) * (1.0 - nu))) ** (1.0 - nu)
+        layout.append((y_lo, switch, r_mid, True, _tail_nodes(nu, power, True)))
+    return _pieces(layout)
 
 
 @lru_cache(maxsize=256)
@@ -589,14 +608,13 @@ def _series_interpolant(nu: float):
     """The Chebyshev pieces of log M_nu in r on [0, crossover_radius(nu)],
     or None.
 
-    Built once per order by `_chebyshev_piece`, whose nodes are
-    `_sum_series` at tol 1e-16 and nothing else: no quadrature. The
-    series' rounding floor 2 eps sum|term| grows towards the switch, to
-    5.8e-12 relative (at nu = 0.045), and would loosen a single piece's
-    rel down to r = 0. So where the series' relative estimate at 33 evenly
-    spaced radii first exceeds 1e-13, the interval splits in two there.
-    Each rel adds 8 eps (1 + sum |c_k|) for the rounding of the
-    evaluation.
+    The layout of `_pieces`, whose nodes are `_sum_series` at tol 1e-16
+    and nothing else: no quadrature. The series' rounding floor 2 eps
+    sum|term| grows like e^(2Y) towards the switch, to 5.8e-12 relative
+    (at nu = 0.045), and would loosen a single piece's rel, and lower its
+    chop, down to r = 0. So where the radius at Y = 2.5 (`_Y_SPLIT`, in
+    the switch's own closed form) lies below the switch (orders below
+    about 0.459), the interval splits in two there.
     Returns ((r_from, lo, hi, True, coefficients, rel), ...), the piece
     that serves r >= r_from, highest r_from first, as `_tail_interpolant`
     does. None below nu = 0.01, whose switch is not halved, where the
@@ -605,7 +623,6 @@ def _series_interpolant(nu: float):
     """
     if nu < _NU_HALVED:
         return None
-    switch = crossover_radius(nu)
 
     def nodes(r):
         v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -r, _NODE_TOL)
@@ -613,53 +630,37 @@ def _series_interpolant(nu: float):
             return None
         return np.log(v), (trunc + cancel) / v
 
-    probe = np.linspace(0.0, switch, 33)
-    got = nodes(probe)
-    if got is None:
-        return None
-    above = np.flatnonzero(got[1] > _SERIES_SPLIT)
-    cuts = [0.0, switch]
-    if above.size:  # never at r = 0, where the estimate is 2 eps
-        cuts.insert(1, float(probe[min(above[0], probe.size - 2)]))
-    pieces = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        # the tail's chop, lowered to the nodes' own estimate (not below
-        # 1e-15): at nu = 0.9 the nodes are good to 5e-16, and a flat 1e-13
-        # made the chopped coefficients most of the piece's error
-        inside = (probe >= lo) & (probe <= hi)
-        chop = min(_CHEB_CHOP, max(1e-15, float(got[1][inside].max())))
-        piece = _chebyshev_piece(lo, hi, nodes, chop)
-        if piece is None:
-            return None
-        c, rel = piece
-        rel += 8.0 * _EPS * (1.0 + float(np.abs(c).sum()))
-        pieces.insert(0, (lo, lo, hi, True, c, rel))
-    return tuple(pieces)
+    switch, split = crossover_radius(nu), _radius_at(_Y_SPLIT, nu)
+    cuts = [switch, split, 0.0] if split < switch else [switch, 0.0]
+    return _pieces([(lo, lo, hi, True, nodes)
+                    for hi, lo in zip(cuts, cuts[1:])])
 
 
-def _read_pieces(fit, w, key, beyond: bool = False):
+def _read_pieces(fit, w, key):
     """The interpolant h and rel of the piece of fit (`_tail_interpolant`,
     `_series_interpolant`, `_ml_interpolant`) that serves each radius w:
     the first whose key_from the radius's key (Y past the switch, r below
-    it, s for E_nu(-s)) reaches; a piece that serves no radius is skipped.
+    it, s for E_nu(-s)) reaches; a piece that serves no radius is skipped,
+    and a NaN key is served by none.
     Returns (served, h, rel), the last two at the served radii only. A
-    piece in 1/Y reads t = 1/key. The evaluation is elementwise, so every
-    radius gets the same bits in a block of any size. With beyond=True the
-    piece in 1/Y runs on past its end t = 1/795 down to t = 0, with rel
-    times |T_K(x)| there, K its coefficient count: a polynomial of degree
-    below K that stays within 1 on [-1, 1] grows at most that much.
-    Blocks shorter than _SHORT_BLOCK (beyond=False) are read point by point
-    in Python floats, by the same piece and operations (np.clip as max
-    then min, `_clenshaw`), so with the same bits."""
-    if w.size < _SHORT_BLOCK and not beyond:
+    piece in 1/Y reads t = 1/key, and runs on past its end t = 1/795 down
+    to t = 0, with rel times |T_K(x)| there, K its coefficient count: a
+    polynomial of degree below K that stays within 1 on [-1, 1] grows at
+    most that much (E_nu(-s)'s piece in 1/s is read only on its interval).
+    The evaluation is elementwise, so every radius gets the same bits in a
+    block of any size: blocks shorter than _SHORT_BLOCK are read point by
+    point in Python floats, by the same piece and operations (np.clip as
+    max then min, `_clenshaw`, numpy's arccosh and cosh for the run-on)."""
+    if w.size < _SHORT_BLOCK:
         served, h, rel = [], [], []
         for wi, ki in zip(w.tolist(), key.tolist()):
             for key_from, lo, hi, in_r, coef, r in fit:
                 if ki >= key_from:
-                    s = min(max(wi if in_r else 1.0 / ki, lo), hi)
-                    h.append(_clenshaw((2.0 * s - (lo + hi)) / (hi - lo),
-                                       coef.tolist()))
-                    rel.append(r)
+                    s = min(max(wi, lo) if in_r else 1.0 / ki, hi)
+                    x = (2.0 * s - (lo + hi)) / (hi - lo)
+                    h.append(_clenshaw(x, coef.tolist()))
+                    rel.append(r if in_r or x >= -1.0
+                               else r * _run_on(np.array([x]), coef.size)[0])
                     break
             served.append(ki >= fit[-1][0])
         return np.array(served, dtype=bool), np.array(h), np.array(rel)
@@ -670,25 +671,30 @@ def _read_pieces(fit, w, key, beyond: bool = False):
         if not on.any():
             continue
         left &= ~on
-        s = w[on] if in_r else 1.0 / key[on]
-        low = 0.0 if beyond and not in_r else lo
-        x = (2.0 * s.clip(low, hi) - (lo + hi)) / (hi - lo)
+        s = w[on].clip(lo, hi) if in_r else np.minimum(1.0 / key[on], hi)
+        x = (2.0 * s - (lo + hi)) / (hi - lo)
         h[on], rel[on] = _chebval(x, coef), r
-        if low != lo:
-            rel[on] *= np.cosh(coef.size * np.arccosh(np.maximum(-x, 1.0)))
+        if not in_r and x.min() < -1.0:
+            rel[on] *= _run_on(x, coef.size)
     served = ~left
     return served, h[served], rel[served]
 
 
-def _tail_logs(nu: float, power: int, fit, w: np.ndarray, y: np.ndarray,
-               beyond: bool = False):
+def _run_on(x: np.ndarray, k: int) -> np.ndarray:
+    """|T_k(x)| = cosh(k arccosh(-x)) at x <= -1, and 1 at x >= -1."""
+    return np.cosh(k * np.arccosh(np.maximum(-x, 1.0)))
+
+
+def _tail_logs(nu: float, power: int, fit, w: np.ndarray):
     """log M_nu (power=1) or of its mass (power=0) from the tail pieces of
-    fit at radii w with exponents y = Y(w): (served, log value, relative
-    estimate) as `_read_pieces` returns them, the estimate rel + 8 eps (1 +
-    Y)/(1-nu), the last term the rounding of Y itself (below Y = 1, of r
-    itself: |r d log M/dr| stays under half of (1 + Y)/(1-nu) there,
-    measured on 0.70-0.99)."""
-    served, h, rel = _read_pieces(fit, w, y, beyond)
+    fit at radii w: (served, log value, relative estimate) as
+    `_read_pieces` returns them, keyed by Y = `_saddle_exponent`(w); the
+    estimate is rel + 8 eps (1 + Y)/(1-nu), the last term the rounding of
+    Y itself (below Y = 1, of r itself: |r d log M/dr| stays under half of
+    (1 + Y)/(1-nu) there, measured on 0.70-0.99). A radius whose Y
+    overflows to inf, where M_nu is 0, is not served."""
+    y = _saddle_exponent(nu, w)
+    served, h, rel = _read_pieces(fit, w, np.where(y < math.inf, y, math.nan))
     w, y = w[served], y[served]
     return (served, h + _log_saddle_factor(nu, power, w) - y,
             rel + 8.0 * _EPS * (1.0 + y) / (1.0 - nu))
@@ -697,23 +703,21 @@ def _tail_logs(nu: float, power: int, fit, w: np.ndarray, y: np.ndarray,
 def _tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
     """M_nu (power=1) or its mass (power=0) at radii w past the switch
     `crossover_radius(nu)`, as `_m_tail` returns them: from the pieces of
-    `_tail_interpolant` where the order has them (see `_tail_logs`); else,
-    and at radii below the switch, from `_m_tail`. No radius, no work."""
+    `_tail_interpolant` where the order has them (see `_tail_logs`; past Y
+    = 795 the value underflows to 0, with the estimate 1e-300); else, and
+    at radii below the switch or with Y = inf, from `_m_tail`. No radius,
+    no work."""
     if not w.size:
         return np.zeros(0), np.zeros(0)
     fit = _tail_interpolant(nu, power)
     if fit is None:
         return _m_tail(nu, w, tol, power)
-    y = _saddle_exponent(nu, w)
     value, err = np.zeros(w.size), np.full(w.size, 1e-300)
-    left = y <= _Y_CUT  # else below the double underflow threshold
-    live = np.flatnonzero(left)
-    served, log_v, rel = _tail_logs(nu, power, fit, w[live], y[live])
-    on = live[served]
-    value[on] = v = np.exp(log_v)
-    err[on] = np.maximum(v * rel, 1e-300)
-    left[on] = False
-    if left.any():  # radii below the switch
+    served, log_v, rel = _tail_logs(nu, power, fit, w)
+    value[served] = v = np.exp(log_v)
+    err[served] = np.maximum(v * rel, 1e-300)
+    if not served.all():
+        left = ~served
         value[left], err[left] = _m_tail(nu, w[left], tol, power)
     return value, err
 
@@ -741,9 +745,14 @@ def crossover_radius(nu) -> float:
     nu = _as_nu(nu)
     if not 0.0 < nu < 1.0:
         raise InvalidOrder("crossover radius defined for 0 < nu < 1")
-    # (Y nu/(1-nu))^(1-nu)/nu, with no product nu Y to lose subnormal bits
-    r = (_Y_SWITCH / (1.0 - nu)) ** (1.0 - nu) * nu ** -nu
+    r = _radius_at(_Y_SWITCH, nu)
     return 0.5 * r if nu >= _NU_HALVED else r
+
+
+def _radius_at(y: float, nu: float) -> float:
+    """The radius r = (y nu/(1-nu))^(1-nu)/nu where the saddle exponent Y
+    is y, in Python floats, with no product nu y to lose subnormal bits."""
+    return (y / (1.0 - nu)) ** (1.0 - nu) * nu ** -nu
 
 
 def _crossover_radii(nu: np.ndarray) -> np.ndarray:
@@ -852,9 +861,8 @@ def _m_wright_logs(nu, rs):
         _, log_v[near], rel[near] = _read_pieces(fit, rs[near], rs[near])
     fit = _tail_interpolant(nu, 1) if not near.all() else None
     if fit is not None:
-        y = _saddle_exponent(nu, rs)
-        far = np.flatnonzero(~near & (y < math.inf))
-        served, lv, lr = _tail_logs(nu, 1, fit, rs[far], y[far], True)
+        far = np.flatnonzero(~near)
+        served, lv, lr = _tail_logs(nu, 1, fit, rs[far])
         log_v[far[served]], rel[far[served]] = lv, lr
     return log_v, rel, method
 
@@ -898,8 +906,8 @@ def m_wright(nu, r: float, tol: float = 1e-12) -> EvalResult:
     interpolants built once per order from nu = 0.01: below the switch
     one of log M_nu in r, built from the series (method "series"), and
     past it one of the integral, in 1/Y and, below Y = 1, in r. Their
-    estimates do not depend on tol; the error is at most 3.0e-13 relative
-    below the switch and about 1e-12 past it. Orders whose builds fail
+    estimates do not depend on tol; against 40-digit references the error
+    is at most 4.4e-13 relative below the switch and about 1e-12 past it. Orders whose builds fail
     (tiny orders such as 1e-3) sum the series or integrate at each radius
     instead. The one-point case of m_wright_values, so both return the
     same bits.
@@ -1022,26 +1030,18 @@ def _ml_interpolant(nu: float):
     """The Chebyshev pieces of E_nu(-s), 0 < nu < 1, on 0 < s <= 1024, or
     None.
 
-    Two pieces built once per order by `_chebyshev_piece` on `_ml_nodes`:
-    h = log E_nu(-s) in s on [0, 4], and h = log(s Gamma(1-nu) E_nu(-s))
-    in t = 1/s on [1/1024, 1/4], which tends to 0 with t as E_nu(-s) tends
-    to its leading power 1/(s Gamma(1-nu)). Each rel adds 8 eps (1 + sum
-    |c_k|) for the rounding of the evaluation. Returns ((s_from, lo, hi,
-    in_s, coefficients, rel), ...) in the layout of `_tail_interpolant`,
+    The layout of `_pieces` on `_ml_nodes`, two pieces built once per
+    order: h = log E_nu(-s) in s on [0, 4], and h = log(s Gamma(1-nu)
+    E_nu(-s)) in t = 1/s on [1/1024, 1/4], which tends to 0 with t as
+    E_nu(-s) tends to its leading power 1/(s Gamma(1-nu)). Returns
+    ((s_from, lo, hi, in_s, coefficients, rel), ...) as `_tail_interpolant`,
     read by `_read_pieces` with the key s. None where a build fails (orders
     such as 1e-3 and from about 0.9975): those keep the Taylor series and
     the spectral integral at each argument.
     """
-    pieces = []
-    for far in (True, False):
-        lo, hi = (1.0 / _ML_FAR, 1.0 / _ML_NEAR) if far else (0.0, _ML_NEAR)
-        piece = _chebyshev_piece(lo, hi, _ml_nodes(nu, far))
-        if piece is None:
-            return None
-        c, rel = piece
-        rel += 8.0 * _EPS * (1.0 + float(np.abs(c).sum()))
-        pieces.append((_ML_NEAR if far else 0.0, lo, hi, not far, c, rel))
-    return tuple(pieces)
+    return _pieces([(_ML_NEAR, 1.0 / _ML_FAR, 1.0 / _ML_NEAR, False,
+                     _ml_nodes(nu, True)),
+                    (0.0, 0.0, _ML_NEAR, True, _ml_nodes(nu, False))])
 
 
 def _ml_array(nu, s, tol: float):

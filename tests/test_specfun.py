@@ -294,6 +294,33 @@ class TestCrossoverTable:
         y = float(specfun._saddle_exponent(nu, np.array(r)))
         assert y == pytest.approx(9.0, rel=16.0 * specfun._EPS / (1.0 - nu))
 
+    @given(nu=st.floats(0.01, 0.99, exclude_min=True))
+    @example(nu=0.01)
+    @example(nu=0.3)
+    @example(nu=0.45)
+    @example(nu=0.4588)
+    @example(nu=0.4589)
+    @example(nu=0.99)
+    def test_series_split_is_where_the_saddle_exponent_is_fixed(self, nu):
+        # the series pieces split at the radius where Y = 2.5 wherever that
+        # lies below the switch, that is where Y(switch) > 2.5: two pieces
+        # below about 0.459, one above
+        rel = 16.0 * specfun._EPS / (1.0 - nu)
+        split = specfun._radius_at(specfun._Y_SPLIT, nu)
+        y = float(specfun._saddle_exponent(nu, np.array(split)))
+        assert y == pytest.approx(specfun._Y_SPLIT, rel=rel)
+        switch = specfun.crossover_radius(nu)
+        y_switch = float(specfun._saddle_exponent(nu, np.array(switch)))
+        fit = specfun._series_interpolant(nu)
+        assert len(fit) == (2 if split < switch else 1)
+        assert (len(fit) == 2) == (y_switch > 2.5) or y_switch == pytest.approx(
+            2.5, rel=2.0 * rel)
+        assert len(fit) == 2 or nu > 0.4588
+        assert len(fit) == 1 or nu < 0.4589
+        assert fit[-1][:2] == (0.0, 0.0) and fit[0][2] == switch
+        if len(fit) == 2:
+            assert fit[0][:2] == (split, split) == (fit[1][2], fit[1][2])
+
     def test_both_tail_builds_converge_at_the_halved_switch(self):
         # the interpolant of M_nu and of its mass serves every halved order,
         # with a piece in r from the switch to Y = 1 where Y(switch) < 1
@@ -1239,7 +1266,7 @@ class TestSeriesInterpolant:
             pieces.add(len(fit))
             assert fit[-1][:2] == (0.0, 0.0)
             assert fit[0][2] == specfun.crossover_radius(nu)
-            if len(fit) == 2:  # split where the series' estimate grows
+            if len(fit) == 2:  # split where Y = 2.5, below the switch
                 assert fit[0][0] == fit[0][1] == fit[1][2]
                 assert fit[1][5] < 1e-12
         assert fallback == []
@@ -1385,8 +1412,8 @@ class TestShortBlocks:
     @example(c=[1.0, -2.0], x=[0.3, -7.0])
     @example(c=[1.0, 0.5, 0.25], x=[])
     def test_float_clenshaw_is_numpys_chebval(self, c, x):
-        # x < -1 is the beyond=True route, which runs the piece in 1/Y on
-        # past its end; both routes of `_chebval`, at every block size
+        # x < -1 is where the piece in 1/Y runs on past its end (Y past
+        # 795); both routes of `_chebval`, at every block size
         c, x = np.array(c), np.array(x, dtype=float)
         want = chebval(x, c).tobytes()
         assert specfun._chebval(x, c).tobytes() == want
@@ -1417,6 +1444,29 @@ class TestShortBlocks:
                 for k in range(3):
                     got = np.concatenate([p[k] for p in parts])
                     assert got.tobytes() == whole[k].tobytes(), (size, k)
+
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 0.9, 0.99])
+    @pytest.mark.parametrize("power", [1, 0])
+    def test_run_on_reads_alike_in_any_block(self, nu, power):
+        # past Y = 795 the piece in 1/Y runs on, with rel times |T_K(x)|:
+        # blocks below the cutoff (floats) read it with the bits of one
+        # block past it (numpy), on M_nu (power=1) and its mass (power=0)
+        fit = specfun._tail_interpolant(nu, power)
+        a0 = nu ** (nu / (1.0 - nu)) * (1.0 - nu)
+        ys = np.concatenate((np.geomspace(600.0, 795.0, self.CUT),
+                             np.geomspace(795.0, 1e8, 2 * self.CUT + 1)))
+        ws = (ys / a0) ** (1.0 - nu)
+        key = specfun._saddle_exponent(nu, ws)
+        whole = specfun._read_pieces(fit, ws, key)
+        assert whole[0].all()
+        assert (whole[2][key > 795.0] > fit[0][5]).all()
+        assert (whole[2][key < 795.0] == fit[0][5]).all()
+        for size in (1, 7, self.CUT - 1, 2 * self.CUT):
+            parts = [specfun._read_pieces(fit, ws[i:i + size], key[i:i + size])
+                     for i in range(0, ws.size, size)]
+            for k in range(3):
+                got = np.concatenate([p[k] for p in parts])
+                assert got.tobytes() == whole[k].tobytes(), (size, k)
 
     def test_airy_block_is_the_scalar_loop(self):
         # the verify sweep's grid and random |z| <= 12, as long blocks,
