@@ -32,6 +32,7 @@ from .errors import (
 _BATCH = 4096  # fixed sampling batch; keeps path i independent of n_paths
 _BATCHES_PER_WORKER = 4  # fewer batches per thread do not repay a pool
 _STATS_ROWS = 512  # rows per cache-resident block in ensemble_stats
+_PAIRWISE_LEAF = 1 << 16  # values gathered per subtree of a streamed sum
 
 
 @dataclass(frozen=True)
@@ -399,58 +400,44 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
     cells of the analytic law. The lag-1 increment correlation needs two
     increments, so it and its SE are None for fewer than three times.
 
-    After the mean, one pass walks the paths in blocks of _STATS_ROWS
-    rows. Each block's central sums are carried into the next block's
-    first row, so they add rows in the order numpy's axis-0 reduction of
-    the whole array does, and every field equals the full-array formulas
+    After the mean, one pass (_row_pass) walks the paths in blocks of
+    _STATS_ROWS rows, so the working memory is a few blocks and one
+    _PAIRWISE_LEAF buffer besides the per-path lag-1 means, whatever the
+    ensemble's size. Every field equals the full-array formulas
     (x.std(axis=0, ddof=1), (((x - mean) ** 2) ** 2).mean(axis=0),
-    (d * d).mean() over the increments d, ...) bit for bit. Columns whose
-    fourth powers overflow, and an overflowing lag-1 correlation, are
-    summed again at an exact power-of-two scale.
+    (d * d).mean() over the increments d, ...) bit for bit, on two rules
+    of numpy's sums that tests/test_ggbm.py pins
+    (test_row_order_carry_is_the_axis0_sum, test_streamed_sum_is_numpys):
+    an axis-0 sum of a C-contiguous array with two or more columns adds
+    whole rows in order, and a whole-array sum is one pairwise tree over
+    the flat values (_PairwiseSum). Columns whose fourth powers overflow,
+    and an overflowing lag-1 correlation, are summed again at an exact
+    power-of-two scale, in a second pass.
     """
     n = e.n_paths
     if n < 100:
         raise InsufficientPaths(f"need at least 100 paths, got {n}")
     x = e.paths
-    ntimes = x.shape[1]
     mean = x.mean(axis=0)
-    s2, s4 = np.zeros(ntimes), np.zeros(ntimes)
-    lag1 = ntimes >= 3
-    if lag1:
-        per_path, dd = np.empty(n), np.empty((n, ntimes - 1))
-    # a single column is reduced pairwise, not row by row: one block
-    step = _STATS_ROWS if ntimes > 1 else n
+    lag1 = x.shape[1] >= 3
     # the fourth powers (and near the double range the squares) overflow
     # once the variance passes about 1e154; such columns are redone below
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, step):
-            blk = x[lo:lo + step]
-            dev = blk - mean
-            dev *= dev
-            dev4 = dev * dev  # two squarings: ** 4 would go through pow
-            for acc, terms in ((s2, dev), (s4, dev4)):
-                terms[0] += acc
-                np.add.reduce(terms, axis=0, out=acc)
-            if lag1:
-                d = np.subtract(blk[:, 1:], blk[:, :-1], out=dd[lo:lo + step])
-                np.mean(d[:, :-1] * d[:, 1:], axis=1,
-                        out=per_path[lo:lo + step])
-                d *= d
+        s2, s4, per_path, c00 = _row_pass(x, mean, lag1)
         sd = np.sqrt(s2 / (n - 1))
         var = sd * sd
         var_se = np.sqrt(np.maximum(s4 / n - var * var, 0.0) / n)
         big = ~(np.isfinite(s4) & np.isfinite(var * var))
     if big.any():
         # the same sums of dev / 2**k, k the binary exponent of the column's
-        # largest |dev|: exact, and the (n, ntimes) shape keeps their order
-        dev = x - mean
-        k = np.frexp(np.abs(dev).max(axis=0))[1]
-        dev = np.ldexp(dev, -k)
-        dev *= dev
-        sd_k = np.sqrt(dev.sum(axis=0) / (n - 1))
+        # largest |dev|: exact, and the blocks keep their order. Rounding is
+        # monotone and odd, so that |dev| is max - mean or mean - min
+        k = np.frexp(np.maximum(x.max(axis=0) - mean,
+                                mean - x.min(axis=0)))[1]
+        s2, s4 = _row_pass(x, mean, False, k)[:2]
+        sd_k = np.sqrt(s2 / (n - 1))
         var_k = sd_k * sd_k
-        se_k = np.sqrt(np.maximum((dev * dev).sum(axis=0) / n
-                                  - var_k * var_k, 0.0) / n)
+        se_k = np.sqrt(np.maximum(s4 / n - var_k * var_k, 0.0) / n)
         var_se[big] = np.ldexp(se_k, 2 * k)[big]
         sd = np.where(np.isfinite(sd), sd, np.ldexp(sd_k, k))
         var = sd * sd
@@ -459,14 +446,13 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
     corr = corr_se = None
     if lag1:
         with np.errstate(over="ignore", invalid="ignore"):
-            c00 = float(dd.mean())  # one pairwise mean over every increment
             sd01 = float(per_path.std(ddof=1))
         if not math.isfinite(c00 + sd01):
             # the same at x / 2**k, k the binary exponent of max |x|: the
             # ratios below do not depend on the scale
-            d = np.diff(np.ldexp(x, -np.frexp(np.abs(x).max())[1]), axis=1)
-            per_path = (d[:, :-1] * d[:, 1:]).mean(axis=1)
-            c00, sd01 = float((d * d).mean()), float(per_path.std(ddof=1))
+            k = np.frexp(max(x.max(), -x.min()))[1]
+            per_path, c00 = _row_pass(x, None, True, k)[2:]
+            sd01 = float(per_path.std(ddof=1))
         corr = float(per_path.mean()) / c00
         corr_se = sd01 / math.sqrt(n) / c00
 
@@ -481,3 +467,95 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
 
     return StatsReport(e.spec.times.copy(), mean, mean_se, var, var_se,
                        corr, corr_se, stat, pval, cells, n)
+
+
+def _row_pass(x, mean, lag1: bool, k=0):
+    """One pass over x in blocks of _STATS_ROWS rows.
+
+    Given the column means, the column sums s2 and s4 of dev^2 and dev^4,
+    dev = (x - mean) / 2**k: each block's sums are carried into the next
+    block's first row, so rows add in the order of numpy's axis-0 sum of
+    the whole array (a single column is reduced pairwise, so it is one
+    block). With lag1, the per-path means of the products of adjacent
+    increments of x / 2**k, and the mean c00 of their squares over all
+    paths, as numpy's pairwise mean of the whole (n, times - 1) array.
+    """
+    n, ntimes = x.shape
+    step = _STATS_ROWS if ntimes > 1 else n
+    s2 = s4 = per_path = c00 = None
+    if mean is not None:
+        s2, s4 = np.zeros(ntimes), np.zeros(ntimes)
+    if lag1:
+        per_path = np.empty(n)
+        d = np.empty((min(n, step), ntimes - 1))
+        squares = _PairwiseSum(n * (ntimes - 1))
+    for lo in range(0, n, step):
+        blk = x[lo:lo + step]
+        if mean is not None:
+            dev = blk - mean
+            if np.any(k):
+                np.ldexp(dev, -k, out=dev)
+            dev *= dev
+            dev4 = dev * dev  # two squarings: ** 4 would go through pow
+            for acc, terms in ((s2, dev), (s4, dev4)):
+                terms[0] += acc
+                np.add.reduce(terms, axis=0, out=acc)
+        if lag1:
+            if k:
+                blk = np.ldexp(blk, -k)
+            dk = np.subtract(blk[:, 1:], blk[:, :-1], out=d[:len(blk)])
+            np.mean(dk[:, :-1] * dk[:, 1:], axis=1,
+                    out=per_path[lo:lo + step])
+            dk *= dk
+            squares.add(dk)
+    if lag1:
+        c00 = float(squares.total() / squares.size)
+    return s2, s4, per_path, c00
+
+
+def _pairwise_plan(n: int) -> list:
+    """numpy's pairwise summation tree over n values, in postfix order:
+    the sizes of its subtrees of at most _PAIRWISE_LEAF values, left to
+    right, and None where the two sums on top of the stack are added.
+    Above 128 values numpy splits n at n // 2 rounded down to a multiple
+    of 8."""
+    if n <= _PAIRWISE_LEAF:
+        return [n]
+    half = n // 2 - n // 2 % 8
+    return _pairwise_plan(half) + _pairwise_plan(n - half) + [None]
+
+
+class _PairwiseSum:
+    """The sum of `size` float64 values fed in pieces of any length, with
+    the bits of np.add.reduce over all of them at once in one contiguous
+    array. Each subtree of numpy's pairwise tree that fits one preallocated
+    _PAIRWISE_LEAF buffer is gathered there and reduced by numpy; the
+    subtree sums are added in tree order."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._todo = _pairwise_plan(size)[::-1]  # the next step last
+        self._buf = np.empty(min(size, _PAIRWISE_LEAF))
+        self._fill = 0
+        self._sums = []
+
+    def add(self, values: np.ndarray) -> None:
+        """Feed the values of a C-contiguous array, in flat order."""
+        flat = values.reshape(-1)
+        while len(flat):
+            take = flat[:self._todo[-1] - self._fill]
+            self._buf[self._fill:self._fill + len(take)] = take
+            self._fill += len(take)
+            flat = flat[len(take):]
+            if self._fill == self._todo[-1]:
+                self._todo.pop()
+                self._sums.append(np.add.reduce(self._buf[:self._fill]))
+                self._fill = 0
+                while self._todo and self._todo[-1] is None:
+                    self._todo.pop()
+                    right = self._sums.pop()
+                    self._sums[-1] += right
+
+    def total(self) -> np.float64:
+        """The sum, once all `size` values are fed."""
+        return self._sums[0]

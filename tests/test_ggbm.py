@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -581,6 +582,19 @@ class TestEnsembleStats:
         want = np.sqrt(np.maximum(m4 - var * var, 0.0) / ens.n_paths)
         np.testing.assert_array_max_ulp(rep.variance_se, want, maxulp=4)
 
+    def test_working_memory_is_block_sized(self):
+        # numpy reports its buffers to tracemalloc: at 100 000 x 64 a full
+        # (paths, times - 1) increment array alone would be 50 MB
+        spec = ggbm.CovSpec(1.2, 0.6, np.arange(1, 65) / 64.0)
+        ens = ggbm.sample_paths(spec, 100_000, 12)
+        tracemalloc.start()
+        try:
+            ggbm.ensemble_stats(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
+
 
 def _batch_loop_paths(spec, n_paths, seed):
     """Reference sampler: the textbook batch loop, with fresh normal, product
@@ -678,6 +692,26 @@ class TestBlockedPassesMatchFullArrays:
             np.add.reduce(blk, axis=0, out=acc)
         assert np.array_equal(acc, x.sum(axis=0))
 
+    @pytest.mark.parametrize("shape", [(7,), (128,), (129,), (1 << 16,),
+                                       ((1 << 16) + 8,), ((1 << 17) + 3,),
+                                       (100_000, 63)])
+    def test_streamed_sum_is_numpys(self, shape):
+        # the assumption behind ensemble_stats' increment mean: numpy sums a
+        # C-contiguous array in one pairwise tree over its flat values, so
+        # the same values fed in uneven pieces through leaf-sized subtrees
+        # have the bits of .sum() and .mean()
+        rng = np.random.default_rng(shape)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        flat = x.reshape(-1)
+        streamed = ggbm._PairwiseSum(flat.size)
+        lo = 0
+        while lo < flat.size:
+            hi = lo + int(rng.integers(1, 3 * ggbm._PAIRWISE_LEAF))
+            streamed.add(flat[lo:hi])
+            lo = hi
+        assert streamed.total() == x.sum()
+        assert streamed.total() / flat.size == x.mean()
+
     @pytest.mark.parametrize("times", [[1e200], [1.0, 2.0, 1e200],
                                        [1e199, 1e200, 2e200, 3e200],
                                        [1e306, 2e306, 3e306]])
@@ -685,25 +719,28 @@ class TestBlockedPassesMatchFullArrays:
         # past a variance of about 1e154 the fourth central powers overflow,
         # and near the double range the squares too; every field must equal
         # the full-array formulas on the paths scaled by a power of two (an
-        # exact scaling), with no RuntimeWarning (errors, pyproject.toml)
-        ens = ggbm.sample_paths(ggbm.CovSpec(1.0, 1.0, np.array(times)),
-                                200, 11)
-        rep = ggbm.ensemble_stats(ens)
-        x = ens.paths
-        k = np.frexp(np.abs(x).max(axis=0))[1]  # one scale per column
-        want = _full_array_stats(ggbm.PathEnsemble(
-            ens.spec, np.ldexp(x, -k), ens.seed, ens.lambdas))
-        for name, power in (("mean", 1), ("mean_se", 1), ("variance", 2),
-                            ("variance_se", 2)):
-            assert np.array_equal(getattr(rep, name),
-                                  np.ldexp(want[name], power * k)), name
-        if len(times) >= 3:
-            k = np.frexp(np.abs(x).max())[1]  # one scale for the increments
+        # exact scaling), with no RuntimeWarning (errors, pyproject.toml).
+        # 40 000 paths span many row blocks, and from three times on their
+        # increments span two leaves of the pairwise sum
+        for n in (200, 40_000):
+            ens = ggbm.sample_paths(ggbm.CovSpec(1.0, 1.0, np.array(times)),
+                                    n, 11)
+            rep = ggbm.ensemble_stats(ens)
+            x = ens.paths
+            k = np.frexp(np.abs(x).max(axis=0))[1]  # one scale per column
             want = _full_array_stats(ggbm.PathEnsemble(
                 ens.spec, np.ldexp(x, -k), ens.seed, ens.lambdas))
-            assert rep.lag1_increment_corr == want["lag1_increment_corr"]
-            assert (rep.lag1_increment_corr_se
-                    == want["lag1_increment_corr_se"])
+            for name, power in (("mean", 1), ("mean_se", 1),
+                                ("variance", 2), ("variance_se", 2)):
+                assert np.array_equal(getattr(rep, name),
+                                      np.ldexp(want[name], power * k)), name
+            if len(times) >= 3:
+                k = np.frexp(np.abs(x).max())[1]  # one scale for increments
+                want = _full_array_stats(ggbm.PathEnsemble(
+                    ens.spec, np.ldexp(x, -k), ens.seed, ens.lambdas))
+                assert rep.lag1_increment_corr == want["lag1_increment_corr"]
+                assert (rep.lag1_increment_corr_se
+                        == want["lag1_increment_corr_se"])
 
 
 class TestParallelFills:

@@ -3,6 +3,7 @@ paper's identities: test_acceptance.py asserts the acceptance criteria on
 their Check records, and the per-module tests cover the evaluators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,3 +110,17 @@ def test_run_suites_runs_every_suite_in_order(monkeypatch):
     report = verification.run_suites(["all"])
     assert order == ["a", "b"]
     assert report == {"suites": {"a": [], "b": []}, "passed": True}
+
+
+def test_ggbm_suite_holds_one_ensemble_at_a_time():
+    # a 100 000 x 64 ensemble is 52 MB (whole 4096-path batches); the suite
+    # frees each before it samples the next, and ensemble_stats works in
+    # row blocks (numpy reports its buffers to tracemalloc)
+    tracemalloc.start()
+    try:
+        checks = verification.suite_ggbm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak <= 60e6, peak
