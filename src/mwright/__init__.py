@@ -72,6 +72,16 @@ from .ggbm import (
 
 __version__ = "0.1.0"
 
+
+def __getattr__(name):
+    # the verify suites are not imported with the package (the CLI imports
+    # them for verify alone); mwright.verification loads them on first use
+    if name == "verification":
+        import importlib
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "errors",
     "AuxIndex", "EvalResult", "WrightIndex",

@@ -6,6 +6,10 @@ simulate (path ensembles with statistics), verify (invariant suites).
 Grids and ensembles are written as CSV with '#' metadata lines and full
 17-significant-digit decimals so files round-trip exactly; reports are
 JSON. Command-line flags override an optional JSON config file.
+
+Only verify imports the verification module, and only its ggBm suite
+imports scipy.stats (its KS tests), the package's costliest import: the
+other subcommands start as fast and as small as `import mwright`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, _csv, ggbm, greens, specfun, verification
+from . import __version__, _csv, ggbm, greens, specfun
 from .errors import DomainError
 from .gridfn import GridFunction
 
@@ -156,11 +160,22 @@ def cmd_green(args) -> int:
 def cmd_solve(args) -> int:
     if args.nx < 3 or args.nx % 2 == 0:
         raise DomainError("need odd nx >= 3")
+    for flag, value in (("halfwidth", args.halfwidth),
+                        ("u0-std", args.u0_std)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"--{flag} must be finite and positive, "
+                              f"got {value}")
     xs = np.linspace(-args.halfwidth, args.halfwidth, args.nx)
+    if not xs[1] > xs[0]:  # the step underflowed to 0
+        raise DomainError(f"--halfwidth {args.halfwidth} is too small for "
+                          f"--nx {args.nx}: the grid step is 0")
     std = args.u0_std if args.u0_std is not None else 5 * (xs[1] - xs[0])
-    u0 = GridFunction(
-        xs, np.exp(-0.5 * (xs / std) ** 2) / (std * math.sqrt(2 * math.pi)),
-        f"gaussian std={std}")
+    with np.errstate(over="ignore"):  # far out, (x/std)^2 = inf: exp gives 0
+        ys = np.exp(-0.5 * (xs / std) ** 2) / (std * math.sqrt(2 * math.pi))
+    if not np.isfinite(ys).all():
+        raise DomainError(f"initial Gaussian std {std} is too small: its "
+                          f"peak 1/(std sqrt(2 pi)) exceeds the double range")
+    u0 = GridFunction(xs, ys, f"gaussian std={std}")
     spec = greens.GreenSpec(args.alpha, args.beta, args.K)
     out = greens.solve_volterra(u0, spec, args.t_end, args.nt,
                                 args.halfwidth)
@@ -191,6 +206,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verification  # loads its suites' dependencies on demand
+
     names = [s.strip() for s in args.suite.split(",")]
     known = set(verification.SUITES) | {"all"}
     for n in names:

@@ -26,6 +26,9 @@ from .fraccalc import _prod_trap_pieces
 from .gridfn import GridFunction
 
 HISTORY_BLOCK = 32  # time steps per history GEMM in solve_volterra
+# solve_volterra marches a profile as given while its peak lies within
+# (1/_MARCH_RANGE, _MARCH_RANGE): there its sum of squares is a normal double
+_MARCH_RANGE = 2.0 ** 400
 
 
 @dataclass(frozen=True)
@@ -374,7 +377,11 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
     CFLViolation if the profile's L2 norm exceeds five times its initial
     value. The history sum runs in blocks of HISTORY_BLOCK steps: the
     part before a block is one matrix product, and each step adds only
-    the block's earlier rows.
+    the block's earlier rows. InvalidArgument is raised where the
+    stretched time t_end^(alpha/beta), or the rate of the stiffest sine
+    mode (a grid too fine for the step), leaves the double range. A
+    profile too large or too small to square in doubles marches scaled by
+    a power of two; a result past the double range raises ResultOverflow.
 
     Parameters
     ----------
@@ -405,16 +412,34 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
             f"grid [{u0.xs[0]}, {u0.xs[-1]}] does not span the requested "
             f"half-width {bc_halfwidth}")
 
-    dsig = t_end ** (spec.alpha / spec.beta) / nt
+    try:
+        dsig = t_end ** (spec.alpha / spec.beta) / nt
+    except OverflowError:
+        raise InvalidArgument(
+            f"stretched time t_end^(alpha/beta) at t_end={t_end}, "
+            f"alpha/beta={spec.alpha / spec.beta} exceeds the double "
+            f"range") from None
     p0, p1 = _prod_trap_pieces(spec.beta, nt)
     ap = p0 - p1
     w_diag = p1[1]  # implicit weight of the current step, constant in n
     coef = spec.k * dsig ** spec.beta * float(_rgamma(spec.beta))
 
     m = len(u0) - 2
+    with np.errstate(over="ignore"):  # inf: refused just below
+        lam = _sine_eigenvalues(m, dx)
+    if not math.isfinite(coef * float(lam[-1])):  # the largest eigenvalue
+        raise InvalidArgument(
+            f"grid spacing {dx} is too fine for t_end={t_end} at nt={nt}: "
+            f"the rate of the stiffest sine mode exceeds the double range")
+    # the march is linear, so a profile whose squares (the guard's sum
+    # below) would leave the double range marches scaled by an exact power
+    # of two, 2^shift, and its result is scaled back
+    interior = u0.ys[1:-1]
+    peak = float(np.max(np.abs(interior)))
+    shift = (0 if 1.0 / _MARCH_RANGE < peak < _MARCH_RANGE
+             else -math.frexp(peak)[1])  # 0 for a zero profile too
     # sine coefficients of the interior profile; u_xx has -lam times them
-    base = _dst1(u0.ys[1:-1])
-    lam = _sine_eigenvalues(m, dx)
+    base = _dst1(np.ldexp(interior, shift))
     inv = 1.0 / (1.0 + w_diag * coef * lam)
     base_inv, gain = base * inv, coef * lam * inv
     bound = 25.0 * (base @ base)  # squared L2 guard, by Parseval
@@ -443,6 +468,12 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
                     f"update grew beyond the stability guard at step {n}")
     out = np.zeros(m + 2)
     out[1:-1] = _dst1(hist[nt]) * (2.0 / (m + 1))
+    if shift:
+        with np.errstate(over="ignore"):  # inf: ResultOverflow below
+            out = np.ldexp(out, -shift)
+        if not np.isfinite(out).all():
+            raise ResultOverflow(
+                f"solution at t={t_end} exceeds the double range")
     meta = (f"alpha={spec.alpha} beta={spec.beta} K={spec.k} t={t_end} "
             f"nt={nt}")
     return GridFunction(u0.xs.copy(), out, meta)

@@ -4,6 +4,9 @@ Each suite re-derives a family of identities numerically (quadrature,
 closed-form cross-checks, Monte Carlo) and reports one record per check:
 pass means residual <= threshold. For probabilistic checks the residual is
 0.01 - p_value, so the threshold is 0.
+
+The command line imports this module for `verify` alone, and scipy.stats
+loads inside suite_ggbm, whose three KS tests are its only users.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, rgamma as _rgamma
-from scipy.stats import ks_2samp, kstest
 
 from . import fraccalc, ggbm, greens, oracles, specfun
 from .gridfn import GridFunction
@@ -353,6 +355,10 @@ def _convolve_green(u0: GridFunction, spec: greens.GreenSpec,
 
 def suite_ggbm() -> list[Check]:
     """Monte Carlo checks of the ggBm laws on seeded 100 000-path ensembles."""
+    # scipy.stats is the costliest import in the package, and only these
+    # three KS tests use it, so only this suite pays for it
+    from scipy.stats import ks_2samp, kstest
+
     checks = []
     n_paths, seed = 100_000, 20260411
     times = np.arange(1, 65) / 64.0

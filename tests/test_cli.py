@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,16 @@ class TestTabulate:
         # the truncation terms at the stop overflow: NonConvergence, quietly
         ["eval", "--function", "wright", "--lam", "-0.155", "--mu", "-170.5",
          "--x", "1.575"],
+        # an initial Gaussian that is no density: DomainError
+        *(["solve", "--alpha", "1", "--beta", "0.5", "--t-end", "0.1",
+           "--u0-std", std] for std in ("-1", "0", "nan", "inf", "5e-324")),
+        *(["solve", "--alpha", "1", "--beta", "0.5", "--t-end", "0.1",
+           "--halfwidth", hw] for hw in ("0", "-8", "inf", "1e-322")),
+        # (2/dx)^2, and the stretched time 1e20^20, past the double range:
+        # InvalidArgument
+        ["solve", "--alpha", "1", "--beta", "0.5", "--t-end", "0.1",
+         "--halfwidth", "1e-300"],
+        ["solve", "--alpha", "2", "--beta", "0.1", "--t-end", "1e20"],
     ])
     def test_rejected_input_writes_nothing_and_one_line(
             self, capsys, tmp_path, argv):
@@ -410,6 +421,21 @@ class TestGreenSolveSimulate:
         gf = GridFunction.from_csv(str(out))
         dx = gf.xs[1] - gf.xs[0]
         assert gf.ys.sum() * dx == pytest.approx(1.0, abs=1e-6)
+
+    def test_solve_from_a_narrow_gaussian_quietly(self, tmp_path):
+        # std 1e-300: (x/std)^2 overflows off the centre node, where the
+        # Gaussian is 0, and the peak 4e299 squared is past the double range
+        out = tmp_path / "u.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["solve", "--alpha", "1", "--beta", "0.5", "--t-end",
+                        "0.1", "--u0-std", "1e-300", "--out", str(out)]) == 0
+        from mwright.gridfn import GridFunction
+        gf = GridFunction.from_csv(str(out))
+        dx = gf.xs[1] - gf.xs[0]
+        assert np.isfinite(gf.ys).all()
+        assert gf.ys.sum() * dx == pytest.approx(
+            dx / (1e-300 * math.sqrt(2 * math.pi)), rel=1e-9)
 
     def test_simulate_stats_variance(self, tmp_path):
         assert run(["simulate", "--alpha", "1", "--beta", "1",

@@ -11,6 +11,7 @@ from mwright.errors import (
     InvalidArgument,
     InvalidTime,
     NearSingularOrder,
+    ResultOverflow,
     SpecMismatch,
 )
 from mwright.fraccalc import _prod_trap_pieces
@@ -342,6 +343,52 @@ class TestVolterra:
         with pytest.raises(CFLViolation, match="step ([2-9]|1[0-6])$"):
             greens.solve_volterra(self.gaussian(0.5), spec, 0.5, 16, 7.0)
 
+    def test_growth_guard_holds_for_a_profile_past_the_square_range(
+            self, monkeypatch):
+        # 2^600 times the Gaussian: its sum of squares overflows, so a guard
+        # formed from it would be inf and never trip
+        self._step_one_growth(monkeypatch, 5.1, 16, 0.5)
+        spec = greens.GreenSpec(1.0, 1.0, 1.0)
+        u0 = GridFunction(self.xs, np.ldexp(self.gaussian(0.5).ys, 600))
+        with pytest.raises(CFLViolation, match="step 1$"):
+            greens.solve_volterra(u0, spec, 0.5, 16, 7.0)
+
+    @pytest.mark.parametrize("shift", [-800, -600, 600, 1000])
+    def test_profile_times_a_power_of_two(self, shift):
+        # the march is linear: 2^shift times the Gaussian (every value a
+        # normal double) gives 2^shift times its result, bit for bit, also
+        # where the profile's squares leave the double range
+        spec = greens.GreenSpec(0.8, 0.4, 1.0)
+        u0 = self.gaussian(0.5)
+        want = greens.solve_volterra(u0, spec, 0.5, 64, 7.0).ys
+        scaled = GridFunction(self.xs, np.ldexp(u0.ys, shift))
+        got = greens.solve_volterra(scaled, spec, 0.5, 64, 7.0).ys
+        np.testing.assert_array_equal(got, np.ldexp(want, shift))
+
+    def test_result_past_the_double_range(self):
+        # the largest double on every interior node: the sine transform's
+        # round trip lifts some node past it
+        xs = np.linspace(-4.0, 4.0, 81)
+        ys = np.full(81, np.finfo(float).max)
+        ys[0] = ys[-1] = 0.0
+        spec = greens.GreenSpec(1.0, 1.0, 1.0)
+        with pytest.raises(ResultOverflow, match="double range"):
+            greens.solve_volterra(GridFunction(xs, ys), spec, 1e-300, 16,
+                                  4.0)
+
+    @pytest.mark.parametrize("halfwidth, t_end", [(1e-300, 0.1),
+                                                   (1e-150, 1e6)])
+    def test_stiffest_mode_past_the_double_range(self, halfwidth, t_end):
+        # (2/dx)^2 overflows at dx = 5e-303; at dx = 5e-153 it is 1.6e305,
+        # and the step's factor coef = 3.5e4 takes it past the range.
+        # Either way the march would divide inf by inf
+        xs = np.linspace(-halfwidth, halfwidth, 401)
+        u0 = GridFunction(xs, np.exp(-0.5 * (xs / (5 * (xs[1] - xs[0]))) ** 2))
+        spec = greens.GreenSpec(1.0, 0.5, 1.0)
+        with np.errstate(all="raise"), pytest.raises(InvalidArgument,
+                                                      match="too fine"):
+            greens.solve_volterra(u0, spec, t_end, 256, halfwidth)
+
     def test_domain_validation(self):
         spec = greens.GreenSpec(1.0, 1.0, 1.0)
         with pytest.raises(InvalidArgument):
@@ -350,6 +397,11 @@ class TestVolterra:
             greens.solve_volterra(self.gaussian(0.5), spec, 0.5, 8, 7.0)
         with pytest.raises(InvalidTime):
             greens.solve_volterra(self.gaussian(0.5), spec, -1.0, 64, 7.0)
+        # 1e20^20 is past the double range
+        with pytest.raises(InvalidArgument, match="stretched time"):
+            greens.solve_volterra(self.gaussian(0.5),
+                                  greens.GreenSpec(2.0, 0.1),
+                                  1e20, 64, 7.0)
 
     def test_grid_without_interior_node(self, monkeypatch):
         # rejected before any work: the product-quadrature weights are
