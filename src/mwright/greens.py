@@ -89,114 +89,119 @@ def green_density(spec: GreenSpec, x: float, t: float) -> float:
 def green_density_values(spec: GreenSpec, xs, t: float) -> np.ndarray:
     """Vectorized green_density over an array of positions.
 
-    A width outside the normal double range (a time near 0 or a huge
-    k t^alpha) takes the factors in log space; see `_m_in_logs`.
+    The values of `_scaled_m`: in linear form where that is exact, in logs
+    where the width k^(1/2) t^(alpha/2) leaves the normal double range (a
+    time near 0 or a huge k t^alpha), or where a factor 1/(2 width) > 1
+    meets an M_(beta/2) value below 1e-280. A value past the double range
+    raises ResultOverflow.
     """
-    scale = _green_scale(spec, t)
-    xs = np.asarray(xs, dtype=float)
-    if not sys.float_info.min <= scale < math.inf:
-        return _checked(_m_in_logs(0.5 * spec.beta, np.abs(xs),
-                                   *_green_logs(spec, t)),
-                        xs, t, "Green function")
-    with np.errstate(over="ignore"):  # M_nu is 0 at an inf argument
-        args = np.abs(xs) / scale
-    return 0.5 / scale * specfun.m_wright_values(0.5 * spec.beta, args)
+    return _green(spec, xs, t)[0].reshape(np.shape(xs))
 
 
 def green_density_result(spec: GreenSpec, x: float, t: float):
-    """green_density (the same bits) as an EvalResult: the M_(beta/2)
-    estimate times the same factor as the value, and the M_(beta/2) method."""
-    scale = _green_scale(spec, t)
-    if not sys.float_info.min <= scale < math.inf:
-        return _result_in_logs(0.5 * spec.beta, abs(float(x)),
-                               *_green_logs(spec, t), t, "Green function")
-    nu, arg = 0.5 * spec.beta, abs(float(x)) / scale
-    m = specfun.m_wright(nu, arg)
-    err = (_underflow_estimate(nu, arg, math.log(0.5 / scale))
-           if _underflowed(m) else 0.5 / scale * m.abs_err_estimate)
-    return specfun.EvalResult(0.5 / scale * m.value, err, m.method)
-
-
-def _green_logs(spec: GreenSpec, t: float) -> tuple[float, float]:
-    """The logs of the Green function's factor 1/(2 scale) and of its
-    argument's 1/scale."""
-    log_scale = 0.5 * (math.log(spec.k) + spec.alpha * math.log(t))
-    return math.log(0.5) - log_scale, -log_scale
-
-
-def _m_in_logs(nu: float, xs: np.ndarray, log_c: float,
-               log_a: float) -> np.ndarray:
-    """c M_nu(a xs) at xs >= 0 from log c and log a, for a factor past the
-    double range: exp(log M_nu + log c), with log M_nu from
-    `specfun._m_wright_logs`, so that a value the factor lifts back into
-    range keeps it where M_nu itself underflows. As in
-    drift_green_stable_form, the value is 0 where the argument a xs leaves
-    the double range, and inf where the value does."""
-    log_m = specfun._m_wright_logs(nu, _times_exp(xs, log_a))[0]
-    with np.errstate(over="ignore"):  # inf: ResultOverflow at _checked
-        return np.exp(log_m + log_c).reshape(np.shape(xs))
-
-
-def _result_in_logs(nu: float, x: float, log_c: float, log_a: float,
-                    t: float, what: str):
-    """_m_in_logs at one x (the same bits) as an EvalResult. The estimate
-    is the value times M_nu's relative estimate plus the rounding of the
-    logs: 4 eps (1 + |log M| + |log c|) of the exponent, and eps (2 + |log
-    x| + |log a|) of the argument a x, times (1 + Y)/(1 - nu), which bounds
-    |d log M/d log r| (Y = `specfun._saddle_exponent`); at nu = 0.99 and Y
-    = 474 that is 47500. Where M_nu underflowed on a route without a log,
-    `_underflow_estimate`."""
-    arg = float(_times_exp(x, log_a))
-    (log_m,), (rel,), (method,) = specfun._m_wright_logs(nu, arg)
-    with np.errstate(over="ignore"):
-        value = _checked(np.exp(log_m + log_c), x, t, what)
-    if log_m == -math.inf:
-        err = (_underflow_estimate(nu, arg, log_c)
-               if method == specfun.METHOD_ASYMPTOTIC else 0.0)
-    else:
-        slope = (1.0 + specfun._saddle_exponent(nu, np.float64(arg))) / (
-            1.0 - nu)
-        log_x = abs(math.log(x)) if x > 0.0 else 0.0
-        size = sys.float_info.epsilon * (
-            4.0 * (1.0 + abs(log_m) + abs(log_c))
-            + slope * (2.0 + log_x + abs(log_a)))
-        err = _times_exp(rel + size, log_m + log_c)
+    """green_density (the same bits) as an EvalResult: its one-point case,
+    with the estimate and the M_(beta/2) method of `_scaled_m`."""
+    (value,), (err,), (method,) = _green(spec, float(x), t)
     return specfun.EvalResult(float(value), float(err), str(method))
 
 
-def _underflowed(m) -> bool:
-    """Whether M_nu's tail route returned 0 for a value below the double
-    range, with its 1e-300 floor as the estimate."""
-    return m.value == 0.0 and m.method == specfun.METHOD_ASYMPTOTIC
+def _green(spec: GreenSpec, xs, t: float):
+    """Value, estimate and method arrays of the Green function at the
+    positions xs, flattened: c M_(beta/2)(a |xs|), c = 1/(2 scale) and a =
+    1/scale."""
+    scale = _green_scale(spec, t)
+    xs = np.asarray(xs, dtype=float).ravel()
+    with np.errstate(over="ignore"):  # M_nu is 0 at an inf argument
+        linear = ((np.abs(xs) / scale, 0.5 / scale)
+                  if sys.float_info.min <= scale < math.inf else None)
+    log_scale = 0.5 * (math.log(spec.k) + spec.alpha * math.log(t))
+    value, err, method = _scaled_m(0.5 * spec.beta, np.abs(xs), linear,
+                                   math.log(0.5) - log_scale, -log_scale)
+    return _checked(value, xs, t, "Green function"), err, method
 
 
-def _underflow_estimate(nu: float, arg: float, log_c: float) -> float:
-    """The estimate of c M_nu(arg) where M_nu underflowed to 0: c times
-    `specfun.m_wright_envelope(nu)` at arg, formed in logs, and 0 at an
-    infinite argument. c times M's 1e-300 floor could exceed the value's
+# the least M_nu value that a factor c > 1 multiplies in linear form: from
+# there M_nu's estimate, at least 8 eps times the value (1.8e-295), clears
+# its 1e-300 floor, and no subnormal digits are lifted
+_LINEAR_M_MIN = 1e-280
+
+
+def _scaled_m(nu: float, xs: np.ndarray, linear, log_c: float,
+              log_a: float):
+    """c M_nu(a xs) at positions xs >= 0 (a flat array): value, estimate
+    and method arrays, the method M_nu's at the point.
+
+    linear is (a xs, c) as the caller forms them in doubles, or None where
+    its scale is not a normal double (so that a is normal where c is). A
+    point takes that linear form, c times M_nu's value and estimate at a
+    xs, where c is a normal double and either c <= 1 or M_nu(a xs) >=
+    _LINEAR_M_MIN: there the product keeps M_nu's digits and its estimate.
+    Every other point takes `_log_form`.
+    """
+    if linear is None or not sys.float_info.min <= linear[1]:
+        return _log_form(nu, xs, log_c, log_a)
+    args, c = linear
+    v, e, method = specfun._m_wright_array(nu, args, 1e-12)
+    with np.errstate(over="ignore"):  # inf: ResultOverflow at _checked
+        value, err = c * v, c * e
+    logs = (c > 1.0) & (v < _LINEAR_M_MIN)
+    if logs.any():
+        value[logs], err[logs], method[logs] = _log_form(nu, xs[logs], log_c,
+                                                         log_a)
+    return value, err, method
+
+
+def _log_form(nu: float, x: np.ndarray, log_c: float, log_a: float):
+    """`_scaled_m` in logs: exp(log M_nu + log c) at the argument exp(log x
+    + log a), with log M_nu from `specfun._m_wright_array`'s logs, which
+    hold where M_nu underflows. The value is 0 where the argument leaves
+    the double range, and inf where the value does.
+
+    The estimate is the value times M_nu's relative estimate plus the
+    rounding of the logs: 4 eps (1 + |log M| + |log c|) of the exponent,
+    and eps (2 + |log x| + |log a|) of the argument, times (1 + Y)/(1 -
+    nu), which bounds |d log M/d log r| (Y = `specfun._saddle_exponent`;
+    at nu = 0.99 and Y = 474 that is 47500), and one subnormal spacing for
+    exp's rounding where the value is subnormal. Where the value is 0, it is
+    `_underflow_estimate` on the tail route at a finite argument, and 0
+    elsewhere: there the rounding terms, as large as Y, need not fit in a
+    double, and the value lies below the double range at any argument
+    within the rounding."""
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf
+        arg = np.exp(np.log(x) + log_a)
+    _, _, method, log_m, rel = specfun._m_wright_array(nu, arg, 1e-12,
+                                                       logs=True)
+    with np.errstate(over="ignore"):  # inf: ResultOverflow at _checked
+        value = np.exp(log_m + log_c)
+    live = (0.0 < value) & (value < math.inf)
+    slope = (1.0 + specfun._saddle_exponent(nu, arg[live])) / (1.0 - nu)
+    log_x = np.abs(np.log(np.where(x[live] > 0.0, x[live], 1.0)))
+    size = sys.float_info.epsilon * (
+        4.0 * (1.0 + np.abs(log_m[live]) + abs(log_c))
+        + slope * (2.0 + log_x + abs(log_a)))
+    err = np.zeros(x.size)
+    err[live] = math.ulp(0.0) + np.exp(np.log(rel[live] + size)
+                                       + (log_m[live] + log_c))
+    under = ~live & (method == specfun.METHOD_ASYMPTOTIC) & (arg < math.inf)
+    err[under] = _underflow_estimate(nu, arg[under], log_c)
+    return value, err, method
+
+
+def _underflow_estimate(nu: float, w: np.ndarray, log_c: float):
+    """The estimate of c M_nu(w) at finite radii w past the switch where it
+    is 0: c times `specfun.m_wright_envelope(nu)` at w, formed in logs (0
+    where Y overflows). c times M's 1e-300 floor could exceed the value's
     own scale by far (0.5 at t = 1e-300 for a Green function)."""
-    if not arg < math.inf:
-        return 0.0
-    w = np.float64(arg)
-    with np.errstate(over="ignore"):  # Y = inf: the envelope is 0
-        log_env = (math.log(10.0) + specfun._log_saddle_factor(nu, 1, w)
-                   - specfun._saddle_exponent(nu, w))
-    return float(np.exp(log_env + log_c))
-
-
-def _times_exp(x, log_factor: float) -> np.ndarray:
-    """x exp(log_factor) for x >= 0, formed as exp(log x + log_factor)."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(np.log(x) + log_factor)
+    return np.exp(math.log(10.0) + specfun._log_saddle_factor(nu, 1, w)
+                  - specfun._saddle_exponent(nu, w) + log_c)
 
 
 def _checked(out, xs, t: float, what: str):
     """out, or ResultOverflow naming the first x where it is inf."""
     over = np.isinf(out)
     if over.any():
-        x = np.broadcast_to(xs, np.shape(out))[over][0]
-        raise ResultOverflow(f"{what} at x={x}, t={t} exceeds the double "
-                             f"range")
+        raise ResultOverflow(f"{what} at x={xs[over][0]}, t={t} exceeds the "
+                             f"double range")
     return out
 
 
@@ -245,22 +250,12 @@ def drift_green_values(spec: DriftSpec, xs, t: float) -> np.ndarray:
     Vanishes for x < 0; normalized on the positive axis with mean
     t^beta / Gamma(beta + 1). The beta -> 1 limit is a pure right-running
     pulse delta(x - t), not representable here (NearSingularOrder).
-    Vectorized over the positions xs. A value past the double range raises
-    ResultOverflow; a t^(-beta) past it takes the factors in log space
-    (`_m_in_logs`).
+    Vectorized over the positions xs. The values of `_scaled_m`: in linear
+    form where that is exact, in logs where t^(-beta) leaves the double
+    range, or where a factor t^(-beta) > 1 meets an M_beta value below
+    1e-280. A value past the double range raises ResultOverflow.
     """
-    scale = _drift_scale(spec, t)
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape)
-    ahead = ~(xs < 0.0)  # NaN positions reach m_wright_values and raise
-    if scale == math.inf:
-        log_s = -spec.beta * math.log(t)
-        out[ahead] = _m_in_logs(spec.beta, xs[ahead], log_s, log_s)
-    else:
-        with np.errstate(over="ignore"):  # M_beta is 0 at an inf argument
-            out[ahead] = scale * specfun.m_wright_values(spec.beta,
-                                                         xs[ahead] * scale)
-    return _checked(out, xs, t, "drift Green function")
+    return _drift(spec, xs, t)[0].reshape(np.shape(xs))
 
 
 def drift_green(spec: DriftSpec, x: float, t: float) -> float:
@@ -269,23 +264,28 @@ def drift_green(spec: DriftSpec, x: float, t: float) -> float:
 
 
 def drift_green_result(spec: DriftSpec, x: float, t: float):
-    """drift_green (the same bits) as an EvalResult: the M_beta estimate
-    times the same factor as the value and the M_beta method; (0, 0,
-    closed form) for x < 0."""
+    """drift_green (the same bits) as an EvalResult: its one-point case,
+    with the estimate and the M_beta method of `_scaled_m`; (0, 0, closed
+    form) for x < 0."""
+    (value,), (err,), (method,) = _drift(spec, float(x), t)
+    return specfun.EvalResult(float(value), float(err), str(method))
+
+
+def _drift(spec: DriftSpec, xs, t: float):
+    """Value, estimate and method arrays of the drift Green function at
+    the positions xs, flattened: c M_beta(a xs), c = a = t^(-beta), at xs
+    >= 0, and (0, 0, closed form) behind the front."""
     scale = _drift_scale(spec, t)
-    x = float(x)
-    if x < 0.0:
-        return specfun.EvalResult(0.0, 0.0, specfun.METHOD_CLOSED_FORM)
-    if scale == math.inf:
-        log_s = -spec.beta * math.log(t)
-        return _result_in_logs(spec.beta, x, log_s, log_s, t,
-                               "drift Green function")
-    m = specfun.m_wright(spec.beta, x * scale)
-    err = (_underflow_estimate(spec.beta, x * scale, math.log(scale))
-           if _underflowed(m) else scale * m.abs_err_estimate)
-    return specfun.EvalResult(
-        float(_checked(scale * m.value, x, t, "drift Green function")),
-        err, m.method)
+    xs = np.asarray(xs, dtype=float).ravel()
+    value, err = np.zeros((2, xs.size))
+    method = np.full(xs.size, specfun.METHOD_CLOSED_FORM)
+    ahead = ~(xs < 0.0)  # NaN positions reach M_beta and raise
+    with np.errstate(over="ignore"):  # M_beta is 0 at an inf argument
+        linear = (xs[ahead] * scale, scale) if scale < math.inf else None
+    log_s = -spec.beta * math.log(t)
+    value[ahead], err[ahead], method[ahead] = _scaled_m(
+        spec.beta, xs[ahead], linear, log_s, log_s)
+    return _checked(value, xs, t, "drift Green function"), err, method
 
 
 def _drift_scale(spec: DriftSpec, t: float) -> float:
@@ -308,21 +308,24 @@ def drift_green_stable_form(spec: DriftSpec, x: float, t: float) -> float:
     density L(r) = beta r^(-beta-1) M_beta(r^(-beta)); algebraically equal
     to drift_green, kept as an independent evaluation route. r and the
     prefactors are formed in log space, since r leaves the double range
-    long before the value does (x = 3 at beta = 0.001 gives r = 3^-1000).
+    long before the value does (x = 3 at beta = 0.001 gives r = 3^-1000),
+    and so is M_beta (`specfun._m_wright_array`'s logs), which keeps its
+    digits where M_beta(r^(-beta)) is subnormal or underflows.
     """
     _drift_scale(spec, t)  # the checks on t and beta
     if not x > 0.0:
         raise InvalidArgument("stable form needs x > 0")
-    if x == math.inf:  # M_beta vanishes there, as drift_green has it
-        return 0.0
     beta = spec.beta
     log_t, log_x = math.log(t), math.log(x)
     log_r = log_t - log_x / beta
-    m = specfun.m_wright(beta, math.exp(-beta * log_r)).value
-    if m == 0.0:
+    # M_beta(e^709) is 0 at every order, as drift_green has it; exp
+    # overflows past e^709.78
+    arg = math.exp(min(-beta * log_r, 709.0))
+    log_m = specfun._m_wright_array(beta, arg, 1e-12, logs=True)[3][0]
+    if log_m == -math.inf:  # at x = inf too
         return 0.0
     log_value = (log_t - (1.0 + 1.0 / beta) * log_x
-                 - (beta + 1.0) * log_r + math.log(m))
+                 - (beta + 1.0) * log_r + log_m)
     try:
         return math.exp(log_value)
     except OverflowError:

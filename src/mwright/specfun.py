@@ -52,9 +52,9 @@ points, with one chop rule, and gives it the estimate rel = Lebesgue
 constant x largest node relative estimate + chopped coefficients + 8 eps
 (1 + sum |c_k|). One elementwise routine, `_read_pieces`, reads them all
 by a Clenshaw recurrence, with an estimate that does not depend on tol;
-`_tail_logs` reads the tail pieces for `_tail` and for `_m_wright_logs`,
-which keeps log M_nu where M_nu underflows (the Green functions' log
-route).
+`_tail` reads the tail pieces as logs, which `_m_wright_array` returns
+on request next to the values: log M_nu holds where M_nu underflows (the
+Green functions' log form).
 
 Evaluation strategy for E_nu(-s) (mittag_leffler_neg is the one-point
 case of mittag_leffler_values): closed forms for nu = 0 (1/(1+s), s < 1),
@@ -581,7 +581,7 @@ def _tail_interpolant(nu: float, power: int):
     """The Chebyshev pieces of the tail past crossover_radius(nu), or None.
 
     The layout of `_pieces` on `_tail_nodes`: one piece in t = 1/Y on
-    [1/795, 1/max(1, Y(switch))], Y as `_tail_logs` computes it, and where
+    [1/795, 1/max(1, Y(switch))], Y as `_tail` computes it, and where
     Y(switch) < 1 (orders above 0.68) a second one in r on [switch, r(Y =
     1)]: as nu -> 1, M_nu tends to the delta pulse at r = 1, and h is no
     polynomial in 1/Y down there.
@@ -592,7 +592,7 @@ def _tail_interpolant(nu: float, power: int):
     pieces of the same layout keyed by r; `_read_pieces` reads both.
     """
     switch = crossover_radius(nu)
-    # Y(switch) by numpy's power, as `_tail_logs` computes Y at every radius
+    # Y(switch) by numpy's power, as `_tail` computes Y at every radius
     y_lo = float(_saddle_exponent(nu, np.array(switch)))
     y_mid = max(1.0, y_lo)
     layout = [(y_mid, 1.0 / _Y_CUT, 1.0 / y_mid, False,
@@ -685,41 +685,35 @@ def _run_on(x: np.ndarray, k: int) -> np.ndarray:
     return np.cosh(k * np.arccosh(np.maximum(-x, 1.0)))
 
 
-def _tail_logs(nu: float, power: int, fit, w: np.ndarray):
-    """log M_nu (power=1) or of its mass (power=0) from the tail pieces of
-    fit at radii w: (served, log value, relative estimate) as
-    `_read_pieces` returns them, keyed by Y = `_saddle_exponent`(w); the
-    estimate is rel + 8 eps (1 + Y)/(1-nu), the last term the rounding of
-    Y itself (below Y = 1, of r itself: |r d log M/dr| stays under half of
-    (1 + Y)/(1-nu) there, measured on 0.70-0.99). A radius whose Y
-    overflows to inf, where M_nu is 0, is not served."""
-    y = _saddle_exponent(nu, w)
-    served, h, rel = _read_pieces(fit, w, np.where(y < math.inf, y, math.nan))
-    w, y = w[served], y[served]
-    return (served, h + _log_saddle_factor(nu, power, w) - y,
-            rel + 8.0 * _EPS * (1.0 + y) / (1.0 - nu))
-
-
 def _tail(nu: float, w: np.ndarray, tol: float, power: int = 1):
     """M_nu (power=1) or its mass (power=0) at radii w past the switch
-    `crossover_radius(nu)`, as `_m_tail` returns them: from the pieces of
-    `_tail_interpolant` where the order has them (see `_tail_logs`; past Y
-    = 795 the value underflows to 0, with the estimate 1e-300); else, and
-    at radii below the switch or with Y = inf, from `_m_tail`. No radius,
-    no work."""
+    `crossover_radius(nu)`: value and estimate as `_m_tail` returns them,
+    and (served, log value, relative estimate) where the pieces of
+    `_tail_interpolant` serve, None where none do. The pieces are keyed by
+    Y = `_saddle_exponent`(w) and read h + log(a (nu w)^p) - Y
+    (`_log_saddle_factor`), with the estimate rel + 8 eps (1 + Y)/(1-nu),
+    the last term the rounding of Y itself (below Y = 1, of r itself: |r d
+    log M/dr| stays under half of (1 + Y)/(1-nu) there, measured on
+    0.70-0.99). Past Y = 795 the value underflows to 0, with the estimate
+    1e-300, while its log runs on. Orders without pieces, radii below the
+    switch and radii whose Y overflows to inf take `_m_tail`. No radius, no
+    work."""
     if not w.size:
-        return np.zeros(0), np.zeros(0)
+        return np.zeros(0), np.zeros(0), None
     fit = _tail_interpolant(nu, power)
     if fit is None:
-        return _m_tail(nu, w, tol, power)
+        return (*_m_tail(nu, w, tol, power), None)
     value, err = np.zeros(w.size), np.full(w.size, 1e-300)
-    served, log_v, rel = _tail_logs(nu, power, fit, w)
+    y = _saddle_exponent(nu, w)
+    served, h, rel = _read_pieces(fit, w, np.where(y < math.inf, y, math.nan))
+    y = y[served]
+    log_v = h + _log_saddle_factor(nu, power, w[served]) - y
+    rel = rel + 8.0 * _EPS * (1.0 + y) / (1.0 - nu)
     value[served] = v = np.exp(log_v)
     err[served] = np.maximum(v * rel, 1e-300)
     if not served.all():
-        left = ~served
-        value[left], err[left] = _m_tail(nu, w[left], tol, power)
-    return value, err
+        value[~served], err[~served] = _m_tail(nu, w[~served], tol, power)
+    return value, err, (served, log_v, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -794,10 +788,19 @@ def _gaussian_estimate(v, e):
     return (4.0 + 0.5 * cap) * _EPS * v + low
 
 
-def _m_wright_array(nu, rs, tol: float, methods: bool = True):
+def _m_wright_array(nu, rs, tol: float, methods: bool = True,
+                    logs: bool = False):
     """Validation and dispatch of M_nu: value, estimate, method arrays (no
     methods, None, with methods=False). A route that serves no radius does
-    no work."""
+    no work.
+
+    logs=True adds log M_nu and its relative estimate as the route forms
+    them, so that they hold where the value leaves the double range (the
+    Green functions' log form): h on the pieces below the switch, the tail
+    pieces' log (`_tail`, whose piece in 1/Y runs on past Y = 795), and the
+    logs of the closed and limit forms. Elsewhere (orders without pieces)
+    they are the log of the value, -inf where that underflowed, and the
+    estimate over the value."""
     nu = _as_nu(nu)
     if not 0.0 <= nu < 1.0:
         raise InvalidOrder(f"M_nu needs an order 0 <= nu < 1, got {nu}")
@@ -805,66 +808,49 @@ def _m_wright_array(nu, rs, tol: float, methods: bool = True):
         raise NearSingularOrder(
             f"nu={nu} too close to the delta limit (cap {NU_MAX})")
     rs = _arguments(rs, tol, "M_nu")
-    if nu <= _NU_SMALL or nu == 0.5:
-        if nu <= _NU_SMALL:
-            v, method = _small_order(nu, rs, 1), METHOD_LIMIT_CASE
-            err = 4.0 * _EPS * v
-        else:
-            with np.errstate(over="ignore"):  # r^2 = inf past 1.3e154: exp 0
-                e = -0.25 * rs * rs
-            v, method = np.exp(e) / math.sqrt(math.pi), METHOD_CLOSED_FORM
-            err = _gaussian_estimate(v, e)
-        return v, err, np.full(rs.shape, method) if methods else None
-    value, err = np.full((2, rs.size), np.nan)
-    near = rs <= crossover_radius(nu)
-    if near.any():
-        fit = _series_interpolant(nu)
-        if fit is not None:
-            _, h, rel = _read_pieces(fit, rs[near], rs[near])
-            value[near] = v = np.exp(h)
-            err[near] = v * rel
-        else:
-            v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -rs[near], tol)
-            value[near], err[near] = v, trunc + cancel
-    tail = np.isnan(value)
-    value[tail], err[tail] = _tail(nu, rs[tail], tol)
-    if not methods:
-        return value, err, None
-    return value, err, np.where(tail, METHOD_ASYMPTOTIC, METHOD_SERIES)
-
-
-def _m_wright_logs(nu, rs):
-    """log M_nu at radii rs >= 0, with its relative estimate and the
-    method, for a factor past the double range (`greens`): m_wright's
-    route at tol 1e-12, taking the log itself where the route has one, so
-    that a value below the double range keeps it. That is h on the pieces
-    below the switch, h + log(a (nu r)^p) - Y on the tail pieces (the one
-    in 1/Y running on past Y = 795, see `_read_pieces`), and the log of
-    the closed and limit forms. Elsewhere (orders without pieces) it is
-    the log of the value, -inf where that underflowed."""
-    value, err, method = _m_wright_array(nu, rs, 1e-12)
-    nu, rs = _as_nu(nu), np.asarray(rs, dtype=float).ravel()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_v, rel = np.log(value), err / value
-        if nu <= _NU_SMALL:
-            log_v = np.where(rs < math.inf, -rs + np.log1p(
-                np.euler_gamma * nu * (rs - 1.0)), -math.inf)
-        elif nu == 0.5:  # rel as _gaussian_estimate's, also past underflow
+    read = []  # (where, log M_nu, rel) that a route forms itself
+    tail = np.zeros(rs.size, dtype=bool)  # the radii of the tail route
+    if nu <= _NU_SMALL:
+        value, kind = _small_order(nu, rs, 1), METHOD_LIMIT_CASE
+        err = 4.0 * _EPS * value
+        if logs:
+            live = rs < math.inf
+            read.append((live, np.log1p(np.euler_gamma * nu * (
+                rs[live] - 1.0)) - rs[live], 4.0 * _EPS))
+    elif nu == 0.5:
+        with np.errstate(over="ignore"):  # r^2 = inf past 1.3e154: exp 0
             e = -0.25 * rs * rs
-            log_v = e - 0.5 * math.log(math.pi)
-            rel = _gaussian_estimate(1.0, e)
-    if nu <= _NU_SMALL or nu == 0.5:
-        return log_v, rel, method
-    near = rs <= crossover_radius(nu)
-    fit = _series_interpolant(nu) if near.any() else None
-    if fit is not None:
-        _, log_v[near], rel[near] = _read_pieces(fit, rs[near], rs[near])
-    fit = _tail_interpolant(nu, 1) if not near.all() else None
-    if fit is not None:
-        far = np.flatnonzero(~near)
-        served, lv, lr = _tail_logs(nu, 1, fit, rs[far])
-        log_v[far[served]], rel[far[served]] = lv, lr
-    return log_v, rel, method
+        value, kind = np.exp(e) / math.sqrt(math.pi), METHOD_CLOSED_FORM
+        err = _gaussian_estimate(value, e)
+        if logs:  # rel as err / value, also past underflow
+            read.append((slice(None), e - 0.5 * math.log(math.pi),
+                         _gaussian_estimate(1.0, e)))
+    else:
+        value, err = np.full((2, rs.size), np.nan)
+        near = rs <= crossover_radius(nu)
+        if near.any():
+            fit = _series_interpolant(nu)
+            if fit is not None:
+                _, h, rel = _read_pieces(fit, rs[near], rs[near])
+                value[near] = v = np.exp(h)
+                err[near] = v * rel
+                read.append((near, h, rel))
+            else:
+                v, trunc, cancel = _sum_series(-nu, 1.0 - nu, -rs[near], tol)
+                value[near], err[near] = v, trunc + cancel
+        tail = np.isnan(value)
+        value[tail], err[tail], pieces = _tail(nu, rs[tail], tol)
+        if logs and pieces is not None:  # (served, log, rel) of the tail
+            read.append((np.flatnonzero(tail)[pieces[0]], *pieces[1:]))
+        kind = METHOD_SERIES
+    method = np.where(tail, METHOD_ASYMPTOTIC, kind) if methods else None
+    if not logs:
+        return value, err, method
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_v, rel = np.log(value), err / value
+    for where, h, r in read:
+        log_v[where], rel[where] = h, r
+    return value, err, method, log_v, rel
 
 
 def _small_order(nu: float, r: np.ndarray, power: int) -> np.ndarray:
@@ -891,7 +877,7 @@ def _half_mass(nu: float, r: np.ndarray, tol: float):
     v, trunc, cancel = _sum_series(-nu, 1.0, -r[near], 0.01 * tol)
     value[near], err[near] = v, trunc + cancel
     far = ~(err <= tol * value)
-    value[far], err[far] = _tail(nu, r[far], 0.0, power=0)
+    value[far], err[far], _ = _tail(nu, r[far], 0.0, power=0)
     return value, err
 
 

@@ -123,7 +123,7 @@ def suite_specfun() -> list[Check]:
     for nu in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9):
         rstar = specfun.crossover_radius(nu)
         (s,), _, _ = specfun._sum_series(-nu, 1.0 - nu, -rstar, 1e-13)
-        (b,), _ = specfun._tail(nu, np.array([rstar]), 1e-13)
+        (b,), _, _ = specfun._tail(nu, np.array([rstar]), 1e-13)
         gap = abs(s - b) / max(abs(b), 1e-300)
         checks.append(Check("series/asymptotic gap at crossover",
                             {"nu": nu, "r*": round(rstar, 3)}, gap, 1e-11))

@@ -7,9 +7,11 @@ errors, so that NaN or inf never comes back as a plausible number.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mwright import cli, fraccalc, ggbm, greens, oracles, quadrature, specfun
 from mwright.errors import (
@@ -99,6 +101,13 @@ class TestNonFiniteInputs:
     def test_stable_form_at_infinity_is_zero_like_drift_green(self):
         assert greens.drift_green(_DRIFT, math.inf, 1.0) == 0.0
         assert greens.drift_green_stable_form(_DRIFT, math.inf, 1.0) == 0.0
+
+    def test_stable_form_where_the_argument_of_m_overflows(self):
+        # r^(-beta) = x t^(-beta) = 1e300 x 1e297 leaves the double range
+        # (builtins OverflowError before); M_beta and the density are 0
+        spec = greens.DriftSpec(0.99)
+        assert greens.drift_green(spec, 1e300, 1e-300) == 0.0
+        assert greens.drift_green_stable_form(spec, 1e300, 1e-300) == 0.0
 
     @pytest.mark.parametrize("beta, x", [(0.5, 1e200), (0.5, 1e159),
                                          (0.001, 3.0)])
@@ -222,13 +231,97 @@ class TestExtremeTimes:
             greens.variance_law(greens.GreenSpec(1.0, 0.5, 1e300), 1e300)
 
     @pytest.mark.parametrize("argv", [
-        ("--function", "drift", "--beta", "0.99", "--x", "1"),
-        ("--function", "green", "--alpha", "2", "--beta", "0.5", "--x", "1")])
-    def test_eval_prints_standard_json(self, tmp_path, argv):
-        out = tmp_path / "r.json"
-        _cli(tmp_path, "eval", *argv, "--t", "5e-324", "--out", str(out))
-        doc = json.loads(out.read_text(), parse_constant=pytest.fail)
-        assert doc["value"] == 0.0
+        # t^(-beta) and 1/t past the double range: the argument of M is
+        # too, so 0
+        ("--function", "drift", "--beta", "0.99", "--x", "1", "--t",
+         "5e-324"),
+        ("--function", "green", "--alpha", "2", "--beta", "0.5", "--x", "1",
+         "--t", "5e-324"),
+        ("--function", "green", "--alpha", "0.6", "--beta", "0.4", "--x",
+         "1.25", "--t", "0.5"),
+        ("--function", "drift", "--beta", "0.3", "--x", "2", "--t", "1.5"),
+        ("--function", "drift", "--beta", "0.3", "--x=-2", "--t", "1.5"),
+        # a factor t^(-beta) = 4.6e42 on a subnormal M_beta
+        ("--function", "drift", "--beta", "0.8540688856588833", "--x",
+         "6.00098267282074e-43", "--t", "7.283525394423242e-51")])
+    def test_eval_prints_standard_json(self, capsys, argv):
+        # the subcommand's stdout, as a shell pipe reads it: no NaN or
+        # Infinity, which json.dumps would print
+        assert cli.main(["eval", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert set(doc) == {"value", "abs_err_estimate", "method"}
+        if "5e-324" in argv:
+            assert doc["value"] == 0.0
+
+
+_FORMS = {"green": (greens.green_density, greens.green_density_values,
+                    greens.green_density_result),
+          "drift": (greens.drift_green, greens.drift_green_values,
+                    greens.drift_green_result)}
+
+
+def _radii(kind, spec, x, t):
+    """The argument a|x| of M_nu in linear form (where the width or
+    t^(-beta) is a normal double) and in logs."""
+    log_a = (-0.5 * spec.alpha * math.log(t) if kind == "green"
+             else -spec.beta * math.log(t))
+    with np.errstate(divide="ignore", over="ignore"):
+        radii = [float(np.exp(np.log(abs(x)) + log_a))]
+        scale = (greens._green_scale(spec, t) if kind == "green"
+                 else greens._drift_scale(spec, t))
+        if sys.float_info.min <= scale < math.inf:
+            radii.append(float(abs(x) / np.float64(scale) if kind == "green"
+                               else abs(x) * np.float64(scale)))
+    return radii
+
+
+class TestScaledDensities:
+    """Green and drift densities over the whole double range of x and t:
+    one route gives the scalar, _values and _result forms."""
+
+    @given(kind=st.sampled_from(["green", "drift"]),
+           alpha=st.floats(0.0, 2.0, exclude_min=True),
+           order=st.floats(0.0, 1.0, exclude_min=True),
+           x=st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e300,
+                                        math.inf]),
+                       st.floats(allow_nan=False)),
+           t=st.floats(5e-324, 1e308))
+    # a factor t^(-beta) = 4.6e42 on a subnormal M_beta: 1.9e20 x value
+    @example(kind="drift", alpha=1.0, order=0.8540688856588833 / 0.99,
+             x=6.00098267282074e-43, t=7.283525394423242e-51)
+    @example(kind="green", alpha=2.0, order=0.5, x=239e-300, t=1e-300)
+    @example(kind="green", alpha=2.0, order=1.0, x=20e-300, t=1e-300)
+    @example(kind="green", alpha=1.0, order=1e-12, x=1000.0, t=5e-324)
+    @example(kind="drift", alpha=1.0, order=0.5, x=-1.0, t=1.0)
+    def test_forms_agree_and_estimates_are_relative(self, kind, alpha,
+                                                    order, x, t):
+        if kind == "green":
+            spec, nu = greens.GreenSpec(alpha, order), 0.5 * order
+        else:
+            spec = greens.DriftSpec(0.99 * order)
+            nu = spec.beta
+        outs = []
+        scalar, values, result = _FORMS[kind]
+        for form in (lambda: scalar(spec, x, t),
+                     lambda: values(spec, [x], t)[0],
+                     lambda: result(spec, x, t)):
+            try:
+                outs.append(form())
+            except ResultOverflow as exc:
+                outs.append(str(exc))
+        if any(isinstance(out, str) for out in outs):
+            assert outs[0] == outs[1] == outs[2]
+            return
+        got = outs[2]
+        assert (float(outs[0]).hex() == float(outs[1]).hex()
+                == got.value.hex())
+        if kind == "drift" and x < 0.0:
+            assert got == specfun.EvalResult(0.0, 0.0, "closed_form")
+        else:
+            assert got.method in {specfun.m_wright(nu, r).method
+                                  for r in _radii(kind, spec, x, t)}
+        if sys.float_info.min <= got.value:
+            assert got.abs_err_estimate <= 1e-6 * got.value
 
 
 def _cli(tmp, *argv, config=None):

@@ -235,6 +235,38 @@ class TestDrift:
         assert_allclose(got, greens.drift_mean(spec, 1.0), atol=1e-6)
 
 
+# c M_nu(a x) where a factor c > 1 lifts an M_nu value below 1e-280 (a
+# subnormal, or 0 at 250e-300) into the double range, with 40 digits of
+# Zolotarev's integral at 60 digits (the series agrees to 1e-57)
+_LIFTED = [
+    ("drift", greens.DriftSpec(0.8540688856588833), 6.00098267282074e-43,
+     7.283525394423242e-51, "3.538769534740328434999386728085048243840e-278"),
+    ("green", greens.GreenSpec(2.0, 0.5), 239e-300, 1e-300,
+     "2.705176450891729790503510799022382706947e-6"),
+    ("green", greens.GreenSpec(2.0, 0.5), 250e-300, 1e-300,
+     "4.051481947063147002581660849883105666148e-25"),
+]
+
+
+class TestLiftedUnderflow:
+    @pytest.mark.parametrize("kind, spec, x, t, ref", _LIFTED)
+    def test_result_within_its_estimate(self, kind, spec, x, t, ref):
+        # the factor times M's 1e-300 floor, or its subnormal digits, gave
+        # estimates 1.9e20 and 1.8e5 times the value, and 0 for 4e-25
+        result = {"green": greens.green_density_result,
+                  "drift": greens.drift_green_result}[kind]
+        got = result(spec, x, t)
+        assert abs(got.value - float(ref)) <= got.abs_err_estimate
+        assert got.abs_err_estimate <= 1e-8 * got.value
+
+    def test_stable_form_keeps_the_subnormal_digits(self):
+        # M_beta(r^-beta) is subnormal here; its log from the pieces keeps
+        # the digits that the log of the subnormal value lost (4e-4)
+        _, spec, x, t, ref = _LIFTED[0]
+        got = greens.drift_green_stable_form(spec, x, t)
+        assert abs(got - float(ref)) <= 1e-9 * float(ref)
+
+
 class TestVolterra:
     def setup_method(self):
         self.xs = np.linspace(-8.0, 8.0, 401)
