@@ -7,9 +7,9 @@ Grids and ensembles are written as CSV with '#' metadata lines and full
 17-significant-digit decimals so files round-trip exactly; reports are
 JSON. Command-line flags override an optional JSON config file.
 
-Only verify imports the verification module, and only its ggBm suite
-imports scipy.stats (its KS tests), the package's costliest import: the
-other subcommands start as fast and as small as `import mwright`.
+Only verify imports the verification module, and no subcommand imports
+scipy.stats (verify's KS tests take its p-values from `_kstest`): every
+subcommand starts as fast and as small as `import mwright`.
 """
 
 from __future__ import annotations

@@ -135,8 +135,10 @@ def _scaled_m(nu: float, xs: np.ndarray, linear, log_c: float,
     its scale is not a normal double (so that a is normal where c is). A
     point takes that linear form, c times M_nu's value and estimate at a
     xs, where c is a normal double and either c <= 1 or M_nu(a xs) >=
-    _LINEAR_M_MIN: there the product keeps M_nu's digits and its estimate.
-    Every other point takes `_log_form`.
+    _LINEAR_M_MIN: there the product keeps M_nu's digits and its estimate,
+    plus one subnormal spacing for its rounding where a positive M_nu
+    gives a product below the normal range (`_log_form`'s rule). Every
+    other point takes `_log_form`.
     """
     if linear is None or not sys.float_info.min <= linear[1]:
         return _log_form(nu, xs, log_c, log_a)
@@ -144,6 +146,7 @@ def _scaled_m(nu: float, xs: np.ndarray, linear, log_c: float,
     v, e, method = specfun._m_wright_array(nu, args, 1e-12)
     with np.errstate(over="ignore"):  # inf: ResultOverflow at _checked
         value, err = c * v, c * e
+    err[(v > 0.0) & (value < sys.float_info.min)] += math.ulp(0.0)
     logs = (c > 1.0) & (v < _LINEAR_M_MIN)
     if logs.any():
         value[logs], err[logs], method[logs] = _log_form(nu, xs[logs], log_c,

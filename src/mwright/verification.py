@@ -5,8 +5,9 @@ closed-form cross-checks, Monte Carlo) and reports one record per check:
 pass means residual <= threshold. For probabilistic checks the residual is
 0.01 - p_value, so the threshold is 0.
 
-The command line imports this module for `verify` alone, and scipy.stats
-loads inside suite_ggbm, whose three KS tests are its only users.
+The command line imports this module for `verify` alone. The three KS
+tests of suite_ggbm take scipy.stats' p-values, bit for bit, from
+`_kstest`, so no suite imports scipy.stats.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.special import erf, rgamma as _rgamma
 
 from . import fraccalc, ggbm, greens, oracles, specfun
+from ._kstest import ks_1samp, ks_2samp
 from .gridfn import GridFunction
 
 
@@ -355,10 +357,6 @@ def _convolve_green(u0: GridFunction, spec: greens.GreenSpec,
 
 def suite_ggbm() -> list[Check]:
     """Monte Carlo checks of the ggBm laws on seeded 100 000-path ensembles."""
-    # scipy.stats is the costliest import in the package, and only these
-    # three KS tests use it, so only this suite pays for it
-    from scipy.stats import ks_2samp, kstest
-
     checks = []
     n_paths, seed = 100_000, 20260411
     times = np.arange(1, 65) / 64.0
@@ -419,16 +417,16 @@ def suite_ggbm() -> list[Check]:
 
     # stationary increments: distribution of B(t+h)-B(t) across offsets
     # (of the last 64-time ensemble sampled above)
-    p12 = ks_2samp(d1, d2).pvalue
-    p13 = ks_2samp(d1, d3).pvalue
+    _, p12 = ks_2samp(d1, d2)
+    _, p13 = ks_2samp(d1, d3)
     checks.append(Check("stationary increments (KS)",
                         {"offsets": 3}, 0.01 - min(p12, p13), 0.0))
 
     # mixture structure: one-point sample vs symmetric M_(beta/2) law
     spec1 = ggbm.CovSpec(1.0, 0.5, np.array([1.0]))
     ens1 = ggbm.sample_paths(spec1, 20_000, seed + 2)
-    pv = kstest(ens1.paths[:, 0],
-                lambda v: ggbm.marginal_cdf(1.0, 0.5, v, 1.0)).pvalue
+    _, pv = ks_1samp(ens1.paths[:, 0],
+                     lambda v: ggbm.marginal_cdf(1.0, 0.5, v, 1.0))
     checks.append(Check("mixture marginal (KS)", {"beta": 0.5},
                         0.01 - pv, 0.0))
 
@@ -440,7 +438,7 @@ def suite_ggbm() -> list[Check]:
     checks.append(Check("mixing mean 1/Gamma(1+beta) (z-score)",
                         {"beta": 0.5},
                         abs(float(lam.mean()) - want_mean) / se, 3.0))
-    pv = kstest(lam[:10_000], lambda v: erf(np.asarray(v) / 2.0)).pvalue
+    _, pv = ks_1samp(lam[:10_000], lambda v: erf(np.asarray(v) / 2.0))
     checks.append(Check("mixing law vs M_(1/2) (KS)", {"beta": 0.5},
                         0.01 - pv, 0.0))
 

@@ -322,6 +322,22 @@ class TestScaledDensities:
                                   for r in _radii(kind, spec, x, t)}
         if sys.float_info.min <= got.value:
             assert got.abs_err_estimate <= 1e-6 * got.value
+        elif got.value > 0.0:  # its rounding to the subnormal grid
+            assert got.abs_err_estimate >= math.ulp(0.0)
+
+    def test_subnormal_product_in_linear_form_has_an_estimate(self):
+        # c = 0.5/t = 5e-308 times a normal M_0.25(15): c times M's
+        # estimate underflows, and the product's rounding to the subnormal
+        # grid is what the estimate covers; the log form agrees
+        t = 1e307
+        got = greens.green_density_result(greens.GreenSpec(2.0, 0.5),
+                                          1.5e308, t)
+        (want,), _, _ = greens._log_form(0.25, np.array([1.5e308]),
+                                         math.log(0.5) - math.log(t),
+                                         -math.log(t))
+        assert 0.0 < got.value < sys.float_info.min
+        assert got.abs_err_estimate >= math.ulp(0.0)
+        assert abs(got.value - want) <= got.abs_err_estimate
 
 
 def _cli(tmp, *argv, config=None):

@@ -26,31 +26,24 @@ def _loaded_after_import(module):
     return _fresh(code).strip() == "True"
 
 
-def _stats_after_commands(commands, cwd, setup=""):
+def _stats_after_commands(commands, cwd):
     """Per command, run in turn through cli.main in one fresh interpreter
-    (stdout swallowed): its exit code (None if it raised Stop) and whether
-    scipy.stats is loaded after it. setup runs first, after `from mwright
-    import cli` and the definition of Stop."""
+    (stdout swallowed): its exit code and whether scipy.stats is loaded
+    after it."""
     code = "\n".join([
         "import contextlib, io, json, sys",
         "from mwright import cli",
-        "class Stop(Exception): pass",
-        setup,
         "seen = []",
         f"for argv in {commands!r}:",
-        "    rc = None",
         "    with contextlib.redirect_stdout(io.StringIO()):",
-        "        try:",
-        "            rc = cli.main(argv)",
-        "        except Stop:",
-        "            pass",
+        "        rc = cli.main(argv)",
         "    seen.append([rc, 'scipy.stats' in sys.modules])",
         "print(json.dumps(seen))"])
     return json.loads(_fresh(code, cwd=cwd))
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats is most of the import time; only the verify suites use it
+    # scipy.stats would be most of the import time, and nothing uses it
     assert not _loaded_after_import("scipy.stats")
 
 
@@ -91,12 +84,8 @@ def test_subcommands_but_verify_do_not_load_scipy_stats(tmp_path):
         "t.csv", "g.csv", "s.csv", "sim_stats.json"}
 
 
-def test_verify_loads_scipy_stats_for_the_ggbm_suite_alone(tmp_path):
+def test_verify_never_loads_scipy_stats(tmp_path):
+    # the ggBm suite's KS tests take their p-values from mwright._kstest
     assert _stats_after_commands(
-        [["verify", "--suite", "specfun", "--out", "v.json"]],
+        [["verify", "--suite", "all", "--out", "v.json"]],
         tmp_path) == [[0, False]]
-    # the import opens suite_ggbm; the sampling after it is cut short
-    setup = "def stop(*args):\n    raise Stop\ncli.ggbm.sample_paths = stop"
-    assert _stats_after_commands(
-        [["verify", "--suite", "ggbm", "--out", "v.json"]], tmp_path,
-        setup) == [[None, True]]
