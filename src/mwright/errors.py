@@ -2,7 +2,10 @@
 
 Domain violations derive from ValueError so callers can catch them with
 standard idioms; numerical failures derive from ArithmeticError.
+`count` checks the integer counts that entry points take.
 """
+
+import operator
 
 
 class InvalidOrder(ValueError):
@@ -79,3 +82,17 @@ class CFLViolation(ArithmeticError):
 
 class ResultOverflow(ArithmeticError):
     """A result lies outside the double range."""
+
+
+def count(value, name: str, least: int) -> int:
+    """value as an int; InvalidArgument naming the parameter name unless it
+    is an integer (an int, a numpy integer: anything with __index__) of at
+    least least."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidArgument(
+            f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise InvalidArgument(f"need {name} >= {least}, got {n}")
+    return n

@@ -27,6 +27,7 @@ from .errors import (
     NonConvergence,
     NotPositiveDefinite,
     ResultOverflow,
+    count,
 )
 
 _BATCH = 4096  # fixed sampling batch; keeps path i independent of n_paths
@@ -290,9 +291,11 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
     the product with the Cholesky factor (into one reused buffer: one BLAS
     call at a time), scaled by sqrt(Lambda), into its rows. For any worker
     count the bits equal sqrt(Lambda) * (Z @ chol.T) batch by batch.
+
+    n_paths >= 1 and seed >= 0 must be integers (InvalidArgument).
     """
-    if n_paths < 1:
-        raise InvalidArgument("need n_paths >= 1")
+    n_paths = count(n_paths, "n_paths", 1)
+    seed = count(seed, "seed", 0)
     chol_t = _cholesky(_raw_covariance(spec)).T
     ntimes = len(spec.times)
     n_batches = (n_paths + _BATCH - 1) // _BATCH
@@ -325,7 +328,7 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
             # map yields the tasks' results in batch order, releasing each
             for b, uw in enumerate(pool.map(draw, range(n_batches))):
                 scale(b, uw)
-    return PathEnsemble(spec, paths.reshape(-1, ntimes)[:n_paths], int(seed),
+    return PathEnsemble(spec, paths.reshape(-1, ntimes)[:n_paths], seed,
                         lambdas.ravel()[:n_paths])
 
 
@@ -413,7 +416,11 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
     the flat values (_PairwiseSum). Columns whose fourth powers overflow,
     and an overflowing lag-1 correlation, are summed again at an exact
     power-of-two scale, in a second pass.
+
+    cells, the number of chi-square cells, must be an integer >= 2
+    (InvalidArgument): one cell leaves the test no degree of freedom.
     """
+    cells = count(cells, "cells", 2)
     n = e.n_paths
     if n < 100:
         raise InsufficientPaths(f"need at least 100 paths, got {n}")

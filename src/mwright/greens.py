@@ -21,7 +21,7 @@ from scipy.special import rgamma as _rgamma
 
 from . import specfun
 from .errors import CFLViolation, InvalidArgument, InvalidTime, \
-    NearSingularOrder, ResultOverflow, SpecMismatch
+    NearSingularOrder, ResultOverflow, SpecMismatch, count
 from .fraccalc import _prod_trap_pieces
 from .gridfn import GridFunction
 
@@ -29,6 +29,13 @@ HISTORY_BLOCK = 32  # time steps per history GEMM in solve_volterra
 # solve_volterra marches a profile as given while its peak lies within
 # (1/_MARCH_RANGE, _MARCH_RANGE): there its sum of squares is a normal double
 _MARCH_RANGE = 2.0 ** 400
+# solve_volterra's node route: the march runs at this many Chebyshev rates
+# where there are at least twice as many sine modes; its coefficients chop
+# at _RATE_CHOP of the largest, and _RATE_LEBESGUE bounds the Lebesgue
+# constant of the interpolation, 1 + (2/pi) log 257 = 4.53
+_CHEB_RATES = 257
+_RATE_CHOP = 1e-15
+_RATE_LEBESGUE = 1.0 + 2.0 / math.pi * math.log(_CHEB_RATES)
 
 
 @dataclass(frozen=True)
@@ -364,6 +371,80 @@ def _sine_eigenvalues(m, dx):
     return (2.0 * np.sin(half_angles) / dx) ** 2
 
 
+def _march(base, lam, coef, ap, p1, bound):
+    """The Volterra march of the sine coefficients base, mode j at the rate
+    coef * lam[j]: the rows u_0 = base, ..., u_nt, with ap = p0 - p1 and
+    p1 from the product-trapezoidal pieces of nt steps. CFLViolation names
+    the first step whose sum of squares exceeds bound (None: no guard).
+
+    Step n solves u_n = base - z (p1[1] u_n + sum_(j<n) W[n, j] u_j) per
+    mode, z = coef * lam, with W[n, 0] = ap[n] and W[n, j] = ap[n-j] +
+    p1[n-j+1] for j >= 1. The history sum runs in blocks of HISTORY_BLOCK
+    steps: the part before a block is one matrix product over a Toeplitz
+    slab of the weights, and each step adds only the block's earlier rows.
+    """
+    nt = len(ap) - 1
+    inv = 1.0 / (1.0 + p1[1] * coef * lam)
+    base_inv, gain = base * inv, coef * lam * inv
+    # W[n, j] for j >= 1 stored reversed as wr[nt - n + j], so that a
+    # step's weights for the rows done in its block are one contiguous slice
+    wr = np.zeros(nt + 1)
+    wr[1:nt] = (ap[1:nt] + p1[2:])[::-1]
+    hist = np.empty((nt + 1, len(base)))
+    hist[0] = base
+    for s in range(1, nt + 1, HISTORY_BLOCK):
+        e = min(s + HISTORY_BLOCK, nt + 1)
+        # history before the block: one GEMM over a Toeplitz slab of wr
+        slab = wr[(nt - np.arange(s, e))[:, None] + np.arange(s)]
+        slab[:, 0] = ap[s:e]
+        acc = slab @ hist[:s]
+        for n in range(s, e):
+            row = acc[n - s]
+            if n > s:  # rows already done in this block
+                row += wr[nt - n + s:nt] @ hist[s:n]
+            np.multiply(gain, row, out=row)
+            u = np.subtract(base_inv, row, out=hist[n])
+            if bound is not None and u @ u > bound:
+                raise CFLViolation(
+                    f"update grew beyond the stability guard at step {n}")
+    return hist
+
+
+def _rate_route(lam, coef, ap, p1):
+    """phi_nt(coef * lam), the factor by which the march takes each sine
+    mode to step nt, from a march of phi on _CHEB_RATES rates; None where
+    that route is not accepted.
+
+    Every mode obeys the same recurrence, so mode j at step n is its
+    coefficient times phi_n(z_j), phi_0 = 1; phi is smooth in log z. Its
+    march at the Chebyshev extreme points of log lam over [log lam_1, log
+    lam_m] gives the coefficients (`specfun._chebyshev_coefficients`) that
+    `specfun._chebval` reads at every mode. The route is accepted where
+    the slowest rate and its eigenvalue lam_1 < lam_m are normal positive
+    doubles, the last three coefficients lie below _RATE_CHOP times the
+    largest, and _RATE_LEBESGUE times the largest |phi_n| at the nodes is
+    at most 5: the interpolant of every step then stays within five times
+    its start, so the mode march's growth guard could not trip.
+    """
+    lo, hi = float(lam[0]), float(lam[-1])
+    if not (sys.float_info.min <= min(lo, coef * lo) and lo < hi):
+        return None
+    a, b = math.log(lo), math.log(hi)
+    x = np.cos(np.pi * np.arange(_CHEB_RATES) / (_CHEB_RATES - 1))
+    rates = np.exp(a + 0.5 * (b - a) * (1.0 + x))
+    # a node march that grows fails the bound below, inf or NaN included
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _march(np.ones(_CHEB_RATES), rates, coef, ap, p1, None)
+        # max |phi| without its copy; both are NaN where one phi_n is
+        peak = max(float(np.max(phi)), -float(np.min(phi)))
+    if not _RATE_LEBESGUE * peak <= 5.0:
+        return None
+    c = specfun._chebyshev_coefficients(phi[-1])
+    if not np.max(np.abs(c[-3:])) <= _RATE_CHOP * np.max(np.abs(c)):
+        return None
+    return specfun._chebval((2.0 * np.log(lam) - (a + b)) / (b - a), c)
+
+
 def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
                    nt: int, bc_halfwidth: float) -> GridFunction:
     """March the equivalent Volterra integral equation to t_end.
@@ -383,11 +464,27 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
     CFLViolation if the profile's L2 norm exceeds five times its initial
     value. The history sum runs in blocks of HISTORY_BLOCK steps: the
     part before a block is one matrix product, and each step adds only
-    the block's earlier rows. InvalidArgument is raised where the
-    stretched time t_end^(alpha/beta), or the rate of the stiffest sine
-    mode (a grid too fine for the step), leaves the double range. A
-    profile too large or too small to square in doubles marches scaled by
-    a power of two; a result past the double range raises ResultOverflow.
+    the block's earlier rows (`_march`).
+
+    Mode j at step n is its sine coefficient times phi_n(z_j), where z_j =
+    coef lam_j is its rate and phi depends on the rate alone. So with at
+    least 2 _CHEB_RATES = 514 modes and a normal positive slowest rate,
+    the march runs on _CHEB_RATES Chebyshev rates in log z instead of on
+    every mode, and phi_nt is read at the modes from their Chebyshev
+    coefficients (`_rate_route`). That route is accepted where the
+    coefficients chop (the last three below 1e-15 of the largest) and the
+    Lebesgue constant, 4.53, times the largest |phi_n| at the nodes is at
+    most 5, so that the growth guard could not trip; it agrees with the
+    mode march to a few eps times max |u0|. Elsewhere (fewer modes, a
+    slowest rate at or below the normal range, a tail that does not chop,
+    a node march past the bound) the mode march runs, with its guard at
+    every step, and keeps its bits.
+
+    InvalidArgument is raised where the stretched time t_end^(alpha/beta),
+    or the rate of the stiffest sine mode (a grid too fine for the step),
+    leaves the double range. A profile too large or too small to square in
+    doubles marches scaled by a power of two; a result past the double
+    range raises ResultOverflow.
 
     Parameters
     ----------
@@ -399,13 +496,13 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
     t_end : float
         Final physical time.
     nt : int
-        Number of steps in stretched time, at least 16.
+        Number of steps in stretched time, an integer of at least 16
+        (InvalidArgument).
     bc_halfwidth : float
         Required half-width of the computational domain.
     """
     _time(t_end)
-    if nt < 16:
-        raise InvalidArgument("need nt >= 16")
+    nt = count(nt, "nt", 16)
     if len(u0) < 3:
         raise InvalidArgument("grid needs at least one interior node")
     dx = u0.spacing
@@ -426,8 +523,6 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
             f"alpha/beta={spec.alpha / spec.beta} exceeds the double "
             f"range") from None
     p0, p1 = _prod_trap_pieces(spec.beta, nt)
-    ap = p0 - p1
-    w_diag = p1[1]  # implicit weight of the current step, constant in n
     coef = spec.k * dsig ** spec.beta * float(_rgamma(spec.beta))
 
     m = len(u0) - 2
@@ -446,34 +541,14 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
              else -math.frexp(peak)[1])  # 0 for a zero profile too
     # sine coefficients of the interior profile; u_xx has -lam times them
     base = _dst1(np.ldexp(interior, shift))
-    inv = 1.0 / (1.0 + w_diag * coef * lam)
-    base_inv, gain = base * inv, coef * lam * inv
-    bound = 25.0 * (base @ base)  # squared L2 guard, by Parseval
-
-    # history weights W[n, 0] = ap[n] and W[n, j] = ap[n-j] + p1[n-j+1]
-    # for j >= 1, the latter stored reversed as wr[nt - n + j], so that a
-    # step's weights for the rows done in its block are one contiguous slice
-    wr = np.zeros(nt + 1)
-    wr[1:nt] = (ap[1:nt] + p1[2:])[::-1]
-    hist = np.empty((nt + 1, m))
-    hist[0] = base
-    for s in range(1, nt + 1, HISTORY_BLOCK):
-        e = min(s + HISTORY_BLOCK, nt + 1)
-        # history before the block: one GEMM over a Toeplitz slab of wr
-        slab = wr[(nt - np.arange(s, e))[:, None] + np.arange(s)]
-        slab[:, 0] = ap[s:e]
-        acc = slab @ hist[:s]
-        for n in range(s, e):
-            row = acc[n - s]
-            if n > s:  # rows already done in this block
-                row += wr[nt - n + s:nt] @ hist[s:n]
-            np.multiply(gain, row, out=row)
-            u = np.subtract(base_inv, row, out=hist[n])
-            if u @ u > bound:
-                raise CFLViolation(
-                    f"update grew beyond the stability guard at step {n}")
+    ap = p0 - p1
+    phi = _rate_route(lam, coef, ap, p1) if m >= 2 * _CHEB_RATES else None
+    if phi is None:  # the mode march; squared L2 guard, by Parseval
+        last = _march(base, lam, coef, ap, p1, 25.0 * (base @ base))[nt]
+    else:
+        last = base * phi
     out = np.zeros(m + 2)
-    out[1:-1] = _dst1(hist[nt]) * (2.0 / (m + 1))
+    out[1:-1] = _dst1(last) * (2.0 / (m + 1))
     if shift:
         with np.errstate(over="ignore"):  # inf: ResultOverflow below
             out = np.ldexp(out, -shift)

@@ -472,12 +472,20 @@ def _chebyshev_coefficients(h: np.ndarray) -> np.ndarray:
     extreme points x_j = cos(pi j/N), j = 0..N (a DCT-I, summed row by row
     so that no BLAS call is made)."""
     big_n = len(h) - 1
-    k = np.arange(big_n + 1)
     ends = np.ones(big_n + 1)
     ends[[0, -1]] = 0.5
-    c = (np.cos(np.pi * (np.outer(k, k) % (2 * big_n)) / big_n)
-         * (ends * h)).sum(axis=1) * (2.0 / big_n)
+    c = (_dct_cosines(big_n) * (ends * h)).sum(axis=1) * (2.0 / big_n)
     return c * ends
+
+
+@lru_cache(maxsize=8)
+def _dct_cosines(big_n: int) -> np.ndarray:
+    """cos(pi j k/N) for j, k = 0..N, the matrix of
+    `_chebyshev_coefficients`' DCT-I, built once per N (read-only)."""
+    k = np.arange(big_n + 1)
+    cos = np.cos(np.pi * (np.outer(k, k) % (2 * big_n)) / big_n)
+    cos.flags.writeable = False
+    return cos
 
 
 def _clenshaw(x: float, c: list) -> float:

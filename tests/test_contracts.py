@@ -142,6 +142,44 @@ class TestNonFiniteInputs:
             quadrature.adaptive(np.cos, a, b)
 
 
+class TestIntegerCounts:
+    """Counts that used to raise builtins TypeError or ZeroDivisionError, or
+    return a NaN p-value: each is checked before any work."""
+
+    _SPEC = ggbm.CovSpec(1.0, 0.5, [0.5, 1.0])
+
+    def test_volterra_steps_must_be_an_integer(self, monkeypatch):
+        # refused before the product-quadrature weights are built
+        monkeypatch.setattr(greens, "_prod_trap_pieces", None)
+        with pytest.raises(InvalidArgument, match="nt must be an integer"):
+            greens.solve_volterra(_gaussian(), _GREEN, 0.5, 64.0, 4.0)
+
+    def test_volterra_takes_a_numpy_integer(self):
+        want = greens.solve_volterra(_gaussian(), _GREEN, 0.5, 16, 4.0).ys
+        got = greens.solve_volterra(_gaussian(), _GREEN, 0.5, np.int64(16),
+                                    4.0).ys
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_paths, seed, name", [
+        (200.0, 1, "n_paths"), (200, 1.5, "seed"), (200, -1, "seed")])
+    def test_sample_paths_counts(self, monkeypatch, n_paths, seed, name):
+        monkeypatch.setattr(ggbm, "_cholesky", None)
+        with pytest.raises(InvalidArgument, match=name):
+            ggbm.sample_paths(self._SPEC, n_paths, seed)
+
+    @pytest.mark.parametrize("cells", [1, 0, 2.5])
+    def test_chi_square_needs_two_integer_cells(self, monkeypatch, cells):
+        ens = ggbm.sample_paths(self._SPEC, 200, 1)
+        monkeypatch.setattr(ggbm, "_row_pass", None)
+        with pytest.raises(InvalidArgument, match="cells"):
+            ggbm.ensemble_stats(ens, cells=cells)
+
+    def test_two_cells_give_a_p_value(self):
+        rep = ggbm.ensemble_stats(ggbm.sample_paths(self._SPEC, 200, 1),
+                                  cells=np.int64(2))
+        assert 0.0 <= rep.chi2_pvalue <= 1.0
+
+
 class TestExtremeTimes:
     """Green and drift densities where t^(alpha/2) or t^(-beta) leaves the
     double range: 0 where the argument of M does, ResultOverflow where the

@@ -443,3 +443,136 @@ class TestVolterra:
         with pytest.raises(InvalidArgument, match="interior"):
             greens.solve_volterra(GridFunction([-1.0, 1.0], [0.0, 0.0]),
                                   spec, 0.5, 16, 1.0)
+
+
+def _profile(kind, xs):
+    """A Gaussian, a box, or two spikes of opposite sign on the grid xs."""
+    if kind == "gaussian":
+        return np.exp(-0.5 * (xs / 0.3) ** 2)
+    if kind == "box":
+        return np.where(np.abs(xs) <= 1.0, 1.0, 0.0)
+    ys = np.zeros_like(xs)
+    ys[len(xs) // 3] = 1.0
+    ys[len(xs) // 2 + 7] = -2.0
+    return ys
+
+
+class TestRateRoute:
+    """solve_volterra's node route: the march on greens._CHEB_RATES
+    Chebyshev rates, read at every sine mode, against the mode march, and
+    the cases that fall back to the mode march."""
+
+    @staticmethod
+    def solve(monkeypatch, nx, nt, spec, t_end, kind="gaussian",
+              halfwidth=8.0):
+        """The solution by the route solve_volterra picks, and whether that
+        was the node route."""
+        xs = np.linspace(-halfwidth, halfwidth, nx)
+        u0 = GridFunction(xs, _profile(kind, xs))
+        taken = []
+        route = greens._rate_route
+
+        def spy(*args):
+            taken.append(route(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(greens, "_rate_route", spy)
+        got = greens.solve_volterra(u0, spec, t_end, nt, halfwidth)
+        monkeypatch.setattr(greens, "_rate_route", route)
+        return u0, got.ys, bool(taken) and taken[0] is not None
+
+    @staticmethod
+    def mode_march(monkeypatch, u0, spec, t_end, nt, halfwidth=8.0):
+        monkeypatch.setattr(greens, "_rate_route", lambda *args: None)
+        return greens.solve_volterra(u0, spec, t_end, nt, halfwidth).ys
+
+    @pytest.mark.parametrize("nx, nt, alpha, beta, t_end, kind", [
+        (1025, 16, 1.0, 1.0, 1e-4, "gaussian"),
+        (1601, 100, 1.0, 0.1, 50.0, "box"),
+        (3201, 512, 0.8, 0.99, 0.5, "spike"),
+        (1601, 1024, 1.2, 0.6, 5.0, "gaussian"),
+        (1025, 512, 1.0, 1.0, 0.5, "spike"),
+        (3201, 100, 0.5, 0.99, 50.0, "gaussian"),
+        (1601, 512, 1.0, 1.0, 1e-4, "box"),
+        (1025, 1024, 0.4, 0.1, 1e-2, "spike"),
+        (3201, 16, 2.0, 0.3, 50.0, "box"),
+        (1025, 100, 1.0, 1.0, 50.0, "box"),
+        (3201, 1024, 1.0, 1.0, 0.1, "gaussian"),
+    ])
+    def test_matches_the_mode_march(self, monkeypatch, nx, nt, alpha, beta,
+                                    t_end, kind):
+        spec = greens.GreenSpec(alpha, beta, 1.0)
+        u0, got, node = self.solve(monkeypatch, nx, nt, spec, t_end, kind)
+        assert node
+        want = self.mode_march(monkeypatch, u0, spec, t_end, nt)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u0.ys))
+        assert got[0] == got[-1] == 0.0
+
+    @pytest.mark.parametrize("nx, node", [(515, False), (516, True)])
+    def test_needs_twice_as_many_modes_as_rates(self, monkeypatch, nx, node):
+        # 513 sine modes march as they are; from 514 the node route runs
+        spec = greens.GreenSpec(0.8, 0.6, 1.0)
+        assert self.solve(monkeypatch, nx, 64, spec, 0.5)[2] is node
+
+    def test_history_holds_the_rates_only(self, monkeypatch):
+        # the mode march's history alone would be 513 x 3199 doubles (13 MB)
+        import tracemalloc
+        spec = greens.GreenSpec(0.8, 0.6, 1.0)
+        xs = np.linspace(-8.0, 8.0, 3201)
+        u0 = GridFunction(xs, _profile("gaussian", xs))
+        greens.solve_volterra(u0, spec, 0.5, 512, 8.0)  # caches built
+        tracemalloc.start()
+        try:
+            greens.solve_volterra(u0, spec, 0.5, 512, 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def _falls_back(self, monkeypatch, nx, nt, spec, t_end, halfwidth=8.0):
+        u0, got, node = self.solve(monkeypatch, nx, nt, spec, t_end,
+                                   halfwidth=halfwidth)
+        assert not node
+        np.testing.assert_array_equal(
+            got, self.mode_march(monkeypatch, u0, spec, t_end, nt,
+                                 halfwidth))
+
+    def test_a_tail_that_does_not_chop_falls_back(self, monkeypatch):
+        # beta = 0.99 over 512 steps to t = 50: the nodes' rounding leaves
+        # the last coefficients near 1e-12 of the largest
+        self._falls_back(monkeypatch, 1601, 512, greens.GreenSpec(1.0, 0.99),
+                         50.0)
+
+    def test_a_failed_growth_bound_falls_back(self, monkeypatch):
+        # every |phi_n| at the nodes is at most 1, so a Lebesgue factor
+        # past 5 fails the bound
+        monkeypatch.setattr(greens, "_RATE_LEBESGUE", 5.5)
+        self._falls_back(monkeypatch, 1025, 64, greens.GreenSpec(0.8, 0.6),
+                         0.5)
+
+    @pytest.mark.parametrize("alpha, t_end, halfwidth", [
+        (2.0, 1e-200, 8.0),  # the stretched time, and each rate, is 0
+        (1.0, 1e-300, 1e4),  # the slowest rate is subnormal, 1.5e-309
+    ])
+    def test_rates_at_or_below_the_normal_range_fall_back(
+            self, monkeypatch, alpha, t_end, halfwidth):
+        self._falls_back(monkeypatch, 1601, 16, greens.GreenSpec(alpha, 1.0),
+                         t_end, halfwidth)
+
+    @pytest.mark.parametrize("growth, step", [(5.1, "1"),
+                                              (4.9, "([2-9]|1[0-6])")])
+    def test_negative_eigenvalues_keep_the_guard(self, monkeypatch, growth,
+                                                 step):
+        # TestVolterra's growth cases on 1023 sine modes: the mode march
+        # runs, and its guard names the step it names on 399 modes
+        TestVolterra._step_one_growth(monkeypatch, growth, 16, 0.5)
+        xs = np.linspace(-8.0, 8.0, 1025)
+        u0 = GridFunction(xs, _profile("gaussian", xs))
+        route = greens._rate_route
+        calls = []
+        monkeypatch.setattr(greens, "_rate_route",
+                            lambda *args: calls.append(route(*args)))
+        with pytest.raises(CFLViolation, match=f"step {step}$"):
+            greens.solve_volterra(u0, greens.GreenSpec(1.0, 1.0), 0.5, 16,
+                                  8.0)
+        assert calls == [None]
