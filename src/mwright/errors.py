@@ -86,9 +86,11 @@ class ResultOverflow(ArithmeticError):
 
 def count(value, name: str, least: int) -> int:
     """value as an int; InvalidArgument naming the parameter name unless it
-    is an integer (an int, a numpy integer: anything with __index__) of at
-    least least."""
+    is an integer (an int, a numpy integer: anything with __index__ but a
+    bool) of at least least."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise InvalidArgument(

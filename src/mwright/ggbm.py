@@ -11,6 +11,7 @@ symmetric M-Wright densities matching the diffusion Green functions.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -31,7 +32,8 @@ from .errors import (
 )
 
 _BATCH = 4096  # fixed sampling batch; keeps path i independent of n_paths
-_BATCHES_PER_WORKER = 4  # fewer batches per thread do not repay a pool
+_BATCHES_PER_WORKER = 4  # fewer tasks per thread do not repay a pool
+_KANTER_BLOCK = 1 << 15  # draws per task of a large draw's Kanter transform
 _STATS_ROWS = 512  # rows per cache-resident block in ensemble_stats
 _PAIRWISE_LEAF = 1 << 16  # values gathered per subtree of a streamed sum
 
@@ -212,12 +214,31 @@ def pdf_npoint(q: NPointQuery) -> float:
 def _kanter(nu: float, u, w):
     """Kanter's stable variate S = (A(pi U)/W)^((1-nu)/nu) of index nu from
     uniforms u and standard exponentials w, and y = log(A(pi U)/W); S is
-    inf or 0 beyond the double range (small nu), without a RuntimeWarning."""
-    y = (specfun._kanter_log_a(nu, np.pi * np.clip(u, 1e-16, 1.0 - 1e-16))
-         - np.log(np.maximum(w, 1e-300)))
-    del u, w  # free a large draw's inputs before the exp
-    with np.errstate(over="ignore"):
-        return np.exp((1.0 - nu) / nu * y), y
+    inf or 0 beyond the double range (small nu), without a RuntimeWarning.
+
+    The transform runs in blocks of _KANTER_BLOCK draws, written into s and
+    y, which are allocated here; every step acts on each value alone, so
+    each value has the bits of the whole-array formula wherever its block
+    starts. The blocks run on a thread pool where _pool makes one (from 8
+    blocks, about a quarter million draws, and 2 CPUs); each block sets its
+    own error state, numpy's being per thread."""
+    u, w = np.asarray(u), np.asarray(w)
+    s, y = np.empty(u.shape), np.empty(u.shape)
+    flat = [a.reshape(-1) for a in (u, w, s, y)]
+
+    def block(lo):
+        u, w, s, y = (a[lo:lo + _KANTER_BLOCK] for a in flat)
+        np.subtract(specfun._kanter_log_a(
+            nu, np.pi * np.clip(u, 1e-16, 1.0 - 1e-16)),
+            np.log(np.maximum(w, 1e-300)), out=y)
+        with np.errstate(over="ignore"):
+            np.exp((1.0 - nu) / nu * y, out=s)
+
+    starts = range(0, u.size, _KANTER_BLOCK)
+    with _pool(len(starts)) as pool:
+        for _ in (map if pool is None else pool.map)(block, starts):
+            pass
+    return s, y
 
 
 def sample_oneside_stable(nu: float, rng: np.random.Generator, size=None):
@@ -227,11 +248,18 @@ def sample_oneside_stable(nu: float, rng: np.random.Generator, size=None):
     U uniform on (0,1), W standard exponential, and the kernel
     A(phi) = [sin(nu phi)^nu sin((1-nu) phi)^(1-nu) / sin(phi)]^(1/(1-nu)).
     A draw beyond the double range is inf (or 0), with no RuntimeWarning;
-    at nu = 0.01 that happens when W is below about 7.5e-4.
+    at nu = 0.01 that happens when W is below about 7.5e-4. All uniforms
+    are drawn first, then all exponentials; the transform runs in blocks,
+    on a thread pool from about a quarter million draws (_kanter), with
+    the bits of one whole-array formula.
+
+    size is None (one float), a count >= 0 or a tuple of counts
+    (InvalidArgument naming size otherwise).
     """
     nu = float(nu)
     if not 0.0 < nu < 1.0:
         raise InvalidOrder(f"stable index must lie in (0, 1), got {nu}")
+    size = _size(size)
     s = _kanter(nu, rng.random(size), rng.standard_exponential(size))[0]
     return float(s) if size is None else s
 
@@ -241,15 +269,26 @@ def sample_mixing_lambda(beta: float, rng: np.random.Generator, size=None):
 
     Lambda = S^(-beta) with S one-sided stable of index beta; for beta = 1
     the density is the point mass at 1 and no randomness is consumed.
+    size as for sample_oneside_stable.
     """
     beta = float(beta)
     if not 0.0 < beta <= 1.0:
         raise InvalidOrder(f"need 0 < beta <= 1, got {beta}")
+    size = _size(size)
     if beta == 1.0:
         return 1.0 if size is None else np.ones(size)
     lam = _mixing_lambda(beta, rng.random(size),
                          rng.standard_exponential(size))
     return float(lam) if size is None else lam
+
+
+def _size(size):
+    """size as numpy's generators take it: None, a count >= 0, or a tuple
+    (or list) of counts; InvalidArgument naming size otherwise."""
+    if size is not None:
+        for entry in size if isinstance(size, (tuple, list)) else (size,):
+            count(entry, "size", 0)
+    return size
 
 
 def _mixing_lambda(beta: float, u, w):
@@ -271,6 +310,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _pool(tasks: int):
+    """A thread pool for `tasks` independent tasks, or None: run them on the
+    calling thread. One rule for every pool here: a worker per
+    _BATCHES_PER_WORKER tasks, at most one per CPU in the affinity mask,
+    and a pool only from 2 workers on. The pool is made for the call (a
+    cached one would hang in a child after fork) and joined on exit. Its
+    tasks set their own numpy error state, which is per thread."""
+    workers = min(_cpu_count(), tasks // _BATCHES_PER_WORKER)
+    if workers < 2:
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        yield pool
+
+
 def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
     """Sample an ensemble of trajectories.
 
@@ -286,11 +342,12 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
     is cut to n_paths (views of the whole-batch arrays). One task per batch
     draws its uniforms and exponentials into fresh arrays and its normals
     into its rows; given 4 batches per worker and 2 or more CPUs in the
-    affinity mask, the tasks run on a thread pool. The calling thread takes
-    the batches in order and writes Lambda into the batch's `lambdas` and
-    the product with the Cholesky factor (into one reused buffer: one BLAS
-    call at a time), scaled by sqrt(Lambda), into its rows. For any worker
-    count the bits equal sqrt(Lambda) * (Z @ chol.T) batch by batch.
+    affinity mask, the tasks run on a thread pool (_pool). The calling
+    thread takes the batches in order and writes Lambda into the batch's
+    `lambdas` and the product with the Cholesky factor (into one reused
+    buffer: one BLAS call at a time), scaled by sqrt(Lambda), into its
+    rows. For any worker count the bits equal sqrt(Lambda) * (Z @ chol.T)
+    batch by batch.
 
     n_paths >= 1 and seed >= 0 must be integers (InvalidArgument).
     """
@@ -317,17 +374,11 @@ def sample_paths(spec: CovSpec, n_paths: int, seed: int) -> PathEnsemble:
         np.matmul(paths[b], chol_t, out=prod)
         np.multiply(prod, np.sqrt(lambdas[b])[:, None], out=paths[b])
 
-    workers = min(_cpu_count(), n_batches // _BATCHES_PER_WORKER)
-    if workers < 2:
-        for b in range(n_batches):
-            scale(b, draw(b))
-    else:
-        # a pool per call: a cached one would hang in a child after fork
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            # map yields the tasks' results in batch order, releasing each
-            for b, uw in enumerate(pool.map(draw, range(n_batches))):
-                scale(b, uw)
+    with _pool(n_batches) as pool:
+        # map yields the tasks' results in batch order, releasing each
+        drawn = (map if pool is None else pool.map)(draw, range(n_batches))
+        for b, uw in enumerate(drawn):
+            scale(b, uw)
     return PathEnsemble(spec, paths.reshape(-1, ntimes)[:n_paths], seed,
                         lambdas.ravel()[:n_paths])
 
@@ -406,7 +457,12 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
     After the mean, one pass (_row_pass) walks the paths in blocks of
     _STATS_ROWS rows, so the working memory is a few blocks and one
     _PAIRWISE_LEAF buffer besides the per-path lag-1 means, whatever the
-    ensemble's size. Every field equals the full-array formulas
+    ensemble's size. From 8 * _BATCH paths and 2 CPUs (the sampler's rule,
+    _pool) the pass is two: a pool thread runs the lag-1 pass, which needs
+    no mean, from before the column mean on, while the calling thread forms
+    the mean and the moment pass. Each pass keeps its own sums, so the
+    bits do not depend on the split. Every field equals the full-array
+    formulas
     (x.std(axis=0, ddof=1), (((x - mean) ** 2) ** 2).mean(axis=0),
     (d * d).mean() over the increments d, ...) bit for bit, on two rules
     of numpy's sums that tests/test_ggbm.py pins
@@ -425,12 +481,17 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
     if n < 100:
         raise InsufficientPaths(f"need at least 100 paths, got {n}")
     x = e.paths
-    mean = x.mean(axis=0)
     lag1 = x.shape[1] >= 3
+    with _pool(n // _BATCH if lag1 else 0) as pool:
+        # the lag-1 pass needs no mean: on a pool it starts first
+        lag = None if pool is None else pool.submit(_row_pass(x, None, True))
+        mean = x.mean(axis=0)
+        s2, s4, per_path, c00 = _row_pass(x, mean, lag1 and lag is None)()
+        if lag is not None:
+            per_path, c00 = lag.result()[2:]
     # the fourth powers (and near the double range the squares) overflow
     # once the variance passes about 1e154; such columns are redone below
     with np.errstate(over="ignore", invalid="ignore"):
-        s2, s4, per_path, c00 = _row_pass(x, mean, lag1)
         sd = np.sqrt(s2 / (n - 1))
         var = sd * sd
         var_se = np.sqrt(np.maximum(s4 / n - var * var, 0.0) / n)
@@ -441,7 +502,7 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
         # monotone and odd, so that |dev| is max - mean or mean - min
         k = np.frexp(np.maximum(x.max(axis=0) - mean,
                                 mean - x.min(axis=0)))[1]
-        s2, s4 = _row_pass(x, mean, False, k)[:2]
+        s2, s4 = _row_pass(x, mean, False, k)()[:2]
         sd_k = np.sqrt(s2 / (n - 1))
         var_k = sd_k * sd_k
         se_k = np.sqrt(np.maximum(s4 / n - var_k * var_k, 0.0) / n)
@@ -458,7 +519,7 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
             # the same at x / 2**k, k the binary exponent of max |x|: the
             # ratios below do not depend on the scale
             k = np.frexp(max(x.max(), -x.min()))[1]
-            per_path, c00 = _row_pass(x, None, True, k)[2:]
+            per_path, c00 = _row_pass(x, None, True, k)()[2:]
             sd01 = float(per_path.std(ddof=1))
         corr = float(per_path.mean()) / c00
         corr_se = sd01 / math.sqrt(n) / c00
@@ -477,7 +538,13 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
 
 
 def _row_pass(x, mean, lag1: bool, k=0):
-    """One pass over x in blocks of _STATS_ROWS rows.
+    """One pass over x in blocks of _STATS_ROWS rows, ready to run: every
+    buffer it needs is allocated here, on the calling thread, and the pass
+    is returned as a function of no arguments that returns
+    (s2, s4, per_path, c00). So it may run on a pool thread, where the
+    lag-1 pass (mean None, k = 0) allocates nothing but numpy's 64 kB
+    iterator buffers, and it sets its own error state (overflow and
+    invalid ignored; numpy's is per thread).
 
     Given the column means, the column sums s2 and s4 of dev^2 and dev^4,
     dev = (x - mean) / 2**k: each block's sums are carried into the next
@@ -489,35 +556,41 @@ def _row_pass(x, mean, lag1: bool, k=0):
     """
     n, ntimes = x.shape
     step = _STATS_ROWS if ntimes > 1 else n
-    s2 = s4 = per_path = c00 = None
+    s2 = s4 = per_path = None
     if mean is not None:
         s2, s4 = np.zeros(ntimes), np.zeros(ntimes)
     if lag1:
         per_path = np.empty(n)
         d = np.empty((min(n, step), ntimes - 1))
+        prod = np.empty((len(d), ntimes - 2))
         squares = _PairwiseSum(n * (ntimes - 1))
-    for lo in range(0, n, step):
-        blk = x[lo:lo + step]
-        if mean is not None:
-            dev = blk - mean
-            if np.any(k):
-                np.ldexp(dev, -k, out=dev)
-            dev *= dev
-            dev4 = dev * dev  # two squarings: ** 4 would go through pow
-            for acc, terms in ((s2, dev), (s4, dev4)):
-                terms[0] += acc
-                np.add.reduce(terms, axis=0, out=acc)
-        if lag1:
-            if k:
-                blk = np.ldexp(blk, -k)
-            dk = np.subtract(blk[:, 1:], blk[:, :-1], out=d[:len(blk)])
-            np.mean(dk[:, :-1] * dk[:, 1:], axis=1,
-                    out=per_path[lo:lo + step])
-            dk *= dk
-            squares.add(dk)
-    if lag1:
-        c00 = float(squares.total() / squares.size)
-    return s2, s4, per_path, c00
+
+    def run():
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, step):
+                blk = x[lo:lo + step]
+                if mean is not None:
+                    dev = blk - mean
+                    if np.any(k):
+                        np.ldexp(dev, -k, out=dev)
+                    dev *= dev
+                    dev4 = dev * dev  # two squarings: ** 4 would use pow
+                    for acc, terms in ((s2, dev), (s4, dev4)):
+                        terms[0] += acc
+                        np.add.reduce(terms, axis=0, out=acc)
+                if lag1:
+                    if k:
+                        blk = np.ldexp(blk, -k)
+                    rows = len(blk)
+                    dk = np.subtract(blk[:, 1:], blk[:, :-1], out=d[:rows])
+                    pairs = np.multiply(dk[:, :-1], dk[:, 1:], out=prod[:rows])
+                    np.mean(pairs, axis=1, out=per_path[lo:lo + step])
+                    dk *= dk
+                    squares.add(dk)
+        c00 = float(squares.total() / squares.size) if lag1 else None
+        return s2, s4, per_path, c00
+
+    return run
 
 
 def _pairwise_plan(n: int) -> list:

@@ -180,6 +180,40 @@ class TestIntegerCounts:
         assert 0.0 <= rep.chi2_pvalue <= 1.0
 
 
+class TestSamplerSizes:
+    """The samplers' size, checked before any draw: numpy's bare TypeError
+    (2.5, True) and plain ValueError (-1), at beta = 1 too, are now
+    InvalidArgument naming size."""
+
+    _DRAWS = {
+        "stable": lambda rng, size: ggbm.sample_oneside_stable(0.5, rng, size),
+        "mixing": lambda rng, size: ggbm.sample_mixing_lambda(0.5, rng, size),
+        "mixing at beta 1": lambda rng, size: ggbm.sample_mixing_lambda(
+            1.0, rng, size),
+    }
+
+    @pytest.mark.parametrize("size", [2.5, True, -1, (2, 2.5), (3, -1),
+                                      [4, False]])
+    @pytest.mark.parametrize("draw", list(_DRAWS))
+    def test_bad_size_is_named(self, draw, size):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidArgument, match="size"):
+            self._DRAWS[draw](rng, size)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("draw", list(_DRAWS))
+    def test_good_sizes_keep_their_shapes(self, draw):
+        rng = np.random.default_rng(0)
+        assert isinstance(self._DRAWS[draw](rng, None), float)
+        for size, shape in ((0, (0,)), (np.int64(3), (3,)), ((2, 3), (2, 3)),
+                            ((0, 4), (0, 4)), ([2, 1], (2, 1))):
+            assert self._DRAWS[draw](rng, size).shape == shape
+
+    def test_sample_paths_count_is_no_bool(self):
+        with pytest.raises(InvalidArgument, match="n_paths"):
+            ggbm.sample_paths(TestIntegerCounts._SPEC, True, 1)
+
+
 class TestExtremeTimes:
     """Green and drift densities where t^(alpha/2) or t^(-beta) leaves the
     double range: 0 where the argument of M does, ResultOverflow where the

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -302,14 +303,34 @@ class TestStableSampler:
         rng = np.random.default_rng(0)
         assert isinstance(ggbm.sample_oneside_stable(0.6, rng), float)
 
+    def test_million_draws_hold_their_inputs_and_outputs(self, monkeypatch):
+        # the uniforms, exponentials, S and log(A/W) are 8 MB each; the
+        # transform adds a few block-sized temporaries per worker (two
+        # workers here; the whole-array transform peaked at 48.0 MB)
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            ggbm.sample_oneside_stable(0.5, np.random.default_rng(8),
+                                       1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36e6, peak
+
+
+def _kanter_whole(nu, u, w):
+    """Kanter's transform as one whole-array formula: S and log(A/W)."""
+    y = (specfun._kanter_log_a(nu, np.pi * np.clip(u, 1e-16, 1.0 - 1e-16))
+         - np.log(np.maximum(w, 1e-300)))
+    with np.errstate(over="ignore"):
+        return np.exp((1.0 - nu) / nu * y), y
+
 
 def _kanter_log(nu, rng, m):
     """log(A(pi U)/W) of the next m uniforms and exponentials of rng, as
     sample_oneside_stable formed it before the Kanter transform was shared
     with sample_paths."""
-    u = np.clip(rng.random(m), 1e-16, 1.0 - 1e-16)
-    w = np.maximum(rng.standard_exponential(m), 1e-300)
-    return specfun._kanter_log_a(nu, np.pi * u) - np.log(w)
+    return _kanter_whole(nu, rng.random(m), rng.standard_exponential(m))[1]
 
 
 def _kanter_reference(nu, rng, m):
@@ -743,23 +764,23 @@ class TestBlockedPassesMatchFullArrays:
                         == want["lag1_increment_corr_se"])
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every pool that ggbm makes."""
+    made = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return made
+
+
 class TestParallelFills:
     """sample_paths with 1, 2 and 3 worker threads against the batch loop: a
     pool from 4 batches per worker and 2 workers on, the same bits always."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker count of every pool sample_paths makes."""
-        made = []
-
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            Recording)
-        return made
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n, m, beta", [
@@ -867,3 +888,190 @@ class TestParallelFills:
                               8 * ggbm._BATCH, 4)
         assert pools == [2]
         assert (threads[0] == threading.get_ident()) == (where == "caller")
+
+
+_KB = ggbm._KANTER_BLOCK
+
+
+class TestBlockedKanter:
+    """_kanter in blocks, serially or on 2 and 3 threads, against one
+    whole-array formula: the same bits, whatever the split."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("size", [
+        4097,                # one block, an odd size
+        7 * _KB,             # 7 blocks: just below the pool threshold
+        7 * _KB + 1,         # 8 blocks, the last one value: at it
+        12 * _KB + 5,        # above it: 3 workers with 3 CPUs
+        (3, 3 * _KB + 333),  # a tuple shape, 10 blocks across its rows
+    ])
+    @pytest.mark.parametrize("nu", [0.01, 0.05, 0.5, 0.99])
+    def test_same_bits_as_the_whole_array(self, monkeypatch, pools, cpus,
+                                          size, nu):
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: cpus)
+        rng = np.random.default_rng(17)
+        u, w = rng.random(size), rng.standard_exponential(size)
+        # W at the ends of the double range: S is inf and 0 at small
+        # orders, on either side of block edges and inside blocks
+        flat = w.reshape(-1)
+        for i in (0, _KB - 1, 3 * _KB + 7, flat.size - 2):
+            if i < flat.size - 1:
+                flat[i:i + 2] = 1e-300, 1e300
+        s, y = ggbm._kanter(nu, u, w)
+        want_s, want_y = _kanter_whole(nu, u, w)
+        assert s.shape == y.shape == u.shape
+        assert np.array_equal(s, want_s) and np.array_equal(y, want_y)
+        if nu <= 0.05:
+            assert (s == np.inf).any() and (s == 0.0).any()
+        blocks = -(-flat.size // _KB)
+        workers = min(cpus, blocks // 4)
+        assert pools == ([workers] if workers >= 2 else [])
+
+    def test_more_workers_than_cores(self, monkeypatch, pools):
+        # 10 threads writing their blocks of S and log(A/W) with a thread
+        # switch every microsecond: a block written to the wrong place, or
+        # read before it is written, would change the bits
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 10)
+        rng = np.random.default_rng(29)
+        size = 40 * _KB + 3
+        u, w = rng.random(size), rng.standard_exponential(size)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            s, y = ggbm._kanter(0.7, u, w)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [10]
+        want_s, want_y = _kanter_whole(0.7, u, w)
+        assert np.array_equal(s, want_s) and np.array_equal(y, want_y)
+
+    def test_samplers_take_the_blocked_transform(self, monkeypatch, pools):
+        # both public samplers draw all uniforms, then all exponentials,
+        # and keep the whole-array bits on a pool
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
+        n = 8 * _KB
+        got = ggbm.sample_oneside_stable(0.3, np.random.default_rng(4), n)
+        assert np.array_equal(got, _kanter_reference(
+            0.3, np.random.default_rng(4), n))
+        got = ggbm.sample_mixing_lambda(0.3, np.random.default_rng(4), n)
+        assert np.array_equal(got, _kanter_reference(
+            0.3, np.random.default_rng(4), n) ** (-0.3))
+        assert pools == [2, 2]
+
+
+class TestParallelStats:
+    """ensemble_stats with 1 and 2 CPUs: from 8 * _BATCH paths with three
+    or more times, a pool thread runs the lag-1 pass; every field keeps
+    its bits."""
+
+    @pytest.mark.parametrize("n, times, pooled", [
+        (8 * ggbm._BATCH, [0.5, 1.0], False),          # no lag-1 pass
+        (8 * ggbm._BATCH - 1, np.arange(1, 65) / 64.0, False),  # just below
+        (8 * ggbm._BATCH, np.arange(1, 65) / 64.0, True),       # at it
+        # the fourth powers of the last column overflow: its moment sums
+        # are redone at a power-of-two scale; the lag-1 sums do not overflow
+        (8 * ggbm._BATCH, [1.0, 2.0, 1e160], True),
+        # the lag-1 correlation overflows too: redone at a scale
+        (8 * ggbm._BATCH, [1e306, 2e306, 3e306], True),
+    ])
+    def test_same_bits_on_one_cpu_and_two(self, monkeypatch, pools, n,
+                                          times, pooled):
+        ens = ggbm.sample_paths(ggbm.CovSpec(1.0, 0.8, np.array(times)),
+                                n, 23)
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(ggbm, "_cpu_count", lambda: cpus)
+            pools.clear()
+            reports.append(ggbm.ensemble_stats(ens))
+            assert pools == ([2] if pooled and cpus == 2 else [])
+        one, two = (asdict(r) for r in reports)
+        for name, value in one.items():
+            assert np.array_equal(two[name], value), name
+        if len(times) >= 3:
+            assert one["lag1_increment_corr"] is not None
+
+    def test_lag1_pass_starts_before_the_mean(self, monkeypatch, pools):
+        # the lag-1 pass is made ready on the calling thread (its buffers
+        # come from there) and runs on the pool thread from before the
+        # column mean; the moment pass runs on the calling thread
+        events = []
+        original = ggbm._row_pass
+
+        def spy(x, mean, lag1, k=0):
+            events.append(("ready", lag1, threading.get_ident()))
+            run = original(x, mean, lag1, k)
+
+            def traced():
+                events.append(("run", lag1, threading.get_ident()))
+                return run()
+            return traced
+
+        class Paths(np.ndarray):
+            def mean(self, *args, **kwargs):
+                events.append(("mean", None, threading.get_ident()))
+                return np.asarray(self).mean(*args, **kwargs)
+
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
+        spec = ggbm.CovSpec(1.0, 0.5, np.arange(1, 9) / 8.0)
+        ens = ggbm.sample_paths(spec, 8 * ggbm._BATCH, 2)
+        want = asdict(ggbm.ensemble_stats(ens))
+        ens.paths = ens.paths.view(Paths)
+        monkeypatch.setattr(ggbm, "_row_pass", spy)
+        pools.clear()
+        got = asdict(ggbm.ensemble_stats(ens))
+        assert pools == [2]
+        me = threading.get_ident()
+        on_caller = [e[:2] for e in events if e[2] == me]
+        assert on_caller == [("ready", True), ("mean", None),
+                             ("ready", False), ("run", False)]
+        assert [e[:2] for e in events if e[2] != me] == [("run", True)]
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
+
+    @pytest.mark.parametrize("where", ["stats", "kanter"])
+    def test_warnings_reach_the_caller(self, monkeypatch, pools, where):
+        # RuntimeWarnings are errors here (pyproject.toml): one raised on a
+        # pool thread, in the lag-1 pass or in a Kanter block, ends the call
+        # as an exception in the caller
+        owner, name = ((ggbm._PairwiseSum, "add") if where == "stats"
+                       else (specfun, "_kanter_log_a"))
+        original = getattr(owner, name)
+        threads = []
+
+        def warn(*args, **kwargs):
+            out = original(*args, **kwargs)
+            threads.append(threading.get_ident())
+            warnings.warn("from " + where, RuntimeWarning)
+            return out
+
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 2)
+        if where == "stats":
+            ens = ggbm.sample_paths(ggbm.CovSpec(1.0, 0.5, np.arange(1, 5)),
+                                    8 * ggbm._BATCH, 4)
+            pools.clear()
+            monkeypatch.setattr(owner, name, warn)
+            call = lambda: ggbm.ensemble_stats(ens)  # noqa: E731
+        else:
+            monkeypatch.setattr(owner, name, warn)
+            call = lambda: ggbm.sample_oneside_stable(  # noqa: E731
+                0.5, np.random.default_rng(1), 8 * _KB)
+        with pytest.raises(RuntimeWarning, match="from " + where):
+            call()
+        assert pools == [2]
+        assert threading.get_ident() not in threads
+
+    def test_no_pool_for_the_ensemble_workload(self, monkeypatch):
+        # 8192 x 32 ensembles (the benchmark's ensemble workload) and the
+        # sampler's 4096-draw Kanter transforms stay serial on any machine
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(ggbm, "_cpu_count", lambda: 64)
+        spec = ggbm.CovSpec(1.2, 0.6, np.arange(1, 33) / 32.0)
+        ens = ggbm.sample_paths(spec, 8192, 5)
+        assert ggbm.ensemble_stats(ens).n_paths == 8192
+        rng = np.random.default_rng(5)
+        u, w = rng.random(ggbm._BATCH), rng.standard_exponential(ggbm._BATCH)
+        assert np.array_equal(ggbm._kanter(0.6, u, w)[0],
+                              _kanter_whole(0.6, u, w)[0])
