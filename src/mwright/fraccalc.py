@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, rgamma as _rgamma
+from scipy.special import (gamma as _gamma, gammaln as _gammaln,
+                           gammasgn as _gammasgn, rgamma as _rgamma)
 
-from .errors import InvalidArgument, InvalidExponent, UnsupportedOrder
+from .errors import (InvalidArgument, InvalidExponent, ResultOverflow,
+                     UnsupportedOrder)
 from .gridfn import GridFunction
 
 
@@ -51,25 +53,50 @@ def _check_power(mu: float, gamma: float, t: float, kind: str) -> None:
         raise InvalidExponent(f"t must be finite and positive, got {t}")
 
 
+def _gamma_ratio(a: float, b: float, t: float = 1.0, p: float = 0.0):
+    """Gamma(a) / Gamma(b) * t^p for a > 0 and t > 0: the product
+    Gamma(a) (1/Gamma(b)) t^p in Python floats where it is finite and not
+    0; 1/Gamma's exact 0 where b is a pole of Gamma; elsewhere, where a
+    factor or the product left the double range, in logs. ResultOverflow
+    where the value leaves the double range (a = inf included)."""
+    g, r = float(_gamma(a)), float(_rgamma(b))
+    try:
+        value = g * r * t ** p
+    except OverflowError:  # a Python float's ** raises
+        value = math.inf
+    if 0.0 < abs(value) < math.inf:
+        return value
+    if b <= 0.0 and b == math.floor(b):
+        return r
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN at a = inf
+        value = _gammasgn(b) * np.exp(_gammaln(a) - _gammaln(b)
+                                      + p * math.log(t))
+    if not abs(value) < math.inf:
+        raise ResultOverflow(f"Gamma({a})/Gamma({b}) t^{p} at t={t} "
+                             f"exceeds the double range")
+    return float(value)
+
+
 def rl_integral_power(mu: float, gamma: float, t: float) -> float:
     """Fractional integral of t^gamma:
     Gamma(gamma+1)/Gamma(gamma+1+mu) * t^(gamma+mu); mu = 0 is the identity.
+    Where a factor leaves the double range the ratio and the power are
+    taken in logs; ResultOverflow where the value itself does.
     """
     _check_power(mu, gamma, t, "integral")
-    return float(_gamma(gamma + 1.0) * _rgamma(gamma + 1.0 + mu)
-                 * t ** (gamma + mu))
+    return _gamma_ratio(gamma + 1.0, gamma + 1.0 + mu, t, gamma + mu)
 
 
 def rl_derivative_power(mu: float, gamma: float, t: float) -> float:
     """Riemann-Liouville derivative of t^gamma:
-    Gamma(gamma+1)/Gamma(gamma+1-mu) * t^(gamma-mu).
+    Gamma(gamma+1)/Gamma(gamma+1-mu) * t^(gamma-mu), in logs where a factor
+    leaves the double range; ResultOverflow where the value itself does.
 
     The reciprocal Gamma makes the result an exact 0 when gamma+1-mu is a
     non-positive integer (derivative of t^(mu-k)).
     """
     _check_power(mu, gamma, t, "derivative")
-    return float(_gamma(gamma + 1.0) * _rgamma(gamma + 1.0 - mu)
-                 * t ** (gamma - mu))
+    return _gamma_ratio(gamma + 1.0, gamma + 1.0 - mu, t, gamma - mu)
 
 
 def caputo_power(mu: float, gamma: float, t: float) -> float:
@@ -125,6 +152,8 @@ def rl_integral_grid(f: GridFunction, mu: float) -> GridFunction:
     if not 0.0 < mu < math.inf:
         raise InvalidExponent("integral order must be finite and positive")
     h = f.require_uniform_from_zero()
+    if not np.isfinite(f.ys).all():
+        raise InvalidArgument("samples must be finite")
     n = len(f) - 1
     p0, p1 = _prod_trap_pieces(mu, n)
     a = p0[1:] - p1[1:]          # weight of the left node of panel k
@@ -155,6 +184,8 @@ def caputo_derivative_grid(f: GridFunction, f0: float, mu: float) -> GridFunctio
     n = len(f) - 1
     v = f.ys.copy()
     v[0] = float(f0)
+    if not np.isfinite(v).all():
+        raise InvalidArgument("samples must be finite")
     d = np.diff(v)  # forward differences; piecewise-constant derivative * h
     k = np.arange(n + 1, dtype=float)
     b = k[1:] ** (1.0 - mu) - k[:-1] ** (1.0 - mu)

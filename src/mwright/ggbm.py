@@ -174,8 +174,13 @@ def pdf_npoint(q: NPointQuery) -> float:
     beta = spec.beta
     chol = _cholesky(_raw_covariance(spec) * _rgamma(1.0 + beta))
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    y = np.linalg.solve(chol, q.xs)
-    quad_form = float(y @ y)  # x' gamma^(-1) x
+    # x' gamma^(-1) x from x / 2**k, k the binary exponent of max |x|: the
+    # same bits, and inf, not an overflow, where the form leaves the double
+    # range (the density is 0 there)
+    k = int(np.frexp(np.max(np.abs(q.xs)))[1])
+    y = np.linalg.solve(chol, np.ldexp(q.xs, -k))
+    with np.errstate(over="ignore"):
+        quad_form = float(np.ldexp(y @ y, 2 * k))
     gb = float(_gamma(1.0 + beta))
     xi = math.sqrt(2.0 / gb * quad_form)
     if beta == 1.0:
@@ -454,17 +459,18 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
     cells of the analytic law. The lag-1 increment correlation needs two
     increments, so it and its SE are None for fewer than three times.
 
-    After the mean, one pass (_row_pass) walks the paths in blocks of
-    _STATS_ROWS rows, so the working memory is a few blocks and one
-    _PAIRWISE_LEAF buffer besides the per-path lag-1 means, whatever the
-    ensemble's size. From 8 * _BATCH paths and 2 CPUs (the sampler's rule,
-    _pool) the pass is two: a pool thread runs the lag-1 pass, which needs
-    no mean, from before the column mean on, while the calling thread forms
-    the mean and the moment pass. Each pass keeps its own sums, so the
-    bits do not depend on the split. Every field equals the full-array
-    formulas
-    (x.std(axis=0, ddof=1), (((x - mean) ** 2) ** 2).mean(axis=0),
-    (d * d).mean() over the increments d, ...) bit for bit, on two rules
+    Two passes walk the paths in blocks of _STATS_ROWS rows, so the
+    working memory is a few blocks and one _PAIRWISE_LEAF buffer besides
+    the per-path lag-1 means, whatever the ensemble's size: the moment pass
+    (_moment_pass), after the column mean, and the lag-1 pass (_lag1_pass),
+    which needs no mean. From 8 * _BATCH paths and 2 CPUs (the sampler's
+    rule, _pool) a pool thread runs the lag-1 pass from before the column
+    mean on, while the calling thread forms the mean and the moment pass;
+    below that the calling thread runs both, one after the other. Each
+    pass keeps its own sums, so the bits do not depend on where it runs.
+    Every field equals the full-array formulas (x.std(axis=0, ddof=1),
+    (((x - mean) ** 2) ** 2).mean(axis=0), (d * d).mean() over the
+    increments d, ...) bit for bit, on two rules
     of numpy's sums that tests/test_ggbm.py pins
     (test_row_order_carry_is_the_axis0_sum, test_streamed_sum_is_numpys):
     an axis-0 sum of a C-contiguous array with two or more columns adds
@@ -483,12 +489,14 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
     x = e.paths
     lag1 = x.shape[1] >= 3
     with _pool(n // _BATCH if lag1 else 0) as pool:
-        # the lag-1 pass needs no mean: on a pool it starts first
-        lag = None if pool is None else pool.submit(_row_pass(x, None, True))
+        lag = _lag1_pass(x) if lag1 else None
+        if pool is not None:
+            # the lag-1 pass needs no mean: on a pool it starts first
+            lag = pool.submit(lag).result
         mean = x.mean(axis=0)
-        s2, s4, per_path, c00 = _row_pass(x, mean, lag1 and lag is None)()
-        if lag is not None:
-            per_path, c00 = lag.result()[2:]
+        s2, s4 = _moment_pass(x, mean)
+        if lag1:
+            per_path, c00 = lag()
     # the fourth powers (and near the double range the squares) overflow
     # once the variance passes about 1e154; such columns are redone below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -502,7 +510,7 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
         # monotone and odd, so that |dev| is max - mean or mean - min
         k = np.frexp(np.maximum(x.max(axis=0) - mean,
                                 mean - x.min(axis=0)))[1]
-        s2, s4 = _row_pass(x, mean, False, k)()[:2]
+        s2, s4 = _moment_pass(x, mean, k)
         sd_k = np.sqrt(s2 / (n - 1))
         var_k = sd_k * sd_k
         se_k = np.sqrt(np.maximum(s4 / n - var_k * var_k, 0.0) / n)
@@ -519,7 +527,7 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
             # the same at x / 2**k, k the binary exponent of max |x|: the
             # ratios below do not depend on the scale
             k = np.frexp(max(x.max(), -x.min()))[1]
-            per_path, c00 = _row_pass(x, None, True, k)()[2:]
+            per_path, c00 = _lag1_pass(x, k)()
             sd01 = float(per_path.std(ddof=1))
         corr = float(per_path.mean()) / c00
         corr_se = sd01 / math.sqrt(n) / c00
@@ -537,58 +545,60 @@ def ensemble_stats(e: PathEnsemble, cells: int = 20) -> StatsReport:
                        corr, corr_se, stat, pval, cells, n)
 
 
-def _row_pass(x, mean, lag1: bool, k=0):
-    """One pass over x in blocks of _STATS_ROWS rows, ready to run: every
-    buffer it needs is allocated here, on the calling thread, and the pass
-    is returned as a function of no arguments that returns
-    (s2, s4, per_path, c00). So it may run on a pool thread, where the
-    lag-1 pass (mean None, k = 0) allocates nothing but numpy's 64 kB
-    iterator buffers, and it sets its own error state (overflow and
-    invalid ignored; numpy's is per thread).
+def _moment_pass(x, mean, k=0):
+    """The column sums s2 and s4 of dev^2 and dev^4, dev = (x - mean) /
+    2**k, in one pass over x in blocks of _STATS_ROWS rows: each block's
+    sums are carried into the next block's first row, so rows add in the
+    order of numpy's axis-0 sum of the whole array (a single column is
+    reduced pairwise, so it is one block). Overflow and invalid are
+    ignored: such columns are summed again at a scale."""
+    n, ntimes = x.shape
+    step = _STATS_ROWS if ntimes > 1 else n
+    s2, s4 = np.zeros(ntimes), np.zeros(ntimes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, step):
+            dev = x[lo:lo + step] - mean
+            if np.any(k):
+                np.ldexp(dev, -k, out=dev)
+            dev *= dev
+            dev4 = dev * dev  # two squarings: ** 4 would use pow
+            for acc, terms in ((s2, dev), (s4, dev4)):
+                terms[0] += acc
+                np.add.reduce(terms, axis=0, out=acc)
+    return s2, s4
 
-    Given the column means, the column sums s2 and s4 of dev^2 and dev^4,
-    dev = (x - mean) / 2**k: each block's sums are carried into the next
-    block's first row, so rows add in the order of numpy's axis-0 sum of
-    the whole array (a single column is reduced pairwise, so it is one
-    block). With lag1, the per-path means of the products of adjacent
-    increments of x / 2**k, and the mean c00 of their squares over all
+
+def _lag1_pass(x, k=0):
+    """One pass over x (three or more times) in blocks of _STATS_ROWS rows,
+    ready to run: every buffer it needs is allocated here, on the calling
+    thread, and the pass is returned as a function of no arguments that
+    returns (per_path, c00). So it may run on a pool thread, where it
+    allocates nothing but numpy's 64 kB iterator buffers, and it sets its
+    own error state (overflow and invalid ignored; numpy's is per thread).
+
+    per_path holds the per-path means of the products of adjacent
+    increments of x / 2**k, and c00 is the mean of their squares over all
     paths, as numpy's pairwise mean of the whole (n, times - 1) array.
     """
     n, ntimes = x.shape
-    step = _STATS_ROWS if ntimes > 1 else n
-    s2 = s4 = per_path = None
-    if mean is not None:
-        s2, s4 = np.zeros(ntimes), np.zeros(ntimes)
-    if lag1:
-        per_path = np.empty(n)
-        d = np.empty((min(n, step), ntimes - 1))
-        prod = np.empty((len(d), ntimes - 2))
-        squares = _PairwiseSum(n * (ntimes - 1))
+    per_path = np.empty(n)
+    d = np.empty((min(n, _STATS_ROWS), ntimes - 1))
+    prod = np.empty((len(d), ntimes - 2))
+    squares = _PairwiseSum(n * (ntimes - 1))
 
     def run():
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, n, step):
-                blk = x[lo:lo + step]
-                if mean is not None:
-                    dev = blk - mean
-                    if np.any(k):
-                        np.ldexp(dev, -k, out=dev)
-                    dev *= dev
-                    dev4 = dev * dev  # two squarings: ** 4 would use pow
-                    for acc, terms in ((s2, dev), (s4, dev4)):
-                        terms[0] += acc
-                        np.add.reduce(terms, axis=0, out=acc)
-                if lag1:
-                    if k:
-                        blk = np.ldexp(blk, -k)
-                    rows = len(blk)
-                    dk = np.subtract(blk[:, 1:], blk[:, :-1], out=d[:rows])
-                    pairs = np.multiply(dk[:, :-1], dk[:, 1:], out=prod[:rows])
-                    np.mean(pairs, axis=1, out=per_path[lo:lo + step])
-                    dk *= dk
-                    squares.add(dk)
-        c00 = float(squares.total() / squares.size) if lag1 else None
-        return s2, s4, per_path, c00
+            for lo in range(0, n, _STATS_ROWS):
+                blk = x[lo:lo + _STATS_ROWS]
+                if k:
+                    blk = np.ldexp(blk, -k)
+                rows = len(blk)
+                dk = np.subtract(blk[:, 1:], blk[:, :-1], out=d[:rows])
+                pairs = np.multiply(dk[:, :-1], dk[:, 1:], out=prod[:rows])
+                np.mean(pairs, axis=1, out=per_path[lo:lo + _STATS_ROWS])
+                dk *= dk
+                squares.add(dk)
+        return per_path, float(squares.total() / squares.size)
 
     return run
 

@@ -172,11 +172,11 @@ def _log_form(nu: float, x: np.ndarray, log_c: float, log_a: float):
     and eps (2 + |log x| + |log a|) of the argument, times (1 + Y)/(1 -
     nu), which bounds |d log M/d log r| (Y = `specfun._saddle_exponent`;
     at nu = 0.99 and Y = 474 that is 47500), and one subnormal spacing for
-    exp's rounding where the value is subnormal. Where the value is 0, it is
-    `_underflow_estimate` on the tail route at a finite argument, and 0
-    elsewhere: there the rounding terms, as large as Y, need not fit in a
-    double, and the value lies below the double range at any argument
-    within the rounding."""
+    exp's rounding where the value is subnormal. Where the value is 0, it
+    is `specfun._underflow_estimate` on the tail route at a finite
+    argument, and 0 elsewhere: there the rounding terms, as large as Y,
+    need not fit in a double, and the value lies below the double range at
+    any argument within the rounding."""
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf
         arg = np.exp(np.log(x) + log_a)
     _, _, method, log_m, rel = specfun._m_wright_array(nu, arg, 1e-12,
@@ -193,17 +193,8 @@ def _log_form(nu: float, x: np.ndarray, log_c: float, log_a: float):
     err[live] = math.ulp(0.0) + np.exp(np.log(rel[live] + size)
                                        + (log_m[live] + log_c))
     under = ~live & (method == specfun.METHOD_ASYMPTOTIC) & (arg < math.inf)
-    err[under] = _underflow_estimate(nu, arg[under], log_c)
+    err[under] = specfun._underflow_estimate(nu, arg[under], log_c)
     return value, err, method
-
-
-def _underflow_estimate(nu: float, w: np.ndarray, log_c: float):
-    """The estimate of c M_nu(w) at finite radii w past the switch where it
-    is 0: c times `specfun.m_wright_envelope(nu)` at w, formed in logs (0
-    where Y overflows). c times M's 1e-300 floor could exceed the value's
-    own scale by far (0.5 at t = 1e-300 for a Green function)."""
-    return np.exp(math.log(10.0) + specfun._log_saddle_factor(nu, 1, w)
-                  - specfun._saddle_exponent(nu, w) + log_c)
 
 
 def _checked(out, xs, t: float, what: str):

@@ -99,10 +99,12 @@ def adaptive(f, a, b, tol=1e-10, rtol=0.0, limit=4000, points=None,
     raises QuadratureFailure. `points` are interior breakpoints of the
     initial subdivision (known scales, neighbourhoods of singular
     endpoints); `max_panel_width` bounds the initial panel width, for
-    oscillatory integrands. Returns (value, error_estimate).
+    oscillatory integrands. Returns (value, error_estimate);
+    InvalidArgument unless a and b are finite and b > a.
     """
-    if not b > a:
-        raise InvalidArgument("need b > a")
+    if not -math.inf < a < b < math.inf:
+        raise InvalidArgument(f"need finite limits with b > a, got a={a}, "
+                              f"b={b}")
     edges = [] if points is None else list(points)
     if max_panel_width is not None and max_panel_width > 0:
         n = int(math.ceil((b - a) / max_panel_width))

@@ -78,10 +78,11 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval as _np_chebval
-from scipy.special import (erfcx as _erfcx, gamma as _gamma,
+from scipy.special import (airy as _airy, erfcx as _erfcx, gamma as _gamma,
                            gammaln as _gammaln, rgamma as _rgamma)
 
 from . import quadrature
+from .fraccalc import _gamma_ratio
 from .errors import (
     InvalidArgument,
     InvalidMomentOrder,
@@ -90,7 +91,6 @@ from .errors import (
     NegativeArgument,
     NonConvergence,
     QuadratureFailure,
-    ResultOverflow,
     UnsupportedQ,
 )
 
@@ -380,6 +380,15 @@ def m_wright_envelope(nu):
     truncation): 10 times the saddle-point term m_wright_asymptotic."""
     nu = _as_nu(nu)
     return lambda r: 10.0 * m_wright_asymptotic(nu, r)
+
+
+def _underflow_estimate(nu: float, w: np.ndarray, log_c: float = 0.0):
+    """The estimate of c M_nu(w) at finite radii w past the switch where it
+    is 0: c times `m_wright_envelope(nu)` at w, formed in logs (0 where Y
+    overflows). c times M's 1e-300 floor could exceed the value's own
+    scale by far (0.5 at t = 1e-300 for a Green function)."""
+    return np.exp(math.log(10.0) + _log_saddle_factor(nu, 1, w)
+                  - _saddle_exponent(nu, w) + log_c)
 
 
 def _kanter_log_a(nu: float, phi: np.ndarray) -> np.ndarray:
@@ -1132,8 +1141,9 @@ def m_wright_moment(nu, delta: float) -> float:
 
     int_0^inf r^delta M_nu(r) dr = Gamma(delta+1)/Gamma(nu*delta+1),
     valid for delta > -1 and 0 <= nu < 1. Where Gamma(delta+1) overflows
-    the ratio is taken in log space; ResultOverflow is raised where the
-    ratio itself leaves the double range (delta = inf included).
+    the ratio is taken in log space (`fraccalc._gamma_ratio`, the power
+    rules' helper); ResultOverflow is raised where the ratio itself leaves
+    the double range (delta = inf included).
     """
     nu = _as_nu(nu)
     delta = float(delta)
@@ -1141,15 +1151,7 @@ def m_wright_moment(nu, delta: float) -> float:
         raise InvalidMomentOrder(f"moment order must exceed -1, got {delta}")
     if not 0.0 <= nu < 1.0:
         raise InvalidOrder(f"need 0 <= nu < 1, got {nu}")
-    g = _gamma(delta + 1.0)
-    if np.isfinite(g):
-        return float(g * _rgamma(nu * delta + 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN at delta = inf
-        ratio = np.exp(_gammaln(delta + 1.0) - _gammaln(nu * delta + 1.0))
-    if not np.isfinite(ratio):
-        raise ResultOverflow(f"moment of order {delta} of M_{nu} exceeds "
-                             f"the double range")
-    return float(ratio)
+    return _gamma_ratio(delta + 1.0, nu * delta + 1.0)
 
 
 def _moment_estimate(nu: float, delta: float, value: float) -> float:
@@ -1172,99 +1174,53 @@ def mellin_m_wright(nu, s: float) -> float:
     return m_wright_moment(nu, s - 1.0)
 
 
-_AIRY_C1 = float(_rgamma(2.0 / 3.0))
-_AIRY_C2 = float(_rgamma(1.0 / 3.0))
+_AIRY_ARG = 3.0 ** (-1.0 / 3.0)
+_AIRY_SCALE = 3.0 ** (2.0 / 3.0)
 
 
-def _airy_diverged(x: float) -> NonConvergence:
-    return NonConvergence(f"Airy series for M_(1/3) at z={x} did not "
-                          f"converge in double precision")
+def _airy_m(z):
+    """M_(1/3)(z) = 3^(2/3) Ai(z 3^(-1/3)) and its estimate, elementwise for
+    a float or an array, from one `scipy.special.airy` call: Cephes on x =
+    z 3^(-1/3) in [-10, 10] (power series to x = 2.09, asymptotic forms
+    past it), AMOS outside.
 
-
-def _airy_point(x: float):
-    """`_airy_series` at one point, in Python floats."""
-    x3 = x ** 3 if abs(x) < 1e100 else math.inf  # ** raises on overflow
-
-    def part(j):
-        # term_0 = x^j; ratio ((j+1)/3+m) x^3 / ((3m+j+1)(3m+j+2)(3m+j+3))
-        total = t = x ** j
-        size = abs(t)
-        m = 0
-        while abs(t) > 1e-16 * max(abs(total), 1.0) and m < 300:
-            k = 3 * m + j
-            t *= ((j + 1) / 3.0 + m) * x3 / ((k + 1) * (k + 2) * (k + 3))
-            total += t
-            size += abs(t)
-            m += 1
-        if m == 300 or not math.isfinite(size):
-            raise _airy_diverged(x)
-        return total, size
-
-    (p0, s0), (p1, s1) = part(0), part(1)
-    return (_AIRY_C1 * p0 - _AIRY_C2 * p1,
-            8.0 * _EPS * (_AIRY_C1 * s0 + _AIRY_C2 * s1))
-
-
-def _airy_series(x):
-    """M_{1/3}(x) as the pair of hypergeometric-type power series, and the
-    rounding bound 8 eps (c1 sum|terms of part 0| + c2 sum|terms of part 1|)
-    on the cancellation; each ends at a term <= 1e-16 max(|sum|, 1).
-
-    c1 sum (1/3)_m x^{3m}/(3m)! - c2 sum (2/3)_m x^{3m+1}/(3m+1)!, with
-    c1 = 1/Gamma(2/3) and c2 = 1/Gamma(1/3).
-
-    x is a scalar, which gives floats, or an array, which gives arrays.
-    A scalar is summed in Python floats (`_airy_point`); an array of any
-    size by a numpy loop over the terms of the points still summing, with
-    the same operations in the same order and the cubes from Python's **
-    (numpy's power rounds some differently), so every point has the bits
-    of its own call.
-    NonConvergence is raised where a point needs 300 terms or a sum leaves
-    the double range (z = 200, |z| >= 1e100), whatever the block.
+    The estimate, times 3^(2/3), is 2 eps |x Ai'(x)| for the rounding of x
+    plus the routines' own error, which grows like |x|^1.5: 128 eps (1 +
+    x^1.5) |Ai(x)| for x >= 0 (Cephes documents 2.3e-14 relative on [0,
+    10]) and 8 eps (1 + |x|^1.5) for x < 0 (1.6e-15 absolute on [-10, 0]).
+    From x = 103.097 (z = 148.69), where M_(1/3) is still about 1e-304,
+    AMOS returns 0, and from x = 2^20 NaN: there the value is 0 and the
+    estimate `m_wright_envelope(1/3)` (`_underflow_estimate`).
+    NonConvergence below x of about -2^20 (z = -1.51e6), where AMOS
+    returns NaN, and at a NaN z.
     """
-    if np.ndim(x) == 0:
-        return _airy_point(float(x))  # a Python float: numpy's ** differs
-    x3 = np.array([xi ** 3 if abs(xi) < 1e100 else math.inf
-                   for xi in x.tolist()])
-
-    def part(j):
-        t = x.copy() if j else np.ones(x.size)  # x ** j
-        total, size = t.copy(), np.abs(t)
-        go = np.abs(t) > 1e-16 * np.maximum(np.abs(total), 1.0)
-        live, t = np.flatnonzero(go), t[go]
-        with np.errstate(over="ignore", invalid="ignore"):  # such rows raise
-            for m in range(300):
-                if not live.size:
-                    break
-                k = 3 * m + j
-                t = t * (((j + 1) / 3.0 + m) * x3[live]
-                         / ((k + 1) * (k + 2) * (k + 3)))
-                total[live] += t
-                size[live] += np.abs(t)
-                go = np.abs(t) > 1e-16 * np.maximum(np.abs(total[live]), 1.0)
-                last, live, t = live, live[go], t[go]
-            else:  # the rows of the last pass took 300 terms
-                raise _airy_diverged(float(x[last[0]]))
-        if not np.isfinite(size).all():
-            raise _airy_diverged(float(x[~np.isfinite(size)][0]))
-        return total, size
-
-    (p0, s0), (p1, s1) = part(0), part(1)
-    return (_AIRY_C1 * p0 - _AIRY_C2 * p1,
-            8.0 * _EPS * (_AIRY_C1 * s0 + _AIRY_C2 * s1))
+    x = np.multiply(z, _AIRY_ARG)
+    ai, aip, _, _ = _airy(x)
+    a = np.minimum(np.abs(x), 2.0 ** 20)  # no overflow past AMOS' range
+    err = _AIRY_SCALE * _EPS * (
+        np.where(x < 0.0, 8.0, 128.0 * np.abs(ai)) * (1.0 + a * np.sqrt(a))
+        + 2.0 * np.abs(x * aip))
+    if (under := ~(np.abs(ai) > 0.0)).any():  # 0 or NaN
+        if (bad := under & ~(x > 0.0)).any():
+            raise NonConvergence(f"no Airy value for M_(1/3) at "
+                                 f"z={np.extract(bad, z)[0]}")
+        ai = np.where(under, 0.0, ai)
+        err = np.where(under, _underflow_estimate(
+            1.0 / 3.0, np.where(under, z, 1.0)), err)
+    return _AIRY_SCALE * ai, err
 
 
 def m_wright_special(q: int, z: float) -> EvalResult:
-    """Closed forms M_{1/2} (Gaussian) and M_{1/3} (Airy, own power series).
+    """Closed forms M_{1/2} (Gaussian) and M_{1/3} (Airy function).
 
     q = 2 is exp(-z^2/4)/sqrt(pi), with the estimate of m_wright at nu =
     1/2: 4 eps x value plus the rounding of z^2/4, which the exponent
-    amplifies by z^2/4 (`_gaussian_estimate`). q = 3 sums the two series
-    of `_airy_series` in Python floats, with the bits that point has in a
-    block, and raises NonConvergence where they do not converge in double
-    precision (|z| of about 200 and beyond). NaN is rejected; so is +-inf
-    for q = 3, where the power series cannot be summed (q = 2 gives the
-    limit 0 there).
+    amplifies by z^2/4 (`_gaussian_estimate`). q = 3 is 3^(2/3) Ai(z
+    3^(-1/3)) from scipy's Airy function (`_airy_m`, with the bits that z
+    has in a block), with an estimate that grows like |z|^1.5; past z =
+    148.69 the value is 0 and the estimate M_(1/3)'s envelope, and below
+    z of about -1.51e6 NonConvergence is raised. NaN is rejected; so is
+    +-inf for q = 3 (q = 2 gives the limit 0 there).
     """
     z = float(z)
     if math.isnan(z):
@@ -1275,9 +1231,9 @@ def m_wright_special(q: int, z: float) -> EvalResult:
         return EvalResult(v, _gaussian_estimate(v, e), METHOD_CLOSED_FORM)
     if q == 3:
         if math.isinf(z):
-            raise InvalidArgument(f"the M_(1/3) series needs a finite "
-                                  f"argument, got {z}")
-        return EvalResult(*_airy_series(z), METHOD_CLOSED_FORM)
+            raise InvalidArgument(f"M_(1/3) needs a finite argument, got {z}")
+        value, err = _airy_m(z)
+        return EvalResult(float(value), float(err), METHOD_CLOSED_FORM)
     raise UnsupportedQ(f"closed form only for q in (2, 3), got {q}")
 
 

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.special import gamma, rgamma
 
 from mwright import cli, fraccalc, ggbm, greens, oracles, quadrature, specfun
 from mwright.errors import (
@@ -141,6 +142,77 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidArgument, match="b > a"):
             quadrature.adaptive(np.cos, a, b)
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0)])
+    def test_adaptive_needs_finite_limits(self, a, b):
+        # (nan, nan) with three RuntimeWarnings before
+        with pytest.raises(InvalidArgument, match="finite"):
+            quadrature.adaptive(np.sin, a, b)
+
+    @pytest.mark.parametrize("scheme", ["integral", "caputo"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_schemes_refuse_non_finite_samples(self, scheme, bad):
+        # a NaN sample gave NaN output without a word, an inf sample
+        # "invalid value encountered in subtract"
+        xs = np.linspace(0.0, 1.0, 11)
+        ys = xs.copy()
+        ys[5] = bad
+        g = GridFunction(xs, ys)
+        with pytest.raises(InvalidArgument, match="finite"):
+            if scheme == "integral":
+                fraccalc.rl_integral_grid(g, 0.5)
+            else:
+                fraccalc.caputo_derivative_grid(g, 0.0, 0.5)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("times, xs", [([1.0], [1e160]),
+                                           ([1.0, 2.0], [1e300, 1.0]),
+                                           ([1.0, 2.0], [1e308, -1e308])])
+    def test_npoint_density_at_huge_displacements_is_zero(self, beta, times,
+                                                          xs):
+        # x' gamma^(-1) x overflowed in matmul (a RuntimeWarning), and at
+        # beta = 1 the last case gave NaN
+        spec = ggbm.CovSpec(1.0, beta, times)
+        assert ggbm.pdf_npoint(ggbm.NPointQuery(spec, xs)) == 0.0
+
+
+class TestPowerRulesPastTheGammaRange:
+    """Power rules whose Gamma factors or power leave the double range: NaN,
+    inf or builtins OverflowError before; the ratio and the power are now
+    taken in logs, and ResultOverflow is raised where the value leaves."""
+
+    @pytest.mark.parametrize("rule, args, want", [
+        # Gamma(gamma + 1) / Gamma(gamma + 1 +- mu) t^(gamma +- mu), mpmath
+        ("integral", (0.5, 171.0, 1.0), 0.07630471895356532335),
+        ("integral", (0.5, 300.0, 10.0), 1.823463636218718801e299),
+        ("caputo", (0.5, 300.0, 10.0), 5.479508226837249996e300),
+        ("derivative", (0.5, 171.0, 1.0), 13.08625930053645296)])
+    def test_values_past_the_gamma_range(self, rule, args, want):
+        mu, g, t = args
+        got = self._RULES[rule](*args)
+        # the logs carry their rounding into the value, 4.5e-13 relative
+        # at gamma = 300: m_wright_moment's bound on its log route
+        p = g + mu if rule == "integral" else g - mu  # Gamma(p + 1) below
+        logs = (abs(math.lgamma(g + 1.0)) + abs(math.lgamma(p + 1.0))
+                + abs(p * math.log(t)) + 1.0)
+        assert abs(got - want) <= 4.0 * np.finfo(float).eps * logs * want
+
+    @pytest.mark.parametrize("rule", ["integral", "derivative"])
+    def test_value_past_the_double_range_raises(self, rule):
+        with pytest.raises(ResultOverflow, match="t=1e"):
+            self._RULES[rule](0.5, 2.0, 1e300)
+
+    def test_factors_in_range_keep_their_bits(self):
+        assert fraccalc.rl_integral_power(0.5, 1.5, 2.0) == float(
+            gamma(2.5) * rgamma(3.0) * 2.0 ** 2.0)
+        assert fraccalc.rl_derivative_power(0.5, 1.5, 2.0) == float(
+            gamma(2.5) * rgamma(2.0) * 2.0 ** 1.0)
+        # 1/Gamma's exact 0 at a pole: the derivative of t^(mu - 1)
+        assert fraccalc.rl_derivative_power(2.5, 1.5, 2.0) == 0.0
+
+    _RULES = {"integral": fraccalc.rl_integral_power,
+              "derivative": fraccalc.rl_derivative_power,
+              "caputo": fraccalc.caputo_power}
+
 
 class TestIntegerCounts:
     """Counts that used to raise builtins TypeError or ZeroDivisionError, or
@@ -170,7 +242,8 @@ class TestIntegerCounts:
     @pytest.mark.parametrize("cells", [1, 0, 2.5])
     def test_chi_square_needs_two_integer_cells(self, monkeypatch, cells):
         ens = ggbm.sample_paths(self._SPEC, 200, 1)
-        monkeypatch.setattr(ggbm, "_row_pass", None)
+        monkeypatch.setattr(ggbm, "_moment_pass", None)
+        monkeypatch.setattr(ggbm, "_lag1_pass", None)
         with pytest.raises(InvalidArgument, match="cells"):
             ggbm.ensemble_stats(ens, cells=cells)
 

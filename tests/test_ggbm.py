@@ -995,16 +995,20 @@ class TestParallelStats:
         # come from there) and runs on the pool thread from before the
         # column mean; the moment pass runs on the calling thread
         events = []
-        original = ggbm._row_pass
+        lag1_pass, moment_pass = ggbm._lag1_pass, ggbm._moment_pass
 
-        def spy(x, mean, lag1, k=0):
-            events.append(("ready", lag1, threading.get_ident()))
-            run = original(x, mean, lag1, k)
+        def lag1_spy(x, k=0):
+            events.append(("ready", True, threading.get_ident()))
+            run = lag1_pass(x, k)
 
             def traced():
-                events.append(("run", lag1, threading.get_ident()))
+                events.append(("run", True, threading.get_ident()))
                 return run()
             return traced
+
+        def moment_spy(x, mean, k=0):
+            events.append(("run", False, threading.get_ident()))
+            return moment_pass(x, mean, k)
 
         class Paths(np.ndarray):
             def mean(self, *args, **kwargs):
@@ -1016,14 +1020,14 @@ class TestParallelStats:
         ens = ggbm.sample_paths(spec, 8 * ggbm._BATCH, 2)
         want = asdict(ggbm.ensemble_stats(ens))
         ens.paths = ens.paths.view(Paths)
-        monkeypatch.setattr(ggbm, "_row_pass", spy)
+        monkeypatch.setattr(ggbm, "_lag1_pass", lag1_spy)
+        monkeypatch.setattr(ggbm, "_moment_pass", moment_spy)
         pools.clear()
         got = asdict(ggbm.ensemble_stats(ens))
         assert pools == [2]
         me = threading.get_ident()
         on_caller = [e[:2] for e in events if e[2] == me]
-        assert on_caller == [("ready", True), ("mean", None),
-                             ("ready", False), ("run", False)]
+        assert on_caller == [("ready", True), ("mean", None), ("run", False)]
         assert [e[:2] for e in events if e[2] != me] == [("run", True)]
         for name, value in want.items():
             assert np.array_equal(got[name], value), name

@@ -873,8 +873,8 @@ class TestSpecialCases:
             specfun.m_wright_special(4, 1.0)
 
     @pytest.mark.parametrize("z,ref", [
-        # 3^(2/3) Ai(z / 3^(1/3)) to 40 digits (mpmath); the two series
-        # cancel to fewer and fewer digits as |z| grows
+        # 3^(2/3) Ai(z / 3^(1/3)) to 40 digits (mpmath); the estimate grows
+        # like |z|^1.5, as the Airy routines' error does
         (8.0, 6.262963256580199371269570725856406305258e-05),
         (15.0, 6.335391476806423575683400730198574897127e-11),
         (20.0, 3.395218653786931218529507609958922936165e-16),
@@ -915,8 +915,36 @@ class TestSpecialCases:
                                       results[1].abs_err_estimate)
 
     def test_airy_series_past_double_precision_raises(self):
+        # the retired power series raised from |z| = 200; scipy's Airy
+        # function has a value there (M_(1/3)(200) = 2.7e-474 underflows),
+        # and none below z = -3^(1/3) 2^20 = -1.5123e6
+        for z, ref in ((200.0, 0.0),
+                       (-200.0, 0.2164206141293197424345190178697232113696)):
+            res = specfun.m_wright_special(3, z)
+            assert abs(res.value - ref) <= res.abs_err_estimate
         with pytest.raises(NonConvergence):
-            specfun.m_wright_special(3, 200.0)
+            specfun.m_wright_special(3, -1.5124e6)
+
+    def test_airy_within_estimate_of_40_digit_references(self):
+        # make_airy_refs.py: from z = -1.51e6 to past the underflow of
+        # scipy's Ai at z = 148.69, where the estimate is the envelope
+        z, ref = np.loadtxt(Path(__file__).parent / "data" / "airy_refs.csv",
+                            delimiter=",", comments="#", skiprows=2,
+                            unpack=True)
+        assert z.min() == -1.51e6 and z.max() == 153.0
+        for zi, want in zip(z.tolist(), ref.tolist()):
+            res = specfun.m_wright_special(3, zi)
+            assert math.isfinite(res.abs_err_estimate), zi
+            assert abs(res.value - want) <= res.abs_err_estimate, zi
+        value, err = specfun._airy_m(z)
+        assert value[z > 148.7].tolist() == [0.0] * int((z > 148.7).sum())
+        assert (np.abs(value - ref) <= err).all()
+
+    def test_airy_estimate_on_the_verify_grid(self):
+        # verify's closed-form sweep: the retired series reported up to
+        # 6.65e-14 there
+        zs = np.arange(-5.0, 5.0 + 1e-12, 0.01)
+        assert specfun._airy_m(zs)[1].max() <= 6.65e-14
 
     @pytest.mark.parametrize("q,z", [
         (2, math.nan), (3, math.nan), (3, math.inf), (3, -math.inf)])
@@ -1375,8 +1403,9 @@ class TestSmallOrders:
 
 
 def _airy_reference(x):
-    """M_(1/3)(x) by the scalar loop the block route replaced, kept as its
-    reference: (value, estimate), NonConvergence where it fails."""
+    """M_(1/3)(x) by the two hypergeometric-type power series that scipy's
+    Airy function replaced, kept as a cross-check: (value, estimate),
+    NonConvergence where it fails."""
     c1 = float(rgamma(2.0 / 3.0))
     c2 = float(rgamma(1.0 / 3.0))
     x3 = x ** 3 if abs(x) < 1e100 else math.inf
@@ -1471,34 +1500,45 @@ class TestShortBlocks:
 
     def test_airy_block_is_the_scalar_loop(self):
         # the verify sweep's grid and random |z| <= 12, as long blocks,
-        # short ones down to size 0 (the same numpy loop) and point by point
+        # short ones down to size 0 and point by point: one elementwise
+        # call, so the same bits; the retired power series agrees within
+        # the sum of both estimates
         grid = np.arange(-5.0, 5.0 + 1e-12, 0.01)
         rand = np.random.default_rng(5).uniform(-12.0, 12.0, 400)
         for zs in (grid, rand, rand[:self.CUT], rand[:self.CUT - 1],
                    rand[:1], rand[:0]):
-            value, err = specfun._airy_series(zs)
-            want = [_airy_reference(z) for z in zs.tolist()]
+            value, err = specfun._airy_m(zs)
+            want = [specfun.m_wright_special(3, z) for z in zs.tolist()]
             assert value.tobytes() == np.array(
-                [v for v, _ in want], dtype=float).tobytes()
+                [r.value for r in want], dtype=float).tobytes()
             assert err.tobytes() == np.array(
-                [e for _, e in want], dtype=float).tobytes()
-        for z in rand[:20].tolist():
-            assert specfun._airy_series(z) == _airy_reference(z)
-            res = specfun.m_wright_special(3, z)
-            assert (res.value, res.abs_err_estimate) == _airy_reference(z)
+                [r.abs_err_estimate for r in want], dtype=float).tobytes()
+        for z in rand.tolist():
+            value, err = specfun._airy_m(z)
+            series, series_err = _airy_reference(z)
+            assert abs(value - series) <= err + series_err, z
 
     @pytest.mark.parametrize("bad", [200.0, -200.0, 1e100, -1e100, 1e300])
     @pytest.mark.parametrize("size", [1, specfun._SHORT_BLOCK - 1,
                                       specfun._SHORT_BLOCK, 200])
     def test_airy_raises_inside_a_block(self, bad, size):
-        with pytest.raises(NonConvergence):
-            _airy_reference(bad)
+        # where the retired series raised, a block holds each point's own
+        # value and estimate: 0 past the underflow (2.7e-474 at z = 200),
+        # 0.2164... at -200; NonConvergence only below z = -1.51e6
         zs = np.linspace(-5.0, 5.0, size)
         zs[size // 2] = bad
-        with pytest.raises(NonConvergence):
-            specfun._airy_series(zs)
-        with pytest.raises(NonConvergence):
-            specfun.m_wright_special(3, bad)
+        if bad < -1.51e6:
+            with pytest.raises(NonConvergence):
+                specfun._airy_m(zs)
+            with pytest.raises(NonConvergence):
+                specfun.m_wright_special(3, bad)
+            return
+        value, err = specfun._airy_m(zs)
+        res = specfun.m_wright_special(3, bad)
+        assert (value[size // 2], err[size // 2]) == (res.value,
+                                                       res.abs_err_estimate)
+        ref = 0.2164206141293197424345190178697232113696 if bad < 0 else 0.0
+        assert abs(res.value - ref) <= res.abs_err_estimate
 
     def test_lone_points_skip_the_routes_they_do_not_take(self, monkeypatch):
         # a radius on the pieces below the switch does no tail work (`_tail`
