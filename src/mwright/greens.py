@@ -410,7 +410,8 @@ def _rate_route(lam, coef, ap, p1):
     coefficient times phi_n(z_j), phi_0 = 1; phi is smooth in log z. Its
     march at the Chebyshev extreme points of log lam over [log lam_1, log
     lam_m] gives the coefficients (`specfun._chebyshev_coefficients`) that
-    `specfun._chebval` reads at every mode. The route is accepted where
+    one Clenshaw recurrence (`specfun._clenshaw`) reads at every mode,
+    elementwise on the block. The route is accepted where
     the slowest rate and its eigenvalue lam_1 < lam_m are normal positive
     doubles, the last three coefficients lie below _RATE_CHOP times the
     largest, and _RATE_LEBESGUE times the largest |phi_n| at the nodes is
@@ -433,7 +434,8 @@ def _rate_route(lam, coef, ap, p1):
     c = specfun._chebyshev_coefficients(phi[-1])
     if not np.max(np.abs(c[-3:])) <= _RATE_CHOP * np.max(np.abs(c)):
         return None
-    return specfun._chebval((2.0 * np.log(lam) - (a + b)) / (b - a), c)
+    return specfun._clenshaw((2.0 * np.log(lam) - (a + b)) / (b - a),
+                             c.tolist())
 
 
 def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,

@@ -100,7 +100,9 @@ def adaptive(f, a, b, tol=1e-10, rtol=0.0, limit=4000, points=None,
     initial subdivision (known scales, neighbourhoods of singular
     endpoints); `max_panel_width` bounds the initial panel width, for
     oscillatory integrands. Returns (value, error_estimate);
-    InvalidArgument unless a and b are finite and b > a.
+    InvalidArgument unless a and b are finite and b > a, and
+    QuadratureFailure, naming the first abscissa, where a sample of f is
+    not finite.
     """
     if not -math.inf < a < b < math.inf:
         raise InvalidArgument(f"need finite limits with b > a, got a={a}, "
@@ -109,9 +111,15 @@ def adaptive(f, a, b, tol=1e-10, rtol=0.0, limit=4000, points=None,
     if max_panel_width is not None and max_panel_width > 0:
         n = int(math.ceil((b - a) / max_panel_width))
         edges += list(np.linspace(a, b, min(n, limit // 2) + 1))
-    value, error = adaptive_rows(
-        lambda x, rows: f(x.ravel()).reshape(x.shape), a, b, [edges],
-        tol, rtol, limit)
+
+    def row(x, rows):
+        y = np.asarray(f(x.ravel()), dtype=float)
+        if not (finite := np.isfinite(y)).all():
+            raise QuadratureFailure(f"integrand not finite at x="
+                                    f"{float(x.flat[finite.argmin()])}")
+        return y.reshape(x.shape)
+
+    value, error = adaptive_rows(row, a, b, [edges], tol, rtol, limit)
     return float(value[0]), float(error[0])
 
 

@@ -77,7 +77,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval as _np_chebval
 from scipy.special import (airy as _airy, erfcx as _erfcx, gamma as _gamma,
                            gammaln as _gammaln, rgamma as _rgamma)
 
@@ -112,8 +111,8 @@ _Y_SPLIT = 2.5  # the saddle exponent Y whose radius splits the series pieces
 _NODE_TOL = 1e-16  # stopping tol of the series at the nodes below the switch
 # E_nu(-s) pieces: in s on [0, _ML_NEAR], in 1/s on [1/_ML_FAR, 1/_ML_NEAR]
 _ML_NEAR, _ML_FAR = 4.0, 1024.0
-# blocks shorter than this take loops in Python floats (`_chebval`,
-# `_read_pieces`): numpy pays 1.5-2.5 us per array operation whatever the
+# blocks shorter than this are read point by point in Python floats
+# (`_read_pieces`): numpy pays 1.5-2.5 us per array operation whatever the
 # size, and the float Clenshaw loop about 55 ns per point and coefficient,
 # which break even at 32-40 points on 9-62 coefficients (2 vCPUs)
 _SHORT_BLOCK = 32
@@ -369,7 +368,10 @@ def m_wright_asymptotic(nu, x: float) -> float:
     if not y < math.inf:
         raise InvalidArgument(f"asymptotic form needs a finite x, got {x}")
     a = 1.0 / math.sqrt(2.0 * math.pi * (1.0 - nu))
-    expo = (nu - 1.0) / nu * y ** (1.0 / (1.0 - nu))
+    try:
+        expo = (nu - 1.0) / nu * y ** (1.0 / (1.0 - nu))
+    except OverflowError:  # the power past 1.8e308 puts expo below -1e292
+        return 0.0
     if expo < -745.0:
         return 0.0
     return a * y ** ((nu - 0.5) / (1.0 - nu)) * math.exp(expo)
@@ -478,29 +480,18 @@ def _log_saddle_factor(nu: float, power: int, w: np.ndarray) -> np.ndarray:
 
 def _chebyshev_coefficients(h: np.ndarray) -> np.ndarray:
     """Coefficients c_k of sum_k c_k T_k(x) through the values h at the
-    extreme points x_j = cos(pi j/N), j = 0..N (a DCT-I, summed row by row
-    so that no BLAS call is made)."""
+    extreme points x_j = cos(pi j/N), j = 0..N: the DCT-I, from the real
+    FFT of the even extension of h, as `greens._dst1` forms the DST-I."""
     big_n = len(h) - 1
-    ends = np.ones(big_n + 1)
-    ends[[0, -1]] = 0.5
-    c = (_dct_cosines(big_n) * (ends * h)).sum(axis=1) * (2.0 / big_n)
-    return c * ends
+    c = np.fft.rfft(np.concatenate((h, h[-2:0:-1]))).real / big_n
+    c[[0, -1]] *= 0.5
+    return c
 
 
-@lru_cache(maxsize=8)
-def _dct_cosines(big_n: int) -> np.ndarray:
-    """cos(pi j k/N) for j, k = 0..N, the matrix of
-    `_chebyshev_coefficients`' DCT-I, built once per N (read-only)."""
-    k = np.arange(big_n + 1)
-    cos = np.cos(np.pi * (np.outer(k, k) % (2 * big_n)) / big_n)
-    cos.flags.writeable = False
-    return cos
-
-
-def _clenshaw(x: float, c: list) -> float:
-    """sum_k c_k T_k(x) at one point by Clenshaw's recurrence (Clenshaw
-    1955), in Python floats with numpy `chebval`'s operations in the same
-    order, so with the same bits."""
+def _clenshaw(x, c: list):
+    """sum_k c_k T_k(x) by Clenshaw's recurrence (Clenshaw 1955), at a
+    Python float or elementwise at every entry of an array, with numpy
+    `chebval`'s operations in the same order, so with its bits."""
     if len(c) == 1:
         return c[0] + 0 * x
     c0, c1 = c[-2], c[-1]
@@ -508,16 +499,6 @@ def _clenshaw(x: float, c: list) -> float:
     for ck in c[-3::-1]:
         c0, c1 = ck - c1, c0 + c1 * x2
     return c0 + c1 * x
-
-
-def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_k c_k T_k(x) at every x: numpy's `chebval` on blocks of at least
-    _SHORT_BLOCK points, `_clenshaw` point by point on shorter ones; both
-    routes give the same bits."""
-    if x.size >= _SHORT_BLOCK:
-        return _np_chebval(x, c)
-    c = c.tolist()
-    return np.array([_clenshaw(xi, c) for xi in x.tolist()])
 
 
 def _chebyshev_piece(lo: float, hi: float, nodes):
@@ -666,8 +647,9 @@ def _read_pieces(fit, w, key):
     most that much (E_nu(-s)'s piece in 1/s is read only on its interval).
     The evaluation is elementwise, so every radius gets the same bits in a
     block of any size: blocks shorter than _SHORT_BLOCK are read point by
-    point in Python floats, by the same piece and operations (np.clip as
-    max then min, `_clenshaw`, numpy's arccosh and cosh for the run-on)."""
+    point in Python floats, longer ones as arrays, by the same piece and
+    operations (np.clip as max then min, `_clenshaw`, numpy's arccosh and
+    cosh for the run-on)."""
     if w.size < _SHORT_BLOCK:
         served, h, rel = [], [], []
         for wi, ki in zip(w.tolist(), key.tolist()):
@@ -690,7 +672,7 @@ def _read_pieces(fit, w, key):
         left &= ~on
         s = w[on].clip(lo, hi) if in_r else np.minimum(1.0 / key[on], hi)
         x = (2.0 * s - (lo + hi)) / (hi - lo)
-        h[on], rel[on] = _chebval(x, coef), r
+        h[on], rel[on] = _clenshaw(x, coef.tolist()), r
         if not in_r and x.min() < -1.0:
             rel[on] *= _run_on(x, coef.size)
     served = ~left
@@ -795,13 +777,10 @@ def _gaussian_estimate(v, e):
     r = 30.1 and 27 eps at r = 50.3). Where v is subnormal or has
     underflowed to 0 (|e| past 707.8), exp and the division each round to
     the subnormal spacing, which adds two spacings; at e = -inf the value
-    0 is exact, and so is its estimate 0 (the cap keeps inf x 0 out)."""
-    if isinstance(e, np.ndarray):
-        cap = np.minimum(-e, 1e4)
-        low = np.where((v < _TINY) & (e > -math.inf), _SUBNORMAL_2, 0.0)
-    else:
-        cap = min(-e, 1e4)
-        low = _SUBNORMAL_2 if v < _TINY and e > -math.inf else 0.0
+    0 is exact, and so is its estimate 0 (the cap keeps inf x 0 out).
+    Elementwise on an array e, with v an array of its shape or a float."""
+    cap = np.minimum(-e, 1e4)
+    low = np.where((v < _TINY) & (e > -math.inf), _SUBNORMAL_2, 0.0)
     return (4.0 + 0.5 * cap) * _EPS * v + low
 
 
@@ -1069,7 +1048,7 @@ def _ml_array(nu, s, tol: float):
         elif nu == 0.5:
             value[exact] = _erfcx(s[exact])
         else:
-            value[exact] = [math.exp(-x) for x in s[exact]]
+            value[exact] = np.exp(-s[exact])
         # erfcx is up to 4.1 eps off (s near 2e-8), the other two within 2 eps
         err[exact] = (8.0 if nu == 0.5 else 4.0) * _EPS * value[exact]
         method[exact] = METHOD_LIMIT_CASE if nu == 0.0 else METHOD_CLOSED_FORM
@@ -1213,9 +1192,10 @@ def _airy_m(z):
 def m_wright_special(q: int, z: float) -> EvalResult:
     """Closed forms M_{1/2} (Gaussian) and M_{1/3} (Airy function).
 
-    q = 2 is exp(-z^2/4)/sqrt(pi), with the estimate of m_wright at nu =
-    1/2: 4 eps x value plus the rounding of z^2/4, which the exponent
-    amplifies by z^2/4 (`_gaussian_estimate`). q = 3 is 3^(2/3) Ai(z
+    q = 2 is exp(-z^2/4)/sqrt(pi), the one-point case of M_(1/2)'s block
+    route, m_wright(0.5, |z|), with its bits and estimate: 4 eps x value
+    plus the rounding of z^2/4, which the exponent amplifies by z^2/4
+    (`_gaussian_estimate`). q = 3 is 3^(2/3) Ai(z
     3^(-1/3)) from scipy's Airy function (`_airy_m`, with the bits that z
     has in a block), with an estimate that grows like |z|^1.5; past z =
     148.69 the value is 0 and the estimate M_(1/3)'s envelope, and below
@@ -1226,9 +1206,7 @@ def m_wright_special(q: int, z: float) -> EvalResult:
     if math.isnan(z):
         raise InvalidArgument("m_wright_special argument is NaN")
     if q == 2:
-        e = -0.25 * z * z
-        v = math.exp(e) / math.sqrt(math.pi)
-        return EvalResult(v, _gaussian_estimate(v, e), METHOD_CLOSED_FORM)
+        return m_wright(0.5, abs(z))
     if q == 3:
         if math.isinf(z):
             raise InvalidArgument(f"M_(1/3) needs a finite argument, got {z}")

@@ -107,14 +107,15 @@ def suite_specfun() -> list[Check]:
                                 abs(got - want), 1e-7))
 
     # closed-form agreement on |z| <= 5 through the generic series path,
-    # one series call per sweep, against references independent of it: the
-    # Gaussian, and scipy's Airy function for M_(1/3) in one elementwise
-    # call; a row that misses its stop is NaN, and a NaN residual fails
+    # one series call per sweep, against references independent of it, each
+    # one elementwise call: the Gaussian (M_(1/2)'s closed form) and scipy's
+    # Airy function for M_(1/3); a row that misses its stop is NaN, and a
+    # NaN residual fails
     zs = np.arange(-5.0, 5.0 + 1e-12, 0.01)
     for nu, q in ((0.5, 2), (1.0 / 3.0, 3)):
         series = specfun._sum_series(-nu, 1.0 - nu, -zs, 1e-14)[0]
         closed = (specfun._airy_m(zs)[0] if q == 3 else
-                  [specfun.m_wright_special(q, z).value for z in zs.tolist()])
+                  specfun.m_wright_values(0.5, np.abs(zs)))
         worst = float(np.max(np.abs(series - closed)))
         checks.append(Check("closed-form agreement", {"q": q}, worst, 1e-12))
 

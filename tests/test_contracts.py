@@ -22,6 +22,7 @@ from mwright.errors import (
     InvalidTime,
     NegativeArgument,
     NotPositiveDefinite,
+    QuadratureFailure,
     ResultOverflow,
 )
 from mwright.gridfn import GridFunction
@@ -147,6 +148,33 @@ class TestNonFiniteInputs:
         # (nan, nan) with three RuntimeWarnings before
         with pytest.raises(InvalidArgument, match="finite"):
             quadrature.adaptive(np.sin, a, b)
+
+    @pytest.mark.parametrize("form", [
+        lambda: specfun.m_wright_asymptotic(1.0 / 3.0, 1e300),
+        lambda: specfun.m_wright_asymptotic(0.99, 1e5),
+        lambda: specfun.m_wright_asymptotic(0.9, 1e40),
+        lambda: specfun.m_wright_envelope(0.5)(1e200)],
+        ids=["third-1e300", "0.99-1e5", "0.9-1e40", "envelope-half-1e200"])
+    def test_asymptotic_form_past_the_power_range_is_zero(self, form):
+        # y^(1/(1-nu)) overflowed in Python floats (builtins OverflowError);
+        # the exponent is then past -1e292, so the form is 0
+        assert form() == 0.0
+
+    @pytest.mark.parametrize("integral, at", [
+        (lambda f: oracles.mellin_numeric(
+            lambda r: f(r, 0.5) * np.exp(-r), 1.0), "0.5"),
+        (lambda f: quadrature.adaptive(
+            lambda x: f(x, 0.3), 0.0, 1.0, points=[0.3]), "0.3")],
+        ids=["mellin_numeric", "adaptive"])
+    def test_non_finite_integrand_sample_is_named(self, integral, at):
+        # a Kronrod node on the singularity gave inf (or (inf, nan)) with
+        # "invalid value encountered in subtract"
+        def f(x, c):
+            with np.errstate(divide="ignore"):
+                return np.abs(x - c) ** -0.5
+
+        with pytest.raises(QuadratureFailure, match=rf"not finite at x={at}$"):
+            integral(f)
 
     @pytest.mark.parametrize("scheme", ["integral", "caputo"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

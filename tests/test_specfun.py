@@ -1430,7 +1430,7 @@ def _airy_reference(x):
 
 class TestShortBlocks:
     """Blocks shorter than the cutoff take loops in Python floats; they
-    must give numpy's bits, whatever the block."""
+    must give the bits of one array, whatever the block."""
 
     CUT = specfun._SHORT_BLOCK
 
@@ -1443,13 +1443,23 @@ class TestShortBlocks:
     @example(c=[1.0, 0.5, 0.25], x=[])
     def test_float_clenshaw_is_numpys_chebval(self, c, x):
         # x < -1 is where the piece in 1/Y runs on past its end (Y past
-        # 795); both routes of `_chebval`, at every block size
-        c, x = np.array(c), np.array(x, dtype=float)
-        want = chebval(x, c).tobytes()
-        assert specfun._chebval(x, c).tobytes() == want
-        coef = c.tolist()
-        floats = np.array([specfun._clenshaw(xi, coef) for xi in x.tolist()])
+        # 795); `_clenshaw` on the whole array and point by point in
+        # Python floats, at every block size
+        x_array = np.array(x, dtype=float)
+        want = chebval(x_array, c).tobytes()
+        assert specfun._clenshaw(x_array, c).tobytes() == want
+        floats = np.array([specfun._clenshaw(xi, c) for xi in x])
         assert floats.astype(float).tobytes() == want
+
+    def test_gaussian_point_is_the_half_order_block(self):
+        # verify's grid: the closed form at one point has the bits of
+        # M_(1/2)'s block route, which 50 of these points missed in the
+        # last bit when the point was taken in Python floats
+        zs = np.arange(-5.0, 5.0 + 1e-12, 0.01)
+        block = specfun.m_wright_values(0.5, np.abs(zs))
+        for z, want in zip(zs.tolist(), block.tolist()):
+            assert (specfun.m_wright_special(2, z).value
+                    == specfun.m_wright_values(0.5, [abs(z)])[0] == want), z
 
     @pytest.mark.parametrize("nu", [0.05, 0.25, 0.9, 0.99])
     def test_pieces_read_alike_below_and_above_the_cutoff(self, nu):
@@ -1558,3 +1568,81 @@ class TestShortBlocks:
             specfun.m_wright(nu, 0.5 * specfun.crossover_radius(nu))
             specfun.m_wright_values(nu, [0.0, 0.1])
         assert specfun.mittag_leffler_neg(0.25, 7.3).method == "asymptotic"
+
+
+class TestNodeBuildFallbacks:
+    """An interpolant whose nodes fail is None, and its order then reads
+    the engines the pieces are built from, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        caches = (specfun._series_interpolant, specfun._tail_interpolant,
+                  specfun._ml_interpolant)
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_non_positive_series_node(self, monkeypatch):
+        nu, engine = 0.3, specfun._sum_series
+
+        def spoilt(*args):
+            v, trunc, cancel = engine(*args)
+            v[-1] = 0.0
+            return v, trunc, cancel
+
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_sum_series", spoilt)
+            assert specfun._series_interpolant(nu) is None
+        rs = np.linspace(0.0, specfun.crossover_radius(nu), 9)
+        value, err, method = specfun._m_wright_array(nu, rs, 1e-12)
+        v, trunc, cancel = engine(-nu, 1.0 - nu, -rs, 1e-12)
+        assert value.tobytes() == v.tobytes()
+        assert err.tobytes() == (trunc + cancel).tobytes()
+        assert (method == "series").all()
+
+    def test_non_finite_tail_node(self, monkeypatch):
+        nu, engine = 0.3, specfun._m_tail
+
+        def spoilt(*args, **kwargs):
+            v, e = engine(*args, **kwargs)
+            v[0] = math.inf
+            return v, e
+
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_m_tail", spoilt)
+            assert specfun._tail_interpolant(nu, 1) is None
+        switch = specfun.crossover_radius(nu)
+        rs = np.linspace(1.01 * switch, 8.0 * switch, 9)
+        value, err, method = specfun._m_wright_array(nu, rs, 1e-12)
+        v, e = engine(nu, rs, 1e-12)
+        assert value.tobytes() == v.tobytes()
+        assert err.tobytes() == e.tobytes()
+        assert (method == "asymptotic").all()
+
+    @pytest.mark.parametrize("failure", ["raises", "zero node"])
+    def test_failing_spectral_node(self, monkeypatch, failure):
+        nu, engine = 0.6, specfun._ml_spectral
+
+        def spoilt(*args):
+            if failure == "raises":
+                raise QuadratureFailure("spoilt node")
+            v, e = engine(*args)
+            v[0] = 0.0
+            return v, e
+
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_ml_spectral", spoilt)
+            assert specfun._ml_interpolant(nu) is None
+        # the Taylor series where it meets tol, the spectral integral past it
+        s = np.array([0.5, 1.0, 2.0, 50.0, 500.0])
+        value, err, method = specfun._ml_array(nu, s, 1e-12)
+        taylor = method == "series"
+        assert taylor[:3].all() and (method[3:] == "asymptotic").all()
+        terms = specfun._series_terms(nu, 1.0, -s[:3], factorial=False)
+        want = specfun._apply_stopping_rule(terms, 1e-13)[0]
+        assert value[:3].tobytes() == want.tobytes()
+        v, e = engine(nu, s[3:], 1e-12)
+        assert value[3:].tobytes() == v.tobytes()
+        assert err[3:].tobytes() == e.tobytes()
