@@ -8,8 +8,9 @@ Grids and ensembles are written as CSV with '#' metadata lines and full
 JSON. Command-line flags override an optional JSON config file.
 
 Only verify imports the verification module, and no subcommand imports
-scipy.stats (verify's KS tests take its p-values from `_kstest`): every
-subcommand starts as fast and as small as `import mwright`.
+scipy.stats (verify's KS tests, at 10 000 draws and more, take its
+p-values from `_kstest`): every subcommand starts as fast and as small as
+`import mwright`.
 """
 
 from __future__ import annotations

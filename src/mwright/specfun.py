@@ -63,10 +63,10 @@ s = 1024, a per-order Chebyshev interpolant (`_ml_interpolant`) of log
 E_nu(-s) in s on [0, 4] and of log(s Gamma(1-nu) E_nu(-s)) in 1/s on
 [1/1024, 1/4], built once from the spectral integral (`_ml_spectral`,
 Gorenflo, Loutchko & Luchko 2002); its estimate, value x (rel + 8 eps),
-does not depend on tol. Past s = 1024, and at every s for orders whose
-build fails (such as 1e-3, and from about 0.9975), the Taylor series where
-it meets tol and the spectral integral elsewhere. Orders nu > 1 have the
-Taylor series alone.
+does not depend on tol. Up to s = 1024 at orders whose build fails (such
+as 1e-3, and from about 0.9963), the Taylor series where it meets tol and
+the spectral integral elsewhere; past s = 1024 the spectral integral at
+every order below 1. Orders nu > 1 have the Taylor series alone.
 """
 
 from __future__ import annotations
@@ -1018,7 +1018,7 @@ def _ml_interpolant(nu: float):
     E_nu(-s) tends to its leading power 1/(s Gamma(1-nu)). Returns
     ((s_from, lo, hi, in_s, coefficients, rel), ...) as `_tail_interpolant`,
     read by `_read_pieces` with the key s. None where a build fails (orders
-    such as 1e-3 and from about 0.9975): those keep the Taylor series and
+    such as 1e-3 and from about 0.9963): those keep the Taylor series and
     the spectral integral at each argument.
     """
     return _pieces([(_ML_NEAR, 1.0 / _ML_FAR, 1.0 / _ML_NEAR, False,
@@ -1049,41 +1049,51 @@ def _ml_array(nu, s, tol: float):
             value[exact] = _erfcx(s[exact])
         else:
             value[exact] = np.exp(-s[exact])
-        # erfcx is up to 4.1 eps off (s near 2e-8), the other two within 2 eps
-        err[exact] = (8.0 if nu == 0.5 else 4.0) * _EPS * value[exact]
+        # erfcx is up to 4.1 eps off (s near 2e-8), the other two within 2
+        # eps; a subnormal or underflowed value adds two subnormal spacings
+        # (`_gaussian_estimate`'s rule: e^-s past s = 708.4, erfcx past s =
+        # 2.5e307), and the limit 0 at s = inf is exact
+        v = value[exact]
+        err[exact] = (8.0 if nu == 0.5 else 4.0) * _EPS * v + np.where(
+            (v < _TINY) & (s[exact] < math.inf), _SUBNORMAL_2, 0.0)
         method[exact] = METHOD_LIMIT_CASE if nu == 0.0 else METHOD_CLOSED_FORM
     rows = np.flatnonzero((s > 0.0) & ~exact)
-    fit = _ml_interpolant(nu) if 0.0 < nu < 1.0 and rows.size else None
-    if fit is not None:  # the pieces up to s = 1024, the Taylor rows past it
-        far = s[rows] > _ML_FAR
-        on, rows = rows[~far], rows[far]
-        if on.size:
-            _, h, rel = _read_pieces(fit, s[on], s[on])
-            lead = np.where(s[on] >= _ML_NEAR,
-                            s[on] * float(_gamma(1.0 - nu)), 1.0)
-            value[on] = v = np.exp(h) / lead
-            err[on], method[on] = v * (rel + 8.0 * _EPS), METHOD_ASYMPTOTIC
-    if not rows.size:
-        return value, err, method
-    # Taylor rows, stopped at min(tol, 1e-13), else at tol, else NaN. 1/Gamma
-    # at the rounded argument x = nu n + 1 moves a term by up to x |psi(x)|
-    # eps, beyond the series floor (56 ulps at nu = 0.9): the floor weighs
-    # each term used by half of x log x + n / 2 + 5
-    terms = _series_terms(nu, 1.0, -s[rows], factorial=False)
-    x = nu * _N + 1.0
-    weight = 0.5 * (x * np.log(x) + 0.5 * _N + 5.0)
-    v, trunc, cancel = _apply_stopping_rule(terms, min(tol, 1e-13), weight)
-    if (miss := np.isnan(v)).any():
-        v[miss], trunc[miss], cancel[miss] = _apply_stopping_rule(
-            terms[miss], tol, weight)
-    value[rows], err[rows], method[rows] = v, trunc + cancel, METHOD_SERIES
-    # nu > 1 has no other route; past s^(1/nu) = 60 cancellation wins
-    if nu > 1.0 and (np.isnan(v) | ~(s[rows] ** (1.0 / nu) < 60.0)).any():
-        raise NonConvergence(f"E_{nu}(-s): Taylor series unusable and the "
-                             f"spectral integral only applies for nu < 1")
-    if nu < 1.0 and (rows := rows[~(err[rows] <= tol)]).size:
-        value[rows], err[rows] = _ml_spectral(nu, s[rows], tol)
-        method[rows] = METHOD_ASYMPTOTIC
+    # 0 < nu < 1: the spectral integral past s = 1024, where the Taylor terms
+    # s^k overflow before they meet the stopping rule; up to there the
+    # pieces, or the Taylor series at orders whose build fails
+    cut = (s[rows] > _ML_FAR) & (nu < 1.0)
+    far, rows = rows[cut], rows[~cut]
+    fit = _ml_interpolant(nu) if nu < 1.0 and rows.size else None
+    if fit is not None:
+        _, h, rel = _read_pieces(fit, s[rows], s[rows])
+        lead = np.where(s[rows] >= _ML_NEAR,
+                        s[rows] * float(_gamma(1.0 - nu)), 1.0)
+        value[rows] = v = np.exp(h) / lead
+        err[rows], method[rows] = v * (rel + 8.0 * _EPS), METHOD_ASYMPTOTIC
+    elif rows.size:
+        # Taylor rows, stopped at min(tol, 1e-13), else at tol, else NaN.
+        # 1/Gamma at the rounded argument x = nu n + 1 moves a term by up to
+        # x |psi(x)| eps, beyond the series floor (56 ulps at nu = 0.9): the
+        # floor weighs each term used by half of x log x + n / 2 + 5
+        terms = _series_terms(nu, 1.0, -s[rows], factorial=False)
+        x = nu * _N + 1.0
+        weight = 0.5 * (x * np.log(x) + 0.5 * _N + 5.0)
+        v, trunc, cancel = _apply_stopping_rule(terms, min(tol, 1e-13),
+                                                weight)
+        if (miss := np.isnan(v)).any():
+            v[miss], trunc[miss], cancel[miss] = _apply_stopping_rule(
+                terms[miss], tol, weight)
+        value[rows], err[rows], method[rows] = v, trunc + cancel, METHOD_SERIES
+        # nu > 1 has no other route; past s^(1/nu) = 60 cancellation wins
+        if nu > 1.0 and (np.isnan(v) | ~(s[rows] ** (1.0 / nu) < 60.0)).any():
+            raise NonConvergence(f"E_{nu}(-s): Taylor series unusable and "
+                                 f"the spectral integral only applies for "
+                                 f"nu < 1")
+        if nu < 1.0:
+            far = np.union1d(far, rows[~(err[rows] <= tol)])
+    if far.size:
+        value[far], err[far] = _ml_spectral(nu, s[far], tol)
+        method[far] = METHOD_ASYMPTOTIC
     return value, err, method
 
 
@@ -1093,12 +1103,14 @@ def mittag_leffler_neg(nu: float, s: float, tol: float = 1e-12) -> EvalResult:
     For 0 < nu < 1 up to s = 1024, the per-order Chebyshev pieces built
     from the spectral integral (`_ml_interpolant`, method "asymptotic"),
     within 2e-13 relative of 40-digit references, with an estimate that
-    does not depend on tol. Past s = 1024, and for orders whose build fails
-    (such as 1e-3 and 0.999), the Taylor series where it meets tol and the
-    spectral integral elsewhere (method "asymptotic"). nu = 0 needs s < 1
-    (1/(1+s)), nu = 1/2 is erfcx(s) and nu = 1 exp(-s) (method
-    "closed_form"); nu > 1 has the Taylor series only, up to s^(1/nu) = 60.
-    At s = inf the limit 0 holds for nu < 2; else NonConvergence is raised.
+    does not depend on tol; up to there, orders whose build fails (such as
+    1e-3 and 0.999) take the Taylor series where it meets tol and the
+    spectral integral elsewhere. Past s = 1024 the spectral integral at
+    every 0 < nu < 1 (method "asymptotic"). nu = 0 needs s < 1 (1/(1+s)),
+    nu = 1/2 is erfcx(s) and nu = 1 exp(-s) (method "closed_form"; a
+    subnormal or underflowed value adds two subnormal spacings to the
+    estimate); nu > 1 has the Taylor series only, up to s^(1/nu) = 60. At
+    s = inf the limit 0 holds for nu < 2; else NonConvergence is raised.
     """
     (value,), (err,), (method,) = _ml_array(nu, float(s), tol)
     return EvalResult(float(value), float(err), str(method))

@@ -82,6 +82,7 @@ class TestEval:
             doc = json.loads(capsys.readouterr().out)
             assert doc["value"] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lam, mu", [("inf", "1"), ("0.5", "nan")])
     def test_wright_non_finite_index_is_an_order_error(self, capsys, lam, mu):
         assert run(["eval", "--function", "wright", "--lam", lam,
@@ -280,6 +281,7 @@ class TestTabulate:
                     "--step", "0"]) == 2
         assert "--step" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", [
         ["tabulate", "--function", "mwright", "--params", "0.3"],
         ["green", "--alpha", "1", "--beta", "0.5", "--t", "1"],
@@ -291,6 +293,7 @@ class TestTabulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, bound", [
         (["tabulate", "--function", "mwright", "--params", "0.3"],
          "--xmin=nan"),
@@ -309,6 +312,7 @@ class TestTabulate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{flag} must be finite" in err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
         ["solve", "--alpha", "1", "--beta", "0.5", "--t-end", "inf"],
         ["green", "--alpha", "1", "--beta", "0.5", "--t", "inf"],
@@ -329,6 +333,10 @@ class TestTabulate:
         ["solve", "--alpha", "1", "--beta", "0.5", "--t-end", "0.1",
          "--halfwidth", "1e-300"],
         ["solve", "--alpha", "2", "--beta", "0.1", "--t-end", "1e20"],
+        # the Green function itself past the double range: ResultOverflow
+        ["eval", "--function", "green", "--alpha", "2", "--beta", "0.5",
+         "--x", "0", "--t", "5e-324"],
+        ["verify", "--suite", "nope"],
     ])
     def test_rejected_input_writes_nothing_and_one_line(
             self, capsys, tmp_path, argv):
@@ -348,6 +356,7 @@ class TestIOErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "missing.json" in err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
         ["eval", "--function", "mwright", "--nu", "0.5", "--x", "1"],
         ["tabulate", "--function", "mwright", "--params", "0.5",
@@ -540,6 +549,7 @@ class TestFlagsAndConfig:
     TABULATE = ["tabulate", "--function", "mwright", "--params", "0.3",
                 "--xmin", "0", "--xmax", "1", "--step", "0.5"]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,entry", [
         (SOLVE, {"nt": 20.5}),
         (SOLVE, {"nx": 21.0}),
@@ -601,6 +611,7 @@ class TestFlagsAndConfig:
         assert err.startswith("error: mwright") and err.count("\n") == 1
         assert "unrecognized arguments" in err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--paths", "10"],
          "mwright: unrecognized arguments: --paths 10"),

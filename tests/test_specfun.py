@@ -7,6 +7,7 @@ closed-form Gamma/erfc arithmetic; tags in comments name the oracle used.
 import importlib.util
 import math
 import sys
+from decimal import Context, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +488,19 @@ class TestEstimates:
         assert type(res.value) is float
         assert type(res.abs_err_estimate) is float
 
+    def test_exponential_estimate_covers_subnormal_values(self):
+        # E_1(-s) = e^-s is subnormal past s = 708.4 and 0 past 745.1: the
+        # estimate adds two subnormal spacings there, as the nu = 1/2
+        # Gaussian's does (4 eps x value alone read 0.0 at s = 744)
+        ctx = Context(prec=40)
+        for s in np.linspace(700.0, 750.0, 501):
+            res = specfun.mittag_leffler_neg(1.0, float(s))
+            exact = Decimal(-float(s)).exp(ctx)
+            assert abs(Decimal(res.value) - exact) \
+                <= Decimal(res.abs_err_estimate), s
+        res = specfun.mittag_leffler_neg(1.0, math.inf)
+        assert (res.value, res.abs_err_estimate) == (0.0, 0.0)
+
     def test_mittag_leffler_asymptotic_has_rounding_floor(self):
         # the inverse-power sum carries the same 2 eps sum|term| floor as
         # the series; it used to report about 1e-183 for a value of 0.086
@@ -698,6 +712,18 @@ class TestMittagLefflerRoutes:
         assert vals.shape == (len(s), 1)
         for r, v in zip(results, vals[:, 0]):
             assert v == r.value
+
+    @pytest.mark.parametrize("nu", [0.25, 1e-3, 0.999])
+    def test_past_1024_straight_to_the_integral(self, monkeypatch, nu):
+        # past s = 1024 the Taylor terms s^k overflow before they meet the
+        # stopping rule at every order below 1, with pieces (0.25) or
+        # without (1e-3, 0.999): none is summed there
+        s = np.array([2000.0, 1e5])
+        want, _ = specfun._ml_spectral(nu, s, 1e-12)
+        monkeypatch.setattr(specfun, "_series_terms", lambda *a, **k:
+                            pytest.fail("Taylor rows past s = 1024"))
+        got = specfun.mittag_leffler_values(nu, s)
+        assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("nu", [1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
     def test_orders_next_to_one_approach_the_exponential(self, nu):

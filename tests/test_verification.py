@@ -4,6 +4,7 @@ their Check records, and the per-module tests cover the evaluators."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ def test_ggbm_suite_ks_tests_match_scipy_stats(monkeypatch):
             want.append((float(res.statistic), float(res.pvalue)))
             return got[-1]
         monkeypatch.setattr(verification, name, recorded)
-    for name in ("_kolmogn_dmtw", "_kolmogn_pelz_good", "smirnov"):
+    for name in ("_kolmogn_pelz_good", "smirnov"):
         monkeypatch.setattr(_kstest, name,
                             _spy(branches, name, getattr(_kstest, name)))
     assert all(c.passed for c in verification.suite_ggbm())
@@ -160,13 +161,6 @@ def test_ggbm_suite_ks_tests_match_scipy_stats(monkeypatch):
     assert [p for _, p in got] == [0.10673271354848035, 0.6764598355032652,
                                    0.8381598283518283, 0.6542277779186985]
     assert branches == ["_kolmogn_pelz_good"] * 4
-
-
-# the helper each branch of kstwo.sf (n > 140) calls, if any
-_KS_SPIED = {"ruben-gambino low": "_log_nfactorial_div_n_pow_n",
-             "smirnov": "smirnov", "durbin": "_kolmogn_dmtw",
-             "pelz-good": "_kolmogn_pelz_good"}
-_KS_BRANCHES = {"support", "ruben-gambino high", "zero", *_KS_SPIED}
 
 
 def _ks_branch(n, d):
@@ -180,7 +174,7 @@ def _ks_branch(n, d):
     if t >= n - 1:
         return "ruben-gambino high"
     if d >= 0.5:
-        return "smirnov"
+        return "smirnov high"
     if t * d >= 370.0:
         return "zero"
     if t * d >= 2.2:
@@ -188,9 +182,16 @@ def _ks_branch(n, d):
     return "durbin" if n * np.array(d) ** 1.5 <= 1.4 else "pelz-good"
 
 
+def _ks_call(n, d):
+    """The helper `_kstest._sf(n, d)` calls, if any: smirnov where n d^2 is
+    in [2.2, 370), else Pelz-Good past the support."""
+    if d <= 0.5 / n or n * d * d >= 370.0:
+        return []
+    return ["smirnov"] if n * d * d >= 2.2 else ["_kolmogn_pelz_good"]
+
+
 def _ks_intervals(n):
-    """Intervals of d that steer kstwo.sf(d, n) to each branch in turn
-    (the zero branch is empty up to n = 1480)."""
+    """Intervals of d that steer kstwo.sf(d, n) to each branch in turn."""
     return [(0.0, 0.5 / n), (0.5 / n, 1.0 / n), ((n - 1) / n, 1.0),
             (0.5, (n - 1) / n), (math.sqrt(2.2 / n), math.sqrt(370.0 / n)),
             (math.sqrt(370.0 / n), 0.5), (1.0 / n, (1.4 / n) ** (2 / 3)),
@@ -198,15 +199,17 @@ def _ks_intervals(n):
 
 
 def test_ks_pvalues_match_scipy_stats_on_every_branch(monkeypatch):
-    # n log-uniform over [141, 10^5]: the Durbin matrix and smirnov take
-    # 0.5 s and 0.15 s per call at 10^5 (scipy's and ours alike)
+    # n log-uniform over [10^4, 10^5], the sizes the Durbin branch serves
+    # in scipy: bit for bit on every branch but that one, where Pelz-Good
+    # stands in, within 1e-12 wherever scipy's matrix power does not
+    # overflow, and at least 1 - 1e-12 where it does (scipy reads 0 there)
     seen, calls = set(), []
-    for name in _KS_SPIED.values():
+    for name in ("smirnov", "_kolmogn_pelz_good"):
         monkeypatch.setattr(_kstest, name,
                             _spy(calls, name, getattr(_kstest, name)))
 
     @settings(max_examples=200)
-    @given(n=st.floats(0.0, 1.0).map(lambda u: round(141 * (1e5 / 141) ** u)),
+    @given(n=st.floats(0.0, 1.0).map(lambda u: round(1e4 * 10 ** u)),
            steer=st.integers(0, 7), u=st.floats(0.0, 1.0))
     def sweep(n, steer, u):
         lo, hi = _ks_intervals(n)[steer]
@@ -215,27 +218,47 @@ def test_ks_pvalues_match_scipy_stats_on_every_branch(monkeypatch):
         seen.add(branch)
         calls.clear()
         got = float(_kstest._sf(n, d))
-        assert calls == ([_KS_SPIED[branch]] if branch in _KS_SPIED else [])
-        want = float(np.clip(stats.kstwo.sf(d, n), 0.0, 1.0))
-        assert got.hex() == want.hex(), (n, d, branch)
+        assert calls == _ks_call(n, d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = float(np.clip(stats.kstwo.sf(d, n), 0.0, 1.0))
+        if branch != "durbin":
+            assert not caught
+            assert got.hex() == want.hex(), (n, d, branch)
+        elif not caught:
+            assert abs(got - want) <= 1e-12, (n, d)
+        else:
+            assert got >= 1.0 - 1e-12, (n, d)
 
     sweep()
-    assert seen == _KS_BRANCHES
-    # Pelz-Good's z below 0.0417 needs n > 10^5 (the Durbin matrix serves
-    # smaller d up to there): P(D_n <= d) underflows, and sf is 1
+    assert seen == {"support", "ruben-gambino low", "ruben-gambino high",
+                    "smirnov high", "zero", "smirnov", "durbin", "pelz-good"}
+    # Pelz-Good's z below 0.0417, where scipy takes it too (n > 10^5):
+    # P(D_n <= d) underflows, and sf is 1
     calls.clear()
     assert _kstest._sf(200_000, 2e-5) == stats.kstwo.sf(2e-5, 200_000) == 1.0
     assert calls == ["_kolmogn_pelz_good"]
 
 
+def test_ks_pvalue_is_one_where_durbins_matrix_overflows():
+    # scipy's kstwo.sf reads 0 here, with "overflow encountered in matmul":
+    # its Durbin matrix power leaves the double range at z = 0.077
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _kstest._sf(65515, 3.0166845260370804e-4) == 1.0
+
+
 @pytest.mark.parametrize("call", [
     lambda: _kstest.ks_1samp(np.linspace(0.0, 1.0, 140), lambda v: v),
+    lambda: _kstest.ks_1samp(np.linspace(0.0, 1.0, 9_999), lambda v: v),
     lambda: _kstest.ks_2samp(np.zeros(10_000), np.ones(10_000)),
+    # more than 10 000 draws each, but an effective size of 5 000
+    lambda: _kstest.ks_2samp(np.zeros(10_001), np.ones(10_001)),
     # more than 10 000 draws, but an effective size of 140
     lambda: _kstest.ks_2samp(np.zeros(20_000), np.ones(141))],
-    ids=["one_sample_of_140", "two_samples_of_10000", "effective_size_140"])
+    ids=["one_sample_of_140", "one_sample_of_9999", "two_samples_of_10000",
+         "two_samples_of_10001", "effective_size_140"])
 def test_ks_sizes_without_scipys_route_raise(call):
-    # n <= 140 takes the Pomeranz recursion in scipy, and two samples of
-    # at most 10 000 draws the exact two-sample law: neither is copied
+    # _sf serves n >= 10 000 draws, or that effective size of two samples
     with pytest.raises(InvalidArgument):
         call()
