@@ -31,8 +31,10 @@ HISTORY_BLOCK = 32  # time steps per history GEMM in solve_volterra
 _MARCH_RANGE = 2.0 ** 400
 # solve_volterra's node route: the march runs at this many Chebyshev rates
 # where there are at least twice as many sine modes; its coefficients chop
-# at _RATE_CHOP of the largest, and _RATE_LEBESGUE bounds the Lebesgue
-# constant of the interpolation, 1 + (2/pi) log 257 = 4.53
+# at _RATE_CHOP of the largest (the route needs the last three below it,
+# and the Clenshaw sum stops after the last one above it), and
+# _RATE_LEBESGUE bounds the Lebesgue constant of the interpolation, 1 +
+# (2/pi) log 257 = 4.53
 _CHEB_RATES = 257
 _RATE_CHOP = 1e-15
 _RATE_LEBESGUE = 1.0 + 2.0 / math.pi * math.log(_CHEB_RATES)
@@ -411,7 +413,9 @@ def _rate_route(lam, coef, ap, p1):
     march at the Chebyshev extreme points of log lam over [log lam_1, log
     lam_m] gives the coefficients (`specfun._chebyshev_coefficients`) that
     one Clenshaw recurrence (`specfun._clenshaw`) reads at every mode,
-    elementwise on the block. The route is accepted where
+    elementwise on the block, up to the last coefficient above _RATE_CHOP
+    times the largest: the ones dropped change phi by at most their sum,
+    below 257 _RATE_CHOP of the largest. The route is accepted where
     the slowest rate and its eigenvalue lam_1 < lam_m are normal positive
     doubles, the last three coefficients lie below _RATE_CHOP times the
     largest, and _RATE_LEBESGUE times the largest |phi_n| at the nodes is
@@ -432,10 +436,30 @@ def _rate_route(lam, coef, ap, p1):
     if not _RATE_LEBESGUE * peak <= 5.0:
         return None
     c = specfun._chebyshev_coefficients(phi[-1])
-    if not np.max(np.abs(c[-3:])) <= _RATE_CHOP * np.max(np.abs(c)):
+    size = np.abs(c)
+    chop = _RATE_CHOP * np.max(size)
+    if not np.max(size[-3:]) <= chop:
         return None
+    keep = 1 + int(np.flatnonzero(size > chop)[-1])
     return specfun._clenshaw((2.0 * np.log(lam) - (a + b)) / (b - a),
-                             c.tolist())
+                             c[:keep].tolist())
+
+
+def _crank_nicolson(w, nt):
+    """phi_nt where beta = 1, at the half rates w = p1[1] z = z/2 >= 0 of
+    the modes: r^nt in closed form, r = (1 - w)/(1 + w) the Crank-Nicolson
+    factor of each step.
+
+    |r| = 1 - 2 min(w, 1)/(1 + w), so r^nt is exp(nt log1p(-2 min(w, 1)/(1
+    + w))), negated for w > 1 at odd nt; w = 1 gives 0. The log1p form
+    stays within half an ulp of 1 up to nt = 4096, where np.power(r, nt)
+    loses about nt ulp.
+    """
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at w = 1
+        phi = np.exp(nt * np.log1p(-2.0 * np.minimum(w, 1.0) / (1.0 + w)))
+    if nt % 2:
+        np.negative(phi, out=phi, where=w > 1.0)
+    return phi
 
 
 def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
@@ -472,6 +496,15 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
     slowest rate at or below the normal range, a tail that does not chop,
     a node march past the bound) the mode march runs, with its guard at
     every step, and keeps its bits.
+
+    At beta = 1 the kernel (T - sigma)^0 is constant and the march is
+    Crank-Nicolson: phi_nt(z) = ((1 - w)/(1 + w))^nt with w = p1[1] z =
+    z/2. Where every eigenvalue is >= 0 (they all are, unless
+    `_sine_eigenvalues` is replaced), phi_nt is taken in closed form at
+    every mode (`_crank_nicolson`), for any m and nt, and neither march
+    runs; then |phi_nt| <= 1, so the L2 norm never grows and the guard
+    could not trip. It agrees with the mode march to a few eps times max
+    |u0|.
 
     InvalidArgument is raised where the stretched time t_end^(alpha/beta),
     or the rate of the stiffest sine mode (a grid too fine for the step),
@@ -535,7 +568,12 @@ def solve_volterra(u0: GridFunction, spec: GreenSpec, t_end: float,
     # sine coefficients of the interior profile; u_xx has -lam times them
     base = _dst1(np.ldexp(interior, shift))
     ap = p0 - p1
-    phi = _rate_route(lam, coef, ap, p1) if m >= 2 * _CHEB_RATES else None
+    if spec.beta == 1.0 and np.min(lam) >= 0.0:
+        phi = _crank_nicolson(p1[1] * coef * lam, nt)
+    elif m >= 2 * _CHEB_RATES:
+        phi = _rate_route(lam, coef, ap, p1)
+    else:
+        phi = None
     if phi is None:  # the mode march; squared L2 guard, by Parseval
         last = _march(base, lam, coef, ap, p1, 25.0 * (base @ base))[nt]
     else:

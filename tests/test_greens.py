@@ -457,6 +457,24 @@ def _profile(kind, xs):
     return ys
 
 
+# (nx, nt, alpha, beta, t_end, kind) of solves that take the node route;
+# the five at alpha = 1, beta 0.8-0.9 have the sizes, times and data of the
+# first five _CLOSED_FORM_CASES
+_NODE_CASES = [
+    (1025, 16, 1.0, 0.9, 1e-4, "gaussian"),
+    (1601, 100, 1.0, 0.1, 50.0, "box"),
+    (3201, 512, 0.8, 0.99, 0.5, "spike"),
+    (1601, 1024, 1.2, 0.6, 5.0, "gaussian"),
+    (1025, 512, 1.0, 0.9, 0.5, "spike"),
+    (3201, 100, 0.5, 0.99, 50.0, "gaussian"),
+    (1601, 512, 1.0, 0.9, 1e-4, "box"),
+    (1025, 1024, 0.4, 0.1, 1e-2, "spike"),
+    (3201, 16, 2.0, 0.3, 50.0, "box"),
+    (1025, 100, 1.0, 0.8, 50.0, "box"),  # at 0.9 the tail does not chop
+    (3201, 1024, 1.0, 0.9, 0.1, "gaussian"),
+]
+
+
 class TestRateRoute:
     """solve_volterra's node route: the march on greens._CHEB_RATES
     Chebyshev rates, read at every sine mode, against the mode march, and
@@ -483,22 +501,13 @@ class TestRateRoute:
 
     @staticmethod
     def mode_march(monkeypatch, u0, spec, t_end, nt, halfwidth=8.0):
-        monkeypatch.setattr(greens, "_rate_route", lambda *args: None)
+        """The solution by the mode march, which then runs at any beta."""
+        for name in ("_rate_route", "_crank_nicolson"):
+            monkeypatch.setattr(greens, name, lambda *args: None)
         return greens.solve_volterra(u0, spec, t_end, nt, halfwidth).ys
 
-    @pytest.mark.parametrize("nx, nt, alpha, beta, t_end, kind", [
-        (1025, 16, 1.0, 1.0, 1e-4, "gaussian"),
-        (1601, 100, 1.0, 0.1, 50.0, "box"),
-        (3201, 512, 0.8, 0.99, 0.5, "spike"),
-        (1601, 1024, 1.2, 0.6, 5.0, "gaussian"),
-        (1025, 512, 1.0, 1.0, 0.5, "spike"),
-        (3201, 100, 0.5, 0.99, 50.0, "gaussian"),
-        (1601, 512, 1.0, 1.0, 1e-4, "box"),
-        (1025, 1024, 0.4, 0.1, 1e-2, "spike"),
-        (3201, 16, 2.0, 0.3, 50.0, "box"),
-        (1025, 100, 1.0, 1.0, 50.0, "box"),
-        (3201, 1024, 1.0, 1.0, 0.1, "gaussian"),
-    ])
+    @pytest.mark.parametrize("nx, nt, alpha, beta, t_end, kind",
+                             _NODE_CASES)
     def test_matches_the_mode_march(self, monkeypatch, nx, nt, alpha, beta,
                                     t_end, kind):
         spec = greens.GreenSpec(alpha, beta, 1.0)
@@ -507,6 +516,39 @@ class TestRateRoute:
         want = self.mode_march(monkeypatch, u0, spec, t_end, nt)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u0.ys))
         assert got[0] == got[-1] == 0.0
+
+    @pytest.mark.parametrize("nx, nt, alpha, beta, t_end, kind",
+                             _NODE_CASES)
+    def test_chopped_sum_matches_the_full_sum(self, monkeypatch, nx, nt,
+                                              alpha, beta, t_end, kind):
+        # Clenshaw reads the coefficients up to the last one above the
+        # chop; the ones it drops bound the difference from all 257
+        seen = {}
+        coefficients, clenshaw = (specfun._chebyshev_coefficients,
+                                  specfun._clenshaw)
+
+        def spy_coefficients(h):
+            seen["c"] = coefficients(h)
+            return seen["c"]
+
+        def spy_clenshaw(x, c):
+            seen["x"], seen["kept"] = x, c
+            return clenshaw(x, c)
+
+        monkeypatch.setattr(specfun, "_chebyshev_coefficients",
+                            spy_coefficients)
+        monkeypatch.setattr(specfun, "_clenshaw", spy_clenshaw)
+        spec = greens.GreenSpec(alpha, beta, 1.0)
+        assert self.solve(monkeypatch, nx, nt, spec, t_end, kind)[2]
+        c, keep = seen["c"], len(seen["kept"])
+        above = np.abs(c) > greens._RATE_CHOP * np.max(np.abs(c))
+        assert keep == 1 + np.flatnonzero(above)[-1] < len(c)
+        assert seen["kept"] == c[:keep].tolist()
+        full = clenshaw(seen["x"], c.tolist())
+        got = clenshaw(seen["x"], seen["kept"])
+        bound = (np.sum(np.abs(c[keep:]))
+                 + 4.0 * np.finfo(float).eps * np.max(np.abs(full)))
+        assert np.max(np.abs(got - full)) <= bound
 
     @pytest.mark.parametrize("nx, node", [(515, False), (516, True)])
     def test_needs_twice_as_many_modes_as_rates(self, monkeypatch, nx, node):
@@ -552,11 +594,12 @@ class TestRateRoute:
 
     @pytest.mark.parametrize("alpha, t_end, halfwidth", [
         (2.0, 1e-200, 8.0),  # the stretched time, and each rate, is 0
-        (1.0, 1e-300, 1e4),  # the slowest rate is subnormal, 1.5e-309
+        (1.0, 1e-300, 1e4),  # the slowest rate is subnormal, 1.6e-309
     ])
     def test_rates_at_or_below_the_normal_range_fall_back(
             self, monkeypatch, alpha, t_end, halfwidth):
-        self._falls_back(monkeypatch, 1601, 16, greens.GreenSpec(alpha, 1.0),
+        # beta = 0.99, since at beta = 1 the closed form takes any rate
+        self._falls_back(monkeypatch, 1601, 16, greens.GreenSpec(alpha, 0.99),
                          t_end, halfwidth)
 
     @pytest.mark.parametrize("growth, step", [(5.1, "1"),
@@ -576,3 +619,66 @@ class TestRateRoute:
             greens.solve_volterra(u0, greens.GreenSpec(1.0, 1.0), 0.5, 16,
                                   8.0)
         assert calls == [None]
+
+
+# (nx, nt, alpha, beta, t_end, kind) at beta = 1, where solve_volterra takes
+# each mode's Crank-Nicolson factor in closed form: the five counterparts of
+# _NODE_CASES, the benchmark's coarsest grid, stretched time 1e3 (where the
+# node route's tail does not chop), and rates that are all 0
+_CLOSED_FORM_CASES = [
+    (1025, 16, 1.0, 1.0, 1e-4, "gaussian"),
+    (1025, 512, 1.0, 1.0, 0.5, "spike"),
+    (1601, 512, 1.0, 1.0, 1e-4, "box"),
+    (1025, 100, 1.0, 1.0, 50.0, "box"),
+    (3201, 1024, 1.0, 1.0, 0.1, "gaussian"),
+    (401, 128, 1.0, 1.0, 0.5, "gaussian"),
+    (1601, 512, 1.0, 1.0, 1e3, "gaussian"),
+    (1601, 16, 2.0, 1.0, 1e-200, "box"),
+]
+
+
+class TestCrankNicolson:
+    """solve_volterra at beta = 1: phi_nt = ((1 - w)/(1 + w))^nt per mode,
+    with neither march run."""
+
+    @pytest.mark.parametrize("nt", [16, 17, 512, 4096])
+    def test_factor_within_an_ulp_of_the_exact_power(self, nt):
+        from fractions import Fraction
+        w = np.append(np.logspace(-10.0, 6.0, 81), 1.0)
+        got = greens._crank_nicolson(w, nt)
+        for wi, phi in zip(w.tolist(), got.tolist()):
+            f = Fraction(wi)
+            exact = ((1 - f) / (1 + f)) ** nt
+            assert abs(Fraction(phi) - exact) <= Fraction(math.ulp(1.0))
+        assert got[-1] == 0.0
+
+    @pytest.mark.parametrize("nx, nt, alpha, beta, t_end, kind",
+                             _CLOSED_FORM_CASES)
+    def test_matches_the_mode_march(self, monkeypatch, nx, nt, alpha, beta,
+                                    t_end, kind):
+        spec = greens.GreenSpec(alpha, beta, 1.0)
+        xs = np.linspace(-8.0, 8.0, nx)
+        u0 = GridFunction(xs, _profile(kind, xs))
+        calls = []
+        for name in ("_march", "_rate_route"):
+            monkeypatch.setattr(greens, name,
+                                lambda *args, name=name: calls.append(name))
+        got = greens.solve_volterra(u0, spec, t_end, nt, 8.0).ys
+        assert calls == []
+        monkeypatch.undo()
+        want = TestRateRoute.mode_march(monkeypatch, u0, spec, t_end, nt)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u0.ys))
+        assert got[0] == got[-1] == 0.0
+
+    @pytest.mark.parametrize("shift", [-800, -600, 600, 1000])
+    def test_profile_times_a_power_of_two(self, shift):
+        # TestVolterra's check at beta = 1: 2^shift times the Gaussian gives
+        # 2^shift times its result, bit for bit
+        xs = np.linspace(-8.0, 8.0, 401)
+        u0 = np.exp(-0.5 * (xs / 0.5) ** 2)
+        spec = greens.GreenSpec(0.8, 1.0, 1.0)
+        want = greens.solve_volterra(GridFunction(xs, u0), spec, 0.5, 64,
+                                     7.0).ys
+        got = greens.solve_volterra(GridFunction(xs, np.ldexp(u0, shift)),
+                                    spec, 0.5, 64, 7.0).ys
+        np.testing.assert_array_equal(got, np.ldexp(want, shift))
